@@ -18,7 +18,7 @@ profiles = generate_synthetic(
                   size_range=(2 * MB, 48 * MB)), seed=7)
 dev = testbed1(dram_capacity=3 * GIB, nvm_capacity=4 * GIB)
 
-all_dram = sum(dram_energy(o, dev) for o in profiles)
+all_dram = dram_energy(profiles, dev).sum()  # one entry per object
 print(f"workload: {len(profiles)} objects, "
       f"{sum(o.size for o in profiles) / MB:.0f} MB total, "
       f"all-DRAM energy {all_dram * 1e-9:.2f} J-equivalent (nJ x 1e9)")

@@ -8,9 +8,9 @@ limit and refuses to shuffle when it cannot be met; best-effort mode just
 never does worse than staying put.
 """
 
-from memplan import (GIB, GeneratorSpec, MigrationRequest, dram_energy,
-                     generate_synthetic, plan_migration, plan_static,
-                     testbed1)
+from memplan import (GIB, GeneratorSpec, MigrationRequest, ProfileSet,
+                     dram_energy, generate_synthetic, plan_migration,
+                     plan_static, testbed1)
 
 MB = 1 << 20
 
@@ -25,8 +25,8 @@ print("initial placement (R=1.0):",
       {i: initial.placements[i] for i in initial.major_ids})
 
 t = 8.0
-live = [o for o in profiles if o.live_at(t)]
-live_all_dram = sum(dram_energy(o, dev) for o in live)
+live = ProfileSet(tuple(o for o in profiles if o.live_at(t)))
+live_all_dram = dram_energy(live, dev).sum()
 print(f"\nat t={t:.0f}s: {len(live)} objects live, "
       f"{len(profiles) - len(live)} dead or not yet allocated")
 

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec
+from .energy import DeviceSpec, dram_energy
 from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM, DRAM,
                       NVM, PlacementPlan, _major_minor, summarize_assignment)
 from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet
@@ -24,14 +24,13 @@ def _finish(major: ProfileSet, minor: ProfileSet, dev: DeviceSpec,
             status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
     placements = {o.id: DRAM for o in minor}
-    for obj, x in zip(major, on_dram):
-        placements[obj.id] = DRAM if x else NVM
+    placements.update(zip(major.ids(), (DRAM if x else NVM for x in on_dram)))
     objective, energy = summarize_assignment(major, dev, on_dram)
-    all_dram_energy = summarize_assignment(major, dev, [1] * len(major))[1]
+    all_dram_energy = sum(dram_energy(major, dev).tolist(), 0.0)
     ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
     return PlacementPlan(
         placements=placements,
-        major_ids=tuple(o.id for o in major),
+        major_ids=major.ids(),
         status=status,
         ratio=ratio,
         major_threshold=major_threshold,
@@ -80,31 +79,31 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
             raise ValueError(f"object {obj.id!r} has no llc_mpki value")
 
     on_dram = [1 if obj.llc_mpki >= mpki_threshold else 0 for obj in major]
-    sizes = [obj.size for obj in major]
-
-    def dram_bytes() -> float:
-        return sum(s for s, x in zip(sizes, on_dram) if x)
-
-    def nvm_bytes() -> float:
-        return sum(s for s, x in zip(sizes, on_dram) if not x)
+    sizes = major.size.tolist()
+    dram_bytes = sum(s for s, x in zip(sizes, on_dram) if x)
+    nvm_bytes = sum(s for s, x in zip(sizes, on_dram) if not x)
 
     # Demote coldest DRAM residents first (ties broken by profile order).
     order = sorted(range(len(major)), key=lambda i: (major.objects[i].llc_mpki, i))
     for i in order:
-        if dram_bytes() <= dram_free:
+        if dram_bytes <= dram_free:
             break
         if on_dram[i]:
             on_dram[i] = 0
+            dram_bytes -= sizes[i]
+            nvm_bytes += sizes[i]
     for i in reversed(order):
-        if nvm_bytes() <= dev.nvm_capacity:
+        if nvm_bytes <= dev.nvm_capacity:
             break
-        if not on_dram[i] and dram_bytes() + sizes[i] <= dram_free:
+        if not on_dram[i] and dram_bytes + sizes[i] <= dram_free:
             on_dram[i] = 1
+            dram_bytes += sizes[i]
+            nvm_bytes -= sizes[i]
 
     binding: tuple[str, ...] = ()
-    if dram_bytes() > dram_free:
+    if dram_bytes > dram_free:
         binding += (CONSTRAINT_CAPACITY_DRAM,)
-    if nvm_bytes() > dev.nvm_capacity:
+    if nvm_bytes > dev.nvm_capacity:
         binding += (CONSTRAINT_CAPACITY_NVM,)
     status = ilp.STATUS_INFEASIBLE if binding else ilp.STATUS_OPTIMAL
     return _finish(major, minor, dev, on_dram, major_threshold,
@@ -122,7 +121,7 @@ def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
     """
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
-    sizes = np.array([o.size for o in major])
+    sizes = major.size
     if sizes.sum() > dram_free + dev.nvm_capacity:
         raise ValueError("no capacity-feasible assignment exists")
     rng = np.random.default_rng(seed)

@@ -28,7 +28,8 @@ from .planner import (CapacityError, PlacementPlan, load_plan, plan_static,
                       sweep_ratios, write_plan)
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec, ProfileError,
                        derive_scaling_vector, extrapolate, generate_synthetic,
-                       load_profile_dir, load_profiles, write_profiles)
+                       load_profile_dir, load_profiles, open_text,
+                       write_profiles)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,11 +82,13 @@ def _add_planning_options(parser: argparse.ArgumentParser) -> None:
                              "of the budget")
 
 
-def _parse_float_list(text: str, option: str) -> list[float]:
+def _parse_list(text: str, option: str, kind: type = float) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"{option}: expected comma-separated numbers") from None
+        expected = "integers" if kind is int else "numbers"
+        raise ValueError(
+            f"{option}: expected comma-separated {expected}") from None
     if not values:
         raise ValueError(f"{option}: expected at least one value")
     return values
@@ -99,11 +102,8 @@ def _parse_range(text: str, option: str) -> tuple[float, float]:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    with open_text(sys.stdout if path is None else path, "w") as stream:
+        stream.write(text)
 
 
 def _cmd_generate(args) -> int:
@@ -205,17 +205,15 @@ def _cmd_compare(args) -> int:
     if args.all_nvm:
         named.append(("all-nvm", place_all_nvm(
             profiles, dev, args.major_threshold, args.reserved_dram)))
-    for threshold in (_parse_float_list(args.mpki_thresholds,
-                                        "--mpki-thresholds")
+    for threshold in (_parse_list(args.mpki_thresholds, "--mpki-thresholds")
                       if args.mpki_thresholds else []):
         named.append((f"mpki_{threshold:g}", place_mpki_threshold(
             profiles, dev, threshold, args.major_threshold,
             args.reserved_dram)))
-    for seed in (_parse_float_list(args.random_seeds, "--random-seeds")
+    for seed in (_parse_list(args.random_seeds, "--random-seeds", int)
                  if args.random_seeds else []):
-        named.append((f"random_{int(seed)}", place_random(
-            profiles, dev, int(seed), args.major_threshold,
-            args.reserved_dram)))
+        named.append((f"random_{seed}", place_random(
+            profiles, dev, seed, args.major_threshold, args.reserved_dram)))
     if not named:
         raise ValueError("compare needs at least one plan "
                          "(--plan/--all-dram/--all-nvm/--mpki-thresholds/"
@@ -236,7 +234,7 @@ _SWEEP_COLUMNS = ("dram_gib", "nvm_gib", "ratio", "status", "objective_ns",
 def _cmd_sweep(args) -> int:
     profiles = _load_profile_arg(args)
     base = _device_from_args(args)
-    ratios = _parse_float_list(args.ratios, "--ratios")
+    ratios = _parse_list(args.ratios, "--ratios")
     if any(r <= 0 for r in ratios):
         raise ValueError("--ratios must all be > 0")
     configs = []

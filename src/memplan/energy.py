@@ -20,9 +20,11 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import IO
+from typing import IO, Sequence
 
-from .profiles import ObjectProfile, ProfileSet
+import numpy as np
+
+from .profiles import ObjectProfile, ProfileSet, open_text
 
 GIB = 1 << 30
 
@@ -75,14 +77,6 @@ class DeviceSpec:
                 "favor NVM", stacklevel=2)
 
     @property
-    def dram_read_latency(self) -> float:
-        return self.dram_latency
-
-    @property
-    def nvm_read_latency(self) -> float:
-        return self.nvm_latency
-
-    @property
     def effective_dram_write_latency(self) -> float:
         return self.dram_latency if self.dram_write_latency is None \
             else self.dram_write_latency
@@ -124,11 +118,8 @@ PRESETS = {"testbed1": testbed1, "testbed2": testbed2}
 
 def load_device_spec(source: str | os.PathLike | IO[str]) -> DeviceSpec:
     """Read a DeviceSpec from a JSON config whose keys mirror the fields."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+    with open_text(source) as stream:
+        data = json.load(stream)
     if not isinstance(data, dict):
         raise ValueError("device spec file must contain a JSON object")
     data.pop("format", None)
@@ -141,27 +132,52 @@ def load_device_spec(source: str | os.PathLike | IO[str]) -> DeviceSpec:
 
 def write_device_spec(dev: DeviceSpec, dest: str | os.PathLike | IO[str]) -> None:
     payload = {"format": DEVICE_FORMAT_VERSION, **asdict(dev)}
-    if hasattr(dest, "write"):
-        json.dump(payload, dest, indent=2, sort_keys=True)
-        dest.write("\n")
-        return
-    with open(dest, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with open_text(dest, "w") as stream:
+        json.dump(payload, stream, indent=2, sort_keys=True)
+        stream.write("\n")
 
 
-def dram_energy(obj: ObjectProfile, dev: DeviceSpec) -> float:
+# Each formula takes one ObjectProfile or a whole ProfileSet; given a set it
+# returns one float per object, in profile order.
+Priceable = ObjectProfile | ProfileSet
+
+
+def dram_energy(obj: Priceable, dev: DeviceSpec) -> float | np.ndarray:
     """nJ consumed over the object's lifetime if it lives in DRAM."""
     traffic = (dev.dram_act_pre + dev.dram_rw) * obj.accessed_volume
     refresh = dev.refresh_rate * obj.size * obj.lifetime
     return traffic + refresh
 
 
-def nvm_energy(obj: ObjectProfile, dev: DeviceSpec) -> float:
+def nvm_energy(obj: Priceable, dev: DeviceSpec) -> float | np.ndarray:
     """nJ consumed over the object's lifetime if it lives in STT-RAM."""
     traffic = (dev.nvm_act_pre + dev.nvm_rba) * obj.accessed_volume
     writeback = dev.nvm_wb * obj.dirty_blocks * dev.cache_block_size
     return traffic + writeback
+
+
+def dram_latency(obj: Priceable, dev: DeviceSpec) -> float | np.ndarray:
+    """ns spent on the object's LLC misses if it lives in DRAM."""
+    return dev.dram_latency * obj.llc_misses
+
+
+def nvm_latency(obj: Priceable, dev: DeviceSpec) -> float | np.ndarray:
+    """ns spent on the object's LLC misses if it lives in STT-RAM."""
+    return dev.nvm_latency * obj.llc_misses
+
+
+def price_placement(profiles: ProfileSet, dev: DeviceSpec,
+                    on_dram: Sequence[int] | np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(latency ns, energy nJ) of each object on the device it is placed on.
+
+    ``on_dram`` is true for objects in DRAM and false for those in STT-RAM.
+    """
+    on = np.asarray(on_dram, dtype=bool)
+    return (np.where(on, dram_latency(profiles, dev),
+                     nvm_latency(profiles, dev)),
+            np.where(on, dram_energy(profiles, dev),
+                     nvm_energy(profiles, dev)))
 
 
 @dataclass(frozen=True)
@@ -184,8 +200,8 @@ def estimate_all(profiles: ProfileSet, dev: DeviceSpec) -> EnergyEstimate:
     ``total_dram`` is the all-DRAM baseline that energy budgets are
     expressed against.
     """
-    dram = {obj.id: dram_energy(obj, dev) for obj in profiles}
-    nvm = {obj.id: nvm_energy(obj, dev) for obj in profiles}
-    return EnergyEstimate(dram=dram, nvm=nvm,
-                          total_dram=sum(dram.values()),
-                          total_nvm=sum(nvm.values()))
+    ids = profiles.ids()
+    dram = dram_energy(profiles, dev).tolist()
+    nvm = nvm_energy(profiles, dev).tolist()
+    return EnergyEstimate(dram=dict(zip(ids, dram)), nvm=dict(zip(ids, nvm)),
+                          total_dram=sum(dram), total_nvm=sum(nvm))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .energy import DeviceSpec, dram_energy, nvm_energy
+from .energy import DeviceSpec, dram_energy, price_placement
 from .planner import DRAM, NVM, PlacementPlan, plan_static
 from .profiles import ProfileSet, filter_major
 
@@ -77,19 +77,14 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
             raise ValueError(f"object {obj.id!r} has no concrete device")
 
     major, minor = filter_major(profiles, plan.major_threshold)
-    breakdown: dict[str, float] = {}
-    latency = 0.0
-    for obj in major:
-        if plan.placements[obj.id] == DRAM:
-            breakdown[obj.id] = dram_energy(obj, dev)
-            latency += dev.dram_latency * obj.llc_misses
-        else:
-            breakdown[obj.id] = nvm_energy(obj, dev)
-            latency += dev.nvm_latency * obj.llc_misses
-    minor_energy = float(sum(dram_energy(o, dev) for o in minor))
+    latencies, energies = price_placement(
+        major, dev, [plan.placements[o.id] == DRAM for o in major])
+    breakdown = dict(zip(major.ids(), energies.tolist()))
+    latency = sum(latencies.tolist(), 0.0)
+    minor_energy = float(sum(dram_energy(minor, dev).tolist()))
 
     total = float(sum(breakdown.values()))
-    denom = float(sum(dram_energy(o, dev) for o in major))
+    denom = float(sum(dram_energy(major, dev).tolist()))
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy

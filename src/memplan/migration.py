@@ -24,11 +24,12 @@ import os
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, dram_energy, nvm_energy
+from .energy import (DeviceSpec, Priceable, dram_energy, dram_latency,
+                     nvm_energy, nvm_latency, price_placement)
 from .planner import (DRAM, NVM, CapacityError, PlacementPlan, plan_static,
                       CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
                       CONSTRAINT_ENERGY, diagnose_infeasibility, _normalized)
-from .profiles import ObjectProfile, ProfileSet, filter_major
+from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
 
@@ -74,22 +75,27 @@ class MigrationLatency:
     time_nvm_to_dram: float
 
 
-def migration_times(obj: ObjectProfile, dev: DeviceSpec) -> tuple[float, float]:
+def migration_times(obj: Priceable, dev: DeviceSpec) -> tuple:
     """Block-granular copy times (ns): (DRAM to NVM, NVM to DRAM)."""
-    blocks = math.ceil(obj.size / dev.cache_block_size)
-    to_nvm = blocks * (dev.dram_read_latency + dev.effective_nvm_write_latency)
-    to_dram = blocks * (dev.nvm_read_latency + dev.effective_dram_write_latency)
+    blocks = np.ceil(obj.size / dev.cache_block_size)
+    if isinstance(obj, ObjectProfile):
+        blocks = float(blocks)
+    to_nvm = blocks * (dev.dram_latency + dev.effective_nvm_write_latency)
+    to_dram = blocks * (dev.nvm_latency + dev.effective_dram_write_latency)
     return to_nvm, to_dram
 
 
-def _check_live(obj: ObjectProfile, t: float) -> None:
-    if not obj.alloc_time <= t <= obj.dealloc_time:
+def _check_live(obj: Priceable, t: float) -> None:
+    outside = np.logical_not((obj.alloc_time <= t) & (t <= obj.dealloc_time))
+    if np.any(outside):
+        if isinstance(obj, ProfileSet):
+            obj = obj.objects[int(np.argmax(outside))]
         raise ValueError(
             f"object {obj.id!r} is not allocated at t={t} "
             f"(lifetime [{obj.alloc_time}, {obj.dealloc_time}])")
 
 
-def migration_energies(obj: ObjectProfile, dev: DeviceSpec,
+def migration_energies(obj: Priceable, dev: DeviceSpec,
                        t: float) -> MigrationEnergy:
     """Energy of migrating at time t versus device-resident phases.
 
@@ -116,15 +122,15 @@ def migration_energies(obj: ObjectProfile, dev: DeviceSpec,
     )
 
 
-def migration_latency(obj: ObjectProfile, dev: DeviceSpec,
+def migration_latency(obj: Priceable, dev: DeviceSpec,
                       t: float) -> MigrationLatency:
     """LLC-miss latency of a migrated object's lifetime, both directions."""
     _check_live(obj, t)
     elapsed = (t - obj.alloc_time) / obj.lifetime
     remaining = (obj.dealloc_time - t) / obj.lifetime
     time_dn, time_nd = migration_times(obj, dev)
-    ld = dev.dram_latency * obj.llc_misses
-    ln = dev.nvm_latency * obj.llc_misses
+    ld = dram_latency(obj, dev)
+    ln = nvm_latency(obj, dev)
     return MigrationLatency(
         dram_to_nvm=ld * elapsed + time_dn + ln * remaining,
         nvm_to_dram=ln * elapsed + time_nd + ld * remaining,
@@ -181,9 +187,47 @@ class MigrationPlan:
         return tuple(d.id for d in self.decisions if d.migrate)
 
 
-def build_migration_program(live: Sequence[ObjectProfile], dev: DeviceSpec,
-                            on_dram: Sequence[bool], t: float,
-                            requirement: float, dram_free: float,
+@dataclass(frozen=True)
+class LiveCosts:
+    """Stay and migrate prices of each live object, in profile order.
+
+    "Move" means migrating off the current device (DRAM where ``on_dram``
+    is true). Energies are nJ and latencies ns over the whole lifetime;
+    ``copy_energy`` and ``copy_time`` are what the copy itself adds.
+    """
+
+    on_dram: np.ndarray
+    stay_energy: np.ndarray
+    stay_latency: np.ndarray
+    move_energy: np.ndarray
+    move_latency: np.ndarray
+    copy_energy: np.ndarray
+    copy_time: np.ndarray
+
+
+def price_live(live: ProfileSet, dev: DeviceSpec,
+               on_dram: Sequence[bool], t: float) -> LiveCosts:
+    """Price every live object once for the stay-or-migrate decision."""
+    cp = np.asarray(on_dram, dtype=bool)
+    energy = migration_energies(live, dev, t)
+    latency = migration_latency(live, dev, t)
+    stay_latency, stay_energy = price_placement(live, dev, cp)
+    return LiveCosts(
+        on_dram=cp,
+        stay_energy=stay_energy,
+        stay_latency=stay_latency,
+        move_energy=np.where(cp, energy.dram_to_nvm, energy.nvm_to_dram),
+        move_latency=np.where(cp, latency.dram_to_nvm, latency.nvm_to_dram),
+        copy_energy=np.where(cp, energy.cost_dram_to_nvm,
+                             energy.cost_nvm_to_dram),
+        copy_time=np.where(cp, latency.time_dram_to_nvm,
+                           latency.time_nvm_to_dram),
+    )
+
+
+def build_migration_program(live: ProfileSet, dev: DeviceSpec,
+                            costs: LiveCosts, requirement: float,
+                            dram_free: float,
                             transient_capacity: bool = False
                             ) -> tuple[ilp.ZeroOneProgram, float]:
     """ILP over live major objects; variable 1 means migrate.
@@ -191,30 +235,11 @@ def build_migration_program(live: Sequence[ObjectProfile], dev: DeviceSpec,
     Returns (program, objective offset); the offset is the stay-everywhere
     latency so the program minimizes the latency delta of migrating.
     """
-    n = len(live)
-    stay_e = np.zeros(n)
-    mig_e = np.zeros(n)
-    stay_l = np.zeros(n)
-    mig_l = np.zeros(n)
-    sizes = np.array([o.size for o in live])
-    cp = np.array([1.0 if d else 0.0 for d in on_dram])
-    for i, obj in enumerate(live):
-        energy = migration_energies(obj, dev, t)
-        latency = migration_latency(obj, dev, t)
-        if on_dram[i]:
-            stay_e[i] = dram_energy(obj, dev)
-            mig_e[i] = energy.dram_to_nvm
-            stay_l[i] = dev.dram_latency * obj.llc_misses
-            mig_l[i] = latency.dram_to_nvm
-        else:
-            stay_e[i] = nvm_energy(obj, dev)
-            mig_e[i] = energy.nvm_to_dram
-            stay_l[i] = dev.nvm_latency * obj.llc_misses
-            mig_l[i] = latency.nvm_to_dram
-
-    objective = mig_l - stay_l
-    offset = float(stay_l.sum())
-    scale = float(np.max(np.abs(objective))) if n else 0.0
+    sizes = live.size
+    cp = costs.on_dram.astype(float)
+    objective = costs.move_latency - costs.stay_latency
+    offset = float(costs.stay_latency.sum())
+    scale = float(np.max(np.abs(objective))) if len(live) else 0.0
     scaled_objective = objective / scale if scale > 0 else objective
 
     # Post-migration DRAM residency is cp + x*(1 - 2cp).
@@ -222,7 +247,8 @@ def build_migration_program(live: Sequence[ObjectProfile], dev: DeviceSpec,
     constraints = [
         _normalized(flip, dram_free - float((cp * sizes).sum())),
         _normalized(-flip, dev.nvm_capacity - float(((1.0 - cp) * sizes).sum())),
-        _normalized(mig_e - stay_e, requirement - float(stay_e.sum())),
+        _normalized(costs.move_energy - costs.stay_energy,
+                    requirement - float(costs.stay_energy.sum())),
     ]
     if transient_capacity:
         # A migrating object holds space on both devices while copying.
@@ -231,9 +257,8 @@ def build_migration_program(live: Sequence[ObjectProfile], dev: DeviceSpec,
         constraints.append(_normalized(cp * sizes,
                                        dev.nvm_capacity
                                        - float(((1.0 - cp) * sizes).sum())))
-    names = tuple(o.id for o in live)
     return ilp.ZeroOneProgram(tuple(scaled_objective), tuple(constraints),
-                              names), offset
+                              live.ids()), offset
 
 
 _MIGRATION_CONSTRAINTS = (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
@@ -258,10 +283,10 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         reserved_dram_bytes = current.reserved_dram_bytes
     major, minor = filter_major(profiles, current.major_threshold)
 
-    live = [o for o in major if o.live_at(t)]
-    dead = [o for o in major if o.dealloc_time <= t]
+    live = ProfileSet(tuple(o for o in major if o.live_at(t)))
+    dead = ProfileSet(tuple(o for o in major if o.dealloc_time <= t))
     future = [o for o in major if o.alloc_time > t]
-    for obj in live + dead:
+    for obj in live.objects + dead.objects:
         if obj.id not in current.placements:
             raise ValueError(
                 f"current plan does not place object {obj.id!r}")
@@ -272,15 +297,13 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         raise CapacityError(
             "live minor objects and reservation exceed DRAM capacity")
 
-    on_dram = [current.placements[o.id] == DRAM for o in live]
-    stay_e = [dram_energy(o, dev) if d else nvm_energy(o, dev)
-              for o, d in zip(live, on_dram)]
-    de_live = sum(dram_energy(o, dev) for o in live)
-    requirement = request.new_ratio * de_live if request.strict \
-        else float(sum(stay_e))
+    costs = price_live(live, dev,
+                       [current.placements[o.id] == DRAM for o in live], t)
+    requirement = request.new_ratio * sum(dram_energy(live, dev).tolist()) \
+        if request.strict else float(sum(costs.stay_energy.tolist()))
 
     program, offset = build_migration_program(
-        live, dev, on_dram, t, requirement, dram_free,
+        live, dev, costs, requirement, dram_free,
         transient_capacity=transient_capacity)
     if allow_migration:
         solution = ilp.solve(program)
@@ -295,59 +318,41 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     binding: tuple[str, ...] = ()
     if status == ilp.STATUS_INFEASIBLE:
         # Hard limit unreachable: keep everything in place.
-        migrate = [0] * len(live)
+        migrate = np.zeros(len(live), dtype=bool)
         binding = diagnose_infeasibility(program, _MIGRATION_CONSTRAINTS)
     else:
-        migrate = list(solution.assignment)
+        migrate = np.array(solution.assignment, dtype=bool)
 
-    decisions = []
-    e_total = 0.0
-    objective = 0.0
+    energies = np.where(migrate, costs.move_energy, costs.stay_energy).tolist()
+    latencies = np.where(migrate, costs.move_latency, costs.stay_latency)
+    post_dram = costs.on_dram != migrate
     post: dict[str, str] = {o.id: DRAM for o in minor if o.live_at(t)}
-    for obj, here, x in zip(live, on_dram, migrate):
-        energy = migration_energies(obj, dev, t)
-        latency = migration_latency(obj, dev, t)
-        if here:
-            mig_e, cost = energy.dram_to_nvm, energy.cost_dram_to_nvm
-            mig_l, copy_time = latency.dram_to_nvm, latency.time_dram_to_nvm
-            stay = dram_energy(obj, dev)
-            stay_lat = dev.dram_latency * obj.llc_misses
-            source, dest = DRAM, NVM
-        else:
-            mig_e, cost = energy.nvm_to_dram, energy.cost_nvm_to_dram
-            mig_l, copy_time = latency.nvm_to_dram, latency.time_nvm_to_dram
-            stay = nvm_energy(obj, dev)
-            stay_lat = dev.nvm_latency * obj.llc_misses
-            source, dest = NVM, DRAM
-        chosen_e = mig_e if x else stay
-        chosen_l = mig_l if x else stay_lat
-        e_total += chosen_e
-        objective += chosen_l
-        target = dest if x else source
-        post[obj.id] = target
+    decisions = []
+    for obj, here, there, x, energy, cost, copy_time in zip(
+            live, costs.on_dram.tolist(), post_dram.tolist(), migrate.tolist(),
+            energies, np.where(migrate, costs.copy_energy, 0.0).tolist(),
+            np.where(migrate, costs.copy_time, 0.0).tolist()):
+        post[obj.id] = DRAM if there else NVM
         decisions.append(MigrationDecision(
             id=obj.id,
-            current_device=source,
-            target_device=target,
-            migrate=bool(x),
-            energy_nj=chosen_e,
-            migration_cost_nj=cost if x else 0.0,
-            migration_time_ns=copy_time if x else 0.0,
+            current_device=DRAM if here else NVM,
+            target_device=post[obj.id],
+            migrate=x,
+            energy_nj=energy,
+            migration_cost_nj=cost,
+            migration_time_ns=copy_time,
         ))
 
-    dead_energy = sum(
-        dram_energy(o, dev) if current.placements[o.id] == DRAM
-        else nvm_energy(o, dev) for o in dead)
+    _, dead_energies = price_placement(
+        dead, dev, [current.placements[o.id] == DRAM for o in dead])
 
     future_plan = None
     if plan_future and future:
         future_set = ProfileSet(
             tuple(o for o in profiles if o.alloc_time > t),
             profiles.workload_label, profiles.workload_size)
-        live_post_dram = sum(o.size for o, x, here in
-                             zip(live, migrate, on_dram)
-                             if (here and not x) or (not here and x))
-        live_post_nvm = sum(o.size for o in live) - live_post_dram
+        live_post_dram = sum(live.size[post_dram].tolist())
+        live_post_nvm = sum(live.size.tolist()) - live_post_dram
         residual = dev.with_capacities(
             max(0.0, dram_free - live_post_dram),
             max(0.0, dev.nvm_capacity - live_post_nvm))
@@ -363,11 +368,11 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         time_s=t,
         new_ratio=request.new_ratio,
         strict=request.strict,
-        e_total_nj=e_total,
+        e_total_nj=sum(energies, 0.0),
         requirement_nj=requirement,
-        objective_ns=objective,
-        dead_energy_nj=dead_energy,
-        dead_ids=tuple(o.id for o in dead),
+        objective_ns=sum(latencies.tolist(), 0.0),
+        dead_energy_nj=sum(dead_energies.tolist()),
+        dead_ids=dead.ids(),
         future_ids=tuple(o.id for o in future),
         post_placements=post,
         future_plan=future_plan,
@@ -378,28 +383,21 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 def write_migration_plan(plan: MigrationPlan,
                          dest: str | os.PathLike | IO[str]) -> None:
     """Serialize the migration table plus its summary block."""
-    if hasattr(dest, "write"):
-        _write_migration_stream(plan, dest)
-        return
-    with open(dest, "w", encoding="utf-8", newline="\n") as handle:
-        _write_migration_stream(plan, handle)
-
-
-def _write_migration_stream(plan: MigrationPlan, stream: IO[str]) -> None:
-    stream.write(MIGRATION_FORMAT_VERSION + "\n")
-    stream.write(f"status={plan.status}\n")
-    stream.write(f"time_s={repr(plan.time_s)}\n")
-    stream.write(f"new_ratio={repr(plan.new_ratio)}\n")
-    stream.write(f"strict={int(plan.strict)}\n")
-    stream.write(f"e_total_nj={repr(plan.e_total_nj)}\n")
-    stream.write(f"requirement_nj={repr(plan.requirement_nj)}\n")
-    stream.write(f"objective_ns={repr(plan.objective_ns)}\n")
-    stream.write(f"dead_energy_nj={repr(plan.dead_energy_nj)}\n")
-    stream.write(f"dead_ids={';'.join(plan.dead_ids)}\n")
-    stream.write(f"future_ids={';'.join(plan.future_ids)}\n")
-    stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-    stream.write("id,from,to,migrate,migce_nJ,migct_ns\n")
-    for d in plan.decisions:
-        stream.write(f"{d.id},{d.current_device},{d.target_device},"
-                     f"{int(d.migrate)},{repr(d.migration_cost_nj)},"
-                     f"{repr(d.migration_time_ns)}\n")
+    with open_text(dest, "w") as stream:
+        stream.write(MIGRATION_FORMAT_VERSION + "\n")
+        stream.write(f"status={plan.status}\n")
+        stream.write(f"time_s={repr(plan.time_s)}\n")
+        stream.write(f"new_ratio={repr(plan.new_ratio)}\n")
+        stream.write(f"strict={int(plan.strict)}\n")
+        stream.write(f"e_total_nj={repr(plan.e_total_nj)}\n")
+        stream.write(f"requirement_nj={repr(plan.requirement_nj)}\n")
+        stream.write(f"objective_ns={repr(plan.objective_ns)}\n")
+        stream.write(f"dead_energy_nj={repr(plan.dead_energy_nj)}\n")
+        stream.write(f"dead_ids={';'.join(plan.dead_ids)}\n")
+        stream.write(f"future_ids={';'.join(plan.future_ids)}\n")
+        stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
+        stream.write("id,from,to,migrate,migce_nJ,migct_ns\n")
+        for d in plan.decisions:
+            stream.write(f"{d.id},{d.current_device},{d.target_device},"
+                         f"{int(d.migrate)},{repr(d.migration_cost_nj)},"
+                         f"{repr(d.migration_time_ns)}\n")

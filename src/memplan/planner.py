@@ -22,8 +22,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, dram_energy, nvm_energy
-from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet, filter_major
+from .energy import DeviceSpec, dram_energy, nvm_energy, price_placement
+from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, filter_major,
+                       open_text)
 
 DRAM = "dram"
 NVM = "nvm"
@@ -74,7 +75,7 @@ def _major_minor(profiles: ProfileSet, major_threshold: float,
                  ) -> tuple[ProfileSet, ProfileSet, float]:
     """Split the set and return the DRAM capacity left for major objects."""
     major, minor = filter_major(profiles, major_threshold)
-    pinned = sum(o.size for o in minor) + reserved_dram_bytes
+    pinned = sum(minor.size.tolist()) + reserved_dram_bytes
     dram_free = dev.dram_capacity - pinned
     if dram_free < 0:
         raise CapacityError(
@@ -102,10 +103,10 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
     expressed as ``offset + c.x`` with the offset carrying the all-NVM
     latency so the program stays a plain minimization.
     """
-    de = np.array([dram_energy(o, dev) for o in major])
-    ne = np.array([nvm_energy(o, dev) for o in major])
-    sizes = np.array([o.size for o in major])
-    misses = np.array([o.llc_misses for o in major])
+    de = dram_energy(major, dev)
+    ne = nvm_energy(major, dev)
+    sizes = major.size
+    misses = major.llc_misses
 
     objective = (dev.dram_latency - dev.nvm_latency) * misses
     offset = float(dev.nvm_latency * misses.sum())
@@ -118,8 +119,8 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
         _normalized(-sizes, dev.nvm_capacity - float(sizes.sum())),
         _normalized(de - ne, budget - float(ne.sum()) - extra_budget_energy),
     )
-    names = tuple(o.id for o in major)
-    program = ilp.ZeroOneProgram(tuple(scaled_objective), constraints, names)
+    program = ilp.ZeroOneProgram(tuple(scaled_objective), constraints,
+                                 major.ids())
     return program, offset
 
 
@@ -130,36 +131,26 @@ _CONSTRAINT_NAMES = (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
 def diagnose_infeasibility(program: ilp.ZeroOneProgram,
                            names: Sequence[str] = _CONSTRAINT_NAMES
                            ) -> tuple[str, ...]:
-    """Smallest leading constraint subsets that are separately infeasible.
+    """Names of the constraints that no assignment satisfies on its own.
 
-    Checks each constraint alone, then the full set; the returned names are
-    the ones that cannot be satisfied (jointly if each is fine alone).
+    A ``<=`` row over binary variables is unsatisfiable alone exactly when
+    its least load, the sum of its negative coefficients, exceeds its bound
+    plus the solver's tolerance. When every row is satisfiable alone, all
+    of them are named: they conflict jointly.
     """
-    n = program.num_variables
-    singles = []
-    for i, constraint in enumerate(program.constraints):
-        sub = ilp.ZeroOneProgram(program.objective_coeffs, (constraint,),
-                                 program.variable_names)
-        if ilp.solve(sub).status == ilp.STATUS_INFEASIBLE:
-            singles.append(names[i] if i < len(names) else f"constraint {i}")
-    if singles:
-        return tuple(singles)
-    return tuple(names[:len(program.constraints)])
+    _, a, b = program.arrays()
+    least = np.minimum(a, 0.0).sum(axis=1)
+    slack = b + np.maximum(ilp.ABS_TOL, ilp.REL_TOL * np.abs(b))
+    singles = tuple(names[i] if i < len(names) else f"constraint {i}"
+                    for i in np.flatnonzero(least > slack))
+    return singles or tuple(names[:len(program.constraints)])
 
 
 def summarize_assignment(major: ProfileSet, dev: DeviceSpec,
                          on_dram: Sequence[int]) -> tuple[float, float]:
     """(latency objective ns, energy nJ) of a concrete major-object split."""
-    objective = 0.0
-    energy = 0.0
-    for obj, x in zip(major, on_dram):
-        if x:
-            objective += dev.dram_latency * obj.llc_misses
-            energy += dram_energy(obj, dev)
-        else:
-            objective += dev.nvm_latency * obj.llc_misses
-            energy += nvm_energy(obj, dev)
-    return objective, energy
+    latency, energy = price_placement(major, dev, on_dram)
+    return sum(latency.tolist(), 0.0), sum(energy.tolist(), 0.0)
 
 
 def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
@@ -178,36 +169,26 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
         raise ValueError("reserved_dram_bytes must be >= 0")
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
-    extra = sum(dram_energy(o, dev) for o in minor) if include_minor_in_budget \
+    extra = sum(dram_energy(minor, dev).tolist()) if include_minor_in_budget \
         else 0.0
     program, offset = build_placement_program(major, dev, ratio, dram_free,
                                               extra_budget_energy=extra)
     solution = ilp.solve(program)
 
     placements = {o.id: DRAM for o in minor}
-    de_total = sum(dram_energy(o, dev) for o in major) + extra
-    budget = ratio * de_total
+    budget = ratio * (sum(dram_energy(major, dev).tolist()) + extra)
     if solution.status == ilp.STATUS_INFEASIBLE:
-        return PlacementPlan(
-            placements=placements,
-            major_ids=tuple(o.id for o in major),
-            status=ilp.STATUS_INFEASIBLE,
-            ratio=ratio,
-            major_threshold=major_threshold,
-            objective_ns=float("nan"),
-            planned_energy_nj=float("nan"),
-            energy_budget_nj=budget,
-            reserved_dram_bytes=reserved_dram_bytes,
-            minor_energy_in_budget=include_minor_in_budget,
-            binding_constraints=diagnose_infeasibility(program),
-        )
+        return _infeasible_plan(
+            ratio, diagnose_infeasibility(program), major_threshold,
+            reserved_dram_bytes, include_minor_in_budget,
+            placements, major.ids(), budget)
 
-    for obj, x in zip(major, solution.assignment):
-        placements[obj.id] = DRAM if x else NVM
+    placements.update(zip(major.ids(), (DRAM if x else NVM
+                                        for x in solution.assignment)))
     objective, energy = summarize_assignment(major, dev, solution.assignment)
     return PlacementPlan(
         placements=placements,
-        major_ids=tuple(o.id for o in major),
+        major_ids=major.ids(),
         status=ilp.STATUS_OPTIMAL,
         ratio=ratio,
         major_threshold=major_threshold,
@@ -217,6 +198,18 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
         reserved_dram_bytes=reserved_dram_bytes,
         minor_energy_in_budget=include_minor_in_budget,
     )
+
+
+def _infeasible_plan(ratio: float, binding: tuple[str, ...],
+                     major_threshold: float, reserved_dram_bytes: float,
+                     include_minor_in_budget: bool,
+                     placements: dict[str, str] | None = None,
+                     major_ids: tuple[str, ...] = (),
+                     budget: float = float("nan")) -> PlacementPlan:
+    nan = float("nan")
+    return PlacementPlan(placements or {}, major_ids, ilp.STATUS_INFEASIBLE,
+                         ratio, major_threshold, nan, nan, budget,
+                         reserved_dram_bytes, include_minor_in_budget, binding)
 
 
 def sweep_ratios(profiles: ProfileSet, dev: DeviceSpec,
@@ -235,19 +228,9 @@ def sweep_ratios(profiles: ProfileSet, dev: DeviceSpec,
                 reserved_dram_bytes=reserved_dram_bytes,
                 include_minor_in_budget=include_minor_in_budget))
         except CapacityError:
-            plans.append(PlacementPlan(
-                placements={},
-                major_ids=(),
-                status=ilp.STATUS_INFEASIBLE,
-                ratio=ratio,
-                major_threshold=major_threshold,
-                objective_ns=float("nan"),
-                planned_energy_nj=float("nan"),
-                energy_budget_nj=float("nan"),
-                reserved_dram_bytes=reserved_dram_bytes,
-                minor_energy_in_budget=include_minor_in_budget,
-                binding_constraints=(CONSTRAINT_CAPACITY_DRAM,),
-            ))
+            plans.append(_infeasible_plan(
+                ratio, (CONSTRAINT_CAPACITY_DRAM,), major_threshold,
+                reserved_dram_bytes, include_minor_in_budget))
     return plans
 
 
@@ -257,42 +240,29 @@ def _format_float(x: float) -> str:
 
 def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
     """Serialize a plan as the placement-table text format."""
-    if hasattr(dest, "write"):
-        _write_plan_stream(plan, dest)
-        return
-    with open(dest, "w", encoding="utf-8", newline="\n") as handle:
-        _write_plan_stream(plan, handle)
-
-
-def _write_plan_stream(plan: PlacementPlan, stream: IO[str]) -> None:
-    stream.write(PLAN_FORMAT_VERSION + "\n")
-    stream.write(f"status={plan.status}\n")
-    stream.write(f"ratio={_format_float(plan.ratio)}\n")
-    stream.write(f"major_threshold_bytes={_format_float(plan.major_threshold)}\n")
-    stream.write(f"reserved_dram_bytes={_format_float(plan.reserved_dram_bytes)}\n")
-    stream.write(f"minor_energy_in_budget={int(plan.minor_energy_in_budget)}\n")
-    stream.write(f"objective_ns={_format_float(plan.objective_ns)}\n")
-    stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
-    stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
-    stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-    stream.write("id,device,major\n")
-    major = set(plan.major_ids)
-    for object_id, device in plan.placements.items():
-        stream.write(f"{object_id},{device},{int(object_id in major)}\n")
-    for object_id in plan.major_ids:
-        if object_id not in plan.placements:
-            stream.write(f"{object_id},unassigned,1\n")
+    with open_text(dest, "w") as stream:
+        stream.write(PLAN_FORMAT_VERSION + "\n")
+        stream.write(f"status={plan.status}\n")
+        stream.write(f"ratio={_format_float(plan.ratio)}\n")
+        stream.write(f"major_threshold_bytes={_format_float(plan.major_threshold)}\n")
+        stream.write(f"reserved_dram_bytes={_format_float(plan.reserved_dram_bytes)}\n")
+        stream.write(f"minor_energy_in_budget={int(plan.minor_energy_in_budget)}\n")
+        stream.write(f"objective_ns={_format_float(plan.objective_ns)}\n")
+        stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
+        stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
+        stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
+        stream.write("id,device,major\n")
+        major = set(plan.major_ids)
+        for object_id, device in plan.placements.items():
+            stream.write(f"{object_id},{device},{int(object_id in major)}\n")
+        for object_id in plan.major_ids:
+            if object_id not in plan.placements:
+                stream.write(f"{object_id},unassigned,1\n")
 
 
 def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
-    if hasattr(source, "read"):
-        return _load_plan_stream(source)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _load_plan_stream(handle)
-
-
-def _load_plan_stream(stream: IO[str]) -> PlacementPlan:
-    lines = stream.read().splitlines()
+    with open_text(source) as stream:
+        lines = stream.read().splitlines()
     if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
         raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
     summary: dict[str, str] = {}

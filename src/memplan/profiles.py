@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -106,9 +108,22 @@ class ObjectProfile:
         return self.alloc_time <= t < self.dealloc_time
 
 
+def _column(name: str) -> cached_property:
+    def column(self: "ProfileSet") -> np.ndarray:
+        return np.fromiter((getattr(o, name) for o in self.objects), float,
+                           len(self.objects))
+    return cached_property(column)
+
+
 @dataclass(frozen=True)
 class ProfileSet:
-    """Ordered collection of object profiles for one profiled workload."""
+    """Ordered collection of object profiles for one profiled workload.
+
+    Each numeric field of ObjectProfile is also a float array over the
+    set (``size``, ``lifetime``, ...), in profile order. The pricing
+    formulas take a set in place of one object and price every object
+    elementwise, giving the same doubles as one call per object.
+    """
 
     objects: tuple[ObjectProfile, ...]
     workload_label: str = ""
@@ -130,14 +145,24 @@ class ProfileSet:
     def __iter__(self) -> Iterator[ObjectProfile]:
         return iter(self.objects)
 
+    size = _column("size")
+    alloc_time = _column("alloc_time")
+    dealloc_time = _column("dealloc_time")
+    accessed_volume = _column("accessed_volume")
+    llc_misses = _column("llc_misses")
+    dirty_blocks = _column("dirty_blocks")
+    lifetime = _column("lifetime")
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each object id in profile order."""
+        return {obj.id: i for i, obj in enumerate(self.objects)}
+
     def ids(self) -> tuple[str, ...]:
         return tuple(obj.id for obj in self.objects)
 
     def get(self, object_id: str) -> ObjectProfile:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise KeyError(object_id)
+        return self.objects[self.index[object_id]]
 
     def total_size(self) -> float:
         return sum(obj.size for obj in self.objects)
@@ -180,6 +205,19 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
             f"line {line_no}: field {column!r} is not a number: {text!r}") from None
 
 
+@contextmanager
+def open_text(target: str | os.PathLike | IO[str], mode: str = "r"
+              ) -> Iterator[IO[str]]:
+    """Yield a stream as is, or the UTF-8 file a path names (written with
+    Unix line endings)."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+        return
+    with open(target, mode, encoding="utf-8",
+              newline=None if mode == "r" else "\n") as handle:
+        yield handle
+
+
 def load_profiles(source: str | os.PathLike | IO[str],
                   workload_label: str = "",
                   workload_size: float | None = None) -> ProfileSet:
@@ -188,15 +226,8 @@ def load_profiles(source: str | os.PathLike | IO[str],
     Raises ProfileError naming the offending line for malformed records and
     for records violating object invariants.
     """
-    if hasattr(source, "read"):
-        return _load_profile_stream(source, workload_label, workload_size)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _load_profile_stream(handle, workload_label, workload_size)
-
-
-def _load_profile_stream(stream: IO[str], workload_label: str,
-                         workload_size: float | None) -> ProfileSet:
-    lines = stream.read().splitlines()
+    with open_text(source) as stream:
+        lines = stream.read().splitlines()
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
@@ -243,28 +274,21 @@ def _load_profile_stream(stream: IO[str], workload_label: str,
 
 def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> None:
     """Write a ProfileSet in the profile file format (see load_profiles)."""
-    if hasattr(dest, "write"):
-        _write_profile_stream(profiles, dest)
-        return
-    with open(dest, "w", encoding="utf-8", newline="\n") as handle:
-        _write_profile_stream(profiles, handle)
-
-
-def _write_profile_stream(profiles: ProfileSet, stream: IO[str]) -> None:
-    stream.write(PROFILE_FORMAT_VERSION + "\n")
-    stream.write(",".join(_COLUMNS + (_OPTIONAL_COLUMN,)) + "\n")
-    for obj in profiles:
-        mpki = "" if obj.llc_mpki is None else _format_number(obj.llc_mpki)
-        stream.write(",".join((
-            obj.id,
-            _format_number(obj.size),
-            _format_number(obj.alloc_time),
-            _format_number(obj.dealloc_time),
-            _format_number(obj.accessed_volume),
-            _format_number(obj.llc_misses),
-            _format_number(obj.dirty_blocks),
-            mpki,
-        )) + "\n")
+    with open_text(dest, "w") as stream:
+        stream.write(PROFILE_FORMAT_VERSION + "\n")
+        stream.write(",".join(_COLUMNS + (_OPTIONAL_COLUMN,)) + "\n")
+        for obj in profiles:
+            mpki = "" if obj.llc_mpki is None else _format_number(obj.llc_mpki)
+            stream.write(",".join((
+                obj.id,
+                _format_number(obj.size),
+                _format_number(obj.alloc_time),
+                _format_number(obj.dealloc_time),
+                _format_number(obj.accessed_volume),
+                _format_number(obj.llc_misses),
+                _format_number(obj.dirty_blocks),
+                mpki,
+            )) + "\n")
 
 
 def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
@@ -313,8 +337,7 @@ def write_profile_dir(sets: Sequence[ProfileSet], path: str | os.PathLike,
             entry["workload_size"] = profiles.workload_size
         entries.append(entry)
     manifest = {"format": MANIFEST_FORMAT_VERSION, "workloads": entries}
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8",
-              newline="\n") as handle:
+    with open_text(os.path.join(path, MANIFEST_NAME), "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -353,12 +376,10 @@ def derive_scaling_vector(sets: Sequence[ProfileSet]) -> ScalingVector:
                 "workload sizes must be strictly increasing "
                 f"({a.workload_size} then {b.workload_size})")
     ids = sets[0].ids()
-    universe = set(ids)
-    for s in sets[1:]:
-        universe |= set(s.ids())
+    universe = set().union(*(s.index for s in sets))
     for object_id in sorted(universe):
         for s in sets:
-            if object_id not in set(s.ids()):
+            if object_id not in s.index:
                 raise ScalingError(
                     f"object {object_id!r} missing from set {s.workload_label!r}")
 

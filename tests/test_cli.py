@@ -162,6 +162,18 @@ class TestEvaluateAndCompare:
     def test_compare_without_sources_is_usage_error(self, workload):
         assert run(["compare", "--profiles", workload]) == EXIT_USAGE
 
+    def test_random_seeds_must_be_integers(self, workload, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--profiles", workload, "--random-seeds",
+                    "3,4", "--out", out]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["random_3", "random_4"]
+        for bad in ("1.7", "2,x", "1e3"):
+            assert run(["compare", "--profiles", workload, "--random-seeds",
+                        bad, "--out", out]) == EXIT_USAGE
+            assert "--random-seeds: expected comma-separated integers" \
+                in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_shape_and_determinism(self, workload, tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from memplan.energy import DeviceSpec, GIB, dram_energy, nvm_energy
+from memplan.energy import (DeviceSpec, GIB, dram_energy, dram_latency,
+                            nvm_energy, nvm_latency)
 from memplan.energy import testbed1 as make_testbed1
 from memplan.migration import (MigrationRequest, migration_energies,
                                migration_latency, migration_times,
@@ -327,3 +329,49 @@ def test_serialization_contains_table_and_summary():
     assert "requirement_nj=" in text
     for decision in plan.decisions:
         assert text.count(f"{decision.id},{decision.current_device},") == 1
+
+
+def fractional_set(seed, count=2000):
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(count):
+        alloc = float(rng.uniform(0.0, 5.0))
+        objects.append(ObjectProfile(
+            f"f{i}", float(rng.uniform(1.0, 1e8)), alloc,
+            alloc + float(rng.uniform(0.01, 10.0)),
+            float(rng.uniform(0.0, 1e9)), float(rng.uniform(0.0, 1e6)),
+            float(rng.uniform(0.0, 1e4))))
+    return ProfileSet(tuple(objects))
+
+
+@pytest.mark.parametrize("dev", [
+    make_testbed1(),
+    DeviceSpec(cache_block_size=48.0, refresh_period=0.05,
+               nvm_write_latency=1000.0)])
+def test_set_pricing_is_bit_identical_to_per_object_pricing(dev):
+    ps = fractional_set(5)
+    for price in (dram_energy, nvm_energy, dram_latency, nvm_latency):
+        assert price(ps, dev).tolist() == [price(o, dev) for o in ps]
+    t = 4.0
+    live = ProfileSet(tuple(o for o in ps if o.live_at(t)))
+    assert len(live) > 500
+    per_object = [migration_times(o, dev) for o in live]
+    assert all(type(v) is float for pair in per_object for v in pair)
+    assert [c.tolist() for c in migration_times(live, dev)] \
+        == [list(column) for column in zip(*per_object)]
+    for formula in (migration_energies, migration_latency):
+        columns = formula(live, dev, t)
+        per_object = [formula(o, dev, t) for o in live]
+        for field in dataclasses.fields(columns):
+            values = [getattr(result, field.name) for result in per_object]
+            assert all(type(v) is float for v in values)
+            assert getattr(columns, field.name).tolist() == values
+
+
+def test_set_pricing_names_the_first_object_not_allocated():
+    ps = ProfileSet((live_obj("a", alloc=0.0), live_obj("b", alloc=3.0),
+                     live_obj("c", alloc=4.0)))
+    dev = make_testbed1()
+    for formula in (migration_energies, migration_latency):
+        with pytest.raises(ValueError, match="'b' is not allocated at t=2.0"):
+            formula(ps, dev, 2.0)

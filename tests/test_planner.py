@@ -10,8 +10,9 @@ from memplan.energy import GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import evaluate
 from memplan.planner import (CONSTRAINT_ENERGY, CapacityError, DRAM, NVM,
-                             build_placement_program, load_plan, plan_static,
-                             summarize_assignment, sweep_ratios, write_plan)
+                             build_placement_program, diagnose_infeasibility,
+                             load_plan, plan_static, summarize_assignment,
+                             sweep_ratios, write_plan)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               filter_major, generate_synthetic)
 
@@ -306,3 +307,24 @@ def test_include_minor_energy_changes_budget():
     for plan in (bare, folded):
         if plan.feasible:
             assert evaluate(ps, dev, plan).budget_ok
+
+
+def test_diagnosis_names_the_rows_the_solver_finds_infeasible_alone():
+    rng = np.random.default_rng(29)
+    names = ("r0", "r1", "r2", "r3", "r4")
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(0, 9))
+        m = int(rng.integers(1, 6))
+        coeffs = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+        bounds = rng.normal(size=m) * rng.uniform(0.0, 3.0)
+        program = ilp.ZeroOneProgram(
+            tuple(rng.normal(size=n)),
+            tuple((tuple(row), float(b)) for row, b in zip(coeffs, bounds)))
+        alone = tuple(
+            names[i] for i, row in enumerate(program.constraints)
+            if ilp.solve(ilp.ZeroOneProgram(program.objective_coeffs, (row,))
+                         ).status == ilp.STATUS_INFEASIBLE)
+        outcomes.add(bool(alone))
+        assert diagnose_infeasibility(program, names) == (alone or names[:m])
+    assert outcomes == {True, False}

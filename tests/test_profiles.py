@@ -359,3 +359,16 @@ def test_profile_dir_roundtrip(tmp_path):
 def test_profile_dir_missing_manifest(tmp_path):
     with pytest.raises(ProfileError, match="manifest"):
         load_profile_dir(tmp_path)
+
+
+def test_columns_and_index_follow_profile_order():
+    ps = generate_synthetic(GeneratorSpec(count=30), 4)
+    for name in ("size", "alloc_time", "dealloc_time", "lifetime",
+                 "accessed_volume", "llc_misses", "dirty_blocks"):
+        assert getattr(ps, name).tolist() == [getattr(o, name) for o in ps]
+    assert ProfileSet(()).lifetime.shape == (0,)
+    for i, obj in enumerate(ps):
+        assert ps.index[obj.id] == i
+        assert ps.get(obj.id) is obj
+    with pytest.raises(KeyError):
+        ps.get("missing")
