@@ -18,6 +18,10 @@ from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM, DRAM,
 from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet
 
 
+class NoFeasibleAssignment(ValueError):
+    """A strategy found no assignment that fits the device capacities."""
+
+
 def _finish(major: ProfileSet, minor: ProfileSet, dev: DeviceSpec,
             on_dram: Sequence[int], major_threshold: float,
             reserved_dram_bytes: float,
@@ -116,14 +120,15 @@ def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
                  max_tries: int = 200_000) -> PlacementPlan:
     """Uniform draw over the capacity-feasible assignments (rejection).
 
-    Deterministic for a fixed seed. Raises when the capacities admit no
-    assignment at all or none is found within ``max_tries`` draws.
+    Deterministic for a fixed seed. Raises NoFeasibleAssignment when the
+    capacities admit no assignment at all or none is found within
+    ``max_tries`` draws.
     """
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
     sizes = major.size
     if sizes.sum() > dram_free + dev.nvm_capacity:
-        raise ValueError("no capacity-feasible assignment exists")
+        raise NoFeasibleAssignment("no capacity-feasible assignment exists")
     rng = np.random.default_rng(seed)
     n = len(major)
     for _ in range(max_tries):
@@ -131,5 +136,5 @@ def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
         if (sizes * x).sum() <= dram_free and (sizes * (1 - x)).sum() <= dev.nvm_capacity:
             return _finish(major, minor, dev, [int(v) for v in x],
                            major_threshold, reserved_dram_bytes)
-    raise ValueError(
+    raise NoFeasibleAssignment(
         f"no capacity-feasible assignment found in {max_tries} draws")

@@ -18,8 +18,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .baselines import (place_all_dram, place_all_nvm, place_mpki_threshold,
-                        place_random)
+from .baselines import (NoFeasibleAssignment, place_all_dram, place_all_nvm,
+                        place_mpki_threshold, place_random)
 from .energy import GIB, DeviceSpec, PRESETS, load_device_spec
 from .evaluator import (comparison_csv, comparison_json, compare, evaluate,
                         report_csv, report_json)
@@ -136,12 +136,15 @@ def _cmd_scale(args) -> int:
     return EXIT_OK
 
 
-def _load_profile_arg(args):
-    return load_profiles(args.profiles)
-
-
-def _finish_plan(plan: PlacementPlan, out: str) -> int:
-    write_plan(plan, out)
+def _cmd_plan(args) -> int:
+    if args.ratio <= 0:
+        raise ValueError("--ratio must be > 0")
+    profiles = load_profiles(args.profiles)
+    dev = _device_from_args(args)
+    plan = plan_static(profiles, dev, args.ratio, args.major_threshold,
+                       reserved_dram_bytes=args.reserved_dram,
+                       include_minor_in_budget=args.include_minor_energy)
+    write_plan(plan, args.out)
     if not plan.feasible:
         print("infeasible: cannot satisfy "
               + ", ".join(plan.binding_constraints), file=sys.stderr)
@@ -149,19 +152,8 @@ def _finish_plan(plan: PlacementPlan, out: str) -> int:
     return EXIT_OK
 
 
-def _cmd_plan(args) -> int:
-    if args.ratio <= 0:
-        raise ValueError("--ratio must be > 0")
-    profiles = _load_profile_arg(args)
-    dev = _device_from_args(args)
-    plan = plan_static(profiles, dev, args.ratio, args.major_threshold,
-                       reserved_dram_bytes=args.reserved_dram,
-                       include_minor_in_budget=args.include_minor_energy)
-    return _finish_plan(plan, args.out)
-
-
 def _cmd_migrate(args) -> int:
-    profiles = _load_profile_arg(args)
+    profiles = load_profiles(args.profiles)
     dev = _device_from_args(args)
     current = load_plan(args.current)
     request = MigrationRequest(time=args.time, new_ratio=args.new_ratio,
@@ -181,7 +173,7 @@ def _cmd_migrate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    profiles = _load_profile_arg(args)
+    profiles = load_profiles(args.profiles)
     dev = _device_from_args(args)
     plan = load_plan(args.plan)
     report = evaluate(profiles, dev, plan)
@@ -191,9 +183,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    profiles = _load_profile_arg(args)
+    profiles = load_profiles(args.profiles)
     dev = _device_from_args(args)
-    named: list[tuple[str, PlacementPlan]] = []
+    named: list[tuple[str, PlacementPlan | None]] = []
     for spec in args.plan or []:
         name, _, path = spec.partition("=")
         if not path:
@@ -212,8 +204,12 @@ def _cmd_compare(args) -> int:
             args.reserved_dram)))
     for seed in (_parse_list(args.random_seeds, "--random-seeds", int)
                  if args.random_seeds else []):
-        named.append((f"random_{seed}", place_random(
-            profiles, dev, seed, args.major_threshold, args.reserved_dram)))
+        try:
+            plan = place_random(profiles, dev, seed, args.major_threshold,
+                                args.reserved_dram)
+        except NoFeasibleAssignment:
+            plan = None  # compare writes a row of nan in its place
+        named.append((f"random_{seed}", plan))
     if not named:
         raise ValueError("compare needs at least one plan "
                          "(--plan/--all-dram/--all-nvm/--mpki-thresholds/"
@@ -232,7 +228,7 @@ _SWEEP_COLUMNS = ("dram_gib", "nvm_gib", "ratio", "status", "objective_ns",
 
 
 def _cmd_sweep(args) -> int:
-    profiles = _load_profile_arg(args)
+    profiles = load_profiles(args.profiles)
     base = _device_from_args(args)
     ratios = _parse_list(args.ratios, "--ratios")
     if any(r <= 0 for r in ratios):

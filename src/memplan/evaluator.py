@@ -130,28 +130,34 @@ class ComparisonRow:
     capacity_ok: bool
 
 
+def _row(name: str, report: EvaluationReport | None) -> ComparisonRow:
+    if report is None:
+        nan = float("nan")
+        return ComparisonRow(name, nan, nan, nan, False)
+    return ComparisonRow(name, report.total_energy_nj,
+                         report.energy_ratio_vs_all_dram,
+                         report.latency_objective_ns, report.capacity_ok)
+
+
 def compare(profiles: ProfileSet, dev: DeviceSpec,
-            plans: Sequence[tuple[str, PlacementPlan]],
+            plans: Sequence[tuple[str, PlacementPlan | None]],
             include_matched_optimal: bool = False) -> list[ComparisonRow]:
     """One evaluator row per named plan, in order.
 
-    With ``include_matched_optimal`` each feasible input plan is followed
-    by an optimal plan computed at the energy ratio the input achieved,
-    which by construction can only match or beat its latency.
+    A plan of None (a strategy that found no assignment) gets a row of
+    nan with ``capacity_ok`` false. With ``include_matched_optimal`` each
+    feasible input plan is followed by an optimal plan computed at the
+    energy ratio the input achieved, which by construction can only match
+    or beat its latency.
     """
     if not plans:
         raise ValueError("compare needs at least one plan")
     rows = []
     for name, plan in plans:
-        report = evaluate(profiles, dev, plan)
-        rows.append(ComparisonRow(
-            plan=name,
-            energy_nj=report.total_energy_nj,
-            ratio=report.energy_ratio_vs_all_dram,
-            latency_ns=report.latency_objective_ns,
-            capacity_ok=report.capacity_ok,
-        ))
-        if include_matched_optimal and report.capacity_ok \
+        report = None if plan is None else evaluate(profiles, dev, plan)
+        rows.append(_row(name, report))
+        if include_matched_optimal and report is not None \
+                and report.capacity_ok \
                 and report.energy_ratio_vs_all_dram > 0 \
                 and math.isfinite(report.energy_ratio_vs_all_dram):
             matched = plan_static(
@@ -159,19 +165,9 @@ def compare(profiles: ProfileSet, dev: DeviceSpec,
                 plan.major_threshold,
                 reserved_dram_bytes=plan.reserved_dram_bytes,
                 include_minor_in_budget=plan.minor_energy_in_budget)
-            matched_report = evaluate(profiles, dev, matched) \
-                if matched.feasible else None
-            rows.append(ComparisonRow(
-                plan=f"{name}:optimal",
-                energy_nj=matched_report.total_energy_nj
-                if matched_report else float("nan"),
-                ratio=matched_report.energy_ratio_vs_all_dram
-                if matched_report else float("nan"),
-                latency_ns=matched_report.latency_objective_ns
-                if matched_report else float("nan"),
-                capacity_ok=matched_report.capacity_ok
-                if matched_report else False,
-            ))
+            rows.append(_row(f"{name}:optimal",
+                             evaluate(profiles, dev, matched)
+                             if matched.feasible else None))
     return rows
 
 

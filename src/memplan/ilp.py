@@ -35,57 +35,64 @@ def _tol(reference: float) -> float:
     return max(ABS_TOL, REL_TOL * abs(reference))
 
 
-@dataclass(frozen=True)
-class ZeroOneProgram:
-    """Objective and upper-bound constraints over binary variables."""
+def padded_bounds(b: np.ndarray) -> np.ndarray:
+    """Each bound plus the feasibility tolerance ``max(ABS_TOL, REL_TOL*|b|)``."""
+    return b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))
 
-    objective_coeffs: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], float], ...] = ()
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class ZeroOneProgram:
+    """Objective and upper-bound constraints over binary variables.
+
+    Coefficients may be given as sequences or arrays; they are stored once
+    as read-only float arrays, and ``constraints`` holds (row, bound) pairs
+    whose rows are views of the constraint matrix.
+    """
+
+    objective_coeffs: np.ndarray
+    constraints: tuple[tuple[np.ndarray, float], ...] = ()
     variable_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objective_coeffs",
-                           tuple(float(v) for v in self.objective_coeffs))
-        object.__setattr__(self, "constraints", tuple(
-            (tuple(float(v) for v in coeffs), float(bound))
-            for coeffs, bound in self.constraints))
-        n = len(self.objective_coeffs)
-        if not self.variable_names:
-            object.__setattr__(self, "variable_names",
-                               tuple(f"x{i}" for i in range(n)))
-        else:
-            object.__setattr__(self, "variable_names",
-                               tuple(self.variable_names))
-        if len(self.variable_names) != n:
-            raise ValueError(
-                f"{len(self.variable_names)} variable names for {n} variables")
-        if len(set(self.variable_names)) != n:
-            raise ValueError("variable names must be unique")
-        if not np.all(np.isfinite(self.objective_coeffs)):
-            raise ValueError("objective coefficients must be finite")
-        for i, (coeffs, bound) in enumerate(self.constraints):
+        c = _frozen(self.objective_coeffs)
+        n = len(c)
+        pairs = tuple(self.constraints)
+        for i, (coeffs, _) in enumerate(pairs):
             if len(coeffs) != n:
                 raise ValueError(
                     f"constraint {i} has {len(coeffs)} coefficients for "
                     f"{n} variables")
-            if not np.all(np.isfinite(coeffs)) or not np.isfinite(bound):
+        a = _frozen([coeffs for coeffs, _ in pairs]).reshape(len(pairs), n)
+        b = _frozen([bound for _, bound in pairs])
+        names = tuple(self.variable_names) or tuple(f"x{i}" for i in range(n))
+        if len(names) != n:
+            raise ValueError(f"{len(names)} variable names for {n} variables")
+        if len(set(names)) != n:
+            raise ValueError("variable names must be unique")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("objective coefficients must be finite")
+        for i, row in enumerate(a):
+            if not np.all(np.isfinite(row)) or not np.isfinite(b[i]):
                 raise ValueError(f"constraint {i} has non-finite entries")
+        object.__setattr__(self, "objective_coeffs", c)
+        object.__setattr__(self, "constraints", tuple(zip(a, b.tolist())))
+        object.__setattr__(self, "variable_names", names)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_b", b)
 
     @property
     def num_variables(self) -> int:
         return len(self.objective_coeffs)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, A, b) as float arrays; A is (m, n) even when m == 0."""
-        n = self.num_variables
-        c = np.asarray(self.objective_coeffs, dtype=float)
-        if self.constraints:
-            a = np.asarray([coeffs for coeffs, _ in self.constraints], dtype=float)
-            b = np.asarray([bound for _, bound in self.constraints], dtype=float)
-        else:
-            a = np.zeros((0, n))
-            b = np.zeros(0)
-        return c, a, b
+        """(c, A, b) as read-only float arrays; A is (m, n) even when m == 0."""
+        return self.objective_coeffs, self._a, self._b
 
 
 @dataclass(frozen=True)
@@ -98,15 +105,13 @@ class IlpSolution:
 def constraint_violations(program: ZeroOneProgram,
                           assignment: Sequence[int]) -> list[str]:
     """Names of constraints the assignment violates beyond tolerance."""
-    c, a, b = program.arrays()
+    _, a, b = program.arrays()
     if len(assignment) != program.num_variables:
         raise ValueError("assignment length does not match program")
     x = np.asarray(assignment, dtype=float)
-    violated = []
-    for i in range(len(b)):
-        if float(a[i] @ x) > b[i] + _tol(b[i]):
-            violated.append(f"constraint {i}")
-    return violated
+    slack = padded_bounds(b)
+    return [f"constraint {i}" for i in range(len(b))
+            if float(a[i] @ x) > slack[i]]
 
 
 def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
@@ -117,12 +122,14 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
             f"exhaustive enumeration limited to {EXHAUSTIVE_MAX_VARIABLES} "
             f"variables, got {n}")
     c, a, b = program.arrays()
+    # Padded here, not by `padded_bounds`, so the oracle shares no code with
+    # the solver it checks.
+    slack = b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))
     if n == 0:
-        if np.all(0.0 <= b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))):
+        if np.all(0.0 <= slack):
             return IlpSolution((), 0.0, STATUS_OPTIMAL)
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
 
-    slack = b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)  # variable 0 is the MSB
     best_obj: float | None = None
     best_index = -1
@@ -199,7 +206,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     if n == 0:
         return solve_exhaustive(program)
     m = len(b)
-    slack = b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))
+    slack = padded_bounds(b)
     # Residual suffix extremes per constraint: the least and most a suffix of
     # free variables can still add to each row.
     suffix_min = np.zeros((n + 1, m))

@@ -26,9 +26,8 @@ import numpy as np
 from . import ilp
 from .energy import (DeviceSpec, Priceable, dram_energy, dram_latency,
                      nvm_energy, nvm_latency, price_placement)
-from .planner import (DRAM, NVM, CapacityError, PlacementPlan, plan_static,
-                      CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
-                      CONSTRAINT_ENERGY, diagnose_infeasibility, _normalized)
+from .planner import (DRAM, NVM, CapacityError, PlacementPlan, build_program,
+                      diagnose_infeasibility, plan_static)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
@@ -174,7 +173,6 @@ class MigrationPlan:
     dead_energy_nj: float
     dead_ids: tuple[str, ...]
     future_ids: tuple[str, ...]
-    post_placements: dict[str, str]
     future_plan: PlacementPlan | None = None
     binding_constraints: tuple[str, ...] = ()
 
@@ -235,34 +233,11 @@ def build_migration_program(live: ProfileSet, dev: DeviceSpec,
     Returns (program, objective offset); the offset is the stay-everywhere
     latency so the program minimizes the latency delta of migrating.
     """
-    sizes = live.size
-    cp = costs.on_dram.astype(float)
-    objective = costs.move_latency - costs.stay_latency
-    offset = float(costs.stay_latency.sum())
-    scale = float(np.max(np.abs(objective))) if len(live) else 0.0
-    scaled_objective = objective / scale if scale > 0 else objective
-
-    # Post-migration DRAM residency is cp + x*(1 - 2cp).
-    flip = (1.0 - 2.0 * cp) * sizes
-    constraints = [
-        _normalized(flip, dram_free - float((cp * sizes).sum())),
-        _normalized(-flip, dev.nvm_capacity - float(((1.0 - cp) * sizes).sum())),
-        _normalized(costs.move_energy - costs.stay_energy,
-                    requirement - float(costs.stay_energy.sum())),
-    ]
-    if transient_capacity:
-        # A migrating object holds space on both devices while copying.
-        constraints.append(_normalized((1.0 - cp) * sizes,
-                                       dram_free - float((cp * sizes).sum())))
-        constraints.append(_normalized(cp * sizes,
-                                       dev.nvm_capacity
-                                       - float(((1.0 - cp) * sizes).sum())))
-    return ilp.ZeroOneProgram(tuple(scaled_objective), tuple(constraints),
-                              live.ids()), offset
-
-
-_MIGRATION_CONSTRAINTS = (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
-                          CONSTRAINT_ENERGY, "transient_dram", "transient_nvm")
+    return build_program(
+        live, costs.on_dram, (costs.stay_latency, costs.stay_energy),
+        (costs.move_latency, costs.move_energy),
+        requirement - float(costs.stay_energy.sum()), dram_free,
+        dev.nvm_capacity, transient_capacity)
 
 
 def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
@@ -302,46 +277,41 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     requirement = request.new_ratio * sum(dram_energy(live, dev).tolist()) \
         if request.strict else float(sum(costs.stay_energy.tolist()))
 
-    program, offset = build_migration_program(
+    program, _ = build_migration_program(
         live, dev, costs, requirement, dram_free,
         transient_capacity=transient_capacity)
+    stay_put = (0,) * len(live)
     if allow_migration:
         solution = ilp.solve(program)
+    elif ilp.constraint_violations(program, stay_put):
+        solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE)
     else:
-        zero = (0,) * len(live)
-        if ilp.constraint_violations(program, zero):
-            solution = ilp.IlpSolution(zero, 0.0, ilp.STATUS_INFEASIBLE)
-        else:
-            solution = ilp.IlpSolution(zero, 0.0, ilp.STATUS_OPTIMAL)
-
+        solution = ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
     status = solution.status
     binding: tuple[str, ...] = ()
     if status == ilp.STATUS_INFEASIBLE:
-        # Hard limit unreachable: keep everything in place.
-        migrate = np.zeros(len(live), dtype=bool)
-        binding = diagnose_infeasibility(program, _MIGRATION_CONSTRAINTS)
-    else:
-        migrate = np.array(solution.assignment, dtype=bool)
+        binding = diagnose_infeasibility(program)
+    # An infeasible solution has no assignment: everything stays in place.
+    migrate = np.array(solution.assignment or stay_put, dtype=bool)
 
     energies = np.where(migrate, costs.move_energy, costs.stay_energy).tolist()
     latencies = np.where(migrate, costs.move_latency, costs.stay_latency)
     post_dram = costs.on_dram != migrate
-    post: dict[str, str] = {o.id: DRAM for o in minor if o.live_at(t)}
-    decisions = []
-    for obj, here, there, x, energy, cost, copy_time in zip(
-            live, costs.on_dram.tolist(), post_dram.tolist(), migrate.tolist(),
-            energies, np.where(migrate, costs.copy_energy, 0.0).tolist(),
-            np.where(migrate, costs.copy_time, 0.0).tolist()):
-        post[obj.id] = DRAM if there else NVM
-        decisions.append(MigrationDecision(
+    decisions = tuple(
+        MigrationDecision(
             id=obj.id,
             current_device=DRAM if here else NVM,
-            target_device=post[obj.id],
+            target_device=DRAM if there else NVM,
             migrate=x,
             energy_nj=energy,
             migration_cost_nj=cost,
             migration_time_ns=copy_time,
-        ))
+        )
+        for obj, here, there, x, energy, cost, copy_time in zip(
+            live, costs.on_dram.tolist(), post_dram.tolist(),
+            migrate.tolist(), energies,
+            np.where(migrate, costs.copy_energy, 0.0).tolist(),
+            np.where(migrate, costs.copy_time, 0.0).tolist()))
 
     _, dead_energies = price_placement(
         dead, dev, [current.placements[o.id] == DRAM for o in dead])
@@ -363,7 +333,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
             future_plan = None
 
     return MigrationPlan(
-        decisions=tuple(decisions),
+        decisions=decisions,
         status=status,
         time_s=t,
         new_ratio=request.new_ratio,
@@ -374,7 +344,6 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         dead_energy_nj=sum(dead_energies.tolist()),
         dead_ids=dead.ids(),
         future_ids=tuple(o.id for o in future),
-        post_placements=post,
         future_plan=future_plan,
         binding_constraints=binding,
     )

@@ -22,7 +22,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, dram_energy, nvm_energy, price_placement
+from .energy import (DeviceSpec, dram_energy, dram_latency, nvm_energy,
+                     nvm_latency, price_placement)
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, filter_major,
                        open_text)
 
@@ -34,6 +35,9 @@ PLAN_FORMAT_VERSION = "hmms-plan-v1"
 CONSTRAINT_CAPACITY_DRAM = "capacity_dram"
 CONSTRAINT_CAPACITY_NVM = "capacity_nvm"
 CONSTRAINT_ENERGY = "energy_budget"
+# Row names of the program `build_program` writes, in row order.
+CONSTRAINT_NAMES = (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
+                    CONSTRAINT_ENERGY, "transient_dram", "transient_nvm")
 
 
 class CapacityError(ValueError):
@@ -66,9 +70,6 @@ class PlacementPlan:
     def feasible(self) -> bool:
         return self.status == ilp.STATUS_OPTIMAL
 
-    def device_of(self, object_id: str) -> str:
-        return self.placements[object_id]
-
 
 def _major_minor(profiles: ProfileSet, major_threshold: float,
                  reserved_dram_bytes: float, dev: DeviceSpec
@@ -84,13 +85,48 @@ def _major_minor(profiles: ProfileSet, major_threshold: float,
     return major, minor, dram_free
 
 
-def _normalized(coeffs: np.ndarray, bound: float) -> tuple[tuple[float, ...], float]:
+def _normalized(coeffs: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
     # Unit-magnitude rows keep nano-joule and byte scales from swamping the
     # solver's tolerances.
     scale = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
     if scale > 0:
-        return tuple(coeffs / scale), bound / scale
-    return tuple(coeffs), bound
+        return coeffs / scale, bound / scale
+    return coeffs, bound
+
+
+def build_program(objects: ProfileSet, on_dram: np.ndarray,
+                  stay: tuple[np.ndarray, np.ndarray],
+                  move: tuple[np.ndarray, np.ndarray], energy_bound: float,
+                  dram_free: float, nvm_capacity: float,
+                  transient_capacity: bool = False
+                  ) -> tuple[ilp.ZeroOneProgram, float]:
+    """The 0-1 program of placement and migration; variable 1 means move.
+
+    An object moves off its current device (DRAM where ``on_dram``).
+    ``stay`` and ``move`` are its (latency ns, energy nJ) either way, and
+    moving may add at most ``energy_bound`` nJ. Returns (program, offset):
+    the offset is the stay-put latency. Rows follow CONSTRAINT_NAMES; with
+    ``transient_capacity`` a moving object also holds its source space.
+    """
+    sizes = objects.size
+    cp = np.asarray(on_dram, dtype=float)
+    stay_latency, stay_energy = stay
+    move_latency, move_energy = move
+    objective = move_latency - stay_latency
+    scale = float(np.max(np.abs(objective))) if len(objects) else 0.0
+    scaled_objective = objective / scale if scale > 0 else objective
+
+    # Post-move DRAM residency is cp + x*(1 - 2cp).
+    flip = (1.0 - 2.0 * cp) * sizes
+    dram_bound = dram_free - float((cp * sizes).sum())
+    nvm_bound = nvm_capacity - float(((1.0 - cp) * sizes).sum())
+    rows = [_normalized(flip, dram_bound), _normalized(-flip, nvm_bound),
+            _normalized(move_energy - stay_energy, energy_bound)]
+    if transient_capacity:
+        rows += [_normalized((1.0 - cp) * sizes, dram_bound),
+                 _normalized(cp * sizes, nvm_bound)]
+    program = ilp.ZeroOneProgram(scaled_objective, rows, objects.ids())
+    return program, float(stay_latency.sum())
 
 
 def build_placement_program(major: ProfileSet, dev: DeviceSpec,
@@ -99,37 +135,22 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
                             ) -> tuple[ilp.ZeroOneProgram, float]:
     """ILP over the major objects; returns (program, objective offset).
 
-    Variables are 1 for DRAM, 0 for NVM, in profile order. The objective is
-    expressed as ``offset + c.x`` with the offset carrying the all-NVM
-    latency so the program stays a plain minimization.
+    A placement is a migration from an all-NVM start: variables are 1 for
+    DRAM, 0 for NVM, in profile order, and the offset is the all-NVM
+    latency.
     """
     de = dram_energy(major, dev)
     ne = nvm_energy(major, dev)
-    sizes = major.size
-    misses = major.llc_misses
-
-    objective = (dev.dram_latency - dev.nvm_latency) * misses
-    offset = float(dev.nvm_latency * misses.sum())
-    scale = float(np.max(np.abs(objective))) if len(objective) else 0.0
-    scaled_objective = objective / scale if scale > 0 else objective
-
     budget = ratio * (float(de.sum()) + extra_budget_energy)
-    constraints = (
-        _normalized(sizes, dram_free),
-        _normalized(-sizes, dev.nvm_capacity - float(sizes.sum())),
-        _normalized(de - ne, budget - float(ne.sum()) - extra_budget_energy),
-    )
-    program = ilp.ZeroOneProgram(tuple(scaled_objective), constraints,
-                                 major.ids())
-    return program, offset
-
-
-_CONSTRAINT_NAMES = (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
-                     CONSTRAINT_ENERGY)
+    return build_program(
+        major, np.zeros(len(major), dtype=bool), (nvm_latency(major, dev), ne),
+        (dram_latency(major, dev), de),
+        budget - float(ne.sum()) - extra_budget_energy,
+        dram_free, dev.nvm_capacity)
 
 
 def diagnose_infeasibility(program: ilp.ZeroOneProgram,
-                           names: Sequence[str] = _CONSTRAINT_NAMES
+                           names: Sequence[str] = CONSTRAINT_NAMES
                            ) -> tuple[str, ...]:
     """Names of the constraints that no assignment satisfies on its own.
 
@@ -140,10 +161,9 @@ def diagnose_infeasibility(program: ilp.ZeroOneProgram,
     """
     _, a, b = program.arrays()
     least = np.minimum(a, 0.0).sum(axis=1)
-    slack = b + np.maximum(ilp.ABS_TOL, ilp.REL_TOL * np.abs(b))
     singles = tuple(names[i] if i < len(names) else f"constraint {i}"
-                    for i in np.flatnonzero(least > slack))
-    return singles or tuple(names[:len(program.constraints)])
+                    for i in np.flatnonzero(least > ilp.padded_bounds(b)))
+    return singles or tuple(names[:len(b)])
 
 
 def summarize_assignment(major: ProfileSet, dev: DeviceSpec,
@@ -171,8 +191,8 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
                                            reserved_dram_bytes, dev)
     extra = sum(dram_energy(minor, dev).tolist()) if include_minor_in_budget \
         else 0.0
-    program, offset = build_placement_program(major, dev, ratio, dram_free,
-                                              extra_budget_energy=extra)
+    program, _ = build_placement_program(major, dev, ratio, dram_free,
+                                         extra_budget_energy=extra)
     solution = ilp.solve(program)
 
     placements = {o.id: DRAM for o in minor}

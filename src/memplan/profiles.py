@@ -67,8 +67,13 @@ class ObjectProfile:
     def __post_init__(self) -> None:
         if not self.id:
             raise ProfileError("object id must be a non-empty string")
-        if "," in self.id or "\n" in self.id:
-            raise ProfileError(f"object id {self.id!r} contains a separator character")
+        # A profile file splits on commas and line breaks, strips each field
+        # and skips lines that start with '#'.
+        if "," in self.id or self.id.splitlines() != [self.id] \
+                or self.id != self.id.strip() or self.id.startswith("#"):
+            raise ProfileError(
+                f"object id {self.id!r} contains a separator character, "
+                "surrounding whitespace or a leading '#'")
         for name in ("size", "alloc_time", "dealloc_time", "accessed_volume",
                      "llc_misses", "dirty_blocks"):
             if not math.isfinite(getattr(self, name)):
@@ -194,15 +199,15 @@ def _format_number(x: float) -> str:
     # keeps full round-trip precision for everything else.
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    return repr(x)
+    return repr(float(x))
 
 
-def _parse_float(text: str, line_no: int, column: str) -> float:
+def _parse_float(text: str, column: str) -> float:
     try:
         return float(text)
     except ValueError:
         raise ProfileError(
-            f"line {line_no}: field {column!r} is not a number: {text!r}") from None
+            f"field {column!r} is not a number: {text!r}") from None
 
 
 @contextmanager
@@ -251,18 +256,17 @@ def load_profiles(source: str | os.PathLike | IO[str],
             raise ProfileError(
                 f"line {line_no}: expected {len(header_cols)} fields, "
                 f"got {len(fields)}")
-        mpki: float | None = None
-        if len(fields) == len(_COLUMNS) + 1 and fields[-1] != "":
-            mpki = _parse_float(fields[-1], line_no, _OPTIONAL_COLUMN)
         try:
+            mpki = _parse_float(fields[-1], _OPTIONAL_COLUMN) \
+                if len(fields) > len(_COLUMNS) and fields[-1] else None
             objects.append(ObjectProfile(
                 id=fields[0],
-                size=_parse_float(fields[1], line_no, "size_bytes"),
-                alloc_time=_parse_float(fields[2], line_no, "alloc_s"),
-                dealloc_time=_parse_float(fields[3], line_no, "dealloc_s"),
-                accessed_volume=_parse_float(fields[4], line_no, "accessed_bytes"),
-                llc_misses=_parse_float(fields[5], line_no, "llc_misses"),
-                dirty_blocks=_parse_float(fields[6], line_no, "dirty_blocks"),
+                size=_parse_float(fields[1], "size_bytes"),
+                alloc_time=_parse_float(fields[2], "alloc_s"),
+                dealloc_time=_parse_float(fields[3], "dealloc_s"),
+                accessed_volume=_parse_float(fields[4], "accessed_bytes"),
+                llc_misses=_parse_float(fields[5], "llc_misses"),
+                dirty_blocks=_parse_float(fields[6], "dirty_blocks"),
                 llc_mpki=mpki,
             ))
         except ProfileError as exc:

@@ -235,3 +235,26 @@ class TestScale:
         rc = run(["scale", "--profiles-dir", tmp_path, "--target", 2.0,
                   "--out", tmp_path / "x.prof"])
         assert rc == EXIT_USAGE
+
+
+def test_compare_reports_an_impossible_random_baseline_as_a_nan_row(
+        workload, tmp_path):
+    out = tmp_path / "c.csv"
+    rc = run(["compare", "--profiles", workload, "--all-dram",
+              "--random-seeds", "1,2", "--major-threshold", 0,
+              "--dram-capacity-gib", 0.001, "--nvm-capacity-gib", 0.001,
+              "--out", out])
+    assert rc == EXIT_OK
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] \
+        == ["all-dram", "random_1", "random_2"]
+    assert rows[2:] == ["random_1,nan,nan,nan,0", "random_2,nan,nan,nan,0"]
+
+
+def test_compare_still_fails_when_pinned_objects_overflow_dram(
+        workload, tmp_path, capsys):
+    rc = run(["compare", "--profiles", workload, "--random-seeds", "1",
+              "--reserved-dram", 1e12, "--out", tmp_path / "c.csv"])
+    assert rc == EXIT_USAGE
+    assert "exceed DRAM capacity" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()

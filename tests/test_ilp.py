@@ -146,3 +146,24 @@ def test_lp_format_dump():
     assert "c0: 1 a + 1 b <= 1" in text
     assert "Binary" in text
     assert text.rstrip().endswith("End")
+
+
+def test_program_stores_read_only_arrays_once():
+    program = ZeroOneProgram((1.0, -2.0), (((1.0, 2.0), 3.0), ((0.0, -1.0), 0.5)))
+    c, a, b = program.arrays()
+    assert program.arrays()[1] is a
+    assert c.tolist() == [1.0, -2.0]
+    assert a.tolist() == [[1.0, 2.0], [0.0, -1.0]]
+    assert b.tolist() == [3.0, 0.5]
+    assert [(row.tolist(), bound) for row, bound in program.constraints] \
+        == [([1.0, 2.0], 3.0), ([0.0, -1.0], 0.5)]
+    for array in (c, a, b, program.constraints[0][0]):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+    # Arrays given by the caller are copied, not aliased.
+    coeffs = np.array([1.0, 2.0])
+    aliased = ZeroOneProgram(coeffs, ((coeffs, 1.0),))
+    coeffs[0] = 9.0
+    assert aliased.arrays()[0].tolist() == [1.0, 2.0]
+    assert aliased.arrays()[1].tolist() == [[1.0, 2.0]]
+    assert ZeroOneProgram((0.0, 0.0)).arrays()[1].shape == (0, 2)

@@ -7,10 +7,12 @@ import pytest
 from memplan.energy import (DeviceSpec, GIB, dram_energy, dram_latency,
                             nvm_energy, nvm_latency)
 from memplan.energy import testbed1 as make_testbed1
-from memplan.migration import (MigrationRequest, migration_energies,
-                               migration_latency, migration_times,
-                               plan_migration, write_migration_plan)
-from memplan.planner import DRAM, NVM, plan_static
+from memplan.migration import (MigrationRequest, build_migration_program,
+                               migration_energies, migration_latency,
+                               migration_times, plan_migration, price_live,
+                               write_migration_plan)
+from memplan.planner import (DRAM, NVM, PlacementPlan, diagnose_infeasibility,
+                             plan_static)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
 
@@ -375,3 +377,25 @@ def test_set_pricing_names_the_first_object_not_allocated():
     for formula in (migration_energies, migration_latency):
         with pytest.raises(ValueError, match="'b' is not allocated at t=2.0"):
             formula(ps, dev, 2.0)
+
+
+def test_strict_transient_migration_names_the_overflowing_dram_row():
+    ps = ProfileSet(tuple(live_obj(f"m{i}") for i in range(3)))
+    dev = make_testbed1(dram_capacity=16 * MB, nvm_capacity=GIB)
+    # The current plan holds 24 MB in a 16 MB DRAM.
+    current = PlacementPlan({o.id: DRAM for o in ps}, ps.ids(), "optimal",
+                            1.0, 0.0, 0.0, 0.0, 0.0)
+    request = MigrationRequest(time=5.0, new_ratio=2.0, strict=True)
+    plan = plan_migration(ps, dev, current, request, transient_capacity=True)
+    assert not plan.feasible
+    assert plan.binding_constraints == ("transient_dram",)
+    assert plan.migrated_ids == ()
+
+    costs = price_live(ps, dev, [True] * 3, 5.0)
+    requirement = 2.0 * float(dram_energy(ps, dev).sum())
+    program, _ = build_migration_program(ps, dev, costs, requirement,
+                                         dev.dram_capacity,
+                                         transient_capacity=True)
+    assert diagnose_infeasibility(program) == ("transient_dram",)
+    # Without the copy-time rows, moving one object out is enough.
+    assert plan_migration(ps, dev, current, request).feasible

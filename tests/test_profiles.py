@@ -372,3 +372,37 @@ def test_columns_and_index_follow_profile_order():
         assert ps.get(obj.id) is obj
     with pytest.raises(KeyError):
         ps.get("missing")
+
+
+def test_numpy_scalar_fields_survive_a_write_and_read():
+    obj = make_obj(size=np.float64(1000.5), misses=np.float64(7.25),
+                   mpki=np.float64(0.125))
+    stream = io.StringIO()
+    write_profiles(ProfileSet((obj,)), stream)
+    assert "np." not in stream.getvalue()
+    stream.seek(0)
+    assert load_profiles(stream).objects == (obj,)
+
+
+@pytest.mark.parametrize("object_id", [
+    "#a", "# a", " a", "a ", "\ta", "a\n", "a\rb", "a\x0bb", "a\x1cb",
+    "a\u2028b"])
+def test_ids_a_profile_file_cannot_hold_are_rejected(object_id):
+    with pytest.raises(ProfileError, match="object id"):
+        make_obj(object_id)
+
+
+def test_ids_with_inner_space_or_hash_round_trip():
+    ps = ProfileSet((make_obj("a b"), make_obj("a#b")))
+    stream = io.StringIO()
+    write_profiles(ps, stream)
+    stream.seek(0)
+    assert load_profiles(stream).objects == ps.objects
+
+
+def test_parse_error_names_its_line_once():
+    text = profile_text(["a,4096,0.0,1.0,4096,1,0,",
+                         "b,oops,0.0,1.0,4096,1,0,"])
+    with pytest.raises(ProfileError) as err:
+        load_profiles(io.StringIO(text))
+    assert str(err.value) == "line 4: field 'size_bytes' is not a number: 'oops'"

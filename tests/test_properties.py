@@ -1,0 +1,105 @@
+"""Randomized properties of the planner, migration and profile I/O.
+
+Skipped when hypothesis is not installed (it is in the ``test`` extra).
+"""
+
+import io
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from memplan.energy import testbed1 as make_testbed1  # noqa: E402
+from memplan.evaluator import evaluate  # noqa: E402
+from memplan.migration import MigrationRequest, plan_migration  # noqa: E402
+from memplan.planner import plan_static  # noqa: E402
+from memplan.profiles import (ObjectProfile, ProfileError,  # noqa: E402
+                              ProfileSet, load_profiles, write_profiles)
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None,
+                             suppress_health_check=[HealthCheck.too_slow,
+                                                    HealthCheck.filter_too_much])
+
+positive = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
+fraction = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def object_sets(draw, max_objects=7):
+    """Sets whose sizes, volumes and counts span many magnitudes."""
+    scale = draw(st.sampled_from((1.0, 1e3, 1e6, 1e9)))
+    objects = []
+    for i in range(draw(st.integers(1, max_objects))):
+        size = draw(positive) * scale
+        alloc = draw(st.floats(0.0, 4.0))
+        objects.append(ObjectProfile(
+            f"o{i}", size, alloc, alloc + draw(st.floats(0.5, 10.0)),
+            size * draw(st.floats(0.1, 16.0)), draw(positive) * scale,
+            draw(positive) * scale * draw(fraction)))
+    return ProfileSet(tuple(objects))
+
+
+@given(object_sets(), fraction, fraction,
+       st.floats(min_value=0.5, max_value=1.2))
+@PROPERTY_SETTINGS
+def test_plans_called_optimal_pass_the_evaluator(ps, dram_share, nvm_share,
+                                                 ratio):
+    total = sum(ps.size.tolist())
+    # Together the devices always hold the set; either alone may not.
+    dev = make_testbed1(dram_capacity=dram_share * total,
+                        nvm_capacity=(1.0 - dram_share + nvm_share) * total)
+    plan = plan_static(ps, dev, ratio, major_threshold=0)
+    assume(plan.feasible)
+    report = evaluate(ps, dev, plan)
+    assert report.budget_ok
+    assert report.capacity_ok
+
+
+@given(object_sets(), st.floats(min_value=0.5, max_value=1.0),
+       st.floats(min_value=0.0, max_value=6.0),
+       st.floats(min_value=0.3, max_value=1.5))
+@PROPERTY_SETTINGS
+def test_best_effort_migration_is_no_worse_than_staying(ps, first_ratio, t,
+                                                        new_ratio):
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=0.6 * total, nvm_capacity=total)
+    current = plan_static(ps, dev, first_ratio, major_threshold=0)
+    assume(current.feasible)
+    request = MigrationRequest(time=t, new_ratio=new_ratio, strict=False)
+    moved = plan_migration(ps, dev, current, request, plan_future=False)
+    stay = plan_migration(ps, dev, current, request, plan_future=False,
+                          allow_migration=False)
+    assert moved.feasible and stay.feasible
+    assert moved.e_total_nj <= stay.e_total_nj + 1e-9 * abs(stay.e_total_nj)
+    assert moved.objective_ns \
+        <= stay.objective_ns + 1e-9 * abs(stay.objective_ns)
+
+
+def _maybe_profile(object_id, size, alloc, lifetime, volume, misses, dirty,
+                   mpki):
+    try:
+        return ObjectProfile(object_id, size, alloc, alloc + lifetime,
+                             volume, misses, dirty, mpki)
+    except ProfileError:
+        return None
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@given(st.lists(st.builds(
+    _maybe_profile, st.text(min_size=1, max_size=8),
+    st.floats(min_value=1e-300, allow_infinity=False), finite, non_negative,
+    non_negative, non_negative, non_negative, st.none() | non_negative),
+    max_size=6))
+@PROPERTY_SETTINGS
+def test_profiles_round_trip_through_the_file_format(candidates):
+    objects = {o.id: o for o in candidates if o is not None}
+    ps = ProfileSet(tuple(objects.values()))
+    stream = io.StringIO()
+    write_profiles(ps, stream)
+    stream.seek(0)
+    assert load_profiles(stream).objects == ps.objects
