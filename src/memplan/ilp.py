@@ -6,12 +6,19 @@ the same contract: `solve` (branch and bound) for real use and
 Both are deterministic and break objective ties by returning the
 lexicographically smallest optimal assignment.
 
-The branch and bound explores assignments in lexicographic order (variable
-0 first, trying 0 before 1) and prunes with a per-constraint fractional
-relaxation bound, so its incumbent updates mirror the oracle's scan
-exactly; equivalence of the two routes is enforced by randomized tests.
-Constraint satisfaction and objective comparisons use a shared tolerance
-of 1e-9 relative with a 1e-12 absolute floor.
+`solve` is a depth-first search on an explicit stack, so no recursion limit
+caps the number of variables. It fixes variable 0 first and tries 0 before
+1, so leaves arrive in the oracle's lexicographic order, and a leaf replaces
+the incumbent only when better by more than the tolerance, as in the
+oracle's scan. A node's bound is the largest of the rows' fractional
+relaxations: take every free negative-cost variable, then buy back the
+row's excess load at the least cost per unit of relief. Each row's bound
+table (its movable variables sorted by that rate) is built once per solve.
+A node is cut when its bound cannot beat the incumbent by more than the
+tolerance, ties included, so no cut subtree holds a replacing leaf.
+Randomized tests keep the two routes equivalent. Constraint satisfaction
+and objective comparisons use a shared tolerance of 1e-9 relative with a
+1e-12 absolute floor.
 """
 
 from __future__ import annotations
@@ -168,90 +175,80 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
     return IlpSolution(assignment, objective, STATUS_OPTIMAL)
 
 
-def _relaxation_bound(c: np.ndarray, a_row: np.ndarray, capacity: float) -> float:
-    """Exact minimum of c.x over x in [0,1]^k with a_row.x <= capacity.
+def _bound_table(c: np.ndarray, row: np.ndarray, neg: np.ndarray):
+    """One row's movable variables sorted by cost per unit of load relief.
 
-    Fractional knapsack: take every negative-cost variable, then buy back
-    constraint slack at the cheapest cost per unit of load until feasible.
-    Returns +inf when even the minimum load exceeds the capacity.
+    With every negative-cost variable taken, a row's load falls by
+    releasing a taken variable of positive load or by raising an untaken
+    one of negative load. Returns (variable, relief, cost per relief) in
+    the order a fractional knapsack buys relief.
     """
-    take = c < 0
-    value = float(c[take].sum())
-    load = float(a_row[take].sum())
-    if load <= capacity:
-        return value
-    # Load reducers: release a taken variable (cost -c per a of relief) or
-    # raise an untaken one with negative load.
-    rel_from = take & (a_row > 0)
-    rel_to = ~take & (a_row < 0)
-    costs = np.concatenate([-c[rel_from], c[rel_to]])
-    reliefs = np.concatenate([a_row[rel_from], -a_row[rel_to]])
-    if reliefs.size == 0:
+    var = np.flatnonzero(np.where(neg, row > 0, row < 0))
+    relief = np.abs(row[var])
+    rate = np.abs(c[var]) / relief
+    order = np.argsort(rate, kind="stable")
+    return var[order], relief[order], rate[order]
+
+
+def _relief_cost(table, depth: int, excess: float) -> float:
+    """Least fractional cost of ``excess`` relief from variables >= depth.
+
+    +inf when the free variables cannot relieve that much.
+    """
+    var, relief, rate = table
+    freed = relief * (var >= depth)
+    reliefs = freed.cumsum()
+    k = int(reliefs.searchsorted(excess))
+    if k == len(var):
         return float("inf")
-    order = np.argsort(costs / reliefs, kind="stable")
-    need = load - capacity
-    for j in order:
-        used = min(need, reliefs[j])
-        value += used * (costs[j] / reliefs[j])
-        need -= used
-        if need <= 0:
-            return value
-    return float("inf")
+    # Relief rises at k, so item k is free; only part of it is bought.
+    k1 = k + 1
+    return float(rate[:k1] @ freed[:k1] - (reliefs[k] - excess) * rate[k])
+
+
+def _suffix_sums(values: np.ndarray) -> np.ndarray:
+    """Row d holds the sum of ``values[j]`` over j >= d; row n is zero."""
+    sums = np.zeros((len(values) + 1,) + values.shape[1:])
+    sums[:-1] = np.cumsum(values[::-1], axis=0)[::-1]
+    return sums
 
 
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
-    n = program.num_variables
     c, a, b = program.arrays()
-    if n == 0:
-        return solve_exhaustive(program)
-    m = len(b)
+    n, m = len(c), len(b)
     slack = padded_bounds(b)
-    # Residual suffix extremes per constraint: the least and most a suffix of
-    # free variables can still add to each row.
-    suffix_min = np.zeros((n + 1, m))
-    for depth in range(n - 1, -1, -1):
-        suffix_min[depth] = suffix_min[depth + 1] + np.minimum(a[:, depth], 0.0)
-    suffix_neg_obj = np.zeros(n + 1)
-    for depth in range(n - 1, -1, -1):
-        suffix_neg_obj[depth] = suffix_neg_obj[depth + 1] + min(c[depth], 0.0)
+    neg = c < 0
+    # The relaxation at depth d takes every free negative-cost variable.
+    free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
+    free_load = _suffix_sums(np.where(neg, a, 0.0).T)
+    tables = [_bound_table(c, row, neg) for row in a]
+    columns = a.T
+    costs = c.tolist()
 
-    best_obj: float | None = None
-    best_x: tuple[int, ...] = ()
-    prefix = [0] * n
-
-    def lower_bound(depth: int, obj_fixed: float, row_fixed: np.ndarray) -> float:
-        bound = obj_fixed + suffix_neg_obj[depth]
-        free = slice(depth, n)
-        for i in range(m):
-            residual = slack[i] - row_fixed[i]
-            if suffix_min[depth, i] > residual:
-                return float("inf")
-            bound = max(bound, obj_fixed +
-                        _relaxation_bound(c[free], a[i, free], residual))
-        return bound
-
-    def visit(depth: int, obj_fixed: float, row_fixed: np.ndarray) -> None:
-        nonlocal best_obj, best_x
+    cutoff = float("inf")  # a leaf must fall below this to be the incumbent
+    best_x: tuple[int, ...] | None = None
+    x = [0] * n
+    stack = [(0, 0, 0.0, np.zeros(m))]
+    while stack:
+        depth, bit, obj, load = stack.pop()
+        if depth:
+            x[depth - 1] = bit
+        base = obj + free_obj[depth]
+        bound = base
+        excesses = (load + free_load[depth] - slack).tolist()
+        for table, excess in zip(tables, excesses):
+            if excess > 0 and bound < cutoff:
+                bound = max(bound, base + _relief_cost(table, depth, excess))
+        if bound >= cutoff:
+            continue
         if depth == n:
-            if np.all(row_fixed <= slack):
-                if best_obj is None or obj_fixed < best_obj - _tol(best_obj):
-                    best_obj = obj_fixed
-                    best_x = tuple(prefix)
-            return
-        if best_obj is not None:
-            if lower_bound(depth, obj_fixed, row_fixed) > best_obj + _tol(best_obj):
-                return
-        elif lower_bound(depth, obj_fixed, row_fixed) == float("inf"):
-            return
-        prefix[depth] = 0
-        visit(depth + 1, obj_fixed, row_fixed)
-        prefix[depth] = 1
-        visit(depth + 1, obj_fixed + c[depth], row_fixed + a[:, depth])
-        prefix[depth] = 0
-
-    visit(0, 0.0, np.zeros(m))
-    if best_obj is None:
+            cutoff = obj - _tol(obj)
+            best_x = tuple(x)
+            continue
+        stack.append((depth + 1, 1, obj + costs[depth], load + columns[depth]))
+        stack.append((depth + 1, 0, obj, load))
+    if best_x is None:
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
     objective = float(c @ np.asarray(best_x, dtype=float))
     return IlpSolution(best_x, objective, STATUS_OPTIMAL)

@@ -3,9 +3,13 @@ import time
 import numpy as np
 import pytest
 
+from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ZeroOneProgram,
-                         constraint_violations, solve, solve_exhaustive,
-                         to_lp_format)
+                         constraint_violations, padded_bounds, solve,
+                         solve_exhaustive, to_lp_format)
+from memplan.migration import build_migration_program, price_live
+from memplan.planner import build_placement_program
+from memplan.profiles import GeneratorSpec, ProfileSet, generate_synthetic
 
 
 def random_program(rng, max_vars=10, max_constraints=3):
@@ -167,3 +171,75 @@ def test_program_stores_read_only_arrays_once():
     assert aliased.arrays()[0].tolist() == [1.0, 2.0]
     assert aliased.arrays()[1].tolist() == [[1.0, 2.0]]
     assert ZeroOneProgram((0.0, 0.0)).arrays()[1].shape == (0, 2)
+
+
+def test_tie_heavy_programs_match_the_oracle():
+    # Small integer coefficients, a fifth of them zero: many assignments
+    # share an objective value or sit exactly on a bound.
+    rng = np.random.default_rng(31)
+
+    def coeffs(n):
+        values = rng.integers(-5, 6, n).astype(float)
+        values[rng.random(n) < 0.2] = 0.0
+        return values
+
+    for _ in range(600):
+        n = int(rng.integers(1, 15))
+        program = ZeroOneProgram(coeffs(n), tuple(
+            (coeffs(n), float(rng.integers(-5, 8)))
+            for _ in range(int(rng.integers(0, 6)))))
+        got, want = solve(program), solve_exhaustive(program)
+        assert (got.status, got.assignment) == (want.status, want.assignment)
+
+
+def test_search_depth_is_not_limited_by_recursion():
+    rng = np.random.default_rng(8)
+    n = 1500
+    program = ZeroOneProgram(rng.uniform(0.1, 1.0, n),
+                             ((rng.uniform(-1.0, 1.0, n), 1.0),))
+    solution = solve(program)
+    assert solution.status == STATUS_OPTIMAL
+    assert solution.assignment == (0,) * n
+
+
+def test_matches_highs_beyond_the_oracle_size():
+    optimize = pytest.importorskip("scipy.optimize")
+    mb = 1 << 20
+    programs = []
+    for seed, count in enumerate((30, 38, 45, 52, 60)):
+        rng = np.random.default_rng(seed)
+        # Every object is alive at t=5, so migration sees the whole set.
+        ps = generate_synthetic(GeneratorSpec(
+            count=count, size_range=(2 * mb, 48 * mb), alloc_range=(0.0, 4.0),
+            lifetime_range=(2.0, 20.0)), seed)
+        total = sum(ps.size.tolist())
+        dev = make_testbed1(dram_capacity=rng.uniform(0.2, 0.8) * total,
+                            nvm_capacity=total)
+        for ratio in (0.6, 0.9):
+            programs.append(build_placement_program(
+                ps, dev, ratio, dev.dram_capacity)[0])
+        live = ProfileSet(tuple(o for o in ps if o.live_at(5.0)))
+        costs = price_live(live, dev, rng.random(len(live)) < 0.4, 5.0)
+        for ratio in (0.7, 0.9):
+            for transient in (False, True):
+                programs.append(build_migration_program(
+                    live, dev, costs, ratio * sum(costs.stay_energy.tolist()),
+                    dev.dram_capacity, transient)[0])
+    outcomes = set()
+    for program in programs:
+        c, a, b = program.arrays()
+        # HiGHS gets the same padded bounds and must close the gap fully.
+        want = optimize.milp(
+            c, integrality=np.ones(len(c)), bounds=optimize.Bounds(0, 1),
+            constraints=optimize.LinearConstraint(a, -np.inf,
+                                                  padded_bounds(b)),
+            options={"mip_rel_gap": 0})
+        assert want.status in (0, 2), want.message  # optimal or infeasible
+        got = solve(program)
+        outcomes.add(got.status)
+        assert got.status == (STATUS_OPTIMAL if want.status == 0
+                              else STATUS_INFEASIBLE)
+        if want.status == 0:
+            assert got.objective_value == pytest.approx(want.fun, rel=1e-6,
+                                                        abs=1e-9)
+    assert outcomes == {STATUS_OPTIMAL, STATUS_INFEASIBLE}

@@ -1,5 +1,6 @@
 import io
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -328,3 +329,26 @@ def test_diagnosis_names_the_rows_the_solver_finds_infeasible_alone():
         outcomes.add(bool(alone))
         assert diagnose_infeasibility(program, names) == (alone or names[:m])
     assert outcomes == {True, False}
+
+
+def test_zero_miss_objects_tie_without_an_exhaustive_search():
+    # Objects without LLC misses have objective coefficient 0, so every
+    # placement of them ties; the search must cut tied subtrees instead of
+    # visiting all 2^40 of them.
+    objects = tuple(ObjectProfile(f"z{i:02d}", (i + 1) * MB, 0.0, 4.0,
+                                  8 * (i + 1) * MB, 0.0, 0.0)
+                    for i in range(40))
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("plan_static ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        plan = plan_static(ProfileSet(objects), make_testbed1(), 1.0,
+                           major_threshold=0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert plan.status == ilp.STATUS_OPTIMAL
+    assert set(plan.placements.values()) == {NVM}

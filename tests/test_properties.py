@@ -11,10 +11,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from memplan.energy import nvm_latency  # noqa: E402
 from memplan.energy import testbed1 as make_testbed1  # noqa: E402
 from memplan.evaluator import evaluate  # noqa: E402
 from memplan.migration import MigrationRequest, plan_migration  # noqa: E402
-from memplan.planner import plan_static  # noqa: E402
+from memplan.planner import load_plan, plan_static, write_plan  # noqa: E402
 from memplan.profiles import (ObjectProfile, ProfileError,  # noqa: E402
                               ProfileSet, load_profiles, write_profiles)
 
@@ -27,9 +28,9 @@ fraction = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def object_sets(draw, max_objects=7):
+def object_sets(draw, max_objects=7, scales=(1.0, 1e3, 1e6, 1e9)):
     """Sets whose sizes, volumes and counts span many magnitudes."""
-    scale = draw(st.sampled_from((1.0, 1e3, 1e6, 1e9)))
+    scale = draw(st.sampled_from(scales))
     objects = []
     for i in range(draw(st.integers(1, max_objects))):
         size = draw(positive) * scale
@@ -75,6 +76,50 @@ def test_best_effort_migration_is_no_worse_than_staying(ps, first_ratio, t,
     assert moved.e_total_nj <= stay.e_total_nj + 1e-9 * abs(stay.e_total_nj)
     assert moved.objective_ns \
         <= stay.objective_ns + 1e-9 * abs(stay.objective_ns)
+
+
+@given(object_sets(scales=(1e12, 1e15)), fraction, fraction,
+       st.floats(min_value=0.5, max_value=1.2))
+@PROPERTY_SETTINGS
+def test_plans_called_optimal_pass_the_evaluator_at_extreme_magnitudes(
+        ps, dram_share, nvm_share, ratio):
+    # Sizes reach TiB and energies 1e15 nJ and beyond.
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=dram_share * total,
+                        nvm_capacity=(1.0 - dram_share + nvm_share) * total)
+    plan = plan_static(ps, dev, ratio, major_threshold=0)
+    assume(plan.feasible)
+    report = evaluate(ps, dev, plan)
+    assert report.budget_ok
+    assert report.capacity_ok
+
+
+@given(object_sets(), fraction, st.floats(min_value=0.3, max_value=1.2),
+       st.floats(min_value=0.0, max_value=0.5))
+@PROPERTY_SETTINGS
+def test_latency_does_not_increase_with_the_ratio(ps, dram_share, ratio,
+                                                  step):
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=dram_share * total, nvm_capacity=total)
+    tight = plan_static(ps, dev, ratio, major_threshold=0)
+    assume(tight.feasible)
+    loose = plan_static(ps, dev, ratio + step, major_threshold=0)
+    assert loose.feasible
+    # Ties are decided within the solver's tolerance on the latency saved.
+    slack = 1e-9 * sum(nvm_latency(ps, dev).tolist())
+    assert loose.objective_ns <= tight.objective_ns + slack
+
+
+@given(object_sets(), fraction, st.floats(min_value=0.3, max_value=1.2))
+@PROPERTY_SETTINGS
+def test_plans_round_trip_through_the_file_format(ps, dram_share, ratio):
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=dram_share * total, nvm_capacity=total)
+    first = io.StringIO()
+    write_plan(plan_static(ps, dev, ratio, major_threshold=0), first)
+    second = io.StringIO()
+    write_plan(load_plan(io.StringIO(first.getvalue())), second)
+    assert second.getvalue() == first.getvalue()
 
 
 def _maybe_profile(object_id, size, alloc, lifetime, volume, misses, dirty,
