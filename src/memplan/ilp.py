@@ -3,8 +3,9 @@
 Solves ``minimize c.x subject to A.x <= b, x in {0,1}^n``. Two routes with
 the same contract: `solve` (branch and bound) for real use and
 `solve_exhaustive` (full enumeration, n <= 24) as an independent oracle.
-Both are deterministic and break objective ties by returning the
-lexicographically smallest optimal assignment.
+Both are deterministic and return an assignment that is optimal within
+the tolerance; exact objective ties go to the lexicographically smallest
+optimal assignment.
 
 `solve` is a depth-first search on an explicit stack, so no recursion limit
 caps the number of variables. It fixes variable 0 first and tries 0 before
@@ -16,6 +17,15 @@ row's excess load at the least cost per unit of relief. Each row's bound
 table (its movable variables sorted by that rate) is built once per solve.
 A node is cut when its bound cannot beat the incumbent by more than the
 tolerance, ties included, so no cut subtree holds a replacing leaf.
+
+Before the search, `solve` rounds the root relaxation to one feasible leaf
+(the seed) and starts with a cutoff just above the seed's objective, so the
+search proves an optimum instead of walking toward it one improvement at a
+time. Any leaf no worse than the seed is still accepted, so an exact tie
+keeps its lexicographic winner. Only distinct objectives within about twice
+the tolerance of each other can end at a different, equally optimal leaf
+than the oracle's scan.
+
 Randomized tests keep the two routes equivalent. Constraint satisfaction
 and objective comparisons use a shared tolerance of 1e-9 relative with a
 1e-12 absolute floor.
@@ -23,7 +33,7 @@ and objective comparisons use a shared tolerance of 1e-9 relative with a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,6 +117,8 @@ class IlpSolution:
     assignment: tuple[int, ...]
     objective_value: float
     status: str
+    # Search nodes `solve` popped; telemetry only, never part of a result.
+    nodes: int = field(default=0, compare=False)
 
 
 def constraint_violations(program: ZeroOneProgram,
@@ -141,10 +153,14 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
     best_obj: float | None = None
     best_index = -1
 
+    # A chunk's low bits repeat in every chunk; only the high columns (the
+    # first ``high``) change, and they are constant within a chunk.
     chunk = 1 << min(_CHUNK_BITS, n)
+    high = n - min(_CHUNK_BITS, n)
+    bits = ((np.arange(chunk, dtype=np.uint32)[:, None] >> shifts[None, :])
+            & 1).astype(float)
     for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
+        bits[:, :high] = (start >> shifts[:high]) & 1
         feasible = np.all(bits @ a.T <= slack[None, :], axis=1)
         if not feasible.any():
             continue
@@ -213,6 +229,50 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _seed(c: np.ndarray, columns: np.ndarray, slack: np.ndarray,
+          neg: np.ndarray, tables: list, load: np.ndarray
+          ) -> tuple[tuple[int, ...], float] | None:
+    """(assignment, objective) of a feasible leaf rounded from the root.
+
+    The root relaxation takes every negative-cost variable. If that
+    overloads some row, the row with the dearest relief walks its bound
+    table, flipping variables (releasing a taken one, raising an untaken
+    one) up to the first that leaves every row within its slack; then each
+    flipped variable, last first, is flipped back if every row still fits.
+    None when no prefix of the walk fits or the leaf fails the search's
+    own check.
+    """
+    x = neg.copy()
+    excess = load - slack
+    over = np.flatnonzero(excess > 0)
+    if over.size:
+        reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
+        if max(reliefs) == float("inf"):
+            return None
+        var = tables[over[int(np.argmax(reliefs))]][0]
+        signed = np.where(neg[var], -1.0, 1.0)[:, None] * columns[var]
+        loads = load + signed.cumsum(0)
+        fits = np.flatnonzero(np.all(loads <= slack, axis=1))
+        if not fits.size:
+            return None
+        k = int(fits[0])
+        x[var[:k + 1]] = ~neg[var[:k + 1]]
+        load = loads[k]
+        for j, delta in zip(var[k::-1], signed[k::-1]):
+            back = load - delta
+            if np.all(back <= slack):
+                load = back
+                x[j] = neg[j]
+    # Priced as the search prices a leaf: from zero, adding the taken
+    # variables in index order, so objective and load carry its bits.
+    sel = np.flatnonzero(x)
+    obj = float(np.concatenate(([0.0], c[sel])).cumsum()[-1])
+    load = np.vstack((np.zeros(len(slack)), columns[sel])).cumsum(0)[-1]
+    if not np.all(load <= slack):
+        return None
+    return tuple(x.astype(int).tolist()), obj
+
+
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
     c, a, b = program.arrays()
@@ -228,10 +288,18 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
 
     cutoff = float("inf")  # a leaf must fall below this to be the incumbent
     best_x: tuple[int, ...] | None = None
+    seed = _seed(c, columns, slack, neg, tables, free_load[0])
+    if seed is not None:
+        # Every leaf up to the seed's objective stays acceptable, the seed
+        # included; the seed itself answers if rounding cuts its path.
+        best_x, upper = seed
+        cutoff = upper + _tol(upper)
+    nodes = 0
     x = [0] * n
     stack = [(0, 0, 0.0, np.zeros(m))]
     while stack:
         depth, bit, obj, load = stack.pop()
+        nodes += 1
         if depth:
             x[depth - 1] = bit
         base = obj + free_obj[depth]
@@ -249,9 +317,9 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         stack.append((depth + 1, 1, obj + costs[depth], load + columns[depth]))
         stack.append((depth + 1, 0, obj, load))
     if best_x is None:
-        return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
+        return IlpSolution((), float("nan"), STATUS_INFEASIBLE, nodes)
     objective = float(c @ np.asarray(best_x, dtype=float))
-    return IlpSolution(best_x, objective, STATUS_OPTIMAL)
+    return IlpSolution(best_x, objective, STATUS_OPTIMAL, nodes)
 
 
 def to_lp_format(program: ZeroOneProgram) -> str:

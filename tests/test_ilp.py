@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memplan.energy import testbed1 as make_testbed1
-from memplan.ilp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ZeroOneProgram,
-                         constraint_violations, padded_bounds, solve,
-                         solve_exhaustive, to_lp_format)
+from memplan.ilp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, IlpSolution,
+                         ZeroOneProgram, _tol, constraint_violations,
+                         padded_bounds, solve, solve_exhaustive, to_lp_format)
 from memplan.migration import build_migration_program, price_live
 from memplan.planner import build_placement_program
 from memplan.profiles import GeneratorSpec, ProfileSet, generate_synthetic
@@ -243,3 +243,44 @@ def test_matches_highs_beyond_the_oracle_size():
             assert got.objective_value == pytest.approx(want.fun, rel=1e-6,
                                                         abs=1e-9)
     assert outcomes == {STATUS_OPTIMAL, STATUS_INFEASIBLE}
+
+
+def test_near_ties_stay_within_the_tolerance_of_the_oracle():
+    # Integer costs perturbed by multiples of 0.6e-9 relative: distinct
+    # objectives within a tolerance or two of each other. Either optimum is
+    # an answer; the objectives agree to the tolerance (plus rounding at its
+    # edge), and feasibility is exact.
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(1000):
+        n = int(rng.integers(10, 15))
+        m = int(rng.integers(1, 4))
+        c = rng.integers(-2, 2, n) * (1 + 0.6e-9 * rng.integers(-6, 7, n))
+        a = rng.integers(-3, 4, (m, n)).astype(float)
+        program = ZeroOneProgram(c, tuple(zip(a, rng.integers(-3, 6, m))))
+        got, want = solve(program), solve_exhaustive(program)
+        outcomes.add(got.status)
+        assert got.status == want.status
+        if want.status == STATUS_OPTIMAL:
+            assert abs(got.objective_value - want.objective_value) \
+                <= 1.000001 * _tol(want.objective_value)
+            assert constraint_violations(program, got.assignment) == []
+    assert outcomes == {STATUS_OPTIMAL, STATUS_INFEASIBLE}
+
+
+def test_loose_budget_needs_one_descent():
+    # Ample DRAM and a budget the all-DRAM placement meets: the rounded
+    # relaxation is the optimum, so the search pops each depth's two
+    # children and the root, and proves it.
+    ps = generate_synthetic(GeneratorSpec(count=200,
+                                          size_range=(2 << 20, 48 << 20)), 1)
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=total, nvm_capacity=total)
+    program = build_placement_program(ps, dev, 1.0, dev.dram_capacity)[0]
+    solution = solve(program)
+    n = program.num_variables
+    assert solution.assignment == (1,) * n
+    assert solution.nodes == 2 * n + 1
+    # The node count is telemetry: it takes no part in equality.
+    assert solution == IlpSolution(solution.assignment,
+                                   solution.objective_value, STATUS_OPTIMAL)

@@ -352,3 +352,25 @@ def test_zero_miss_objects_tie_without_an_exhaustive_search():
         signal.signal(signal.SIGALRM, previous)
     assert plan.status == ilp.STATUS_OPTIMAL
     assert set(plan.placements.values()) == {NVM}
+
+
+def test_loose_budget_all_dram_optimum_is_found_at_once():
+    # At ratio 1.0 with room for everything the optimum puts every object
+    # in DRAM; the search must not walk there from the all-NVM leaf one
+    # improvement at a time.
+    ps = instance(1, count=200)
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=total, nvm_capacity=total)
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("plan_static ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        plan = plan_static(ps, dev, 1.0, major_threshold=0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert plan.status == ilp.STATUS_OPTIMAL
+    assert set(plan.placements.values()) == {DRAM}
