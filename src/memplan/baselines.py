@@ -27,7 +27,7 @@ def _finish(major: ProfileSet, minor: ProfileSet, dev: DeviceSpec,
             reserved_dram_bytes: float,
             status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
-    placements = {o.id: DRAM for o in minor}
+    placements = dict.fromkeys(minor.ids(), DRAM)
     placements.update(zip(major.ids(), (DRAM if x else NVM for x in on_dram)))
     objective, energy = summarize_assignment(major, dev, on_dram)
     all_dram_energy = sum(dram_energy(major, dev).tolist(), 0.0)
@@ -78,17 +78,20 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
     """
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
-    for obj in major:
-        if obj.llc_mpki is None:
-            raise ValueError(f"object {obj.id!r} has no llc_mpki value")
+    mpki = major.llc_mpki
+    missing = np.isnan(mpki)
+    if missing.any():
+        object_id = major.ids()[int(np.argmax(missing))]
+        raise ValueError(f"object {object_id!r} has no llc_mpki value")
 
-    on_dram = [1 if obj.llc_mpki >= mpki_threshold else 0 for obj in major]
+    hot = mpki >= mpki_threshold
+    on_dram = hot.astype(int).tolist()
     sizes = major.size.tolist()
-    dram_bytes = sum(s for s, x in zip(sizes, on_dram) if x)
-    nvm_bytes = sum(s for s, x in zip(sizes, on_dram) if not x)
+    dram_bytes = sum(major.size[hot].tolist())
+    nvm_bytes = sum(major.size[~hot].tolist())
 
     # Demote coldest DRAM residents first (ties broken by profile order).
-    order = sorted(range(len(major)), key=lambda i: (major.objects[i].llc_mpki, i))
+    order = np.argsort(mpki, kind="stable").tolist()
     for i in order:
         if dram_bytes <= dram_free:
             break

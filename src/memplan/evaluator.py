@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .energy import DeviceSpec, dram_energy, price_placement
 from .planner import DRAM, NVM, PlacementPlan, plan_static
@@ -48,37 +50,34 @@ class EvaluationReport:
         return self.capacity_ok_dram and self.capacity_ok_nvm
 
 
-def _peak_bytes(objects: Iterable, device: str,
-                placements: dict[str, str]) -> float:
-    # Sweep alloc/dealloc events; frees at time t happen before allocations
-    # at the same instant (half-open lifetimes).
-    events = []
-    for obj in objects:
-        if placements[obj.id] != device:
-            continue
-        events.append((obj.alloc_time, obj.size))
-        events.append((obj.dealloc_time, -obj.size))
-    events.sort(key=lambda e: (e[0], e[1]))
-    level = 0.0
-    peak = 0.0
-    for _, delta in events:
-        level += delta
-        peak = max(peak, level)
-    return peak
+def _peak_bytes(profiles: ProfileSet, on_device: np.ndarray) -> float:
+    # Sweep alloc/dealloc events in (time, delta) order, so frees at time t
+    # happen before allocations at the same instant (half-open lifetimes);
+    # the running level is a sequential sum.
+    size = profiles.size[on_device]
+    times = np.concatenate((profiles.alloc_time[on_device],
+                            profiles.dealloc_time[on_device]))
+    deltas = np.concatenate((size, -size))
+    levels = np.cumsum(deltas[np.lexsort((deltas, times))])
+    return max(0.0, float(levels.max(initial=0.0)))
 
 
 def evaluate(profiles: ProfileSet, dev: DeviceSpec,
              plan: PlacementPlan) -> EvaluationReport:
     """Score a plan from scratch; every profiled object must be placed."""
-    for obj in profiles:
-        if obj.id not in plan.placements:
-            raise ValueError(f"plan does not cover object {obj.id!r}")
-        if plan.placements[obj.id] not in (DRAM, NVM):
-            raise ValueError(f"object {obj.id!r} has no concrete device")
+    ids = profiles.ids()
+    devices = list(map(plan.placements.get, ids))
+    on_dram = np.array([d == DRAM for d in devices], dtype=bool)
+    on_nvm = np.array([d == NVM for d in devices], dtype=bool)
+    if not np.all(on_dram | on_nvm):
+        object_id = ids[int(np.argmin(on_dram | on_nvm))]
+        if object_id not in plan.placements:
+            raise ValueError(f"plan does not cover object {object_id!r}")
+        raise ValueError(f"object {object_id!r} has no concrete device")
 
+    major_mask = profiles.accessed_volume > plan.major_threshold
     major, minor = filter_major(profiles, plan.major_threshold)
-    latencies, energies = price_placement(
-        major, dev, [plan.placements[o.id] == DRAM for o in major])
+    latencies, energies = price_placement(major, dev, on_dram[major_mask])
     breakdown = dict(zip(major.ids(), energies.tolist()))
     latency = sum(latencies.tolist(), 0.0)
     minor_energy = float(sum(dram_energy(minor, dev).tolist()))
@@ -93,8 +92,8 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
     else:
         ratio = 1.0 if total == 0 else float("inf")
 
-    static_dram = sum(o.size for o in profiles if plan.placements[o.id] == DRAM)
-    static_nvm = sum(o.size for o in profiles if plan.placements[o.id] == NVM)
+    static_dram = sum(profiles.size[on_dram].tolist())
+    static_nvm = sum(profiles.size[on_nvm].tolist())
     dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
     capacity_ok_dram = static_dram <= dram_limit + _REL_TOL * max(1.0, dram_limit)
     capacity_ok_nvm = static_nvm <= dev.nvm_capacity \
@@ -114,8 +113,8 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
         budget_ok=budget_ok,
         static_dram_bytes=static_dram,
         static_nvm_bytes=static_nvm,
-        peak_dram_bytes=_peak_bytes(profiles, DRAM, plan.placements),
-        peak_nvm_bytes=_peak_bytes(profiles, NVM, plan.placements),
+        peak_dram_bytes=_peak_bytes(profiles, on_dram),
+        peak_nvm_bytes=_peak_bytes(profiles, on_nvm),
         minor_dram_energy_nj=minor_energy,
         breakdown=breakdown,
     )

@@ -26,9 +26,9 @@ keeps its lexicographic winner. Only distinct objectives within about twice
 the tolerance of each other can end at a different, equally optimal leaf
 than the oracle's scan.
 
-Randomized tests keep the two routes equivalent. Constraint satisfaction
-and objective comparisons use a shared tolerance of 1e-9 relative with a
-1e-12 absolute floor.
+Randomized tests keep the two routes equivalent. Objective comparisons use
+a tolerance of 1e-9 relative with a 1e-12 absolute floor, and so does each
+constraint unless its program gives the row a tolerance of its own.
 """
 
 from __future__ import annotations
@@ -52,9 +52,14 @@ def _tol(reference: float) -> float:
     return max(ABS_TOL, REL_TOL * abs(reference))
 
 
+def _bound_tolerances(b: np.ndarray) -> np.ndarray:
+    return np.maximum(ABS_TOL, REL_TOL * np.abs(b))
+
+
 def padded_bounds(b: np.ndarray) -> np.ndarray:
-    """Each bound plus the feasibility tolerance ``max(ABS_TOL, REL_TOL*|b|)``."""
-    return b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))
+    """Each bound plus the feasibility tolerance ``max(ABS_TOL, REL_TOL*|b|)``
+    that rows get unless their program gives their own."""
+    return b + _bound_tolerances(b)
 
 
 def _frozen(values) -> np.ndarray:
@@ -69,12 +74,18 @@ class ZeroOneProgram:
 
     Coefficients may be given as sequences or arrays; they are stored once
     as read-only float arrays, and ``constraints`` holds (row, bound) pairs
-    whose rows are views of the constraint matrix.
+    whose rows are views of the constraint matrix. ``tolerances`` holds
+    each row's absolute feasibility tolerance, by default the one of
+    `padded_bounds`. A row whose bound is a difference that cancels (a
+    budget less a large fixed part) should pass the tolerance of the
+    quantity it limits instead, since the bound's magnitude says nothing
+    about the precision that quantity is checked to.
     """
 
     objective_coeffs: np.ndarray
     constraints: tuple[tuple[np.ndarray, float], ...] = ()
     variable_names: tuple[str, ...] = ()
+    tolerances: Sequence[float] | np.ndarray = ()
 
     def __post_init__(self) -> None:
         c = _frozen(self.objective_coeffs)
@@ -97,11 +108,20 @@ class ZeroOneProgram:
         for i, row in enumerate(a):
             if not np.all(np.isfinite(row)) or not np.isfinite(b[i]):
                 raise ValueError(f"constraint {i} has non-finite entries")
+        tol = _frozen(self.tolerances) if len(self.tolerances) \
+            else _bound_tolerances(b)
+        if tol.shape != b.shape or not np.all(np.isfinite(tol) & (tol >= 0)):
+            raise ValueError(
+                "one finite tolerance >= 0 per constraint required")
+        slack = b + tol
+        tol.flags.writeable = slack.flags.writeable = False
         object.__setattr__(self, "objective_coeffs", c)
         object.__setattr__(self, "constraints", tuple(zip(a, b.tolist())))
         object.__setattr__(self, "variable_names", names)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "tolerances", tol)
+        object.__setattr__(self, "_slack", slack)
 
     @property
     def num_variables(self) -> int:
@@ -110,6 +130,10 @@ class ZeroOneProgram:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, A, b) as read-only float arrays; A is (m, n) even when m == 0."""
         return self.objective_coeffs, self._a, self._b
+
+    def slack(self) -> np.ndarray:
+        """Each bound plus its row's tolerance: the most load a row accepts."""
+        return self._slack
 
 
 @dataclass(frozen=True)
@@ -128,7 +152,7 @@ def constraint_violations(program: ZeroOneProgram,
     if len(assignment) != program.num_variables:
         raise ValueError("assignment length does not match program")
     x = np.asarray(assignment, dtype=float)
-    slack = padded_bounds(b)
+    slack = program.slack()
     return [f"constraint {i}" for i in range(len(b))
             if float(a[i] @ x) > slack[i]]
 
@@ -141,9 +165,9 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
             f"exhaustive enumeration limited to {EXHAUSTIVE_MAX_VARIABLES} "
             f"variables, got {n}")
     c, a, b = program.arrays()
-    # Padded here, not by `padded_bounds`, so the oracle shares no code with
-    # the solver it checks.
-    slack = b + np.maximum(ABS_TOL, REL_TOL * np.abs(b))
+    # Padded here, not by `ZeroOneProgram.slack`, so the oracle shares no
+    # code with the solver it checks.
+    slack = b + program.tolerances
     if n == 0:
         if np.all(0.0 <= slack):
             return IlpSolution((), 0.0, STATUS_OPTIMAL)
@@ -277,7 +301,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
     c, a, b = program.arrays()
     n, m = len(c), len(b)
-    slack = padded_bounds(b)
+    slack = program.slack()
     neg = c < 0
     # The relaxation at depth d takes every free negative-cost variable.
     free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()

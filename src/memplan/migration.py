@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import IO, Sequence
 import os
 
@@ -235,8 +236,7 @@ def build_migration_program(live: ProfileSet, dev: DeviceSpec,
     """
     return build_program(
         live, costs.on_dram, (costs.stay_latency, costs.stay_energy),
-        (costs.move_latency, costs.move_energy),
-        requirement - float(costs.stay_energy.sum()), dram_free,
+        (costs.move_latency, costs.move_energy), requirement, dram_free,
         dev.nvm_capacity, transient_capacity)
 
 
@@ -258,22 +258,21 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         reserved_dram_bytes = current.reserved_dram_bytes
     major, minor = filter_major(profiles, current.major_threshold)
 
-    live = ProfileSet(tuple(o for o in major if o.live_at(t)))
-    dead = ProfileSet(tuple(o for o in major if o.dealloc_time <= t))
-    future = [o for o in major if o.alloc_time > t]
-    for obj in live.objects + dead.objects:
-        if obj.id not in current.placements:
+    live = major.take(major.live_at(t))
+    dead = major.take(major.dealloc_time <= t)
+    future_ids = tuple(compress(major.ids(), (major.alloc_time > t).tolist()))
+    for object_id in live.ids() + dead.ids():
+        if object_id not in current.placements:
             raise ValueError(
-                f"current plan does not place object {obj.id!r}")
+                f"current plan does not place object {object_id!r}")
 
-    live_minor_bytes = sum(o.size for o in minor if o.live_at(t))
+    live_minor_bytes = sum(minor.size[minor.live_at(t)].tolist())
     dram_free = dev.dram_capacity - reserved_dram_bytes - live_minor_bytes
     if dram_free < 0:
         raise CapacityError(
             "live minor objects and reservation exceed DRAM capacity")
 
-    costs = price_live(live, dev,
-                       [current.placements[o.id] == DRAM for o in live], t)
+    costs = price_live(live, dev, _on_dram(current, live), t)
     requirement = request.new_ratio * sum(dram_energy(live, dev).tolist()) \
         if request.strict else float(sum(costs.stay_energy.tolist()))
 
@@ -299,7 +298,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     post_dram = costs.on_dram != migrate
     decisions = tuple(
         MigrationDecision(
-            id=obj.id,
+            id=object_id,
             current_device=DRAM if here else NVM,
             target_device=DRAM if there else NVM,
             migrate=x,
@@ -307,20 +306,17 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
             migration_cost_nj=cost,
             migration_time_ns=copy_time,
         )
-        for obj, here, there, x, energy, cost, copy_time in zip(
-            live, costs.on_dram.tolist(), post_dram.tolist(),
+        for object_id, here, there, x, energy, cost, copy_time in zip(
+            live.ids(), costs.on_dram.tolist(), post_dram.tolist(),
             migrate.tolist(), energies,
             np.where(migrate, costs.copy_energy, 0.0).tolist(),
             np.where(migrate, costs.copy_time, 0.0).tolist()))
 
-    _, dead_energies = price_placement(
-        dead, dev, [current.placements[o.id] == DRAM for o in dead])
+    _, dead_energies = price_placement(dead, dev, _on_dram(current, dead))
 
     future_plan = None
-    if plan_future and future:
-        future_set = ProfileSet(
-            tuple(o for o in profiles if o.alloc_time > t),
-            profiles.workload_label, profiles.workload_size)
+    if plan_future and future_ids:
+        future_set = profiles.take(profiles.alloc_time > t)
         live_post_dram = sum(live.size[post_dram].tolist())
         live_post_nvm = sum(live.size.tolist()) - live_post_dram
         residual = dev.with_capacities(
@@ -343,10 +339,15 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         objective_ns=sum(latencies.tolist(), 0.0),
         dead_energy_nj=sum(dead_energies.tolist()),
         dead_ids=dead.ids(),
-        future_ids=tuple(o.id for o in future),
+        future_ids=future_ids,
         future_plan=future_plan,
         binding_constraints=binding,
     )
+
+
+def _on_dram(plan: PlacementPlan, profiles: ProfileSet) -> list[bool]:
+    return [plan.placements[object_id] == DRAM
+            for object_id in profiles.ids()]
 
 
 def write_migration_plan(plan: MigrationPlan,

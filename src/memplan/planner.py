@@ -85,28 +85,38 @@ def _major_minor(profiles: ProfileSet, major_threshold: float,
     return major, minor, dram_free
 
 
-def _normalized(coeffs: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
-    # Unit-magnitude rows keep nano-joule and byte scales from swamping the
-    # solver's tolerances.
+def _normalized(coeffs: np.ndarray, bound: float,
+                limit: float) -> tuple[np.ndarray, float, float]:
+    """(row, bound, tolerance) of one ``<=`` row, scaled to unit magnitude.
+
+    Unit-magnitude rows keep nano-joule and byte scales from swamping the
+    solver's tolerances. The tolerance is the solver's relative one, taken
+    of ``limit``, the capacity, budget or requirement the evaluator checks
+    the row's quantity against, not of the bound: a bound like ``budget -
+    sum of NVM energies`` cancels, and its magnitude can be many times the
+    budget's.
+    """
     scale = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
     if scale > 0:
-        return coeffs / scale, bound / scale
-    return coeffs, bound
+        coeffs, bound, limit = coeffs / scale, bound / scale, limit / scale
+    return coeffs, bound, max(ilp.ABS_TOL, ilp.REL_TOL * abs(limit))
 
 
 def build_program(objects: ProfileSet, on_dram: np.ndarray,
                   stay: tuple[np.ndarray, np.ndarray],
-                  move: tuple[np.ndarray, np.ndarray], energy_bound: float,
+                  move: tuple[np.ndarray, np.ndarray], energy_limit: float,
                   dram_free: float, nvm_capacity: float,
-                  transient_capacity: bool = False
+                  transient_capacity: bool = False, fixed_energy: float = 0.0
                   ) -> tuple[ilp.ZeroOneProgram, float]:
     """The 0-1 program of placement and migration; variable 1 means move.
 
     An object moves off its current device (DRAM where ``on_dram``).
-    ``stay`` and ``move`` are its (latency ns, energy nJ) either way, and
-    moving may add at most ``energy_bound`` nJ. Returns (program, offset):
-    the offset is the stay-put latency. Rows follow CONSTRAINT_NAMES; with
-    ``transient_capacity`` a moving object also holds its source space.
+    ``stay`` and ``move`` are its (latency ns, energy nJ) either way. The
+    energy of every object, plus ``fixed_energy`` nJ spent outside the
+    program, must stay within ``energy_limit`` nJ. Returns (program,
+    offset): the offset is the stay-put latency. Rows follow
+    CONSTRAINT_NAMES; with ``transient_capacity`` a moving object also
+    holds its source space.
     """
     sizes = objects.size
     cp = np.asarray(on_dram, dtype=float)
@@ -120,12 +130,16 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     flip = (1.0 - 2.0 * cp) * sizes
     dram_bound = dram_free - float((cp * sizes).sum())
     nvm_bound = nvm_capacity - float(((1.0 - cp) * sizes).sum())
-    rows = [_normalized(flip, dram_bound), _normalized(-flip, nvm_bound),
-            _normalized(move_energy - stay_energy, energy_bound)]
+    energy_bound = energy_limit - float(stay_energy.sum()) - fixed_energy
+    rows = [_normalized(flip, dram_bound, dram_free),
+            _normalized(-flip, nvm_bound, nvm_capacity),
+            _normalized(move_energy - stay_energy, energy_bound, energy_limit)]
     if transient_capacity:
-        rows += [_normalized((1.0 - cp) * sizes, dram_bound),
-                 _normalized(cp * sizes, nvm_bound)]
-    program = ilp.ZeroOneProgram(scaled_objective, rows, objects.ids())
+        rows += [_normalized((1.0 - cp) * sizes, dram_bound, dram_free),
+                 _normalized(cp * sizes, nvm_bound, nvm_capacity)]
+    program = ilp.ZeroOneProgram(
+        scaled_objective, [(row, bound) for row, bound, _ in rows],
+        objects.ids(), [tol for _, _, tol in rows])
     return program, float(stay_latency.sum())
 
 
@@ -144,9 +158,8 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
     budget = ratio * (float(de.sum()) + extra_budget_energy)
     return build_program(
         major, np.zeros(len(major), dtype=bool), (nvm_latency(major, dev), ne),
-        (dram_latency(major, dev), de),
-        budget - float(ne.sum()) - extra_budget_energy,
-        dram_free, dev.nvm_capacity)
+        (dram_latency(major, dev), de), budget, dram_free, dev.nvm_capacity,
+        fixed_energy=extra_budget_energy)
 
 
 def diagnose_infeasibility(program: ilp.ZeroOneProgram,
@@ -156,13 +169,13 @@ def diagnose_infeasibility(program: ilp.ZeroOneProgram,
 
     A ``<=`` row over binary variables is unsatisfiable alone exactly when
     its least load, the sum of its negative coefficients, exceeds its bound
-    plus the solver's tolerance. When every row is satisfiable alone, all
+    plus the row's tolerance. When every row is satisfiable alone, all
     of them are named: they conflict jointly.
     """
     _, a, b = program.arrays()
     least = np.minimum(a, 0.0).sum(axis=1)
     singles = tuple(names[i] if i < len(names) else f"constraint {i}"
-                    for i in np.flatnonzero(least > ilp.padded_bounds(b)))
+                    for i in np.flatnonzero(least > program.slack()))
     return singles or tuple(names[:len(b)])
 
 
@@ -195,7 +208,7 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
                                          extra_budget_energy=extra)
     solution = ilp.solve(program)
 
-    placements = {o.id: DRAM for o in minor}
+    placements = dict.fromkeys(minor.ids(), DRAM)
     budget = ratio * (sum(dram_energy(major, dev).tolist()) + extra)
     if solution.status == ilp.STATUS_INFEASIBLE:
         return _infeasible_plan(

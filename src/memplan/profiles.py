@@ -13,10 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +50,14 @@ class GeneratorError(ValueError):
     """Synthetic profile generator given an unsatisfiable parameter set."""
 
 
+def _bad_id(object_id: str) -> bool:
+    # A profile file splits on commas and line breaks, strips each field
+    # and skips lines that start with '#'.
+    return (not object_id or "," in object_id
+            or object_id.splitlines() != [object_id]
+            or object_id != object_id.strip() or object_id.startswith("#"))
+
+
 @dataclass(frozen=True)
 class ObjectProfile:
     """Access-pattern record for one heap object.
@@ -67,10 +78,7 @@ class ObjectProfile:
     def __post_init__(self) -> None:
         if not self.id:
             raise ProfileError("object id must be a non-empty string")
-        # A profile file splits on commas and line breaks, strips each field
-        # and skips lines that start with '#'.
-        if "," in self.id or self.id.splitlines() != [self.id] \
-                or self.id != self.id.strip() or self.id.startswith("#"):
+        if _bad_id(self.id):
             raise ProfileError(
                 f"object id {self.id!r} contains a separator character, "
                 "surrounding whitespace or a leading '#'")
@@ -113,64 +121,171 @@ class ObjectProfile:
         return self.alloc_time <= t < self.dealloc_time
 
 
-def _column(name: str) -> cached_property:
-    def column(self: "ProfileSet") -> np.ndarray:
-        return np.fromiter((getattr(o, name) for o in self.objects), float,
-                           len(self.objects))
-    return cached_property(column)
+# Numeric fields of ObjectProfile, in its argument order and the file's
+# column order; a ProfileSet stores them as the rows of one float table.
+_NUMERIC = ("size", "alloc_time", "dealloc_time", "accessed_volume",
+            "llc_misses", "dirty_blocks")
 
 
-@dataclass(frozen=True)
+def _rejected(table: np.ndarray, mpki: np.ndarray,
+              mpki_given: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the records whose numbers ObjectProfile rejects.
+
+    ``table`` holds the _NUMERIC rows; ``mpki`` is NaN where a record has
+    none, and ``mpki_given`` marks the records that spelled one out (a file
+    can spell NaN), by default those whose mpki is not NaN. The same rules
+    as ObjectProfile.__post_init__, over whole columns.
+    """
+    size, alloc, dealloc, volume, misses, dirty = table
+    if mpki_given is None:
+        mpki_given = ~np.isnan(mpki)
+    with np.errstate(invalid="ignore"):
+        valid = (np.isfinite(table).all(axis=0) & (size > 0) & (volume >= 0)
+                 & (misses >= 0) & (dirty >= 0) & (dealloc > alloc)
+                 & ~(mpki_given & ~(np.isfinite(mpki) & (mpki >= 0))))
+    return ~valid
+
+
 class ProfileSet:
     """Ordered collection of object profiles for one profiled workload.
 
-    Each numeric field of ObjectProfile is also a float array over the
-    set (``size``, ``lifetime``, ...), in profile order. The pricing
-    formulas take a set in place of one object and price every object
-    elementwise, giving the same doubles as one call per object.
+    The set is stored as columns in profile order: the ids, one read-only
+    float array per numeric field of ObjectProfile (``size``,
+    ``alloc_time``, ..., and the derived ``lifetime``) and ``llc_mpki``,
+    which is NaN where an object has none. The pricing formulas take a set
+    in place of one object and price every object elementwise, giving the
+    same doubles as one call per object. The id ``index`` and the
+    ObjectProfile tuple (``objects``, iteration, ``get``) are built on
+    first use and kept.
     """
 
-    objects: tuple[ObjectProfile, ...]
-    workload_label: str = ""
-    workload_size: float | None = None
+    def __init__(self, objects: Iterable[ObjectProfile] = (),
+                 workload_label: str = "",
+                 workload_size: float | None = None) -> None:
+        objects = tuple(objects)
+        table = np.array([[getattr(o, name) for name in _NUMERIC]
+                          for o in objects], dtype=float)
+        self._fill(tuple(o.id for o in objects),
+                   table.reshape(-1, len(_NUMERIC)).T,
+                   np.array([o.llc_mpki for o in objects], dtype=float),
+                   workload_label, workload_size)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(self.objects))
-        seen: set[str] = set()
-        for obj in self.objects:
-            if obj.id in seen:
-                raise ProfileError(f"duplicate object id {obj.id!r}")
-            seen.add(obj.id)
-        if self.workload_size is not None and not math.isfinite(self.workload_size):
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], *, size, alloc_time,
+                     dealloc_time, accessed_volume, llc_misses, dirty_blocks,
+                     llc_mpki=None, workload_label: str = "",
+                     workload_size: float | None = None) -> "ProfileSet":
+        """A set from one id and one value per object in each column.
+
+        ``llc_mpki`` may be None or hold NaN for objects without one. The
+        first object ObjectProfile would reject raises its ProfileError.
+        """
+        ids = tuple(ids)
+        table = np.array([size, alloc_time, dealloc_time, accessed_volume,
+                          llc_misses, dirty_blocks], dtype=float)
+        table = table.reshape(len(_NUMERIC), len(ids))
+        mpki = np.array([None] * len(ids) if llc_mpki is None else llc_mpki,
+                        dtype=float)
+        bad = _rejected(table, mpki) | np.fromiter(map(_bad_id, ids), bool,
+                                                   len(ids))
+        if bad.any():
+            _object_at(ids, table, mpki, int(np.argmax(bad)))
+        return cls._of(ids, table, mpki, workload_label, workload_size)
+
+    @classmethod
+    def _of(cls, ids: tuple[str, ...], table: np.ndarray, mpki: np.ndarray,
+            workload_label: str, workload_size: float | None) -> "ProfileSet":
+        # Columns already checked against the ObjectProfile rules.
+        profiles = cls.__new__(cls)
+        profiles._fill(ids, table, mpki, workload_label, workload_size)
+        return profiles
+
+    def _fill(self, ids: tuple[str, ...], table: np.ndarray,
+              mpki: np.ndarray, workload_label: str,
+              workload_size: float | None) -> None:
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for object_id in ids:
+                if object_id in seen:
+                    raise ProfileError(f"duplicate object id {object_id!r}")
+                seen.add(object_id)
+        if workload_size is not None and not math.isfinite(workload_size):
             raise ProfileError("workload_size must be finite")
+        table = np.array(table, dtype=float)
+        mpki = np.array(mpki, dtype=float)
+        lifetime = table[2] - table[1]
+        for array in (table, mpki, lifetime):
+            array.flags.writeable = False
+        self.__dict__.update(zip(_NUMERIC, table))
+        self.__dict__.update(
+            _ids=ids, _table=table, lifetime=lifetime,
+            llc_mpki=mpki, workload_label=workload_label,
+            workload_size=workload_size)
 
-    def __len__(self) -> int:
-        return len(self.objects)
-
-    def __iter__(self) -> Iterator[ObjectProfile]:
-        return iter(self.objects)
-
-    size = _column("size")
-    alloc_time = _column("alloc_time")
-    dealloc_time = _column("dealloc_time")
-    accessed_volume = _column("accessed_volume")
-    llc_misses = _column("llc_misses")
-    dirty_blocks = _column("dirty_blocks")
-    lifetime = _column("lifetime")
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"ProfileSet is read-only ({name!r})")
 
     @cached_property
     def index(self) -> dict[str, int]:
         """Position of each object id in profile order."""
-        return {obj.id: i for i, obj in enumerate(self.objects)}
+        return dict(zip(self._ids, range(len(self._ids))))
+
+    @cached_property
+    def objects(self) -> tuple[ObjectProfile, ...]:
+        mpki = [None if math.isnan(m) else m for m in self.llc_mpki.tolist()]
+        return tuple(map(ObjectProfile, self._ids, *self._table.tolist(),
+                         mpki))
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[ObjectProfile]:
+        return iter(self.objects)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProfileSet):
+            return NotImplemented
+        return (self._ids == other._ids
+                and self.workload_label == other.workload_label
+                and self.workload_size == other.workload_size
+                and np.array_equal(self._table, other._table)
+                and np.array_equal(self.llc_mpki, other.llc_mpki,
+                                   equal_nan=True))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"ProfileSet({self.objects!r}, {self.workload_label!r}, "
+                f"{self.workload_size!r})")
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(obj.id for obj in self.objects)
+        return self._ids
 
     def get(self, object_id: str) -> ObjectProfile:
         return self.objects[self.index[object_id]]
 
     def total_size(self) -> float:
-        return sum(obj.size for obj in self.objects)
+        return sum(self.size.tolist())
+
+    def live_at(self, t: float) -> np.ndarray:
+        """Mask of the objects allocated and not yet freed at time t."""
+        return (self.alloc_time <= t) & (t < self.dealloc_time)
+
+    def take(self, mask: Sequence[bool] | np.ndarray) -> "ProfileSet":
+        """The objects where ``mask`` is true, in profile order, with this
+        set's label and workload size."""
+        mask = np.asarray(mask, dtype=bool)
+        return ProfileSet._of(tuple(compress(self._ids, mask.tolist())),
+                              self._table[:, mask], self.llc_mpki[mask],
+                              self.workload_label, self.workload_size)
+
+
+def _object_at(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
+               k: int) -> ObjectProfile:
+    """ObjectProfile of record k of the columns (raises if it is invalid)."""
+    values = table[:, k].tolist()
+    m = float(mpki[k])
+    return ObjectProfile(ids[k], *values, None if math.isnan(m) else m)
 
 
 @dataclass(frozen=True)
@@ -223,13 +338,24 @@ def open_text(target: str | os.PathLike | IO[str], mode: str = "r"
         yield handle
 
 
+def _record(fields: list[str]) -> ObjectProfile:
+    """One split record as an ObjectProfile, raising the ProfileError of its
+    first bad field (llc_mpki is parsed first) or broken invariant."""
+    fields = [f.strip() for f in fields]
+    mpki = _parse_float(fields[-1], _OPTIONAL_COLUMN) \
+        if len(fields) > len(_COLUMNS) and fields[-1] else None
+    return ObjectProfile(fields[0], *(_parse_float(text, column) for text, column
+                                      in zip(fields[1:], _COLUMNS[1:])), mpki)
+
+
 def load_profiles(source: str | os.PathLike | IO[str],
                   workload_label: str = "",
                   workload_size: float | None = None) -> ProfileSet:
     """Read one profile file (path or open text stream) into a ProfileSet.
 
     Raises ProfileError naming the offending line for malformed records and
-    for records violating object invariants.
+    for records violating object invariants; the first bad line wins.
+    Duplicate ids are reported once every record has passed.
     """
     with open_text(source) as stream:
         lines = stream.read().splitlines()
@@ -238,12 +364,21 @@ def load_profiles(source: str | os.PathLike | IO[str],
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
 
     header_cols: tuple[str, ...] | None = None
-    objects: list[ObjectProfile] = []
+    ids: list[str] = []
+    values = array("d")  # the numeric fields then llc_mpki, record by record
+    mpki_given: list[bool] = []
+    line_nos: list[int] = []
+    stop = None  # the first record that cannot be read ends the read
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
+        # float() skips the whitespace around a number that str.strip()
+        # does, except the unit separator (the other C0 separators end a
+        # line), so only such lines need their fields stripped.
+        if "\x1f" in line or header_cols is None:
+            fields = [f.strip() for f in fields]
         if header_cols is None:
             expected = list(_COLUMNS)
             if fields == expected or fields == expected + [_OPTIONAL_COLUMN]:
@@ -252,47 +387,59 @@ def load_profiles(source: str | os.PathLike | IO[str],
             raise ProfileError(
                 f"line {line_no}: expected column header "
                 f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
+        if len(fields) in (len(_COLUMNS), len(_COLUMNS) + 1):
+            mpki = fields[7].strip() if len(fields) > len(_COLUMNS) else ""
+            try:
+                row = (float(fields[1]), float(fields[2]), float(fields[3]),
+                       float(fields[4]), float(fields[5]), float(fields[6]),
+                       float(mpki) if mpki else math.nan)
+            except ValueError:
+                pass
+            else:
+                ids.append(fields[0].strip())
+                values.extend(row)
+                mpki_given.append(mpki != "")
+                line_nos.append(line_no)
+                continue
+        stop = line_no, fields
+        break
+    if header_cols is None:
+        raise ProfileError("line 2: missing column header")
+
+    columns = np.frombuffer(values).reshape(len(ids), len(_NUMERIC) + 1).T
+    # Split and stripped fields cannot hold a comma, a line break,
+    # surrounding whitespace or a leading '#'; only an empty id is possible.
+    bad = _rejected(columns[:-1], columns[-1], np.array(mpki_given, bool)) \
+        | np.array([not object_id for object_id in ids], bool)
+    if bad.any():
+        line_no = line_nos[int(np.argmax(bad))]
+        stop = line_no, lines[line_no - 1].strip().split(",")
+    if stop is not None:
+        line_no, fields = stop
         if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
             raise ProfileError(
                 f"line {line_no}: expected {len(header_cols)} fields, "
                 f"got {len(fields)}")
         try:
-            mpki = _parse_float(fields[-1], _OPTIONAL_COLUMN) \
-                if len(fields) > len(_COLUMNS) and fields[-1] else None
-            objects.append(ObjectProfile(
-                id=fields[0],
-                size=_parse_float(fields[1], "size_bytes"),
-                alloc_time=_parse_float(fields[2], "alloc_s"),
-                dealloc_time=_parse_float(fields[3], "dealloc_s"),
-                accessed_volume=_parse_float(fields[4], "accessed_bytes"),
-                llc_misses=_parse_float(fields[5], "llc_misses"),
-                dirty_blocks=_parse_float(fields[6], "dirty_blocks"),
-                llc_mpki=mpki,
-            ))
+            _record(fields)
         except ProfileError as exc:
             raise ProfileError(f"line {line_no}: {exc}") from None
-    if header_cols is None:
-        raise ProfileError("line 2: missing column header")
-    return ProfileSet(tuple(objects), workload_label, workload_size)
+        raise RuntimeError(f"line {line_no}: rejected by the column check "
+                           "but not by ObjectProfile")
+    return ProfileSet._of(tuple(ids), columns[:-1], columns[-1],
+                          workload_label, workload_size)
 
 
 def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> None:
     """Write a ProfileSet in the profile file format (see load_profiles)."""
+    columns = [map(_format_number, row) for row in profiles._table.tolist()]
+    mpki = ("" if math.isnan(m) else _format_number(m)
+            for m in profiles.llc_mpki.tolist())
     with open_text(dest, "w") as stream:
         stream.write(PROFILE_FORMAT_VERSION + "\n")
         stream.write(",".join(_COLUMNS + (_OPTIONAL_COLUMN,)) + "\n")
-        for obj in profiles:
-            mpki = "" if obj.llc_mpki is None else _format_number(obj.llc_mpki)
-            stream.write(",".join((
-                obj.id,
-                _format_number(obj.size),
-                _format_number(obj.alloc_time),
-                _format_number(obj.dealloc_time),
-                _format_number(obj.accessed_volume),
-                _format_number(obj.llc_misses),
-                _format_number(obj.dirty_blocks),
-                mpki,
-            )) + "\n")
+        stream.writelines(",".join(row) + "\n" for row in zip(
+            profiles.ids(), *columns, mpki))
 
 
 def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
@@ -356,10 +503,8 @@ def filter_major(profiles: ProfileSet,
     """
     if threshold < 0:
         raise ValueError("major-object threshold must be >= 0")
-    major = tuple(o for o in profiles if o.accessed_volume > threshold)
-    minor = tuple(o for o in profiles if o.accessed_volume <= threshold)
-    return (ProfileSet(major, profiles.workload_label, profiles.workload_size),
-            ProfileSet(minor, profiles.workload_label, profiles.workload_size))
+    volume = profiles.accessed_volume
+    return profiles.take(volume > threshold), profiles.take(volume <= threshold)
 
 
 def derive_scaling_vector(sets: Sequence[ProfileSet]) -> ScalingVector:
@@ -380,25 +525,27 @@ def derive_scaling_vector(sets: Sequence[ProfileSet]) -> ScalingVector:
                 "workload sizes must be strictly increasing "
                 f"({a.workload_size} then {b.workload_size})")
     ids = sets[0].ids()
-    universe = set().union(*(s.index for s in sets))
-    for object_id in sorted(universe):
-        for s in sets:
-            if object_id not in s.index:
-                raise ScalingError(
-                    f"object {object_id!r} missing from set {s.workload_label!r}")
+    if any(s.index.keys() != sets[0].index.keys() for s in sets[1:]):
+        universe = set().union(*(s.index for s in sets))
+        for object_id in sorted(universe):
+            for s in sets:
+                if object_id not in s.index:
+                    raise ScalingError(
+                        f"object {object_id!r} missing from set "
+                        f"{s.workload_label!r}")
 
-    gradients: dict[str, dict[str, float]] = {}
-    for object_id in ids:
-        per_pattern: dict[str, float] = {}
-        for name in PATTERNS:
-            quotients = []
-            for a, b in zip(sets, sets[1:]):
-                dp = b.get(object_id).pattern(name) - a.get(object_id).pattern(name)
-                dw = b.workload_size - a.workload_size
-                quotients.append(dp / dw)
-            per_pattern[name] = sum(quotients) / len(quotients)
-        gradients[object_id] = per_pattern
-    return ScalingVector(gradients)
+    # One row per pattern, one column per object in the first set's order.
+    patterns = [_patterns(s)[:, [s.index[i] for i in ids]]
+                if s.ids() != ids else _patterns(s) for s in sets]
+    quotients = [(b - a) / (sb.workload_size - sa.workload_size)
+                 for a, b, sa, sb in zip(patterns, patterns[1:], sets, sets[1:])]
+    gradients = sum(quotients) / len(quotients)
+    return ScalingVector({object_id: dict(zip(PATTERNS, row)) for object_id, row
+                          in zip(ids, gradients.T.tolist())})
+
+
+def _patterns(profiles: ProfileSet) -> np.ndarray:
+    return np.array([getattr(profiles, name) for name in PATTERNS])
 
 
 def extrapolate(profiles: ProfileSet, vector: ScalingVector,
@@ -416,26 +563,32 @@ def extrapolate(profiles: ProfileSet, vector: ScalingVector,
         raise ScalingError("target workload size must be finite")
     delta = target_workload_size - profiles.workload_size
 
-    objects = []
-    for obj in profiles:
-        grads = vector.for_object(obj.id)
-        scaled = {name: max(0.0, obj.pattern(name) + grads[name] * delta)
-                  for name in PATTERNS}
+    ids = profiles.ids()
+    grads = [vector.gradients.get(object_id) for object_id in ids]
+    # Objects are projected in profile order up to the first one the vector
+    # does not cover; that one fails unless an earlier one degenerates.
+    known = next((k for k, g in enumerate(grads) if g is None), len(ids))
+    rate = itemgetter(*PATTERNS)
+    slopes = np.array([rate(g) for g in grads[:known]], dtype=float)
+    slopes = slopes.reshape(known, len(PATTERNS)).T
+    moved = _patterns(profiles)[:, :known] + slopes * delta
+    size, volume, misses, dirty, lifetime = np.where(moved > 0.0, moved, 0.0)
+    alloc = profiles.alloc_time[:known]
+    table = np.array([size, alloc, alloc + lifetime, volume, misses, dirty])
+    mpki = profiles.llc_mpki[:known]
+    bad = _rejected(table, mpki)
+    if bad.any():
+        k = int(np.argmax(bad))
         try:
-            objects.append(replace(
-                obj,
-                size=scaled["size"],
-                accessed_volume=scaled["accessed_volume"],
-                llc_misses=scaled["llc_misses"],
-                dirty_blocks=scaled["dirty_blocks"],
-                dealloc_time=obj.alloc_time + scaled["lifetime"],
-            ))
+            _object_at(ids, table, mpki, k)
         except ProfileError as exc:
             raise ScalingError(
-                f"object {obj.id!r} degenerates at workload "
+                f"object {ids[k]!r} degenerates at workload "
                 f"{target_workload_size}: {exc}") from None
-    return ProfileSet(tuple(objects), profiles.workload_label,
-                      target_workload_size)
+    if known < len(ids):
+        vector.for_object(ids[known])
+    return ProfileSet._of(ids, table, mpki, profiles.workload_label,
+                          target_workload_size)
 
 
 @dataclass(frozen=True)
@@ -513,16 +666,9 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> ProfileSet:
     mpki = rng.uniform(*spec.mpki_range, size=n) if spec.with_mpki else None
 
     width = max(4, len(str(n - 1)))
-    objects = tuple(
-        ObjectProfile(
-            id=f"obj{i:0{width}d}",
-            size=float(sizes[i]),
-            alloc_time=float(allocs[i]),
-            dealloc_time=float(allocs[i] + lifetimes[i]),
-            accessed_volume=float(volumes[i]),
-            llc_misses=float(misses[i]),
-            dirty_blocks=float(dirty[i]),
-            llc_mpki=float(mpki[i]) if mpki is not None else None,
-        )
-        for i in range(n))
-    return ProfileSet(objects, spec.label, spec.workload_size)
+    return ProfileSet.from_columns(
+        [f"obj{i:0{width}d}" for i in range(n)], size=sizes,
+        alloc_time=allocs, dealloc_time=allocs + lifetimes,
+        accessed_volume=volumes, llc_misses=misses, dirty_blocks=dirty,
+        llc_mpki=mpki, workload_label=spec.label,
+        workload_size=spec.workload_size)

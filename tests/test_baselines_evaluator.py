@@ -5,8 +5,8 @@ from memplan.baselines import (place_all_dram, place_all_nvm,
                                place_mpki_threshold, place_random)
 from memplan.energy import GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
-from memplan.evaluator import (COMPARISON_COLUMNS, compare, comparison_csv,
-                               comparison_json, evaluate)
+from memplan.evaluator import (COMPARISON_COLUMNS, _peak_bytes, compare,
+                               comparison_csv, comparison_json, evaluate)
 from memplan.planner import DRAM, NVM, plan_static
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
@@ -263,3 +263,42 @@ class TestCompare:
         assert text.splitlines()[0] == ",".join(COMPARISON_COLUMNS)
         assert text.splitlines()[0] == "plan,energy_nJ,ratio,latency_ns,capacity_ok"
         assert comparison_json(rows).startswith("[")
+
+
+def _event_loop_peak(objects, device, placements):
+    """The sorted event list the evaluator's peak replaced, as the oracle."""
+    events = []
+    for obj in objects:
+        if placements[obj.id] != device:
+            continue
+        events.append((obj.alloc_time, obj.size))
+        events.append((obj.dealloc_time, -obj.size))
+    events.sort(key=lambda e: (e[0], e[1]))
+    level = 0.0
+    peak = 0.0
+    for _, delta in events:
+        level += delta
+        peak = max(peak, level)
+    return peak
+
+
+def test_peak_bytes_equals_the_event_loop_with_tied_times_and_sizes():
+    rng = np.random.default_rng(31)
+    times = (0.0, 0.5, 1.0, 1.5, 2.0, 3.25)
+    sizes = (0.1, 0.7, 1.0, 3.0, 1e-3, 1e16)  # sums depend on their order
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        objects = []
+        for i in range(n):
+            alloc = float(rng.choice(times[:-1]))
+            objects.append(ObjectProfile(
+                f"o{i}", float(rng.choice(sizes)), alloc,
+                float(rng.choice([t for t in times if t > alloc])), 1.0, 1.0,
+                1.0))
+        ps = ProfileSet(tuple(objects))
+        on_dram = rng.random(n) < 0.5
+        placements = {o.id: DRAM if d else NVM
+                      for o, d in zip(objects, on_dram)}
+        for device, mask in ((DRAM, on_dram), (NVM, ~on_dram)):
+            assert _peak_bytes(ps, mask) \
+                == _event_loop_peak(objects, device, placements)

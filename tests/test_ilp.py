@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from memplan.energy import testbed1 as make_testbed1
-from memplan.ilp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, IlpSolution,
-                         ZeroOneProgram, _tol, constraint_violations,
-                         padded_bounds, solve, solve_exhaustive, to_lp_format)
+from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+                         IlpSolution, ZeroOneProgram, _tol,
+                         constraint_violations, padded_bounds, solve,
+                         solve_exhaustive, to_lp_format)
 from memplan.migration import build_migration_program, price_live
 from memplan.planner import build_placement_program
 from memplan.profiles import GeneratorSpec, ProfileSet, generate_synthetic
@@ -284,3 +285,21 @@ def test_loose_budget_needs_one_descent():
     # The node count is telemetry: it takes no part in equality.
     assert solution == IlpSolution(solution.assignment,
                                    solution.objective_value, STATUS_OPTIMAL)
+
+
+def test_a_row_tolerance_given_by_the_program_replaces_the_default():
+    # x0 + x1 >= 2 + 1e-7, written as a <= row: (1, 1) misses it by 1e-7,
+    # beyond the default tolerance (about 2e-9) but within 1e-6.
+    rows = (((-1.0, -1.0), -2.0 - 1e-7),)
+    strict = ZeroOneProgram((1.0, 1.0), rows)
+    assert strict.tolerances.tolist() == [REL_TOL * (2.0 + 1e-7)]
+    loose = ZeroOneProgram((1.0, 1.0), rows, tolerances=(1e-6,))
+    for solver in (solve, solve_exhaustive):
+        assert solver(strict).status == STATUS_INFEASIBLE
+        assert solver(loose).assignment == (1, 1)
+    assert constraint_violations(strict, (1, 1)) == ["constraint 0"]
+    assert constraint_violations(loose, (1, 1)) == []
+    assert not loose.slack().flags.writeable
+    for bad in ((1e-6, 1e-6), (-1.0,), (float("nan"),)):
+        with pytest.raises(ValueError, match="tolerance"):
+            ZeroOneProgram((1.0, 1.0), rows, tolerances=bad)

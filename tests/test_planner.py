@@ -374,3 +374,38 @@ def test_loose_budget_all_dram_optimum_is_found_at_once():
         signal.signal(signal.SIGALRM, previous)
     assert plan.status == ilp.STATUS_OPTIMAL
     assert set(plan.placements.values()) == {DRAM}
+
+
+def test_an_over_budget_plan_is_not_called_optimal_when_the_bound_cancels():
+    # The energy row's bound is budget - sum of NVM energies. With a
+    # write-heavy object that sum is about 4e6 times the budget, so a
+    # tolerance relative to the bound would pass the all-DRAM plan, which
+    # is 3.8e10 nJ over a 9.69e12 nJ budget.
+    ps = ProfileSet((ObjectProfile("o0", 1e12, 0, 1, 1e12, 1e12, 2.09822e17),))
+    dev = make_testbed1(dram_capacity=1e12, nvm_capacity=0)
+    plan = plan_static(ps, dev, 0.99609375, major_threshold=0)
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert plan.binding_constraints == (CONSTRAINT_ENERGY,)
+    # At a budget the all-DRAM plan meets, it is found and passes.
+    roomy = plan_static(ps, dev, 1.0, major_threshold=0)
+    assert roomy.feasible
+    assert evaluate(ps, dev, roomy).budget_ok
+
+
+def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
+    ps = ProfileSet((ObjectProfile("a", 4 * MB, 0, 1, 8 * MB, 10.0, 1e7),
+                     ObjectProfile("b", 2 * MB, 0, 1, 4 * MB, 20.0, 2e7)))
+    dev = small_device(dram_mb=5, nvm_mb=3)
+    program, _ = build_placement_program(ps, dev, 0.9, 5 * MB)
+    de, ne = dram_energy(ps, dev), nvm_energy(ps, dev)
+    budget = 0.9 * sum(de.tolist())
+    # Rows are scaled to unit magnitude, their tolerances with them.
+    limits = np.array([5 * MB / (4 * MB), 3 * MB / (4 * MB),
+                       budget / np.max(np.abs(de - ne))])
+    assert program.tolerances.tolist() == pytest.approx(
+        (ilp.REL_TOL * limits).tolist(), rel=1e-12)
+    assert not program.tolerances.flags.writeable
+    # The energy bound, budget - sum(ne), cancels: it is far larger than
+    # the budget it is checked against.
+    _, _, b = program.arrays()
+    assert abs(b[2]) > 10 * limits[2]

@@ -406,3 +406,212 @@ def test_parse_error_names_its_line_once():
     with pytest.raises(ProfileError) as err:
         load_profiles(io.StringIO(text))
     assert str(err.value) == "line 4: field 'size_bytes' is not a number: 'oops'"
+
+
+def _reference_load(text):
+    """The per-record loader the columnar one replaced, kept as the oracle
+    of its messages: one ObjectProfile per record, in file order."""
+    def number(field, column):
+        try:
+            return float(field)
+        except ValueError:
+            raise ProfileError(
+                f"field {column!r} is not a number: {field!r}") from None
+
+    columns = ("size_bytes", "alloc_s", "dealloc_s", "accessed_bytes",
+               "llc_misses", "dirty_blocks")
+    header = None
+    objects = []
+    for line_no, raw in enumerate(text.splitlines()[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if header is None:
+            header = fields
+            continue
+        if len(fields) not in (7, 8):
+            raise ProfileError(f"line {line_no}: expected {len(header)} "
+                               f"fields, got {len(fields)}")
+        try:
+            mpki = number(fields[-1], "llc_mpki") \
+                if len(fields) > 7 and fields[-1] else None
+            objects.append(ObjectProfile(
+                fields[0], *(number(f, c) for f, c in zip(fields[1:], columns)),
+                llc_mpki=mpki))
+        except ProfileError as exc:
+            raise ProfileError(f"line {line_no}: {exc}") from None
+    return ProfileSet(tuple(objects))
+
+
+def _outcome(load, text):
+    try:
+        return load(io.StringIO(text) if load is load_profiles else text).objects
+    except ProfileError as exc:
+        return str(exc)
+
+
+_BREAKS = ("oops", "", "nan", "inf", "-inf", "-1", "0", "-0.0", "1_0")
+
+
+def _broken_file(rng):
+    rows = []
+    for i in range(int(rng.integers(1, 10))):
+        alloc = float(rng.uniform(0, 5))
+        fields = [f"o{i}", repr(float(rng.uniform(1, 1e6))), repr(alloc),
+                  repr(alloc + float(rng.uniform(0.1, 5))),
+                  repr(float(rng.uniform(0, 1e7))), str(int(rng.integers(0, 1e4))),
+                  repr(float(rng.uniform(0, 100))),
+                  "" if rng.random() < 0.3 else repr(float(rng.uniform(0, 1)))]
+        if rng.random() < 0.2:
+            fields = fields[:7]
+        rows.append(fields)
+    for _ in range(int(rng.integers(1, 4))):
+        fields = rows[int(rng.integers(len(rows)))]
+        kind = rng.random()
+        if kind < 0.6:
+            fields[int(rng.integers(len(fields)))] = str(rng.choice(_BREAKS))
+        elif kind < 0.7:
+            fields.append("1")
+        elif kind < 0.8:
+            del fields[-2:]
+        elif kind < 0.9:
+            fields[0] = rows[int(rng.integers(len(rows)))][0]
+        else:
+            fields[3] = fields[2]
+    lines = [" , ".join(f) if rng.random() < 0.2 else ",".join(f)
+             for f in rows]
+    if rng.random() < 0.5:
+        lines.insert(int(rng.integers(len(lines) + 1)), "# note")
+    return profile_text(lines)
+
+
+def test_loader_reports_what_a_per_record_loader_reports():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for _ in range(600):
+        text = _broken_file(rng)
+        want = _outcome(_reference_load, text)
+        assert _outcome(load_profiles, text) == want, text
+        kinds.add(want.split(": ")[-1][:20] if isinstance(want, str)
+                  else "loaded")
+    # The draws cover loads, parse errors, field counts, each invariant,
+    # empty and duplicate ids.
+    assert len(kinds) >= 10
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["a,0,0,1,1,1,1,", "b,oops,0,1,1,1,1,"],
+     "line 3: object 'a': size must be positive"),
+    (["a,oops,0,1,1,1,1,", "b,0,0,1,1,1,1,"],
+     "line 3: field 'size_bytes' is not a number: 'oops'"),
+    (["a,1,0,1,-1,1,1,", "b,1,2"],
+     "line 3: object 'a': accessed_volume must be >= 0"),
+    (["a,1,2", "b,1,0,1,-1,1,1,"], "line 3: expected 8 fields, got 3"),
+    (["a,1,0,1,1,1,1,", "a,1,0,1,1,1,1,", "c,1,0,1,1,1,-1,"],
+     "line 5: object 'c': dirty_blocks must be >= 0"),
+    (["a,1,0,1,1,1,1,", "a,1,0,1,1,1,1,"], "duplicate object id 'a'"),
+    (["a,-1,5,1,-1,-1,-1,-1"], "line 3: object 'a': size must be positive"),
+    (["a,oops,0,1,1,1,1,zz"],
+     "line 3: field 'llc_mpki' is not a number: 'zz'"),
+    (["a,1,0,1,1,1,1,nan"], "line 3: object 'a': llc_mpki must be >= 0"),
+    ([",x,0,1,1,1,1,"], "line 3: field 'size_bytes' is not a number: 'x'"),
+    ([",1,0,1,1,1,1,"], "line 3: object id must be a non-empty string"),
+])
+def test_the_first_bad_line_wins_whatever_its_kind(rows, message):
+    text = profile_text(rows)
+    assert _outcome(_reference_load, text) == message
+    assert _outcome(load_profiles, text) == message
+
+
+def test_a_set_from_columns_equals_the_set_from_its_objects():
+    rng = np.random.default_rng(8)
+    n = 50
+    alloc = rng.uniform(0, 5, n)
+    columns = dict(size=rng.uniform(1, 1e6, n), alloc_time=alloc,
+                   dealloc_time=alloc + rng.uniform(0.1, 5, n),
+                   accessed_volume=rng.uniform(0, 1e7, n),
+                   llc_misses=rng.uniform(0, 1e4, n),
+                   dirty_blocks=rng.uniform(0, 1e3, n))
+    mpki = np.where(rng.random(n) < 0.3, np.nan, rng.uniform(0, 1, n))
+    ids = [f"o{i}" for i in range(n)]
+    from_columns = ProfileSet.from_columns(
+        ids, **columns, llc_mpki=mpki, workload_label="w", workload_size=2.0)
+    from_objects = ProfileSet(tuple(
+        ObjectProfile(ids[i], *(float(c[i]) for c in columns.values()),
+                      None if np.isnan(mpki[i]) else float(mpki[i]))
+        for i in range(n)), "w", 2.0)
+    assert "objects" not in vars(from_columns)  # built on first use
+    assert from_columns == from_objects
+    assert from_columns.objects == from_objects.objects
+    for name in ("size", "alloc_time", "dealloc_time", "accessed_volume",
+                 "llc_misses", "dirty_blocks", "lifetime", "llc_mpki"):
+        a, b = getattr(from_columns, name), getattr(from_objects, name)
+        assert a.tobytes() == b.tobytes()
+        for column in (a, b):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+    with pytest.raises(AttributeError):
+        from_columns.size = columns["size"]
+    assert ProfileSet.from_columns(ids, **columns) != from_columns
+
+
+def test_from_columns_raises_what_object_profile_raises():
+    columns = dict(size=[1.0, 0.0, -1.0], alloc_time=[0.0, 0.0, 0.0],
+                   dealloc_time=[1.0, 1.0, 1.0],
+                   accessed_volume=[1.0, 1.0, 1.0], llc_misses=[1.0, 1.0, 1.0],
+                   dirty_blocks=[1.0, 1.0, 1.0])
+    with pytest.raises(ProfileError) as err:
+        ProfileSet.from_columns(["a", "b", "c"], **columns)
+    assert str(err.value) == "object 'b': size must be positive"
+    columns["size"] = [1.0, 1.0, 1.0]
+    with pytest.raises(ProfileError, match="object id"):
+        ProfileSet.from_columns(["a", "#b", "c"], **columns)
+    with pytest.raises(ProfileError, match="duplicate object id 'a'"):
+        ProfileSet.from_columns(["a", "b", "a"], **columns)
+
+
+def test_take_and_live_at_select_rows_in_profile_order():
+    ps = ProfileSet((make_obj("a", alloc=0.0, dealloc=1.0),
+                     make_obj("b", alloc=1.0, dealloc=2.0),
+                     make_obj("c", alloc=0.5, dealloc=3.0)), "w", 1.0)
+    live = ps.take(ps.live_at(1.0))
+    assert live.ids() == ("b", "c")
+    assert live.objects == (ps.get("b"), ps.get("c"))
+    assert (live.workload_label, live.workload_size) == ("w", 1.0)
+    assert len(ps.take([False] * 3)) == 0
+
+
+def test_generating_and_writing_a_set_builds_no_objects():
+    ps = generate_synthetic(GeneratorSpec(count=50, with_mpki=True), 3)
+    stream = io.StringIO()
+    write_profiles(ps, stream)
+    assert "objects" not in vars(ps)
+    stream.seek(0)
+    assert load_profiles(stream, ps.workload_label, ps.workload_size) == ps
+
+
+def test_gradients_do_not_depend_on_the_order_of_each_set():
+    sets = linear_family(
+        [make_obj(f"o{i}", size=(i + 1) * MB, av=(i + 2) * MB,
+                  misses=7.0 * i, dirty=3.0 * i) for i in range(5)],
+        {f"o{i}": {"size": 0.3 * MB * i, "accessed_volume": 0.7 * MB,
+                   "llc_misses": 1.5 * i, "dirty_blocks": 0.25,
+                   "lifetime": 0.125 * i} for i in range(5)},
+        [1.0, 2.5, 4.0])
+    shuffled = [ProfileSet(s.objects[::-1] if k % 2 else s.objects,
+                           s.workload_label, s.workload_size)
+                for k, s in enumerate(sets)]
+    assert derive_scaling_vector(shuffled) == derive_scaling_vector(sets)
+
+
+def test_extrapolate_names_the_first_bad_object_in_profile_order():
+    ps = ProfileSet((make_obj("a"), make_obj("b", size=100.0),
+                     make_obj("c")), "w", 1.0)
+    shrink = {"size": -500.0, "accessed_volume": 0.0, "llc_misses": 0.0,
+              "dirty_blocks": 0.0, "lifetime": 0.0}
+    keep = dict(shrink, size=0.0)
+    with pytest.raises(ScalingError, match="'b' degenerates"):
+        extrapolate(ps, ScalingVector({"a": keep, "b": shrink}), 2.0)
+    with pytest.raises(ScalingError, match="no scaling entry for object 'b'"):
+        extrapolate(ps, ScalingVector({"a": keep, "c": shrink}), 2.0)

@@ -5,10 +5,12 @@ Skipped when hypothesis is not installed (it is in the ``test`` extra).
 
 import io
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import (HealthCheck, assume, example, given,  # noqa: E402
+                        settings)
 from hypothesis import strategies as st  # noqa: E402
 
 from memplan.energy import nvm_latency  # noqa: E402
@@ -17,7 +19,8 @@ from memplan.evaluator import evaluate  # noqa: E402
 from memplan.migration import MigrationRequest, plan_migration  # noqa: E402
 from memplan.planner import load_plan, plan_static, write_plan  # noqa: E402
 from memplan.profiles import (ObjectProfile, ProfileError,  # noqa: E402
-                              ProfileSet, load_profiles, write_profiles)
+                              ProfileSet, _rejected, load_profiles,
+                              write_profiles)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None,
                              suppress_health_check=[HealthCheck.too_slow,
@@ -80,10 +83,46 @@ def test_best_effort_migration_is_no_worse_than_staying(ps, first_ratio, t,
 
 @given(object_sets(scales=(1e12, 1e15)), fraction, fraction,
        st.floats(min_value=0.5, max_value=1.2))
+@example(ProfileSet((ObjectProfile("o0", 1e12, 0, 1, 1e12, 1e12, 2.09822e17),)),
+         1.0, 0.0, 0.99609375)
 @PROPERTY_SETTINGS
 def test_plans_called_optimal_pass_the_evaluator_at_extreme_magnitudes(
         ps, dram_share, nvm_share, ratio):
     # Sizes reach TiB and energies 1e15 nJ and beyond.
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=dram_share * total,
+                        nvm_capacity=(1.0 - dram_share + nvm_share) * total)
+    plan = plan_static(ps, dev, ratio, major_threshold=0)
+    assume(plan.feasible)
+    report = evaluate(ps, dev, plan)
+    assert report.budget_ok
+    assert report.capacity_ok
+
+
+@st.composite
+def write_heavy_sets(draw, max_objects=5):
+    """Sets of ordinary magnitude whose dirty blocks reach 64x the volume,
+    so their NVM energy dwarfs their DRAM energy."""
+    objects = []
+    for i in range(draw(st.integers(1, max_objects))):
+        size = draw(positive)
+        alloc = draw(st.floats(0.0, 4.0))
+        volume = size * draw(st.floats(0.1, 16.0))
+        objects.append(ObjectProfile(
+            f"o{i}", size, alloc, alloc + draw(st.floats(0.5, 10.0)), volume,
+            draw(positive), volume * draw(st.floats(0.0, 64.0))))
+    return ProfileSet(tuple(objects))
+
+
+@given(write_heavy_sets(), fraction, fraction,
+       st.floats(min_value=0.9, max_value=1.5))
+@example(ProfileSet((ObjectProfile("o0", 1e6, 0.0, 1.0, 1e6, 1e3, 6.4e7),)),
+         1.0, 0.0, 1 - 1e-6)
+@PROPERTY_SETTINGS
+def test_write_heavy_plans_called_optimal_pass_the_evaluator(
+        ps, dram_share, nvm_share, ratio):
+    # The energy row's bound, budget - sum of NVM energies, is then many
+    # times the budget; its tolerance must still be the budget's.
     total = sum(ps.size.tolist())
     dev = make_testbed1(dram_capacity=dram_share * total,
                         nvm_capacity=(1.0 - dram_share + nvm_share) * total)
@@ -148,3 +187,25 @@ def test_profiles_round_trip_through_the_file_format(candidates):
     write_profiles(ps, stream)
     stream.seek(0)
     assert load_profiles(stream).objects == ps.objects
+
+
+any_float = st.floats() | st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324))
+
+
+@given(st.lists(st.tuples(st.lists(any_float, min_size=6, max_size=6),
+                          st.none() | any_float), min_size=1, max_size=8))
+@PROPERTY_SETTINGS
+def test_the_column_check_rejects_exactly_what_object_profile_rejects(records):
+    # The invariants are spelled twice, per object and per column; this
+    # keeps the two spellings from drifting apart.
+    table = np.array([values for values, _ in records]).T
+    mpki = np.array([np.nan if m is None else m for _, m in records])
+    given = np.array([m is not None for _, m in records])
+    expected = []
+    for values, m in records:
+        try:
+            ObjectProfile("x", *values, m)
+            expected.append(False)
+        except ProfileError:
+            expected.append(True)
+    assert _rejected(table, mpki, given).tolist() == expected
