@@ -21,12 +21,12 @@ from dataclasses import replace
 from .baselines import (NoFeasibleAssignment, place_all_dram, place_all_nvm,
                         place_mpki_threshold, place_random)
 from .energy import GIB, DeviceSpec, PRESETS, load_device_spec
-from .evaluator import (comparison_csv, comparison_json, compare, evaluate,
-                        report_csv, report_json)
+from .evaluator import (_csv_table, _row, comparison_csv, comparison_json,
+                        compare, evaluate, report_csv, report_json)
 from .migration import MigrationRequest, plan_migration, write_migration_plan
-from .planner import (CapacityError, PlacementPlan, load_plan, plan_static,
-                      sweep_ratios, write_plan)
-from .profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec, ProfileError,
+from .planner import (PlacementPlan, load_plan, plan_static, sweep_ratios,
+                      write_plan)
+from .profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec,
                        derive_scaling_vector, extrapolate, generate_synthetic,
                        load_profile_dir, load_profiles, open_text,
                        write_profiles)
@@ -247,44 +247,18 @@ def _cmd_sweep(args) -> int:
                              reserved_dram_bytes=args.reserved_dram,
                              include_minor_in_budget=args.include_minor_energy)
         for ratio, plan in zip(ratios, plans):
-            if plan.feasible:
-                report = evaluate(profiles, dev, plan)
-                evaluated = report.total_energy_nj
-                evaluated_ratio = report.energy_ratio_vs_all_dram
-                capacity_ok = report.capacity_ok
-            else:
-                evaluated = float("nan")
-                evaluated_ratio = float("nan")
-                capacity_ok = False
-            rows.append({
-                "dram_gib": dram_gib,
-                "nvm_gib": nvm_gib,
-                "ratio": ratio,
-                "status": plan.status,
-                "objective_ns": plan.objective_ns,
-                "planned_energy_nj": plan.planned_energy_nj,
-                "energy_budget_nj": plan.energy_budget_nj,
-                "evaluated_energy_nj": evaluated,
-                "evaluated_ratio": evaluated_ratio,
-                "capacity_ok": capacity_ok,
-            })
+            scored = _row("", evaluate(profiles, dev, plan)
+                          if plan.feasible else None)
+            rows.append((dram_gib, nvm_gib, ratio, plan.status,
+                         plan.objective_ns, plan.planned_energy_nj,
+                         plan.energy_budget_nj, scored.energy_nj,
+                         scored.ratio, scored.capacity_ok))
 
     if args.format == "csv":
-        lines = [",".join(_SWEEP_COLUMNS)]
-        for row in rows:
-            cells = []
-            for column in _SWEEP_COLUMNS:
-                value = row[column]
-                if isinstance(value, bool):
-                    cells.append(str(int(value)))
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        text = _csv_table(_SWEEP_COLUMNS, rows)
     else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = json.dumps([dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
+                          indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -389,9 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProfileError, CapacityError) as exc:
-        print(f"memplan: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError, KeyError) as exc:
         print(f"memplan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,66 +173,40 @@ def compare(profiles: ProfileSet, dev: DeviceSpec,
 COMPARISON_COLUMNS = ("plan", "energy_nJ", "ratio", "latency_ns", "capacity_ok")
 
 
-def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    lines = [",".join(COMPARISON_COLUMNS)]
-    for row in rows:
-        lines.append(",".join((
-            row.plan,
-            repr(row.energy_nj),
-            repr(row.ratio),
-            repr(row.latency_ns),
-            str(int(row.capacity_ok)),
-        )))
+def _cell(value) -> str:
+    # Flags print as 0/1, floats by repr (full precision, nan as nan) and
+    # everything else by str, so an integral 0 stays 0.
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_table(columns: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """CSV text: a header line of the column names, then a line per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
+def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
+    return _csv_table(COMPARISON_COLUMNS, map(astuple, rows))
+
+
 def comparison_json(rows: Sequence[ComparisonRow]) -> str:
-    payload = [{
-        "plan": row.plan,
-        "energy_nJ": row.energy_nj,
-        "ratio": row.ratio,
-        "latency_ns": row.latency_ns,
-        "capacity_ok": row.capacity_ok,
-    } for row in rows]
+    payload = [dict(zip(COMPARISON_COLUMNS, astuple(row))) for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _scalars(report: EvaluationReport) -> dict[str, object]:
+    return {field.name: getattr(report, field.name) for field in fields(report)
+            if field.name != "breakdown"}
+
+
 def report_json(report: EvaluationReport) -> str:
-    payload = {
-        "total_energy_nj": report.total_energy_nj,
-        "latency_objective_ns": report.latency_objective_ns,
-        "energy_ratio_vs_all_dram": report.energy_ratio_vs_all_dram,
-        "capacity_ok_dram": report.capacity_ok_dram,
-        "capacity_ok_nvm": report.capacity_ok_nvm,
-        "budget_ok": report.budget_ok,
-        "static_dram_bytes": report.static_dram_bytes,
-        "static_nvm_bytes": report.static_nvm_bytes,
-        "peak_dram_bytes": report.peak_dram_bytes,
-        "peak_nvm_bytes": report.peak_nvm_bytes,
-        "minor_dram_energy_nj": report.minor_dram_energy_nj,
-        "per_object_energy_nj": report.breakdown,
-    }
+    payload = dict(_scalars(report), per_object_energy_nj=report.breakdown)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def report_csv(report: EvaluationReport) -> str:
-    lines = ["metric,value"]
-    scalar = (
-        ("total_energy_nj", repr(report.total_energy_nj)),
-        ("latency_objective_ns", repr(report.latency_objective_ns)),
-        ("energy_ratio_vs_all_dram", repr(report.energy_ratio_vs_all_dram)),
-        ("capacity_ok_dram", str(int(report.capacity_ok_dram))),
-        ("capacity_ok_nvm", str(int(report.capacity_ok_nvm))),
-        ("budget_ok", str(int(report.budget_ok))),
-        ("static_dram_bytes", repr(report.static_dram_bytes)),
-        ("static_nvm_bytes", repr(report.static_nvm_bytes)),
-        ("peak_dram_bytes", repr(report.peak_dram_bytes)),
-        ("peak_nvm_bytes", repr(report.peak_nvm_bytes)),
-        ("minor_dram_energy_nj", repr(report.minor_dram_energy_nj)),
-    )
-    lines.extend(f"{k},{v}" for k, v in scalar)
-    lines.append("")
-    lines.append("id,energy_nj")
-    lines.extend(f"{object_id},{repr(value)}"
-                 for object_id, value in report.breakdown.items())
-    return "\n".join(lines) + "\n"
+    return (_csv_table(("metric", "value"), _scalars(report).items()) + "\n"
+            + _csv_table(("id", "energy_nj"), report.breakdown.items()))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,14 +51,6 @@ class GeneratorError(ValueError):
     """Synthetic profile generator given an unsatisfiable parameter set."""
 
 
-def _bad_id(object_id: str) -> bool:
-    # A profile file splits on commas and line breaks, strips each field
-    # and skips lines that start with '#'.
-    return (not object_id or "," in object_id
-            or object_id.splitlines() != [object_id]
-            or object_id != object_id.strip() or object_id.startswith("#"))
-
-
 @dataclass(frozen=True)
 class ObjectProfile:
     """Access-pattern record for one heap object.
@@ -76,31 +69,8 @@ class ObjectProfile:
     llc_mpki: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ProfileError("object id must be a non-empty string")
-        if _bad_id(self.id):
-            raise ProfileError(
-                f"object id {self.id!r} contains a separator character, "
-                "surrounding whitespace or a leading '#'")
-        for name in ("size", "alloc_time", "dealloc_time", "accessed_volume",
-                     "llc_misses", "dirty_blocks"):
-            if not math.isfinite(getattr(self, name)):
-                raise ProfileError(f"object {self.id!r}: {name} must be finite")
-        if self.size <= 0:
-            raise ProfileError(f"object {self.id!r}: size must be positive")
-        if self.accessed_volume < 0:
-            raise ProfileError(f"object {self.id!r}: accessed_volume must be >= 0")
-        if self.llc_misses < 0:
-            raise ProfileError(f"object {self.id!r}: llc_misses must be >= 0")
-        if self.dirty_blocks < 0:
-            raise ProfileError(f"object {self.id!r}: dirty_blocks must be >= 0")
-        if not self.dealloc_time > self.alloc_time:
-            raise ProfileError(
-                f"object {self.id!r}: dealloc_time {self.dealloc_time} must be "
-                f"after alloc_time {self.alloc_time}")
-        if self.llc_mpki is not None and (not math.isfinite(self.llc_mpki)
-                                          or self.llc_mpki < 0):
-            raise ProfileError(f"object {self.id!r}: llc_mpki must be >= 0")
+        if not _keeps_all(self):
+            raise ProfileError(_first_bad(self)[1])
 
     @property
     def lifetime(self) -> float:
@@ -127,23 +97,90 @@ _NUMERIC = ("size", "alloc_time", "dealloc_time", "accessed_volume",
             "llc_misses", "dirty_blocks")
 
 
-def _rejected(table: np.ndarray, mpki: np.ndarray,
-              mpki_given: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the records whose numbers ObjectProfile rejects.
+def _id_ok(object_id) -> bool | np.ndarray:
+    # A profile file splits on commas and line breaks, strips each field
+    # and skips lines that start with '#'. Columns hold ids as objects.
+    if isinstance(object_id, str):
+        return ("," not in object_id and object_id.splitlines() == [object_id]
+                and object_id == object_id.strip() and object_id[:1] != "#")
+    if isinstance(object_id, np.ndarray):
+        return np.fromiter(map(_id_ok, object_id), bool, len(object_id))
+    return False
 
-    ``table`` holds the _NUMERIC rows; ``mpki`` is NaN where a record has
-    none, and ``mpki_given`` marks the records that spelled one out (a file
-    can spell NaN), by default those whose mpki is not NaN. The same rules
-    as ObjectProfile.__post_init__, over whole columns.
-    """
-    size, alloc, dealloc, volume, misses, dirty = table
+
+# The rules every record keeps, in the order a broken one is reported: a
+# test of the record r and the message of a record that fails it,
+# formatted from its fields. r is an ObjectProfile or columns of records
+# (see _columns); the numeric tests use comparisons only (finiteness is
+# x - x == 0), so they give a bool for one record and a mask for columns.
+_RULES = (
+    ("(r.id != '') & (r.id != None)", "object id must be a non-empty string"),
+    ("_id_ok(r.id)", "object id {id!r} contains a separator character, "
+     "surrounding whitespace or a leading '#'"),
+    *((f"r.{name} - r.{name} == 0", f"object {{id!r}}: {name} must be finite")
+      for name in _NUMERIC),
+    ("r.size > 0", "object {id!r}: size must be positive"),
+    *((f"r.{name} >= 0", f"object {{id!r}}: {name} must be >= 0")
+      for name in ("accessed_volume", "llc_misses", "dirty_blocks")),
+    ("r.dealloc_time > r.alloc_time", "object {id!r}: dealloc_time "
+     "{dealloc_time} must be after alloc_time {alloc_time}"),
+    ("r.llc_mpki is None"
+     " or (r.llc_mpki - r.llc_mpki == 0) & (r.llc_mpki >= 0)",
+     "object {id!r}: llc_mpki must be >= 0"),
+)
+
+
+def _passes(*tests: str):
+    """The function of a record r that is true if r passes every test. The
+    tests are source text so that ObjectProfile can run all of them in one
+    call; a call per rule would double the cost of building one."""
+    return eval("lambda r: " + " and ".join(f"({test})" for test in tests))
+
+
+_CHECKS = tuple((_passes(test), message) for test, message in _RULES)
+_VALUE_CHECKS = _CHECKS[2:]  # the rules that do not read the id
+_keeps_all = _passes(*(test for test, _ in _RULES))
+
+
+def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
+             mpki_given: np.ndarray | None = None) -> SimpleNamespace:
+    """Records as columns for the rules. ``mpki`` is NaN where a record has
+    none; ``mpki_given`` marks those that spelled one out (a file can spell
+    NaN), by default those not NaN. A record without one passes as 0."""
     if mpki_given is None:
         mpki_given = ~np.isnan(mpki)
+    return SimpleNamespace(id=np.array(ids, dtype=object),
+                           **dict(zip(_NUMERIC, table)),
+                           llc_mpki=np.where(mpki_given, mpki, 0.0))
+
+
+def _broken(columns: SimpleNamespace, checks) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        valid = (np.isfinite(table).all(axis=0) & (size > 0) & (volume >= 0)
-                 & (misses >= 0) & (dirty >= 0) & (dealloc > alloc)
-                 & ~(mpki_given & ~(np.isfinite(mpki) & (mpki >= 0))))
-    return ~valid
+        return ~np.logical_and.reduce([test(columns) for test, _ in checks])
+
+
+def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
+    """Position of the first record that breaks one of the rules and the
+    message of the first rule it breaks, or None. ``record`` is one
+    ObjectProfile (position 0) or columns of records."""
+    k = 0
+    if not isinstance(record, ObjectProfile):
+        bad = _broken(record, checks)
+        if not bad.any():
+            return None
+        k = int(np.argmax(bad))
+        record = SimpleNamespace(**{name: column.tolist()[k] for name, column
+                                    in vars(record).items()})
+    for test, message in checks:
+        if not test(record):
+            return k, message.format_map(vars(record))
+    return None
+
+
+def _rejected(table: np.ndarray, mpki: np.ndarray,
+              mpki_given: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the records whose numbers ObjectProfile rejects."""
+    return _broken(_columns((), table, mpki, mpki_given), _VALUE_CHECKS)
 
 
 class ProfileSet:
@@ -186,10 +223,9 @@ class ProfileSet:
         table = table.reshape(len(_NUMERIC), len(ids))
         mpki = np.array([None] * len(ids) if llc_mpki is None else llc_mpki,
                         dtype=float)
-        bad = _rejected(table, mpki) | np.fromiter(map(_bad_id, ids), bool,
-                                                   len(ids))
-        if bad.any():
-            _object_at(ids, table, mpki, int(np.argmax(bad)))
+        bad = _first_bad(_columns(ids, table, mpki))
+        if bad:
+            raise ProfileError(bad[1])
         return cls._of(ids, table, mpki, workload_label, workload_size)
 
     @classmethod
@@ -280,14 +316,6 @@ class ProfileSet:
                               self.workload_label, self.workload_size)
 
 
-def _object_at(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
-               k: int) -> ObjectProfile:
-    """ObjectProfile of record k of the columns (raises if it is invalid)."""
-    values = table[:, k].tolist()
-    m = float(mpki[k])
-    return ObjectProfile(ids[k], *values, None if math.isnan(m) else m)
-
-
 @dataclass(frozen=True)
 class ScalingVector:
     """Average gradient of each access pattern per unit of workload size."""
@@ -317,14 +345,6 @@ def _format_number(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(text: str, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ProfileError(
-            f"field {column!r} is not a number: {text!r}") from None
-
-
 @contextmanager
 def open_text(target: str | os.PathLike | IO[str], mode: str = "r"
               ) -> Iterator[IO[str]]:
@@ -336,16 +356,6 @@ def open_text(target: str | os.PathLike | IO[str], mode: str = "r"
     with open(target, mode, encoding="utf-8",
               newline=None if mode == "r" else "\n") as handle:
         yield handle
-
-
-def _record(fields: list[str]) -> ObjectProfile:
-    """One split record as an ObjectProfile, raising the ProfileError of its
-    first bad field (llc_mpki is parsed first) or broken invariant."""
-    fields = [f.strip() for f in fields]
-    mpki = _parse_float(fields[-1], _OPTIONAL_COLUMN) \
-        if len(fields) > len(_COLUMNS) and fields[-1] else None
-    return ObjectProfile(fields[0], *(_parse_float(text, column) for text, column
-                                      in zip(fields[1:], _COLUMNS[1:])), mpki)
 
 
 def load_profiles(source: str | os.PathLike | IO[str],
@@ -409,23 +419,26 @@ def load_profiles(source: str | os.PathLike | IO[str],
     columns = np.frombuffer(values).reshape(len(ids), len(_NUMERIC) + 1).T
     # Split and stripped fields cannot hold a comma, a line break,
     # surrounding whitespace or a leading '#'; only an empty id is possible.
-    bad = _rejected(columns[:-1], columns[-1], np.array(mpki_given, bool)) \
-        | np.array([not object_id for object_id in ids], bool)
-    if bad.any():
-        line_no = line_nos[int(np.argmax(bad))]
-        stop = line_no, lines[line_no - 1].strip().split(",")
+    bad = _first_bad(_columns(ids, columns[:-1], columns[-1],
+                              np.array(mpki_given, bool)),
+                     _CHECKS[:1] + _VALUE_CHECKS)
+    if bad:
+        raise ProfileError(f"line {line_nos[bad[0]]}: {bad[1]}")
     if stop is not None:
         line_no, fields = stop
         if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
             raise ProfileError(
                 f"line {line_no}: expected {len(header_cols)} fields, "
                 f"got {len(fields)}")
-        try:
-            _record(fields)
-        except ProfileError as exc:
-            raise ProfileError(f"line {line_no}: {exc}") from None
-        raise RuntimeError(f"line {line_no}: rejected by the column check "
-                           "but not by ObjectProfile")
+        named = list(zip([f.strip() for f in fields[1:]],
+                         _COLUMNS[1:] + (_OPTIONAL_COLUMN,)))
+        # A given llc_mpki is read first, then the columns in order.
+        for text, column in [n for n in named[6:] if n[0]] + named[:6]:
+            try:
+                float(text)
+            except ValueError:
+                raise ProfileError(f"line {line_no}: field {column!r} is "
+                                   f"not a number: {text!r}") from None
     return ProfileSet._of(tuple(ids), columns[:-1], columns[-1],
                           workload_label, workload_size)
 
@@ -561,6 +574,8 @@ def extrapolate(profiles: ProfileSet, vector: ScalingVector,
         raise ScalingError("anchor profile set has no workload_size")
     if not math.isfinite(target_workload_size):
         raise ScalingError("target workload size must be finite")
+    if target_workload_size <= 0:
+        raise ScalingError("target workload size must be positive")
     delta = target_workload_size - profiles.workload_size
 
     ids = profiles.ids()
@@ -576,15 +591,10 @@ def extrapolate(profiles: ProfileSet, vector: ScalingVector,
     alloc = profiles.alloc_time[:known]
     table = np.array([size, alloc, alloc + lifetime, volume, misses, dirty])
     mpki = profiles.llc_mpki[:known]
-    bad = _rejected(table, mpki)
-    if bad.any():
-        k = int(np.argmax(bad))
-        try:
-            _object_at(ids, table, mpki, k)
-        except ProfileError as exc:
-            raise ScalingError(
-                f"object {ids[k]!r} degenerates at workload "
-                f"{target_workload_size}: {exc}") from None
+    bad = _first_bad(_columns(ids[:known], table, mpki), _VALUE_CHECKS)
+    if bad:
+        raise ScalingError(f"object {ids[bad[0]]!r} degenerates at workload "
+                           f"{target_workload_size}: {bad[1]}")
     if known < len(ids):
         vector.for_object(ids[known])
     return ProfileSet._of(ids, table, mpki, profiles.workload_label,
@@ -662,13 +672,16 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> ProfileSet:
     misses = np.ceil(volumes / 64.0 * miss_rates)
     dirty = np.ceil(misses * rng.uniform(*spec.dirty_fraction_range, size=n))
     allocs = rng.uniform(*spec.alloc_range, size=n)
-    lifetimes = rng.uniform(*spec.lifetime_range, size=n)
+    deallocs = allocs + rng.uniform(*spec.lifetime_range, size=n)
+    if not (deallocs > allocs).all():
+        raise GeneratorError("lifetime_range too short: a dealloc_time "
+                             "rounds to its alloc_time")
     mpki = rng.uniform(*spec.mpki_range, size=n) if spec.with_mpki else None
 
     width = max(4, len(str(n - 1)))
     return ProfileSet.from_columns(
         [f"obj{i:0{width}d}" for i in range(n)], size=sizes,
-        alloc_time=allocs, dealloc_time=allocs + lifetimes,
+        alloc_time=allocs, dealloc_time=deallocs,
         accessed_volume=volumes, llc_misses=misses, dirty_blocks=dirty,
         llc_mpki=mpki, workload_label=spec.label,
         workload_size=spec.workload_size)

@@ -6,7 +6,8 @@ from memplan.baselines import (place_all_dram, place_all_nvm,
 from memplan.energy import GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import (COMPARISON_COLUMNS, _peak_bytes, compare,
-                               comparison_csv, comparison_json, evaluate)
+                               comparison_csv, comparison_json, evaluate,
+                               report_csv, report_json)
 from memplan.planner import DRAM, NVM, plan_static
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
@@ -302,3 +303,41 @@ def test_peak_bytes_equals_the_event_loop_with_tied_times_and_sizes():
         for device, mask in ((DRAM, on_dram), (NVM, ~on_dram)):
             assert _peak_bytes(ps, mask) \
                 == _event_loop_peak(objects, device, placements)
+
+
+def _two_objects():
+    return ProfileSet((
+        ObjectProfile("a", 2 * MB, 0.0, 1.0, 4 * MB, 100.0, 10.0),
+        ObjectProfile("b", MB, 0.5, 2.0, 2 * MB, 50.0, 5.0, 0.25)))
+
+
+def test_report_bytes_of_an_all_nvm_plan():
+    # Recorded from the writers before they shared one table writer; with no
+    # object on DRAM, static_dram_bytes is the int 0 and prints as 0.
+    ps = _two_objects()
+    dev = make_testbed1(dram_capacity=4 * MB, nvm_capacity=16 * MB)
+    report = evaluate(ps, dev, place_all_nvm(ps, dev, 0))
+    assert report_csv(report) == (
+        "metric,value\ntotal_energy_nj,23155274.88\n"
+        "latency_objective_ns,96000.0\n"
+        "energy_ratio_vs_all_dram,0.4940107871508019\ncapacity_ok_dram,1\n"
+        "capacity_ok_nvm,1\nbudget_ok,1\nstatic_dram_bytes,0\n"
+        "static_nvm_bytes,3145728.0\npeak_dram_bytes,0.0\n"
+        "peak_nvm_bytes,3145728.0\nminor_dram_energy_nj,0.0\n\n"
+        "id,energy_nj\na,15436849.92\nb,7718424.96\n")
+    assert report_json(report) == (
+        '{\n  "budget_ok": true,\n  "capacity_ok_dram": true,\n'
+        '  "capacity_ok_nvm": true,\n'
+        '  "energy_ratio_vs_all_dram": 0.4940107871508019,\n'
+        '  "latency_objective_ns": 96000.0,\n'
+        '  "minor_dram_energy_nj": 0.0,\n  "peak_dram_bytes": 0.0,\n'
+        '  "peak_nvm_bytes": 3145728.0,\n  "per_object_energy_nj": {\n'
+        '    "a": 15436849.92,\n    "b": 7718424.96\n  },\n'
+        '  "static_dram_bytes": 0,\n  "static_nvm_bytes": 3145728.0,\n'
+        '  "total_energy_nj": 23155274.88\n}\n')
+    rows = compare(ps, dev, [("all-nvm", place_all_nvm(ps, dev, 0)),
+                             ("random_1", None)])
+    assert comparison_csv(rows) == (
+        "plan,energy_nJ,ratio,latency_ns,capacity_ok\n"
+        "all-nvm,23155274.88,0.4940107871508019,96000.0,1\n"
+        "random_1,nan,nan,nan,0\n")

@@ -7,8 +7,9 @@ from memplan.energy import GIB
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import evaluate
 from memplan.planner import load_plan
-from memplan.profiles import (GeneratorSpec, derive_scaling_vector,
-                              extrapolate, generate_synthetic, load_profiles,
+from memplan.profiles import (GeneratorSpec, ProfileSet,
+                              derive_scaling_vector, extrapolate,
+                              generate_synthetic, load_profiles,
                               write_profile_dir)
 
 MB = 1 << 20
@@ -258,3 +259,53 @@ def test_compare_still_fails_when_pinned_objects_overflow_dram(
     assert rc == EXIT_USAGE
     assert "exceed DRAM capacity" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_sweep_csv_bytes_with_infeasible_rows(tmp_path):
+    # Recorded from the sweep writer before it shared the report table
+    # writer: flags as 0/1, floats by repr, nan for an infeasible plan.
+    profiles = tmp_path / "w.prof"
+    profiles.write_text(
+        "hmms-profile-v1\n"
+        "id,size_bytes,alloc_s,dealloc_s,accessed_bytes,llc_misses,"
+        "dirty_blocks,llc_mpki\n"
+        f"a,{2 * MB},0,1,{4 * MB},100,10,\nb,{MB},0.5,2,{2 * MB},50,5,0.25\n")
+    out = tmp_path / "s.csv"
+    rc = run(["sweep", "--profiles", profiles, "--ratios", "1.0,0.5",
+              "--capacities", "0.001:0.01,0:0.001", "--preset", "testbed1",
+              "--major-threshold", 0, "--out", out])
+    assert rc == EXIT_OK
+    assert out.read_text() == (
+        "dram_gib,nvm_gib,ratio,status,objective_ns,planned_energy_nj,"
+        "energy_budget_nj,evaluated_energy_nj,evaluated_ratio,capacity_ok\n"
+        "0.001,0.01,1.0,optimal,74000.0,32972317.439999998,"
+        "46872002.559999995,32972317.439999998,0.7034544213849778,1\n"
+        "0.001,0.01,0.5,optimal,96000.0,23155274.88,23436001.279999997,"
+        "23155274.88,0.4940107871508019,1\n"
+        "0.0,0.001,1.0,infeasible,nan,nan,46872002.559999995,nan,nan,0\n"
+        "0.0,0.001,0.5,infeasible,nan,nan,23436001.279999997,nan,nan,0\n")
+
+
+def test_generate_rejects_lifetimes_too_short_to_move_dealloc(tmp_path,
+                                                              capsys):
+    out = tmp_path / "g.prof"
+    rc = run(["generate", "--count", 10, "--seed", 4, "--lifetime-range",
+              "1e-20:1e-19", "--size-range", "1:2", "--out", out])
+    assert rc == EXIT_USAGE
+    assert "lifetime_range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scale_rejects_a_non_positive_target(tmp_path, capsys):
+    base = generate_synthetic(
+        GeneratorSpec(count=3, label="w1", workload_size=1.0), 3)
+    write_profile_dir([base, ProfileSet(base.objects, "w2", 2.0)],
+                      tmp_path / "family")
+    for target in (-30, 0):
+        out = tmp_path / "scaled.prof"
+        rc = run(["scale", "--profiles-dir", tmp_path / "family",
+                  "--target", target, "--out", out])
+        assert rc == EXIT_USAGE
+        assert "target workload size must be positive" \
+            in capsys.readouterr().err
+        assert not out.exists()

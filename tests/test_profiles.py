@@ -615,3 +615,93 @@ def test_extrapolate_names_the_first_bad_object_in_profile_order():
         extrapolate(ps, ScalingVector({"a": keep, "b": shrink}), 2.0)
     with pytest.raises(ScalingError, match="no scaling entry for object 'b'"):
         extrapolate(ps, ScalingVector({"a": keep, "c": shrink}), 2.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("record,message", [
+    (("", 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object id must be a non-empty string"),
+    (("", NAN, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object id must be a non-empty string"),
+    ((None, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object id must be a non-empty string"),
+    (("a,b", 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object id 'a,b' contains a separator character, surrounding "
+     "whitespace or a leading '#'"),
+    (("a", NAN, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object 'a': size must be finite"),
+    (("a", -INF, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object 'a': size must be finite"),
+    (("a", 1.0, INF, 1.0, 1.0, 1.0, 1.0, None),
+     "object 'a': alloc_time must be finite"),
+    (("a", 1.0, NAN, -INF, 1.0, 1.0, 1.0, None),
+     "object 'a': alloc_time must be finite"),
+    (("a", 1.0, 0.0, -INF, 1.0, 1.0, 1.0, None),
+     "object 'a': dealloc_time must be finite"),
+    (("a", 1.0, 0.0, 1.0, NAN, 1.0, INF, None),
+     "object 'a': accessed_volume must be finite"),
+    (("a", 1.0, 0.0, 1.0, 1.0, INF, 1.0, None),
+     "object 'a': llc_misses must be finite"),
+    (("a", 1.0, 0.0, 1.0, 1.0, 1.0, -INF, None),
+     "object 'a': dirty_blocks must be finite"),
+    (("a", 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, None),
+     "object 'a': size must be positive"),
+    (("a", -1.0, 5.0, 1.0, -1.0, 1.0, 1.0, None),
+     "object 'a': size must be positive"),
+    (("a", 1.0, 5.0, 1.0, -1.0, 1.0, 1.0, NAN),
+     "object 'a': accessed_volume must be >= 0"),
+    (("a", 1.0, 0.0, 1.0, 1.0, -1.0, 1.0, None),
+     "object 'a': llc_misses must be >= 0"),
+    (("a", 1.0, 0.0, 1.0, 1.0, 1.0, -0.5, None),
+     "object 'a': dirty_blocks must be >= 0"),
+    (("a", 1, 5, 5, 1, 1, 1, -1),
+     "object 'a': dealloc_time 5 must be after alloc_time 5"),
+    (("a", 1.0, 2.5, 0.5, 1.0, 1.0, 1.0, None),
+     "object 'a': dealloc_time 0.5 must be after alloc_time 2.5"),
+    (("a", 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, NAN),
+     "object 'a': llc_mpki must be >= 0"),
+    (("a", 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, -0.01),
+     "object 'a': llc_mpki must be >= 0"),
+    (("a", 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, INF),
+     "object 'a': llc_mpki must be >= 0"),
+])
+def test_each_rule_reports_its_own_message(record, message):
+    with pytest.raises(ProfileError) as err:
+        ObjectProfile(*record)
+    assert str(err.value) == message
+    # Columns hold floats, and NaN there means no llc_mpki.
+    floats = (record[0], *map(float, record[1:7]), record[7])
+    with pytest.raises(ProfileError) as from_object:
+        ObjectProfile(*floats)
+    columns = dict(zip(("size", "alloc_time", "dealloc_time",
+                        "accessed_volume", "llc_misses", "dirty_blocks"),
+                       ([value] for value in floats[1:7])))
+    mpki = [NAN if record[7] is None else record[7]]
+    if message.endswith("llc_mpki must be >= 0") and np.isnan(mpki[0]):
+        ProfileSet.from_columns([record[0]], **columns, llc_mpki=mpki)
+        return
+    with pytest.raises(ProfileError) as from_columns:
+        ProfileSet.from_columns(["ok", record[0]], **{
+            name: [1.0 if name != "dealloc_time" else 2.0] + value
+            for name, value in columns.items()}, llc_mpki=[NAN] + mpki)
+    assert str(from_columns.value) == str(from_object.value)
+    if all(type(value) is float for value in record[1:7]):
+        assert str(from_columns.value) == message
+
+
+def test_generator_rejects_lifetimes_too_short_to_move_dealloc():
+    spec = GeneratorSpec(count=10, size_range=(1.0, 2.0),
+                         lifetime_range=(1e-20, 1e-19))
+    with pytest.raises(GeneratorError, match="lifetime_range"):
+        generate_synthetic(spec, 4)
+
+
+@pytest.mark.parametrize("target", [0.0, -30.0, -0.0])
+def test_extrapolate_rejects_a_non_positive_target(target):
+    ps = ProfileSet((make_obj("a"),), "w", 1.0)
+    keep = {"size": 0.0, "accessed_volume": 0.0, "llc_misses": 0.0,
+            "dirty_blocks": 0.0, "lifetime": 0.0}
+    with pytest.raises(ScalingError, match="must be positive"):
+        extrapolate(ps, ScalingVector({"a": keep}), target)

@@ -196,8 +196,7 @@ any_float = st.floats() | st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324))
                           st.none() | any_float), min_size=1, max_size=8))
 @PROPERTY_SETTINGS
 def test_the_column_check_rejects_exactly_what_object_profile_rejects(records):
-    # The invariants are spelled twice, per object and per column; this
-    # keeps the two spellings from drifting apart.
+    # The scalar and column evaluations of the one rule table agree.
     table = np.array([values for values, _ in records]).T
     mpki = np.array([np.nan if m is None else m for _, m in records])
     given = np.array([m is not None for _, m in records])
