@@ -18,6 +18,9 @@ from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM, DRAM,
 from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet
 
 
+_MAX_DRAWS = 200_000  # before place_random gives up
+
+
 class NoFeasibleAssignment(ValueError):
     """A strategy found no assignment that fits the device capacities."""
 
@@ -119,13 +122,12 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
 
 def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
                  major_threshold: float = DEFAULT_MAJOR_THRESHOLD,
-                 reserved_dram_bytes: float = 0.0,
-                 max_tries: int = 200_000) -> PlacementPlan:
+                 reserved_dram_bytes: float = 0.0) -> PlacementPlan:
     """Uniform draw over the capacity-feasible assignments (rejection).
 
     Deterministic for a fixed seed. Raises NoFeasibleAssignment when the
     capacities admit no assignment at all or none is found within
-    ``max_tries`` draws.
+    200,000 draws.
     """
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
@@ -134,10 +136,10 @@ def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
         raise NoFeasibleAssignment("no capacity-feasible assignment exists")
     rng = np.random.default_rng(seed)
     n = len(major)
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         x = rng.integers(0, 2, size=n)
         if (sizes * x).sum() <= dram_free and (sizes * (1 - x)).sum() <= dev.nvm_capacity:
             return _finish(major, minor, dev, [int(v) for v in x],
                            major_threshold, reserved_dram_bytes)
     raise NoFeasibleAssignment(
-        f"no capacity-feasible assignment found in {max_tries} draws")
+        f"no capacity-feasible assignment found in {_MAX_DRAWS} draws")

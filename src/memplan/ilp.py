@@ -168,13 +168,8 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
     # Padded here, not by `ZeroOneProgram.slack`, so the oracle shares no
     # code with the solver it checks.
     slack = b + program.tolerances
-    if n == 0:
-        if np.all(0.0 <= slack):
-            return IlpSolution((), 0.0, STATUS_OPTIMAL)
-        return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
-
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)  # variable 0 is the MSB
-    best_obj: float | None = None
+    cutoff = float("inf")  # a leaf must fall below this to be the incumbent
     best_index = -1
 
     # A chunk's low bits repeat in every chunk; only the high columns (the
@@ -186,29 +181,21 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
     for start in range(0, 1 << n, chunk):
         bits[:, :high] = (start >> shifts[:high]) & 1
         feasible = np.all(bits @ a.T <= slack[None, :], axis=1)
-        if not feasible.any():
-            continue
         objs = bits @ c
-        # Sequential incumbent scan in index (= lexicographic) order; only a
-        # strictly-better-than-tolerance objective replaces the incumbent.
-        if best_obj is None:
-            first = int(np.flatnonzero(feasible)[0])
-            best_obj = float(objs[first])
-            best_index = start + first
-            candidates = np.flatnonzero(
-                feasible & (objs < best_obj - _tol(best_obj)))
-            candidates = candidates[candidates > first]
-        else:
-            candidates = np.flatnonzero(
-                feasible & (objs < best_obj - _tol(best_obj)))
+        # Sequential incumbent scan in index (= lexicographic) order with
+        # `solve`'s rule: only a leaf below the cutoff replaces the
+        # incumbent, and the cutoff then falls to its objective less the
+        # tolerance.
+        candidates = np.flatnonzero(feasible & (objs < cutoff))
         while candidates.size:
             i = int(candidates[0])
-            best_obj = float(objs[i])
             best_index = start + i
+            best = float(objs[i])
+            cutoff = best - _tol(best)
             rest = candidates[1:]
-            candidates = rest[objs[rest] < best_obj - _tol(best_obj)]
+            candidates = rest[objs[rest] < cutoff]
 
-    if best_obj is None:
+    if best_index < 0:
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
     assignment = tuple(int((best_index >> int(s)) & 1) for s in shifts)
     objective = float(c @ np.asarray(assignment, dtype=float))

@@ -242,20 +242,17 @@ def build_migration_program(live: ProfileSet, dev: DeviceSpec,
 
 def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
                    current: PlacementPlan, request: MigrationRequest,
-                   reserved_dram_bytes: float | None = None,
                    transient_capacity: bool = False,
                    allow_migration: bool = True,
                    plan_future: bool = True) -> MigrationPlan:
     """Decide which live major objects to migrate under the new requirement.
 
     The current plan must assign a device to every major object that is
-    live at the request time. ``allow_migration=False`` evaluates the
-    stay-everywhere vector instead of optimizing, which is useful as a
-    reference point.
+    live at the request time, and its DRAM reservation stays reserved.
+    ``allow_migration=False`` evaluates the stay-everywhere vector instead
+    of optimizing, which is useful as a reference point.
     """
     t = request.time
-    if reserved_dram_bytes is None:
-        reserved_dram_bytes = current.reserved_dram_bytes
     major, minor = filter_major(profiles, current.major_threshold)
 
     live = major.take(major.live_at(t))
@@ -267,7 +264,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
                 f"current plan does not place object {object_id!r}")
 
     live_minor_bytes = sum(minor.size[minor.live_at(t)].tolist())
-    dram_free = dev.dram_capacity - reserved_dram_bytes - live_minor_bytes
+    dram_free = (dev.dram_capacity - current.reserved_dram_bytes
+                 - live_minor_bytes)
     if dram_free < 0:
         raise CapacityError(
             "live minor objects and reservation exceed DRAM capacity")

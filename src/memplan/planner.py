@@ -85,23 +85,6 @@ def _major_minor(profiles: ProfileSet, major_threshold: float,
     return major, minor, dram_free
 
 
-def _normalized(coeffs: np.ndarray, bound: float,
-                limit: float) -> tuple[np.ndarray, float, float]:
-    """(row, bound, tolerance) of one ``<=`` row, scaled to unit magnitude.
-
-    Unit-magnitude rows keep nano-joule and byte scales from swamping the
-    solver's tolerances. The tolerance is the solver's relative one, taken
-    of ``limit``, the capacity, budget or requirement the evaluator checks
-    the row's quantity against, not of the bound: a bound like ``budget -
-    sum of NVM energies`` cancels, and its magnitude can be many times the
-    budget's.
-    """
-    scale = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
-    if scale > 0:
-        coeffs, bound, limit = coeffs / scale, bound / scale, limit / scale
-    return coeffs, bound, max(ilp.ABS_TOL, ilp.REL_TOL * abs(limit))
-
-
 def build_program(objects: ProfileSet, on_dram: np.ndarray,
                   stay: tuple[np.ndarray, np.ndarray],
                   move: tuple[np.ndarray, np.ndarray], energy_limit: float,
@@ -116,30 +99,28 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     program, must stay within ``energy_limit`` nJ. Returns (program,
     offset): the offset is the stay-put latency. Rows follow
     CONSTRAINT_NAMES; with ``transient_capacity`` a moving object also
-    holds its source space.
+    holds its source space. Rows are in bytes and nJ and the objective in
+    ns, unscaled. A row's tolerance is the solver's one of its limit, the
+    capacity, budget or requirement the evaluator checks, not of its
+    bound: ``budget - sum of stay energies`` cancels.
     """
     sizes = objects.size
     cp = np.asarray(on_dram, dtype=float)
     stay_latency, stay_energy = stay
     move_latency, move_energy = move
-    objective = move_latency - stay_latency
-    scale = float(np.max(np.abs(objective))) if len(objects) else 0.0
-    scaled_objective = objective / scale if scale > 0 else objective
-
     # Post-move DRAM residency is cp + x*(1 - 2cp).
     flip = (1.0 - 2.0 * cp) * sizes
     dram_bound = dram_free - float((cp * sizes).sum())
     nvm_bound = nvm_capacity - float(((1.0 - cp) * sizes).sum())
     energy_bound = energy_limit - float(stay_energy.sum()) - fixed_energy
-    rows = [_normalized(flip, dram_bound, dram_free),
-            _normalized(-flip, nvm_bound, nvm_capacity),
-            _normalized(move_energy - stay_energy, energy_bound, energy_limit)]
+    rows = [(flip, dram_bound, dram_free), (-flip, nvm_bound, nvm_capacity),
+            (move_energy - stay_energy, energy_bound, energy_limit)]
     if transient_capacity:
-        rows += [_normalized((1.0 - cp) * sizes, dram_bound, dram_free),
-                 _normalized(cp * sizes, nvm_bound, nvm_capacity)]
+        rows += [((1.0 - cp) * sizes, dram_bound, dram_free),
+                 (cp * sizes, nvm_bound, nvm_capacity)]
     program = ilp.ZeroOneProgram(
-        scaled_objective, [(row, bound) for row, bound, _ in rows],
-        objects.ids(), [tol for _, _, tol in rows])
+        move_latency - stay_latency, [(row, bound) for row, bound, _ in rows],
+        objects.ids(), [ilp._tol(limit) for _, _, limit in rows])
     return program, float(stay_latency.sum())
 
 

@@ -484,17 +484,15 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
     return sets
 
 
-def write_profile_dir(sets: Sequence[ProfileSet], path: str | os.PathLike,
-                      filenames: Sequence[str] | None = None) -> None:
-    """Write several ProfileSets plus a manifest.json into a directory."""
+def write_profile_dir(sets: Sequence[ProfileSet],
+                      path: str | os.PathLike) -> None:
+    """Write several ProfileSets, as workload0.prof, workload1.prof, ...,
+    plus a manifest.json into a directory."""
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    if filenames is None:
-        filenames = [f"workload{i}.prof" for i in range(len(sets))]
-    if len(filenames) != len(sets):
-        raise ValueError("one filename per profile set required")
     entries = []
-    for profiles, name in zip(sets, filenames):
+    for i, profiles in enumerate(sets):
+        name = f"workload{i}.prof"
         write_profiles(profiles, os.path.join(path, name))
         entry: dict[str, object] = {"file": name, "label": profiles.workload_label}
         if profiles.workload_size is not None:
@@ -520,6 +518,7 @@ def filter_major(profiles: ProfileSet,
     return profiles.take(volume > threshold), profiles.take(volume <= threshold)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ScalingVector rejects inf/nan
 def derive_scaling_vector(sets: Sequence[ProfileSet]) -> ScalingVector:
     """Average per-object pattern gradients across profiled workload sizes.
 
@@ -561,6 +560,7 @@ def _patterns(profiles: ProfileSet) -> np.ndarray:
     return np.array([getattr(profiles, name) for name in PATTERNS])
 
 
+@np.errstate(over="ignore")  # the record rules reject an overflow
 def extrapolate(profiles: ProfileSet, vector: ScalingVector,
                 target_workload_size: float) -> ProfileSet:
     """Project a profiled workload to a new workload size along the gradients.
@@ -646,6 +646,7 @@ class GeneratorSpec:
             raise GeneratorError("alloc_range must satisfy 0 <= lo <= hi")
 
 
+@np.errstate(over="ignore")  # large draws can overflow: see the checks below
 def generate_synthetic(spec: GeneratorSpec, seed: int) -> ProfileSet:
     """Deterministically generate a ProfileSet matching the generator spec."""
     rng = np.random.default_rng(seed)
@@ -673,6 +674,14 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> ProfileSet:
     dirty = np.ceil(misses * rng.uniform(*spec.dirty_fraction_range, size=n))
     allocs = rng.uniform(*spec.alloc_range, size=n)
     deallocs = allocs + rng.uniform(*spec.lifetime_range, size=n)
+    for column, ranges, name in (
+            (sizes, "size_range and skew_share", "size"),
+            (volumes, "size_range and access_factor_range", "accessed_volume"),
+            (misses, "miss_rate_range", "llc_misses"),
+            (dirty, "dirty_fraction_range", "dirty_blocks"),
+            (deallocs, "alloc_range and lifetime_range", "dealloc_time")):
+        if not np.isfinite(column).all():
+            raise GeneratorError(f"{ranges} too large: {name} overflows")
     if not (deallocs > allocs).all():
         raise GeneratorError("lifetime_range too short: a dealloc_time "
                              "rounds to its alloc_time")

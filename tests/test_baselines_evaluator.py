@@ -5,9 +5,10 @@ from memplan.baselines import (place_all_dram, place_all_nvm,
                                place_mpki_threshold, place_random)
 from memplan.energy import GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
-from memplan.evaluator import (COMPARISON_COLUMNS, _peak_bytes, compare,
-                               comparison_csv, comparison_json, evaluate,
-                               report_csv, report_json)
+from memplan.evaluator import (COMPARISON_COLUMNS, _cell, _csv_table,
+                               _peak_bytes, compare, comparison_csv,
+                               comparison_json, evaluate, report_csv,
+                               report_json)
 from memplan.planner import DRAM, NVM, plan_static
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
@@ -341,3 +342,19 @@ def test_report_bytes_of_an_all_nvm_plan():
         "plan,energy_nJ,ratio,latency_ns,capacity_ok\n"
         "all-nvm,23155274.88,0.4940107871508019,96000.0,1\n"
         "random_1,nan,nan,nan,0\n")
+
+
+def test_the_csv_table_writes_every_cell_by_the_cell_rule():
+    # One column per kind, the last two mixing kinds: the column-wise
+    # writer must give the text of `_cell` applied cell by cell.
+    columns = ("flag", "count", "value", "name", "mixed", "either")
+    rows = [(True, 0, float("nan"), "a", 1.5, "x"),
+            (False, 3, 2.0, "b", 0, 7.0),
+            (True, 0, 0.1, "c", float("inf"), "y")]
+    want = ",".join(columns) + "\n" + "".join(
+        ",".join(map(_cell, row)) + "\n" for row in rows)
+    assert want == ("flag,count,value,name,mixed,either\n1,0,nan,a,1.5,x\n"
+                    "0,3,2.0,b,0,7.0\n1,0,0.1,c,inf,y\n")
+    assert _csv_table(columns, rows) == want
+    assert _csv_table(columns, iter(rows)) == want
+    assert _csv_table(columns, []) == ",".join(columns) + "\n"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -293,6 +294,18 @@ def test_generate_rejects_lifetimes_too_short_to_move_dealloc(tmp_path,
               "1e-20:1e-19", "--size-range", "1:2", "--out", out])
     assert rc == EXIT_USAGE
     assert "lifetime_range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_names_the_ranges_whose_product_overflows(tmp_path, capsys):
+    out = tmp_path / "g.prof"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["generate", "--count", 10, "--seed", 4, "--size-range",
+                  "1e308:1.7e308", "--out", out])
+    assert rc == EXIT_USAGE
+    assert "size_range and access_factor_range too large" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

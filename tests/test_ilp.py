@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -125,6 +126,49 @@ class TestOracleEquivalence:
         first = solve(program)
         for _ in range(3):
             assert solve(program) == first
+
+
+def lexicographic_scan(program):
+    """Every assignment in lexicographic order; a feasible one replaces the
+    incumbent when it beats it by more than the tolerance."""
+    c, a, b = program.arrays()
+    slack = b + program.tolerances
+    best, best_obj = None, float("inf")
+    for x in itertools.product((0, 1), repeat=program.num_variables):
+        v = np.array(x, dtype=float)
+        obj = float(c @ v)
+        if np.all(a @ v <= slack) and (best is None
+                                       or obj < best_obj - _tol(best_obj)):
+            best, best_obj = x, obj
+    if best is None:
+        return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
+    return IlpSolution(best, best_obj, STATUS_OPTIMAL)
+
+
+def test_both_routes_match_a_plain_lexicographic_scan():
+    rng = np.random.default_rng(11)
+    programs = [ZeroOneProgram(()), ZeroOneProgram((), (((), -1.0),))]
+    for k in range(300):
+        n = int(rng.integers(0, 9))
+        if k % 2:  # integer coefficients: exact ties and loads on a bound
+            c = rng.integers(-4, 5, n).astype(float)
+            rows = tuple((rng.integers(-3, 4, n).astype(float),
+                          float(rng.integers(-3, 6)))
+                         for _ in range(int(rng.integers(0, 4))))
+            programs.append(ZeroOneProgram(c, rows))
+        else:
+            programs.append(random_program(rng, max_vars=8))
+    for program in programs:
+        want = lexicographic_scan(program)
+        for solver in (solve, solve_exhaustive):
+            got = solver(program)
+            assert (got.status, got.assignment) \
+                == (want.status, want.assignment)
+            if want.status == STATUS_OPTIMAL:
+                assert got.objective_value == pytest.approx(
+                    want.objective_value, rel=1e-12, abs=1e-12)
+    assert [lexicographic_scan(p).status for p in programs[:2]] \
+        == [STATUS_OPTIMAL, STATUS_INFEASIBLE]
 
 
 def test_exhaustive_24_variables_completes_quickly():

@@ -4,6 +4,8 @@ import io
 import numpy as np
 import pytest
 
+from memplan import ilp
+from memplan.baselines import place_all_nvm
 from memplan.energy import (DeviceSpec, GIB, dram_energy, dram_latency,
                             nvm_energy, nvm_latency)
 from memplan.energy import testbed1 as make_testbed1
@@ -11,8 +13,8 @@ from memplan.migration import (MigrationRequest, build_migration_program,
                                migration_energies, migration_latency,
                                migration_times, plan_migration, price_live,
                                write_migration_plan)
-from memplan.planner import (DRAM, NVM, PlacementPlan, diagnose_infeasibility,
-                             plan_static)
+from memplan.planner import (CONSTRAINT_ENERGY, DRAM, NVM, PlacementPlan,
+                             diagnose_infeasibility, plan_static)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
 
@@ -399,3 +401,19 @@ def test_strict_transient_migration_names_the_overflowing_dram_row():
     assert diagnose_infeasibility(program) == ("transient_dram",)
     # Without the copy-time rows, moving one object out is enough.
     assert plan_migration(ps, dev, current, request).feasible
+
+
+def test_a_tiny_strict_requirement_is_not_met_within_a_scaled_tolerance():
+    # The energy row's largest coefficient is about 5.5e12 nJ; scaled by
+    # it, the row once let the 0.736 nJ stay-put vector pass against a
+    # 5.5e-8 nJ requirement.
+    dev = DeviceSpec(dram_capacity=1e12, nvm_capacity=1e12)
+    ps = ProfileSet((ObjectProfile("A", 1e9, 0, 1000, 0.1, 1, 0),
+                     ObjectProfile("B", 1, 0, 1000, 0.1, 1, 0)))
+    current = place_all_nvm(ps, dev, major_threshold=0)
+    plan = plan_migration(ps, dev, current,
+                          MigrationRequest(time=10.0, new_ratio=1e-20))
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert plan.binding_constraints == (CONSTRAINT_ENERGY,)
+    assert [(d.target_device, d.migrate) for d in plan.decisions] \
+        == [(NVM, False)] * 2

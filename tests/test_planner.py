@@ -7,7 +7,7 @@ import pytest
 
 from memplan import ilp
 from memplan.baselines import place_mpki_threshold
-from memplan.energy import GIB, dram_energy, nvm_energy
+from memplan.energy import DeviceSpec, GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import evaluate
 from memplan.planner import (CONSTRAINT_ENERGY, CapacityError, DRAM, NVM,
@@ -392,6 +392,22 @@ def test_an_over_budget_plan_is_not_called_optimal_when_the_bound_cancels():
     assert evaluate(ps, dev, roomy).budget_ok
 
 
+def test_a_tiny_budget_keeps_its_own_tolerance_beside_a_huge_coefficient():
+    # A's DRAM energy is 5.5e12 nJ, so a row scaled by its largest
+    # coefficient had a 1e-12 tolerance floor worth 5.5 nJ: the all-NVM
+    # plan (0.736 nJ) passed as optimal against a 1e-6 nJ budget.
+    dev = DeviceSpec(dram_capacity=1e12, nvm_capacity=1e12)
+    ps = ProfileSet((ObjectProfile("A", 1e9, 0, 1000, 0.1, 1, 0),
+                     ObjectProfile("B", 1, 0, 1000, 0.1, 1, 0)))
+    all_dram = sum(dram_energy(ps, dev).tolist())
+    plan = plan_static(ps, dev, 1e-6 / all_dram, major_threshold=0)
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert plan.binding_constraints == (CONSTRAINT_ENERGY,)
+    roomy = plan_static(ps, dev, 0.74 / all_dram, major_threshold=0)
+    assert roomy.status == ilp.STATUS_OPTIMAL
+    assert evaluate(ps, dev, roomy).budget_ok
+
+
 def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
     ps = ProfileSet((ObjectProfile("a", 4 * MB, 0, 1, 8 * MB, 10.0, 1e7),
                      ObjectProfile("b", 2 * MB, 0, 1, 4 * MB, 20.0, 2e7)))
@@ -399,9 +415,8 @@ def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
     program, _ = build_placement_program(ps, dev, 0.9, 5 * MB)
     de, ne = dram_energy(ps, dev), nvm_energy(ps, dev)
     budget = 0.9 * sum(de.tolist())
-    # Rows are scaled to unit magnitude, their tolerances with them.
-    limits = np.array([5 * MB / (4 * MB), 3 * MB / (4 * MB),
-                       budget / np.max(np.abs(de - ne))])
+    # Rows stay in bytes and nJ, their tolerances with them.
+    limits = np.array([5 * MB, 3 * MB, budget])
     assert program.tolerances.tolist() == pytest.approx(
         (ilp.REL_TOL * limits).tolist(), rel=1e-12)
     assert not program.tolerances.flags.writeable

@@ -1,10 +1,12 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorError,
-                              GeneratorSpec, ObjectProfile, ProfileError,
+from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, PATTERNS,
+                              GeneratorError, GeneratorSpec, ObjectProfile,
+                              ProfileError,
                               ProfileSet, ScalingError, ScalingVector,
                               derive_scaling_vector, extrapolate, filter_major,
                               generate_synthetic, load_profile_dir,
@@ -705,3 +707,37 @@ def test_extrapolate_rejects_a_non_positive_target(target):
             "dirty_blocks": 0.0, "lifetime": 0.0}
     with pytest.raises(ScalingError, match="must be positive"):
         extrapolate(ps, ScalingVector({"a": keep}), target)
+
+
+@pytest.mark.parametrize("ranges,named", [
+    (dict(size_range=(1e308, 1.7e308)), "size_range and access_factor_range"),
+    (dict(skew_count=2, skew_share=0.99, size_range=(1e307, 1.7e307)),
+     "size_range and skew_share"),
+    (dict(size_range=(1e305, 1e305), miss_rate_range=(1e10, 1e10)),
+     "miss_rate_range"),
+    (dict(size_range=(1e300, 1e300), miss_rate_range=(1.0, 1.0),
+          dirty_fraction_range=(1e10, 1e10)), "dirty_fraction_range"),
+    (dict(alloc_range=(1e308, 1.7e308), lifetime_range=(1e308, 1.7e308)),
+     "alloc_range and lifetime_range"),
+])
+def test_generator_names_the_ranges_whose_draws_overflow(ranges, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GeneratorError, match=f"^{named} too large"):
+            generate_synthetic(GeneratorSpec(count=10, **ranges), 4)
+
+
+def test_scaling_rejects_an_overflow_without_a_warning():
+    ps = ProfileSet((make_obj("a"),), "w", 1.0)
+    vector = ScalingVector({"a": dict.fromkeys(PATTERNS, 1e300)})
+    # Workload sizes 1e-310 apart turn a size step of 1e300 into an
+    # infinite gradient.
+    sets = [ProfileSet((make_obj("a", size=size),), label, workload)
+            for size, label, workload in ((MB, "w1", 1e-310),
+                                          (1e300, "w2", 2e-310))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ScalingError, match="size must be finite"):
+            extrapolate(ps, vector, 1e10)
+        with pytest.raises(ScalingError, match="size not finite"):
+            derive_scaling_vector(sets)

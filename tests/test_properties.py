@@ -85,6 +85,9 @@ def test_best_effort_migration_is_no_worse_than_staying(ps, first_ratio, t,
        st.floats(min_value=0.5, max_value=1.2))
 @example(ProfileSet((ObjectProfile("o0", 1e12, 0, 1, 1e12, 1e12, 2.09822e17),)),
          1.0, 0.0, 0.99609375)
+@example(ProfileSet((ObjectProfile("A", 1e9, 0, 1000, 0.1, 1, 0),
+                     ObjectProfile("B", 1, 0, 1000, 0.1, 1, 0))),
+         0.0, 0.0, 1e-19)
 @PROPERTY_SETTINGS
 def test_plans_called_optimal_pass_the_evaluator_at_extreme_magnitudes(
         ps, dram_share, nvm_share, ratio):
