@@ -7,11 +7,10 @@ and a migration planner replans live objects when the budget changes
 mid-run. Baselines and an independent evaluator support comparisons.
 """
 
-from .energy import (DeviceSpec, EnergyEstimate, GIB, dram_energy,
-                     estimate_all, load_device_spec, nvm_energy, testbed1,
-                     testbed2, write_device_spec)
+from .energy import (DeviceSpec, GIB, dram_energy, load_device_spec,
+                     nvm_energy, testbed1, testbed2, write_device_spec)
 from .ilp import (IlpSolution, ZeroOneProgram, constraint_violations, solve,
-                  solve_exhaustive, to_lp_format)
+                  solve_exhaustive)
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorError, GeneratorSpec,
                        ObjectProfile, ProfileError, ProfileSet, ScalingError,
                        ScalingVector, derive_scaling_vector, extrapolate,
@@ -32,19 +31,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ComparisonRow", "DEFAULT_MAJOR_THRESHOLD", "DRAM",
-    "DeviceSpec", "EnergyEstimate", "EvaluationReport", "GIB",
-    "GeneratorError", "GeneratorSpec", "IlpSolution", "MigrationDecision",
-    "MigrationEnergy", "MigrationLatency", "MigrationPlan",
-    "MigrationRequest", "NVM", "ObjectProfile", "PlacementPlan",
-    "ProfileError", "ProfileSet", "ScalingError", "ScalingVector",
-    "ZeroOneProgram", "compare", "comparison_csv", "comparison_json",
-    "constraint_violations", "derive_scaling_vector", "dram_energy",
-    "estimate_all", "evaluate", "extrapolate", "filter_major",
-    "generate_synthetic", "load_device_spec", "load_plan",
+    "DeviceSpec", "EvaluationReport", "GIB", "GeneratorError",
+    "GeneratorSpec", "IlpSolution", "MigrationDecision", "MigrationEnergy",
+    "MigrationLatency", "MigrationPlan", "MigrationRequest", "NVM",
+    "ObjectProfile", "PlacementPlan", "ProfileError", "ProfileSet",
+    "ScalingError", "ScalingVector", "ZeroOneProgram", "compare",
+    "comparison_csv", "comparison_json", "constraint_violations",
+    "derive_scaling_vector", "dram_energy", "evaluate", "extrapolate",
+    "filter_major", "generate_synthetic", "load_device_spec", "load_plan",
     "load_profile_dir", "load_profiles", "migration_energies",
     "migration_latency", "migration_times", "nvm_energy", "place_all_dram",
-    "place_all_nvm", "place_mpki_threshold", "place_random", "plan_migration",
-    "plan_static", "solve", "solve_exhaustive", "sweep_ratios", "testbed1",
-    "testbed2", "to_lp_format", "write_device_spec", "write_migration_plan",
-    "write_plan", "write_profile_dir", "write_profiles",
+    "place_all_nvm", "place_mpki_threshold", "place_random",
+    "plan_migration", "plan_static", "solve", "solve_exhaustive",
+    "sweep_ratios", "testbed1", "testbed2", "write_device_spec",
+    "write_migration_plan", "write_plan", "write_profile_dir",
+    "write_profiles",
 ]

@@ -20,6 +20,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, replace
+from numbers import Real
 from typing import IO, Sequence
 
 import numpy as np
@@ -57,20 +58,18 @@ class DeviceSpec:
     nvm_capacity: float = 16 * GIB
 
     def __post_init__(self) -> None:
-        for name in ("dram_act_pre", "dram_rw", "dram_ref", "nvm_act_pre",
-                     "nvm_rba", "nvm_wb", "dram_latency", "nvm_latency",
-                     "dram_capacity", "nvm_capacity"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("dram_write_latency", "nvm_write_latency"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not self.refresh_period > 0:
-            raise ValueError("refresh_period must be positive")
-        if not self.cache_block_size > 0:
-            raise ValueError("cache_block_size must be positive")
+        for name, value in vars(self).items():
+            if value is None and name.endswith("_write_latency"):
+                continue  # the read latency stands in
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
+            if name in ("refresh_period", "cache_block_size"):
+                if not value > 0:
+                    raise ValueError(f"{name} must be positive")
+            elif value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.dram_latency > self.nvm_latency:
             warnings.warn(
                 "dram_latency exceeds nvm_latency; placement objectives will "
@@ -179,29 +178,3 @@ def price_placement(profiles: ProfileSet, dev: DeviceSpec,
             np.where(on, dram_energy(profiles, dev),
                      nvm_energy(profiles, dev)))
 
-
-@dataclass(frozen=True)
-class EnergyEstimate:
-    """Per-object energies on each device plus set-wide totals."""
-
-    dram: dict[str, float]
-    nvm: dict[str, float]
-    total_dram: float
-    total_nvm: float
-
-    def __post_init__(self) -> None:
-        if set(self.dram) != set(self.nvm):
-            raise ValueError("per-device energy maps must cover the same objects")
-
-
-def estimate_all(profiles: ProfileSet, dev: DeviceSpec) -> EnergyEstimate:
-    """Energy of every object on both devices.
-
-    ``total_dram`` is the all-DRAM baseline that energy budgets are
-    expressed against.
-    """
-    ids = profiles.ids()
-    dram = dram_energy(profiles, dev).tolist()
-    nvm = nvm_energy(profiles, dev).tolist()
-    return EnergyEstimate(dram=dict(zip(ids, dram)), nvm=dict(zip(ids, nvm)),
-                          total_dram=sum(dram), total_nvm=sum(nvm))

@@ -27,14 +27,15 @@ the tolerance of each other can end at a different, equally optimal leaf
 than the oracle's scan.
 
 Randomized tests keep the two routes equivalent. Objective comparisons use
-a tolerance of 1e-9 relative with a 1e-12 absolute floor, and so does each
-constraint unless its program gives the row a tolerance of its own.
+a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``, 1e-9 relative with a
+1e-12 absolute floor, and so does each constraint, on its bound, unless its
+program gives the row a tolerance of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,16 +53,6 @@ def _tol(reference: float) -> float:
     return max(ABS_TOL, REL_TOL * abs(reference))
 
 
-def _bound_tolerances(b: np.ndarray) -> np.ndarray:
-    return np.maximum(ABS_TOL, REL_TOL * np.abs(b))
-
-
-def padded_bounds(b: np.ndarray) -> np.ndarray:
-    """Each bound plus the feasibility tolerance ``max(ABS_TOL, REL_TOL*|b|)``
-    that rows get unless their program gives their own."""
-    return b + _bound_tolerances(b)
-
-
 def _frozen(values) -> np.ndarray:
     array = np.array(values, dtype=float)
     array.flags.writeable = False
@@ -75,16 +66,15 @@ class ZeroOneProgram:
     Coefficients may be given as sequences or arrays; they are stored once
     as read-only float arrays, and ``constraints`` holds (row, bound) pairs
     whose rows are views of the constraint matrix. ``tolerances`` holds
-    each row's absolute feasibility tolerance, by default the one of
-    `padded_bounds`. A row whose bound is a difference that cancels (a
-    budget less a large fixed part) should pass the tolerance of the
-    quantity it limits instead, since the bound's magnitude says nothing
-    about the precision that quantity is checked to.
+    each row's absolute feasibility tolerance, by default
+    ``max(ABS_TOL, REL_TOL * |bound|)``. A row whose bound is a difference
+    that cancels (a budget less a large fixed part) should pass the
+    tolerance of the quantity it limits instead, since the bound's
+    magnitude says nothing about the precision that quantity is checked to.
     """
 
     objective_coeffs: np.ndarray
     constraints: tuple[tuple[np.ndarray, float], ...] = ()
-    variable_names: tuple[str, ...] = ()
     tolerances: Sequence[float] | np.ndarray = ()
 
     def __post_init__(self) -> None:
@@ -98,18 +88,13 @@ class ZeroOneProgram:
                     f"{n} variables")
         a = _frozen([coeffs for coeffs, _ in pairs]).reshape(len(pairs), n)
         b = _frozen([bound for _, bound in pairs])
-        names = tuple(self.variable_names) or tuple(f"x{i}" for i in range(n))
-        if len(names) != n:
-            raise ValueError(f"{len(names)} variable names for {n} variables")
-        if len(set(names)) != n:
-            raise ValueError("variable names must be unique")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective coefficients must be finite")
         for i, row in enumerate(a):
             if not np.all(np.isfinite(row)) or not np.isfinite(b[i]):
                 raise ValueError(f"constraint {i} has non-finite entries")
         tol = _frozen(self.tolerances) if len(self.tolerances) \
-            else _bound_tolerances(b)
+            else np.maximum(ABS_TOL, REL_TOL * np.abs(b))
         if tol.shape != b.shape or not np.all(np.isfinite(tol) & (tol >= 0)):
             raise ValueError(
                 "one finite tolerance >= 0 per constraint required")
@@ -117,7 +102,6 @@ class ZeroOneProgram:
         tol.flags.writeable = slack.flags.writeable = False
         object.__setattr__(self, "objective_coeffs", c)
         object.__setattr__(self, "constraints", tuple(zip(a, b.tolist())))
-        object.__setattr__(self, "variable_names", names)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_b", b)
         object.__setattr__(self, "tolerances", tol)
@@ -331,26 +315,3 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE, nodes)
     objective = float(c @ np.asarray(best_x, dtype=float))
     return IlpSolution(best_x, objective, STATUS_OPTIMAL, nodes)
-
-
-def to_lp_format(program: ZeroOneProgram) -> str:
-    """Render the program in LP text format for external cross-checking."""
-    names = program.variable_names
-
-    def terms(coeffs: Iterable[float]) -> str:
-        parts = []
-        for name, coeff in zip(names, coeffs):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else ("+" if parts else "")
-            parts.append(f"{sign} {abs(coeff):.17g} {name}".strip())
-        return " ".join(parts) if parts else "0 " + names[0] if names else "0"
-
-    lines = ["Minimize", f" obj: {terms(program.objective_coeffs)}", "Subject To"]
-    for i, (coeffs, bound) in enumerate(program.constraints):
-        lines.append(f" c{i}: {terms(coeffs)} <= {bound:.17g}")
-    if names:
-        lines.append("Binary")
-        lines.append(" " + " ".join(names))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -147,7 +147,6 @@ class MigrationDecision:
     current_device: str
     target_device: str
     migrate: bool
-    energy_nj: float
     migration_cost_nj: float
     migration_time_ns: float
 
@@ -228,11 +227,10 @@ def build_migration_program(live: ProfileSet, dev: DeviceSpec,
                             costs: LiveCosts, requirement: float,
                             dram_free: float,
                             transient_capacity: bool = False
-                            ) -> tuple[ilp.ZeroOneProgram, float]:
+                            ) -> ilp.ZeroOneProgram:
     """ILP over live major objects; variable 1 means migrate.
 
-    Returns (program, objective offset); the offset is the stay-everywhere
-    latency so the program minimizes the latency delta of migrating.
+    The program minimizes the latency change of migrating.
     """
     return build_program(
         live, costs.on_dram, (costs.stay_latency, costs.stay_energy),
@@ -274,7 +272,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     requirement = request.new_ratio * sum(dram_energy(live, dev).tolist()) \
         if request.strict else float(sum(costs.stay_energy.tolist()))
 
-    program, _ = build_migration_program(
+    program = build_migration_program(
         live, dev, costs, requirement, dram_free,
         transient_capacity=transient_capacity)
     stay_put = (0,) * len(live)
@@ -300,13 +298,12 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
             current_device=DRAM if here else NVM,
             target_device=DRAM if there else NVM,
             migrate=x,
-            energy_nj=energy,
             migration_cost_nj=cost,
             migration_time_ns=copy_time,
         )
-        for object_id, here, there, x, energy, cost, copy_time in zip(
+        for object_id, here, there, x, cost, copy_time in zip(
             live.ids(), costs.on_dram.tolist(), post_dram.tolist(),
-            migrate.tolist(), energies,
+            migrate.tolist(),
             np.where(migrate, costs.copy_energy, 0.0).tolist(),
             np.where(migrate, costs.copy_time, 0.0).tolist()))
 

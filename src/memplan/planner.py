@@ -90,19 +90,19 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
                   move: tuple[np.ndarray, np.ndarray], energy_limit: float,
                   dram_free: float, nvm_capacity: float,
                   transient_capacity: bool = False, fixed_energy: float = 0.0
-                  ) -> tuple[ilp.ZeroOneProgram, float]:
+                  ) -> ilp.ZeroOneProgram:
     """The 0-1 program of placement and migration; variable 1 means move.
 
     An object moves off its current device (DRAM where ``on_dram``).
     ``stay`` and ``move`` are its (latency ns, energy nJ) either way. The
     energy of every object, plus ``fixed_energy`` nJ spent outside the
-    program, must stay within ``energy_limit`` nJ. Returns (program,
-    offset): the offset is the stay-put latency. Rows follow
-    CONSTRAINT_NAMES; with ``transient_capacity`` a moving object also
-    holds its source space. Rows are in bytes and nJ and the objective in
-    ns, unscaled. A row's tolerance is the solver's one of its limit, the
-    capacity, budget or requirement the evaluator checks, not of its
-    bound: ``budget - sum of stay energies`` cancels.
+    program, must stay within ``energy_limit`` nJ. The objective is the
+    latency change of moving. Rows follow CONSTRAINT_NAMES; with
+    ``transient_capacity`` a moving object also holds its source space.
+    Rows are in bytes and nJ and the objective in ns, unscaled. A row's
+    tolerance is the solver's one of its limit, the capacity, budget or
+    requirement the evaluator checks, not of its bound: ``budget - sum of
+    stay energies`` cancels.
     """
     sizes = objects.size
     cp = np.asarray(on_dram, dtype=float)
@@ -118,21 +118,19 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     if transient_capacity:
         rows += [((1.0 - cp) * sizes, dram_bound, dram_free),
                  (cp * sizes, nvm_bound, nvm_capacity)]
-    program = ilp.ZeroOneProgram(
+    return ilp.ZeroOneProgram(
         move_latency - stay_latency, [(row, bound) for row, bound, _ in rows],
-        objects.ids(), [ilp._tol(limit) for _, _, limit in rows])
-    return program, float(stay_latency.sum())
+        tolerances=[ilp._tol(limit) for _, _, limit in rows])
 
 
 def build_placement_program(major: ProfileSet, dev: DeviceSpec,
                             ratio: float, dram_free: float,
                             extra_budget_energy: float = 0.0
-                            ) -> tuple[ilp.ZeroOneProgram, float]:
-    """ILP over the major objects; returns (program, objective offset).
+                            ) -> ilp.ZeroOneProgram:
+    """ILP over the major objects.
 
     A placement is a migration from an all-NVM start: variables are 1 for
-    DRAM, 0 for NVM, in profile order, and the offset is the all-NVM
-    latency.
+    DRAM, 0 for NVM, in profile order.
     """
     de = dram_energy(major, dev)
     ne = nvm_energy(major, dev)
@@ -185,8 +183,8 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
                                            reserved_dram_bytes, dev)
     extra = sum(dram_energy(minor, dev).tolist()) if include_minor_in_budget \
         else 0.0
-    program, _ = build_placement_program(major, dev, ratio, dram_free,
-                                         extra_budget_energy=extra)
+    program = build_placement_program(major, dev, ratio, dram_free,
+                                      extra_budget_energy=extra)
     solution = ilp.solve(program)
 
     placements = dict.fromkeys(minor.ids(), DRAM)

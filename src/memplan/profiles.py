@@ -76,16 +76,6 @@ class ObjectProfile:
     def lifetime(self) -> float:
         return self.dealloc_time - self.alloc_time
 
-    def pattern(self, name: str) -> float:
-        """Value of one scalable access pattern (see PATTERNS)."""
-        if name == "lifetime":
-            return self.lifetime
-        if name == "size":
-            return self.size
-        if name in ("accessed_volume", "llc_misses", "dirty_blocks"):
-            return getattr(self, name)
-        raise KeyError(name)
-
     def live_at(self, t: float) -> bool:
         """True if the object is allocated and not yet freed at time t."""
         return self.alloc_time <= t < self.dealloc_time
@@ -461,7 +451,8 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
     The manifest lists one entry per workload:
     ``{"format": "hmms-profile-manifest-v1", "workloads":
     [{"file": ..., "workload_size": ..., "label": ...}, ...]}``.
-    Sets are returned in manifest order.
+    Sets are returned in manifest order. A malformed manifest raises a
+    ProfileError naming its path and, where there is one, the entry.
     """
     manifest_path = os.path.join(os.fspath(path), MANIFEST_NAME)
     try:
@@ -471,16 +462,29 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
         raise ProfileError(f"no {MANIFEST_NAME} in {os.fspath(path)!r}") from None
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ProfileError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT_VERSION:
         raise ProfileError(
             f"{manifest_path}: expected format {MANIFEST_FORMAT_VERSION!r}")
+    entries = manifest.get("workloads", [])
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ProfileError(
+            f"{manifest_path}: workloads must be a list of objects")
     sets = []
-    for entry in manifest.get("workloads", []):
-        sets.append(load_profiles(
-            os.path.join(os.fspath(path), entry["file"]),
-            workload_label=entry.get("label", entry["file"]),
-            workload_size=entry.get("workload_size"),
-        ))
+    for i, entry in enumerate(entries):
+        name, size = entry.get("file"), entry.get("workload_size")
+        if not isinstance(name, str):
+            raise ProfileError(f"{manifest_path}: workloads[{i}]: "
+                               f"file must be a string, got {name!r}")
+        if size is not None and (isinstance(size, bool)
+                                 or not isinstance(size, (int, float))):
+            raise ProfileError(f"{manifest_path}: workloads[{i}]: "
+                               f"workload_size must be a number, got {size!r}")
+        sets.append(load_profiles(os.path.join(os.fspath(path), name),
+                                  workload_label=entry.get("label", name),
+                                  workload_size=size))
     return sets
 
 

@@ -322,3 +322,51 @@ def test_scale_rejects_a_non_positive_target(tmp_path, capsys):
         assert "target workload size must be positive" \
             in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, field", [
+    ('{"dram_capacity": "big"}', "dram_capacity"),
+    ('{"nvm_capacity": null}', "nvm_capacity"),
+    ('{"dram_capacity": true}', "dram_capacity"),
+    ('{"refresh_period": Infinity}', "refresh_period"),
+    ('{"cache_block_size": Infinity}', "cache_block_size"),
+], ids=["string", "null", "bool", "infinite-refresh", "infinite-block"])
+def test_a_bad_device_spec_value_is_an_input_error(workload, tmp_path, capsys,
+                                                    spec, field):
+    device = tmp_path / "dev.json"
+    device.write_text(spec)
+    out = tmp_path / "p.plan"
+    rc = run(["plan", "--profiles", workload, "--ratio", 0.8,
+              "--device", device, "--out", out])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"memplan: error: {field} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest, where", [
+    ([], ""),
+    ({"workloads": {"w.prof": 1.0}}, ""),
+    ({"workloads": [{"workload_size": 1.0}]}, "workloads[0]: file"),
+    ({"workloads": [{"file": "w.prof", "workload_size": 1.0},
+                    {"file": "w.prof", "workload_size": "2"}]},
+     "workloads[1]: workload_size"),
+], ids=["list", "workloads-dict", "no-file", "string-size"])
+def test_a_malformed_manifest_is_an_input_error(workload, tmp_path, capsys,
+                                                manifest, where):
+    family = tmp_path / "family"
+    family.mkdir()
+    (family / "w.prof").write_bytes(workload.read_bytes())
+    if isinstance(manifest, dict):
+        manifest = {"format": "hmms-profile-manifest-v1", **manifest}
+    (family / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "scaled.prof"
+    rc = run(["scale", "--profiles-dir", family, "--target", 3.0,
+              "--out", out])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"memplan: error: {family / 'manifest.json'}: {where}")
+    assert not out.exists()

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from memplan.energy import (DeviceSpec, dram_energy, estimate_all,
-                            load_device_spec, nvm_energy, write_device_spec)
+from memplan.energy import (DeviceSpec, dram_energy, load_device_spec,
+                            nvm_energy, write_device_spec)
 from memplan.energy import testbed1 as make_testbed1
 from memplan.energy import testbed2 as make_testbed2
 from memplan.profiles import GeneratorSpec, ObjectProfile, generate_synthetic
@@ -121,25 +121,13 @@ class TestNvmEnergy:
 
 
 class TestEstimateAll:
-    def test_empty_set(self):
-        from memplan.profiles import ProfileSet
-        est = estimate_all(ProfileSet(()), DeviceSpec())
-        assert est.total_dram == 0.0
-        assert est.total_nvm == 0.0
-
-    def test_singleton_matches_scalar_ops(self):
-        from memplan.profiles import ProfileSet
-        dev = DeviceSpec()
-        single = obj()
-        est = estimate_all(ProfileSet((single,)), dev)
-        assert est.dram["o"] == dram_energy(single, dev)
-        assert est.nvm["o"] == nvm_energy(single, dev)
-        assert est.total_dram == est.dram["o"]
+    """Set-wide totals: each formula priced over a whole ProfileSet."""
 
     def test_totals_match_independent_summation(self):
         dev = make_testbed1()
         ps = generate_synthetic(GeneratorSpec(count=20), 77)
-        est = estimate_all(ps, dev)
+        total_dram = sum(dram_energy(ps, dev).tolist())
+        total_nvm = sum(nvm_energy(ps, dev).tolist())
         # Re-derive every term from the raw constants, separately.
         expect_dram = 0.0
         expect_nvm = 0.0
@@ -148,9 +136,8 @@ class TestEstimateAll:
                 + 0.35 / 0.064 * o.size * (o.dealloc_time - o.alloc_time)
             expect_nvm += (2.68 + 1.00) * o.accessed_volume \
                 + 2.83 * o.dirty_blocks * 64.0
-        assert est.total_dram == pytest.approx(expect_dram, rel=1e-12)
-        assert est.total_nvm == pytest.approx(expect_nvm, rel=1e-12)
-        assert est.total_dram == pytest.approx(sum(est.dram.values()), rel=1e-12)
+        assert total_dram == pytest.approx(expect_dram, rel=1e-12)
+        assert total_nvm == pytest.approx(expect_nvm, rel=1e-12)
 
 
 def test_energies_nonnegative_and_linear_random():

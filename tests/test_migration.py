@@ -395,9 +395,9 @@ def test_strict_transient_migration_names_the_overflowing_dram_row():
 
     costs = price_live(ps, dev, [True] * 3, 5.0)
     requirement = 2.0 * float(dram_energy(ps, dev).sum())
-    program, _ = build_migration_program(ps, dev, costs, requirement,
-                                         dev.dram_capacity,
-                                         transient_capacity=True)
+    program = build_migration_program(ps, dev, costs, requirement,
+                                      dev.dram_capacity,
+                                      transient_capacity=True)
     assert diagnose_infeasibility(program) == ("transient_dram",)
     # Without the copy-time rows, moving one object out is enough.
     assert plan_migration(ps, dev, current, request).feasible

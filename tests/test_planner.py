@@ -109,7 +109,7 @@ class TestOracleEquivalence:
         ratio = 0.8
         major, minor = filter_major(ps, 0)
         assert len(minor) == 0
-        program, _ = build_placement_program(
+        program = build_placement_program(
             major, dev, ratio, dev.dram_capacity)
         want = ilp.solve_exhaustive(program)
         plan = plan_static(ps, dev, ratio, major_threshold=0)
@@ -412,7 +412,7 @@ def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
     ps = ProfileSet((ObjectProfile("a", 4 * MB, 0, 1, 8 * MB, 10.0, 1e7),
                      ObjectProfile("b", 2 * MB, 0, 1, 4 * MB, 20.0, 2e7)))
     dev = small_device(dram_mb=5, nvm_mb=3)
-    program, _ = build_placement_program(ps, dev, 0.9, 5 * MB)
+    program = build_placement_program(ps, dev, 0.9, 5 * MB)
     de, ne = dram_energy(ps, dev), nvm_energy(ps, dev)
     budget = 0.9 * sum(de.tolist())
     # Rows stay in bytes and nJ, their tolerances with them.

@@ -233,7 +233,8 @@ class TestScalingVector:
                          "dirty_blocks", "lifetime"):
                 quotients = []
                 for a, b in zip(sets, sets[1:]):
-                    num = b.get(obj.id).pattern(name) - a.get(obj.id).pattern(name)
+                    num = getattr(b.get(obj.id), name) \
+                        - getattr(a.get(obj.id), name)
                     quotients.append(num / (b.workload_size - a.workload_size))
                 expected = sum(quotients) / len(quotients)
                 assert vector.for_object(obj.id)[name] == pytest.approx(
