@@ -263,12 +263,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="memplan",
-                     description="DRAM/NVM object placement planning")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", parents=[], help="synthesize a profile file")
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--skew-count", type=int, default=0)
@@ -279,27 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-range", help="object size bounds, bytes, LO:HI")
     p.add_argument("--lifetime-range", help="lifetime bounds, seconds, LO:HI")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("scale",
-                       help="extrapolate profiles to a new workload size")
+
+def _scale_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profiles-dir", required=True,
                    help="directory with manifest.json and profile files")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_scale)
 
-    p = sub.add_parser("plan", help="compute a static placement")
+
+def _plan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profiles", required=True)
     p.add_argument("--ratio", type=float, required=True,
                    help="energy budget as a fraction of all-DRAM energy")
     _add_planning_options(p)
     _add_device_options(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("migrate",
-                       help="replan live objects for a new energy requirement")
+
+def _migrate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profiles", required=True)
     p.add_argument("--current", required=True, help="current plan file")
     p.add_argument("--time", type=float, required=True,
@@ -316,17 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--future-out",
                    help="where to write the companion plan for future objects")
-    p.set_defaults(func=_cmd_migrate)
 
-    p = sub.add_parser("evaluate", help="score one plan from scratch")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profiles", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_device_options(p)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("compare", help="tabulate several placements")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profiles", required=True)
     p.add_argument("--plan", action="append", metavar="NAME=PATH")
     p.add_argument("--all-dram", action="store_true")
@@ -341,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_options(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("sweep",
-                       help="plan across capacity configurations and ratios")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profiles", required=True)
     p.add_argument("--ratios", required=True, help="e.g. 1.0,0.9,0.8")
     p.add_argument("--capacities", required=True,
@@ -353,14 +345,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_options(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
 
+
+# name -> (help, argument adder, handler), in the order --help lists them.
+# The handlers look the library functions up in this module's globals on
+# every call, so a wrapper installed there (bench/tracing.py) sees them.
+_COMMANDS = {
+    "generate": ("synthesize a profile file",
+                 _generate_arguments, _cmd_generate),
+    "scale": ("extrapolate profiles to a new workload size",
+              _scale_arguments, _cmd_scale),
+    "plan": ("compute a static placement", _plan_arguments, _cmd_plan),
+    "migrate": ("replan live objects for a new energy requirement",
+                _migrate_arguments, _cmd_migrate),
+    "evaluate": ("score one plan from scratch",
+                 _evaluate_arguments, _cmd_evaluate),
+    "compare": ("tabulate several placements",
+                _compare_arguments, _cmd_compare),
+    "sweep": ("plan across capacity configurations and ratios",
+              _sweep_arguments, _cmd_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``memplan`` parser with every subcommand, or only ``command``.
+
+    A one-subcommand parser gives that subcommand the same help, usage
+    and errors as the full tree; building all seven costs several times
+    as much, and ``main`` runs only one.
+    """
+    parser = _Parser(prog="memplan",
+                     description="DRAM/NVM object placement planning")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Anything but a known subcommand first (no arguments, --help, a
+    # typo) gets the full tree, whose usage and errors list every choice.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

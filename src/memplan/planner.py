@@ -75,6 +75,8 @@ def _major_minor(profiles: ProfileSet, major_threshold: float,
                  reserved_dram_bytes: float, dev: DeviceSpec
                  ) -> tuple[ProfileSet, ProfileSet, float]:
     """Split the set and return the DRAM capacity left for major objects."""
+    if not reserved_dram_bytes >= 0:  # NaN too
+        raise ValueError("reserved_dram_bytes must be >= 0")
     major, minor = filter_major(profiles, major_threshold)
     pinned = sum(minor.size.tolist()) + reserved_dram_bytes
     dram_free = dev.dram_capacity - pinned
@@ -177,8 +179,6 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
     """
     if not (math.isfinite(ratio) and ratio > 0):
         raise ValueError("energy ratio must be finite and > 0")
-    if reserved_dram_bytes < 0:
-        raise ValueError("reserved_dram_bytes must be >= 0")
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
     extra = sum(dram_energy(minor, dev).tolist()) if include_minor_in_budget \

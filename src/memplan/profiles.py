@@ -452,7 +452,8 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
     ``{"format": "hmms-profile-manifest-v1", "workloads":
     [{"file": ..., "workload_size": ..., "label": ...}, ...]}``.
     Sets are returned in manifest order. A malformed manifest raises a
-    ProfileError naming its path and, where there is one, the entry.
+    ProfileError naming its path and, where there is one, the entry; a bad
+    record in a listed file, one naming that file.
     """
     manifest_path = os.path.join(os.fspath(path), MANIFEST_NAME)
     try:
@@ -482,9 +483,20 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
                                  or not isinstance(size, (int, float))):
             raise ProfileError(f"{manifest_path}: workloads[{i}]: "
                                f"workload_size must be a number, got {size!r}")
-        sets.append(load_profiles(os.path.join(os.fspath(path), name),
-                                  workload_label=entry.get("label", name),
-                                  workload_size=size))
+        try:
+            finite = size is None or math.isfinite(size)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ProfileError(f"{manifest_path}: workloads[{i}]: "
+                               "workload_size must be finite")
+        file_path = os.path.join(os.fspath(path), name)
+        try:
+            sets.append(load_profiles(file_path,
+                                      workload_label=entry.get("label", name),
+                                      workload_size=size))
+        except ProfileError as exc:
+            raise ProfileError(f"{file_path}: {exc}") from None
     return sets
 
 
@@ -516,7 +528,7 @@ def filter_major(profiles: ProfileSet,
     Major objects are those whose accessed volume exceeds the threshold;
     everything else is minor and later forced onto DRAM by the planners.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too: no volume is above or below it
         raise ValueError("major-object threshold must be >= 0")
     volume = profiles.accessed_volume
     return profiles.take(volume > threshold), profiles.take(volume <= threshold)

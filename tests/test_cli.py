@@ -1,9 +1,11 @@
+import argparse
 import json
 import warnings
 
 import pytest
 
-from memplan.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from memplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
+                         main)
 from memplan.energy import GIB
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import evaluate
@@ -370,3 +372,154 @@ def test_a_malformed_manifest_is_an_input_error(workload, tmp_path, capsys,
     assert err[0].startswith(
         f"memplan: error: {family / 'manifest.json'}: {where}")
     assert not out.exists()
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+@pytest.mark.parametrize("size", ["1" + "0" * 400, "NaN", "-Infinity"],
+                         ids=["too-large-int", "nan", "infinite"])
+def test_a_non_finite_manifest_workload_size_is_an_input_error(
+        workload, tmp_path, capsys, size):
+    family = tmp_path / "family"
+    family.mkdir()
+    (family / "w.prof").write_bytes(workload.read_bytes())
+    (family / "manifest.json").write_text(
+        '{"format": "hmms-profile-manifest-v1", "workloads": '
+        '[{"file": "w.prof", "workload_size": %s}]}' % size)
+    out = tmp_path / "scaled.prof"
+    rc = run(["scale", "--profiles-dir", family, "--target", 3.0,
+              "--out", out])
+    assert rc == EXIT_USAGE
+    assert _one_error_line(capsys) == (
+        f"memplan: error: {family / 'manifest.json'}: workloads[0]: "
+        "workload_size must be finite")
+    assert not out.exists()
+
+
+def test_a_bad_record_in_a_family_file_names_the_file(workload, tmp_path,
+                                                      capsys):
+    family = tmp_path / "family"
+    family.mkdir()
+    (family / "good.prof").write_bytes(workload.read_bytes())
+    (family / "bad.prof").write_text(
+        "hmms-profile-v1\n"
+        "id,size_bytes,alloc_s,dealloc_s,accessed_bytes,llc_misses,"
+        "dirty_blocks\n"
+        "a,100,0,1,x,1,1\n")
+    (family / "manifest.json").write_text(json.dumps(
+        {"format": "hmms-profile-manifest-v1",
+         "workloads": [{"file": "good.prof", "workload_size": 1.0},
+                       {"file": "bad.prof", "workload_size": 2.0}]}))
+    out = tmp_path / "scaled.prof"
+    rc = run(["scale", "--profiles-dir", family, "--target", 3.0,
+              "--out", out])
+    assert rc == EXIT_USAGE
+    assert _one_error_line(capsys) == (
+        f"memplan: error: {family / 'bad.prof'}: line 3: field "
+        "'accessed_bytes' is not a number: 'x'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["plan", "--ratio", 0.8],
+    ["compare", "--all-dram", "--all-nvm"],
+    ["sweep", "--ratios", "1.0,0.8", "--capacities", "8:16"],
+], ids=["plan", "compare", "sweep"])
+def test_a_nan_major_threshold_is_an_input_error(workload, tmp_path, capsys,
+                                                 command):
+    out = tmp_path / "out"
+    rc = run([*command, "--profiles", workload, "--major-threshold", "nan",
+              "--out", out])
+    assert rc == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        "memplan: error: major-object threshold must be >= 0"
+    assert not out.exists()
+
+
+def test_an_infinite_major_threshold_pins_every_object(workload, tmp_path):
+    out = tmp_path / "p.plan"
+    rc = run(["plan", "--profiles", workload, "--ratio", 0.8,
+              "--major-threshold", "inf", "--out", out])
+    assert rc == EXIT_OK
+    plan = load_plan(out)
+    assert plan.major_ids == ()
+    assert set(plan.placements.values()) == {"dram"}
+
+
+@pytest.mark.parametrize("command, reserve", [
+    (["compare", "--all-dram", "--all-nvm"], "-1e12"),
+    (["compare", "--mpki-thresholds", "0.1", "--random-seeds", "1"], "nan"),
+    (["plan", "--ratio", 0.8], "nan"),
+    (["plan", "--ratio", 0.8], "-1"),
+], ids=["compare-negative", "compare-nan", "plan-nan", "plan-negative"])
+def test_a_negative_or_nan_dram_reserve_is_an_input_error(
+        workload, tmp_path, capsys, command, reserve):
+    out = tmp_path / "out"
+    rc = run([*command, "--profiles", workload, f"--reserved-dram={reserve}",
+              "--out", out])
+    assert rc == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        "memplan: error: reserved_dram_bytes must be >= 0"
+    assert not out.exists()
+
+
+# A valid command line per subcommand; parsing it runs no handler here.
+_VALID_ARGS = {
+    "generate": ["--count", "1", "--seed", "1", "--out", "x"],
+    "scale": ["--profiles-dir", "d", "--target", "2", "--out", "x"],
+    "plan": ["--profiles", "p", "--ratio", "0.8", "--out", "x"],
+    "migrate": ["--profiles", "p", "--current", "c", "--time", "1",
+                "--new-ratio", "0.8", "--out", "x"],
+    "evaluate": ["--profiles", "p", "--plan", "x"],
+    "compare": ["--profiles", "p"],
+    "sweep": ["--profiles", "p", "--ratios", "1", "--capacities", "8:16",
+              "--out", "x"],
+}
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGS))
+def test_main_parses_a_subcommand_as_the_full_tree_does(command, capsys):
+    full = build_parser().parse_args
+    for argv in ([command, "-h"], [command],
+                 [command, *_VALID_ARGS[command], "--frob"],
+                 [command, "--format", "xml", *_VALID_ARGS[command]]):
+        assert _exit(main, argv, capsys) == _exit(full, argv, capsys)
+    code, out, _ = _exit(main, [command, "-h"], capsys)
+    assert code == EXIT_OK and out.startswith(f"usage: memplan {command} ")
+    code, _, err = _exit(main, [command], capsys)
+    assert code == EXIT_USAGE and "arguments are required" in err
+    code, _, err = _exit(main, [command, *_VALID_ARGS[command], "--frob"],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert err.endswith("error: unrecognized arguments: --frob\n")
+
+
+def _subcommands(parser) -> list[str]:
+    (action,) = (a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_build_parser_builds_only_the_named_subcommand(capsys):
+    every = ["generate", "scale", "plan", "migrate", "evaluate", "compare",
+             "sweep"]
+    assert _subcommands(build_parser()) == every
+    assert _subcommands(build_parser("plan")) == ["plan"]
+    code, out, _ = _exit(main, ["--help"], capsys)
+    assert code == EXIT_OK
+    assert "{" + ",".join(every) + "}" in out
+    assert all(f"\n    {name} " in out for name in every)
+    code, _, err = _exit(main, ["frob"], capsys)
+    assert code == EXIT_USAGE
+    assert "invalid choice" in err and all(name in err for name in every)
