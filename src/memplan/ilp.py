@@ -15,10 +15,21 @@ oracle's scan. A node's bound is the largest of the rows' fractional
 relaxations: take every free negative-cost variable, then buy back the
 row's excess load at the least cost per unit of relief. Each row's bound
 table (its movable variables sorted by that rate) is built once per solve.
-A node is cut when its bound cannot beat the incumbent by more than the
-tolerance, ties included, so no cut subtree holds a replacing leaf.
+The search keeps a node's objective and row loads as Python floats, added
+in the order numpy would add the arrays, so they are the same doubles, and
+prices a row with a scalar walk over its table that stops at the first free
+variable covering the excess. A deep node would step over every fixed
+variable, so the walk reads a copy of the table without the variables below
+the first depth of the node's block of 2**_BLOCK_BITS depths, filtered the
+first time a node of that block prices the row and dropped with the solve.
+The walk adds the bought cost item by item, so a bound can differ in its
+last bits from a BLAS dot product over the same items. A node is cut when
+its bound cannot beat the incumbent by more than the tolerance, ties
+included, so no cut subtree holds a replacing leaf.
 
-Before the search, `solve` rounds the root relaxation to one feasible leaf
+Before the search, `solve` prices the root: a row that the free variables
+cannot relieve ends the solve as infeasible after that one node, as the
+search would. Otherwise it rounds the root relaxation to one feasible leaf
 (the seed) and starts with a cutoff just above the seed's objective, so the
 search proves an optimum instead of walking toward it one improvement at a
 time. Any leaf no worse than the seed is still accepted, so an exact tie
@@ -34,7 +45,9 @@ program gives the row a tolerance of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import add, le, sub
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +57,7 @@ REL_TOL = 1e-9
 
 EXHAUSTIVE_MAX_VARIABLES = 24
 _CHUNK_BITS = 18
+_BLOCK_BITS = 4  # a filtered bound table serves 2**_BLOCK_BITS depths
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -186,35 +200,37 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
     return IlpSolution(assignment, objective, STATUS_OPTIMAL)
 
 
-def _bound_table(c: np.ndarray, row: np.ndarray, neg: np.ndarray):
+def _bound_table(c: np.ndarray, row: np.ndarray,
+                 neg: np.ndarray) -> list[tuple[int, float, float]]:
     """One row's movable variables sorted by cost per unit of load relief.
 
     With every negative-cost variable taken, a row's load falls by
     releasing a taken variable of positive load or by raising an untaken
-    one of negative load. Returns (variable, relief, cost per relief) in
-    the order a fractional knapsack buys relief.
+    one of negative load. Returns (variable, relief, cost per relief)
+    items in the order a fractional knapsack buys relief.
     """
     var = np.flatnonzero(np.where(neg, row > 0, row < 0))
     relief = np.abs(row[var])
     rate = np.abs(c[var]) / relief
     order = np.argsort(rate, kind="stable")
-    return var[order], relief[order], rate[order]
+    return list(zip(var[order].tolist(), relief[order].tolist(),
+                    rate[order].tolist()))
 
 
-def _relief_cost(table, depth: int, excess: float) -> float:
+def _relief_cost(table: list, depth: int, excess: float) -> float:
     """Least fractional cost of ``excess`` relief from variables >= depth.
 
-    +inf when the free variables cannot relieve that much.
+    Buys the free items in table order, only part of the one that covers
+    the excess; +inf when the free variables cannot relieve that much.
     """
-    var, relief, rate = table
-    freed = relief * (var >= depth)
-    reliefs = freed.cumsum()
-    k = int(reliefs.searchsorted(excess))
-    if k == len(var):
-        return float("inf")
-    # Relief rises at k, so item k is free; only part of it is bought.
-    k1 = k + 1
-    return float(rate[:k1] @ freed[:k1] - (reliefs[k] - excess) * rate[k])
+    total = dot = 0.0
+    for var, relief, rate in table:
+        if var >= depth:
+            total += relief
+            dot += rate * relief
+            if total >= excess:
+                return dot - (total - excess) * rate
+    return math.inf
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -225,26 +241,21 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _seed(c: np.ndarray, columns: np.ndarray, slack: np.ndarray,
-          neg: np.ndarray, tables: list, load: np.ndarray
+          neg: np.ndarray, table: list, load: np.ndarray
           ) -> tuple[tuple[int, ...], float] | None:
     """(assignment, objective) of a feasible leaf rounded from the root.
 
-    The root relaxation takes every negative-cost variable. If that
-    overloads some row, the row with the dearest relief walks its bound
-    table, flipping variables (releasing a taken one, raising an untaken
-    one) up to the first that leaves every row within its slack; then each
-    flipped variable, last first, is flipped back if every row still fits.
-    None when no prefix of the walk fits or the leaf fails the search's
-    own check.
+    The root relaxation takes every negative-cost variable, with row loads
+    ``load``. If that overloads some row, ``table`` is the bound table of
+    the row with the dearest relief, and the walk along it flips variables
+    (releasing a taken one, raising an untaken one) up to the first that
+    leaves every row within its slack; then each flipped variable, last
+    first, is flipped back if every row still fits. None when no prefix of
+    the walk fits or the leaf fails the search's own check.
     """
     x = neg.copy()
-    excess = load - slack
-    over = np.flatnonzero(excess > 0)
-    if over.size:
-        reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
-        if max(reliefs) == float("inf"):
-            return None
-        var = tables[over[int(np.argmax(reliefs))]][0]
+    if table:
+        var = np.array([j for j, _, _ in table], dtype=np.intp)
         signed = np.where(neg[var], -1.0, 1.0)[:, None] * columns[var]
         loads = load + signed.cumsum(0)
         fits = np.flatnonzero(np.all(loads <= slack, axis=1))
@@ -252,10 +263,11 @@ def _seed(c: np.ndarray, columns: np.ndarray, slack: np.ndarray,
             return None
         k = int(fits[0])
         x[var[:k + 1]] = ~neg[var[:k + 1]]
-        load = loads[k]
-        for j, delta in zip(var[k::-1], signed[k::-1]):
-            back = load - delta
-            if np.all(back <= slack):
+        load = loads[k].tolist()
+        limits = slack.tolist()
+        for j, delta in zip(var[k::-1].tolist(), signed[k::-1].tolist()):
+            back = list(map(sub, load, delta))
+            if all(map(le, back, limits)):
                 load = back
                 x[j] = neg[j]
     # Priced as the search prices a leaf: from zero, adding the taken
@@ -272,26 +284,40 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
     c, a, b = program.arrays()
     n, m = len(c), len(b)
-    slack = program.slack()
     neg = c < 0
     # The relaxation at depth d takes every free negative-cost variable.
     free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
     free_load = _suffix_sums(np.where(neg, a, 0.0).T)
     tables = [_bound_table(c, row, neg) for row in a]
-    columns = a.T
-    costs = c.tolist()
 
-    cutoff = float("inf")  # a leaf must fall below this to be the incumbent
+    excess = (free_load[0] - program.slack()).tolist()
+    over = [i for i, e in enumerate(excess) if e > 0]
+    reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
+    if math.inf in reliefs:
+        # A row its free variables cannot relieve fits no leaf: the search
+        # would pop the root alone and cut it.
+        return IlpSolution((), float("nan"), STATUS_INFEASIBLE, 1)
+
+    cutoff = math.inf  # a leaf must fall below this to be the incumbent
     best_x: tuple[int, ...] | None = None
-    seed = _seed(c, columns, slack, neg, tables, free_load[0])
+    dearest = tables[over[reliefs.index(max(reliefs))]] if over else []
+    seed = _seed(c, a.T, program.slack(), neg, dearest, free_load[0])
     if seed is not None:
         # Every leaf up to the seed's objective stays acceptable, the seed
         # included; the seed itself answers if rounding cuts its path.
         best_x, upper = seed
         cutoff = upper + _tol(upper)
+    # The search runs on Python floats, in the order the arrays would add.
+    free_load = free_load.tolist()
+    slack = program.slack().tolist()
+    columns = a.T.tolist()
+    costs = c.tolist()
+    # blocks[i][k]: row i's table without the variables below block k's
+    # first depth, filtered when a node of the block first prices row i.
+    blocks = [[table] + [None] * (n >> _BLOCK_BITS) for table in tables]
     nodes = 0
     x = [0] * n
-    stack = [(0, 0, 0.0, np.zeros(m))]
+    stack = [(0, 0, 0.0, (0.0,) * m)]
     while stack:
         depth, bit, obj, load = stack.pop()
         nodes += 1
@@ -299,17 +325,27 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
             x[depth - 1] = bit
         base = obj + free_obj[depth]
         bound = base
-        excesses = (load + free_load[depth] - slack).tolist()
-        for table, excess in zip(tables, excesses):
+        for i, (used, free, limit) in enumerate(
+                zip(load, free_load[depth], slack)):
+            excess = used + free - limit
             if excess > 0 and bound < cutoff:
-                bound = max(bound, base + _relief_cost(table, depth, excess))
+                block = depth >> _BLOCK_BITS
+                table = blocks[i][block]
+                if table is None:
+                    first = block << _BLOCK_BITS
+                    table = blocks[i][block] = [
+                        item for item in tables[i] if item[0] >= first]
+                priced = base + _relief_cost(table, depth, excess)
+                if priced > bound:
+                    bound = priced
         if bound >= cutoff:
             continue
         if depth == n:
             cutoff = obj - _tol(obj)
             best_x = tuple(x)
             continue
-        stack.append((depth + 1, 1, obj + costs[depth], load + columns[depth]))
+        stack.append((depth + 1, 1, obj + costs[depth],
+                      tuple(map(add, load, columns[depth]))))
         stack.append((depth + 1, 0, obj, load))
     if best_x is None:
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE, nodes)

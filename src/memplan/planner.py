@@ -273,8 +273,21 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
 
 
 def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
+    """Read a plan written by `write_plan`.
+
+    Raises ValueError naming the plan file and the bad field or line.
+    """
+    name = getattr(source, "name", "plan") if hasattr(source, "read") \
+        else os.fspath(source)
     with open_text(source) as stream:
         lines = stream.read().splitlines()
+    try:
+        return _parse_plan(lines)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _parse_plan(lines: list[str]) -> PlacementPlan:
     if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
         raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
     summary: dict[str, str] = {}
@@ -287,28 +300,59 @@ def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
         raise ValueError("plan file is missing the id,device,major table")
     placements: dict[str, str] = {}
     major_ids: list[str] = []
-    for line in lines[i + 1:]:
+    for number, line in enumerate(lines[i + 1:], i + 2):
         line = line.strip()
         if not line:
             continue
-        object_id, device, major_flag = line.split(",")
+        try:
+            object_id, device, major_flag = line.split(",")
+        except ValueError:
+            raise ValueError(f"line {number}: expected id,device,major, "
+                             f"got {line!r}") from None
         if device not in (DRAM, NVM, "unassigned"):
             raise ValueError(f"unknown device {device!r} for {object_id!r}")
         if device != "unassigned":
             placements[object_id] = device
         if major_flag == "1":
             major_ids.append(object_id)
+
+    if "status" not in summary:
+        raise ValueError("missing summary key 'status'")
+    summary.setdefault("reserved_dram_bytes", "0")
+    numbers: dict[str, float] = {}
+    for key in ("ratio", "major_threshold_bytes", "reserved_dram_bytes",
+                "objective_ns", "planned_energy_nj", "energy_budget_nj"):
+        if key not in summary:
+            raise ValueError(f"missing summary key {key!r}")
+        try:
+            numbers[key] = float(summary[key])
+        except ValueError:
+            raise ValueError(
+                f"{key} is not a number: {summary[key]!r}") from None
+    # An infeasible plan's totals are NaN; the fields a later command
+    # plans or checks against follow the planner's own rules.
+    ratio, threshold, reserved = (numbers["ratio"],
+                                  numbers["major_threshold_bytes"],
+                                  numbers["reserved_dram_bytes"])
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio!r}")
+    if not threshold >= 0:  # NaN too
+        raise ValueError(
+            f"major_threshold_bytes must be >= 0, got {threshold!r}")
+    if not (math.isfinite(reserved) and reserved >= 0):
+        raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
+                         f"got {reserved!r}")
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
     return PlacementPlan(
         placements=placements,
         major_ids=tuple(major_ids),
         status=summary["status"],
-        ratio=float(summary["ratio"]),
-        major_threshold=float(summary["major_threshold_bytes"]),
-        objective_ns=float(summary["objective_ns"]),
-        planned_energy_nj=float(summary["planned_energy_nj"]),
-        energy_budget_nj=float(summary["energy_budget_nj"]),
-        reserved_dram_bytes=float(summary.get("reserved_dram_bytes", "0")),
+        ratio=ratio,
+        major_threshold=threshold,
+        objective_ns=numbers["objective_ns"],
+        planned_energy_nj=numbers["planned_energy_nj"],
+        energy_budget_nj=numbers["energy_budget_nj"],
+        reserved_dram_bytes=reserved,
         minor_energy_in_budget=summary.get("minor_energy_in_budget", "0") == "1",
         binding_constraints=binding,
     )

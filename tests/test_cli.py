@@ -523,3 +523,38 @@ def test_build_parser_builds_only_the_named_subcommand(capsys):
     code, _, err = _exit(main, ["frob"], capsys)
     assert code == EXIT_USAGE
     assert "invalid choice" in err and all(name in err for name in every)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("reserved_dram_bytes=0.0", "reserved_dram_bytes=nan",
+     "reserved_dram_bytes must be finite and >= 0, got nan"),
+    ("reserved_dram_bytes=0.0", "reserved_dram_bytes=-1e15",
+     "reserved_dram_bytes must be finite and >= 0, got -1000000000000000.0"),
+    ("status=optimal\n", "", "missing summary key 'status'"),
+    ("ratio=1.0", "ratio=abc", "ratio is not a number: 'abc'"),
+    ("ratio=1.0", "ratio=inf", "ratio must be finite, got inf"),
+    ("major_threshold_bytes=0.0", "major_threshold_bytes=nan",
+     "major_threshold_bytes must be >= 0, got nan"),
+    ("obj0000,nvm,1", "obj0000,nvm",
+     "line 12: expected id,device,major, got 'obj0000,nvm'"),
+], ids=["nan-reserve", "negative-reserve", "missing-status",
+        "non-numeric-ratio", "infinite-ratio", "nan-threshold",
+        "two-field-row"])
+def test_a_bad_plan_file_names_the_file_and_the_field(
+        workload, tmp_path, capsys, old, new, message):
+    plan_path = tmp_path / "p.plan"
+    device = ["--preset", "testbed1", "--dram-capacity-gib", 0.05,
+              "--nvm-capacity-gib", 1]
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0, *device,
+                "--major-threshold", 0, "--out", plan_path]) == EXIT_OK
+    text = plan_path.read_text()
+    assert old in text
+    plan_path.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    out = tmp_path / "m.txt"
+    rc = run(["migrate", "--profiles", workload, "--current", plan_path,
+              "--time", 4, "--new-ratio", 0.9, *device, "--out", out])
+    assert rc == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        f"memplan: error: {plan_path}: {message}"
+    assert not out.exists()

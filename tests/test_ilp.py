@@ -6,11 +6,13 @@ import pytest
 
 from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
-                         IlpSolution, ZeroOneProgram, _tol,
-                         constraint_violations, solve, solve_exhaustive)
+                         IlpSolution, ZeroOneProgram, _bound_table,
+                         _relief_cost, _tol, constraint_violations, solve,
+                         solve_exhaustive)
 from memplan.migration import build_migration_program, price_live
 from memplan.planner import build_placement_program
-from memplan.profiles import GeneratorSpec, ProfileSet, generate_synthetic
+from memplan.profiles import (GeneratorSpec, ProfileSet, filter_major,
+                              generate_synthetic)
 
 
 def random_program(rng, max_vars=10, max_constraints=3):
@@ -332,3 +334,71 @@ def test_a_row_tolerance_given_by_the_program_replaces_the_default():
     for bad in ((1e-6, 1e-6), (-1.0,), (float("nan"),)):
         with pytest.raises(ValueError, match="tolerance"):
             ZeroOneProgram((1.0, 1.0), rows, tolerances=bad)
+
+
+def test_a_tight_80_object_placement_stays_within_its_search_size():
+    # A count, not a time: a weaker bound or a lost cut shows as more
+    # nodes without any timing noise.
+    ps = generate_synthetic(GeneratorSpec(count=80), 1)
+    major, _ = filter_major(ps, 0.0)
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=0.6 * total, nvm_capacity=total)
+    program = build_placement_program(major, dev, 0.8, dev.dram_capacity)
+    assert program.num_variables == 80
+    solution = solve(program)
+    assert solution.status == STATUS_OPTIMAL
+    assert solution.objective_value == -1332463000.0
+    assert solution.nodes <= 13145
+
+
+def test_a_row_no_variable_can_relieve_ends_at_the_root():
+    # x0 + x1 <= 1 and x0 <= -1: the second row fits no leaf, so the
+    # search stops after the root node, as an exhaustive pass agrees.
+    program = ZeroOneProgram((-1.0, 2.0), (((1.0, 1.0), 1.0),
+                                           ((1.0, 0.0), -1.0)))
+    solution = solve(program)
+    assert solution.status == STATUS_INFEASIBLE
+    assert solution.nodes == 1
+    assert solve_exhaustive(program).status == STATUS_INFEASIBLE
+
+
+def _numpy_relief_cost(table, depth, excess):
+    """The array form of the fractional relief cost: masked cumsum,
+    searchsorted and a dot product over the bought prefix."""
+    var, relief, rate = (np.array(column, dtype=float).reshape(-1)
+                         for column in (zip(*table) if table else ((),) * 3))
+    freed = relief * (var >= depth)
+    reliefs = freed.cumsum()
+    k = int(reliefs.searchsorted(excess))
+    if k == len(var):
+        return float("inf")
+    return float(rate[:k + 1] @ freed[:k + 1] - (reliefs[k] - excess) * rate[k])
+
+
+def test_relief_walk_matches_the_array_formula():
+    rng = np.random.default_rng(11)
+    finite = infinite = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        c = rng.uniform(-10, 10, n)
+        c[rng.random(n) < 0.1] = 0.0
+        table = _bound_table(c, rng.uniform(-5, 5, n), c < 0)
+        for depth in {0, n, *rng.integers(0, n + 1, 3).tolist()}:
+            reliefs = np.cumsum(
+                [relief for var, relief, _ in table if var >= depth]).tolist()
+            total = reliefs[-1] if reliefs else 0.0
+            # Each cumulative relief is a boundary the walk stops on
+            # exactly; past the total nothing covers the excess.
+            for excess in (*reliefs, *rng.uniform(0, total, 3).tolist(),
+                           1.5 * total + 1.0):
+                if not excess > 0:
+                    continue
+                want = _numpy_relief_cost(table, depth, excess)
+                got = _relief_cost(table, depth, excess)
+                if want == float("inf"):
+                    infinite += 1
+                    assert got == float("inf")
+                else:
+                    finite += 1
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert finite > 3000 and infinite > 1000
