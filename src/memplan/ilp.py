@@ -286,17 +286,21 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     n, m = len(c), len(b)
     neg = c < 0
     # The relaxation at depth d takes every free negative-cost variable.
-    free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
     free_load = _suffix_sums(np.where(neg, a, 0.0).T)
-    tables = [_bound_table(c, row, neg) for row in a]
 
     excess = (free_load[0] - program.slack()).tolist()
     over = [i for i, e in enumerate(excess) if e > 0]
+    # Only the overloaded rows' tables price the root; the others are built
+    # once the search is sure to run.
+    tables = {i: _bound_table(c, a[i], neg) for i in over}
     reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
     if math.inf in reliefs:
         # A row its free variables cannot relieve fits no leaf: the search
         # would pop the root alone and cut it.
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE, 1)
+    tables = [tables[i] if i in tables else _bound_table(c, row, neg)
+              for i, row in enumerate(a)]
+    free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
 
     cutoff = math.inf  # a leaf must fall below this to be the incumbent
     best_x: tuple[int, ...] | None = None

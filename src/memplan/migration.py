@@ -27,8 +27,8 @@ import numpy as np
 from . import ilp
 from .energy import (DeviceSpec, Priceable, dram_energy, dram_latency,
                      nvm_energy, nvm_latency, price_placement)
-from .planner import (DRAM, NVM, CapacityError, PlacementPlan, build_program,
-                      diagnose_infeasibility, plan_static)
+from .planner import (DRAM, NVM, CapacityError, PlacementPlan, _check_reserve,
+                      build_program, diagnose_infeasibility, plan_static)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
@@ -251,6 +251,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     of optimizing, which is useful as a reference point.
     """
     t = request.time
+    _check_reserve(current.reserved_dram_bytes)
     major, minor = filter_major(profiles, current.major_threshold)
 
     live = major.take(major.live_at(t))

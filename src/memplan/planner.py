@@ -71,12 +71,17 @@ class PlacementPlan:
         return self.status == ilp.STATUS_OPTIMAL
 
 
+def _check_reserve(reserved_dram_bytes: float) -> None:
+    """Reject a DRAM reservation the planners cannot hold back."""
+    if not reserved_dram_bytes >= 0:  # NaN too
+        raise ValueError("reserved_dram_bytes must be >= 0")
+
+
 def _major_minor(profiles: ProfileSet, major_threshold: float,
                  reserved_dram_bytes: float, dev: DeviceSpec
                  ) -> tuple[ProfileSet, ProfileSet, float]:
     """Split the set and return the DRAM capacity left for major objects."""
-    if not reserved_dram_bytes >= 0:  # NaN too
-        raise ValueError("reserved_dram_bytes must be >= 0")
+    _check_reserve(reserved_dram_bytes)
     major, minor = filter_major(profiles, major_threshold)
     pinned = sum(minor.size.tolist()) + reserved_dram_bytes
     dram_free = dev.dram_capacity - pinned

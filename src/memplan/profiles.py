@@ -17,7 +17,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
@@ -32,6 +32,9 @@ MANIFEST_NAME = "manifest.json"
 _COLUMNS = ("id", "size_bytes", "alloc_s", "dealloc_s", "accessed_bytes",
             "llc_misses", "dirty_blocks")
 _OPTIONAL_COLUMN = "llc_mpki"
+# The column header lines as write_profiles writes them, without llc_mpki
+# and with it.
+_HEADERS = (",".join(_COLUMNS), ",".join(_COLUMNS + (_OPTIONAL_COLUMN,)))
 
 # Access patterns that scale with workload size.
 PATTERNS = ("size", "accessed_volume", "llc_misses", "dirty_blocks", "lifetime")
@@ -129,6 +132,10 @@ def _passes(*tests: str):
 
 _CHECKS = tuple((_passes(test), message) for test, message in _RULES)
 _VALUE_CHECKS = _CHECKS[2:]  # the rules that do not read the id
+# The rules a record read from a file can break: split and stripped fields
+# cannot hold a comma, a line break, surrounding whitespace or a leading
+# '#', so only an empty id is possible.
+_READ_CHECKS = _CHECKS[:1] + _VALUE_CHECKS
 _keeps_all = _passes(*(test for test, _ in _RULES))
 
 
@@ -356,12 +363,24 @@ def load_profiles(source: str | os.PathLike | IO[str],
     Raises ProfileError naming the offending line for malformed records and
     for records violating object invariants; the first bad line wins.
     Duplicate ids are reported once every record has passed.
+
+    A file of the shape write_profiles writes is read a column at a time:
+    the column header exactly as written on line 2, at least one record,
+    every record with the same number of fields (7 or 8), ``llc_mpki``
+    given in all records or blank in all, no blank or comment line and no
+    '#' or unit separator anywhere. Any other file, and any such file
+    holding a value numpy does not parse or a record that breaks a rule,
+    is read line by line, which names the first bad line.
     """
     with open_text(source) as stream:
-        lines = stream.read().splitlines()
+        text = stream.read()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
+    profiles = _read_columns(text, lines, workload_label, workload_size)
+    if profiles is not None:
+        return profiles
 
     header_cols: tuple[str, ...] | None = None
     ids: list[str] = []
@@ -407,11 +426,8 @@ def load_profiles(source: str | os.PathLike | IO[str],
         raise ProfileError("line 2: missing column header")
 
     columns = np.frombuffer(values).reshape(len(ids), len(_NUMERIC) + 1).T
-    # Split and stripped fields cannot hold a comma, a line break,
-    # surrounding whitespace or a leading '#'; only an empty id is possible.
     bad = _first_bad(_columns(ids, columns[:-1], columns[-1],
-                              np.array(mpki_given, bool)),
-                     _CHECKS[:1] + _VALUE_CHECKS)
+                              np.array(mpki_given, bool)), _READ_CHECKS)
     if bad:
         raise ProfileError(f"line {line_nos[bad[0]]}: {bad[1]}")
     if stop is not None:
@@ -433,6 +449,43 @@ def load_profiles(source: str | os.PathLike | IO[str],
                           workload_label, workload_size)
 
 
+def _read_columns(text: str, lines: list[str], workload_label: str,
+                  workload_size: float | None) -> ProfileSet | None:
+    """The set in a profile file of the shape write_profiles writes (see
+    load_profiles), read a column at a time; None for any other file."""
+    records = lines[2:]
+    # A '#' can start a comment line; a unit separator around a number is
+    # stripped by numpy but not by float(), so the loop, which strips such
+    # fields itself, keeps those files too.
+    if not records or lines[1] not in _HEADERS or "#" in text \
+            or "\x1f" in text:
+        return None
+    widths = set(map(str.count, records, repeat(",")))
+    if widths != {len(_COLUMNS) - 1} and widths != {len(_COLUMNS)}:
+        return None
+    ids = list(map(str.strip, map(itemgetter(0),
+                                  map(str.partition, records, repeat(",")))))
+    given = False
+    if widths == {len(_COLUMNS)}:
+        mpki_fields = list(map(str.strip, map(itemgetter(2), map(
+            str.rpartition, records, repeat(",")))))
+        given = all(mpki_fields)
+        if not given and any(mpki_fields):
+            return None
+    try:  # the numeric columns, and llc_mpki where every record gives one
+        values = np.loadtxt(records, delimiter=",", comments=None, ndmin=2,
+                            usecols=range(1, len(_COLUMNS) + given))
+    except ValueError:
+        return None
+    table = values.T[:len(_NUMERIC)]
+    mpki = values[:, -1] if given else np.full(len(ids), math.nan)
+    if _first_bad(_columns(ids, table, mpki, np.full(len(ids), given)),
+                  _READ_CHECKS):
+        return None
+    return ProfileSet._of(tuple(ids), table, mpki, workload_label,
+                          workload_size)
+
+
 def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> None:
     """Write a ProfileSet in the profile file format (see load_profiles)."""
     columns = [map(_format_number, row) for row in profiles._table.tolist()]
@@ -440,7 +493,7 @@ def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> N
             for m in profiles.llc_mpki.tolist())
     with open_text(dest, "w") as stream:
         stream.write(PROFILE_FORMAT_VERSION + "\n")
-        stream.write(",".join(_COLUMNS + (_OPTIONAL_COLUMN,)) + "\n")
+        stream.write(_HEADERS[-1] + "\n")
         stream.writelines(",".join(row) + "\n" for row in zip(
             profiles.ids(), *columns, mpki))
 

@@ -417,3 +417,18 @@ def test_a_tiny_strict_requirement_is_not_met_within_a_scaled_tolerance():
     assert plan.binding_constraints == (CONSTRAINT_ENERGY,)
     assert [(d.target_device, d.migrate) for d in plan.decisions] \
         == [(NVM, False)] * 2
+
+
+@pytest.mark.parametrize("reserve", [float("nan"), -1e15])
+def test_a_current_plan_with_a_bad_reserve_is_rejected(reserve):
+    # The set of `memplan generate --count 10 --seed 7 --skew-count 3
+    # --skew-share 0.9 --with-mpki`; `load_plan` rejects such a reserve in
+    # a plan file, and `plan_migration` in a plan built in code.
+    ps = generate_synthetic(GeneratorSpec(count=10, skew_count=3,
+                                          skew_share=0.9, with_mpki=True), 7)
+    dev = make_testbed1(dram_capacity=0.05 * GIB, nvm_capacity=1 * GIB)
+    current = dataclasses.replace(plan_static(ps, dev, 1.0, 0),
+                                  reserved_dram_bytes=reserve)
+    with pytest.raises(ValueError, match="^reserved_dram_bytes must be >= 0$"):
+        plan_migration(ps, dev, current,
+                       MigrationRequest(time=4.0, new_ratio=0.9))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from memplan import profiles
 from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, PATTERNS,
                               GeneratorError, GeneratorSpec, ObjectProfile,
                               ProfileError,
@@ -64,6 +65,11 @@ class TestLoad:
     def test_missing_version_header(self):
         with pytest.raises(ProfileError, match="line 1"):
             load_profiles(io.StringIO("id,size_bytes\n"))
+
+    def test_header_only_file_is_an_empty_set(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(load_profiles(io.StringIO(profile_text([])))) == 0
 
     def test_comment_and_blank_lines_ignored(self):
         text = profile_text(["# a comment", "", "a,4096,0.0,1.0,4096,1,0,"])
@@ -454,10 +460,15 @@ def _outcome(load, text):
         return str(exc)
 
 
-_BREAKS = ("oops", "", "nan", "inf", "-inf", "-1", "0", "-0.0", "1_0")
+# A full-width digit, like "1_0", is a number to float() but not to numpy.
+_BREAKS = ("oops", "", "nan", "inf", "-inf", "-1", "0", "-0.0", "1_0",
+           "\uff11")
 
 
 def _broken_file(rng):
+    # Each file draws how often a record leaves llc_mpki blank and how often
+    # it has 7 fields, so some files have the shape write_profiles writes.
+    blank, short = (rng.choice([0.0, 0.3, 1.0]) for _ in range(2))
     rows = []
     for i in range(int(rng.integers(1, 10))):
         alloc = float(rng.uniform(0, 5))
@@ -465,42 +476,63 @@ def _broken_file(rng):
                   repr(alloc + float(rng.uniform(0.1, 5))),
                   repr(float(rng.uniform(0, 1e7))), str(int(rng.integers(0, 1e4))),
                   repr(float(rng.uniform(0, 100))),
-                  "" if rng.random() < 0.3 else repr(float(rng.uniform(0, 1)))]
-        if rng.random() < 0.2:
+                  "" if rng.random() < blank else repr(float(rng.uniform(0, 1)))]
+        if rng.random() < short:
             fields = fields[:7]
         rows.append(fields)
-    for _ in range(int(rng.integers(1, 4))):
+    for _ in range(int(rng.integers(0, 4))):
         fields = rows[int(rng.integers(len(rows)))]
         kind = rng.random()
-        if kind < 0.6:
+        if kind < 0.5:
             fields[int(rng.integers(len(fields)))] = str(rng.choice(_BREAKS))
-        elif kind < 0.7:
+        elif kind < 0.6:
             fields.append("1")
-        elif kind < 0.8:
+        elif kind < 0.7:
             del fields[-2:]
-        elif kind < 0.9:
+        elif kind < 0.75:
             fields[0] = rows[int(rng.integers(len(rows)))][0]
-        else:
+        elif kind < 0.8:
             fields[3] = fields[2]
+        elif kind < 0.9:
+            k = int(rng.integers(len(fields)))
+            fields[k] = f"\x1f{fields[k]}\x1f"
+        else:  # an inner '#' is part of the id, a leading one a comment
+            fields[0] = str(rng.choice(["a#", "#"])) + fields[0]
     lines = [" , ".join(f) if rng.random() < 0.2 else ",".join(f)
              for f in rows]
-    if rng.random() < 0.5:
-        lines.insert(int(rng.integers(len(lines) + 1)), "# note")
+    for extra in ("# note", ""):
+        if rng.random() < 0.25:
+            lines.insert(int(rng.integers(len(lines) + 1)), extra)
     return profile_text(lines)
 
 
-def test_loader_reports_what_a_per_record_loader_reports():
+def test_loader_reports_what_a_per_record_loader_reports(monkeypatch):
+    read_columns, column_reads = profiles._read_columns, []
+
+    def recorded(*args):
+        column_reads.append(read_columns(*args))
+        return column_reads[-1]
+
+    monkeypatch.setattr(profiles, "_read_columns", recorded)
     rng = np.random.default_rng(2024)
     kinds = set()
+    taken = 0
     for _ in range(600):
         text = _broken_file(rng)
         want = _outcome(_reference_load, text)
+        column_reads.clear()
         assert _outcome(load_profiles, text) == want, text
         kinds.add(want.split(": ")[-1][:20] if isinstance(want, str)
                   else "loaded")
+        if column_reads and column_reads[0] is not None:
+            taken += 1
+            ref = _reference_load(text)
+            assert column_reads[0]._table.tobytes() == ref._table.tobytes()
+            assert column_reads[0].llc_mpki.tobytes() == ref.llc_mpki.tobytes()
     # The draws cover loads, parse errors, field counts, each invariant,
-    # empty and duplicate ids.
+    # empty and duplicate ids, and files both readers take.
     assert len(kinds) >= 10
+    assert 30 <= taken <= 570
 
 
 @pytest.mark.parametrize("rows,message", [
