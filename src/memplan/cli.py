@@ -95,10 +95,11 @@ def _parse_list(text: str, option: str, kind: type = float) -> list:
 
 
 def _parse_range(text: str, option: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{option}: expected LO:HI")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:  # a part float() rejects, or not two parts
+        raise ValueError(f"{option}: expected LO:HI, two numbers") from None
+    return lo, hi
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -107,6 +108,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     spec = GeneratorSpec(
         count=args.count,
         skew_count=args.skew_count,
@@ -202,8 +205,11 @@ def _cmd_compare(args) -> int:
         named.append((f"mpki_{threshold:g}", place_mpki_threshold(
             profiles, dev, threshold, args.major_threshold,
             args.reserved_dram)))
-    for seed in (_parse_list(args.random_seeds, "--random-seeds", int)
-                 if args.random_seeds else []):
+    seeds = _parse_list(args.random_seeds, "--random-seeds", int) \
+        if args.random_seeds else []
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("--random-seeds must all be >= 0")
+    for seed in seeds:
         try:
             plan = place_random(profiles, dev, seed, args.major_threshold,
                                 args.reserved_dram)

@@ -111,6 +111,8 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     requirement the evaluator checks, not of its bound: ``budget - sum of
     stay energies`` cancels.
     """
+    if not math.isfinite(energy_limit):
+        raise ValueError("the ratio makes the energy budget overflow")
     sizes = objects.size
     cp = np.asarray(on_dram, dtype=float)
     stay_latency, stay_energy = stay

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, repeat, takewhile
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
@@ -172,12 +171,6 @@ def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
         if not test(record):
             return k, message.format_map(vars(record))
     return None
-
-
-def _rejected(table: np.ndarray, mpki: np.ndarray,
-              mpki_given: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the records whose numbers ObjectProfile rejects."""
-    return _broken(_columns((), table, mpki, mpki_given), _VALUE_CHECKS)
 
 
 class ProfileSet:
@@ -360,17 +353,11 @@ def load_profiles(source: str | os.PathLike | IO[str],
                   workload_size: float | None = None) -> ProfileSet:
     """Read one profile file (path or open text stream) into a ProfileSet.
 
-    Raises ProfileError naming the offending line for malformed records and
-    for records violating object invariants; the first bad line wins.
+    The version line comes first, then the column header and one record
+    per line; blank lines and lines starting with '#' are skipped. Raises
+    ProfileError naming the offending line for malformed records and for
+    records violating object invariants; the first bad line wins.
     Duplicate ids are reported once every record has passed.
-
-    A file of the shape write_profiles writes is read a column at a time:
-    the column header exactly as written on line 2, at least one record,
-    every record with the same number of fields (7 or 8), ``llc_mpki``
-    given in all records or blank in all, no blank or comment line and no
-    '#' or unit separator anywhere. Any other file, and any such file
-    holding a value numpy does not parse or a record that breaks a rule,
-    is read line by line, which names the first bad line.
     """
     with open_text(source) as stream:
         text = stream.read()
@@ -378,112 +365,85 @@ def load_profiles(source: str | os.PathLike | IO[str],
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
-    profiles = _read_columns(text, lines, workload_label, workload_size)
-    if profiles is not None:
-        return profiles
-
-    header_cols: tuple[str, ...] | None = None
-    ids: list[str] = []
-    values = array("d")  # the numeric fields then llc_mpki, record by record
-    mpki_given: list[bool] = []
-    line_nos: list[int] = []
-    stop = None  # the first record that cannot be read ends the read
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        fields = line.split(",")
-        # float() skips the whitespace around a number that str.strip()
-        # does, except the unit separator (the other C0 separators end a
-        # line), so only such lines need their fields stripped.
-        if "\x1f" in line or header_cols is None:
-            fields = [f.strip() for f in fields]
-        if header_cols is None:
-            expected = list(_COLUMNS)
-            if fields == expected or fields == expected + [_OPTIONAL_COLUMN]:
-                header_cols = tuple(fields)
-                continue
-            raise ProfileError(
-                f"line {line_no}: expected column header "
-                f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
-        if len(fields) in (len(_COLUMNS), len(_COLUMNS) + 1):
-            mpki = fields[7].strip() if len(fields) > len(_COLUMNS) else ""
-            try:
-                row = (float(fields[1]), float(fields[2]), float(fields[3]),
-                       float(fields[4]), float(fields[5]), float(fields[6]),
-                       float(mpki) if mpki else math.nan)
-            except ValueError:
-                pass
-            else:
-                ids.append(fields[0].strip())
-                values.extend(row)
-                mpki_given.append(mpki != "")
-                line_nos.append(line_no)
-                continue
-        stop = line_no, fields
-        break
-    if header_cols is None:
+    del lines[0]
+    line_nos = range(2, len(lines) + 2)
+    commas = list(map(str.count, lines, repeat(",")))
+    if "#" in text or 0 in commas:  # a comment or blank line may be there
+        kept = [k for k, line in enumerate(lines)
+                if line.strip()[:1] not in ("", "#")]
+        lines, commas = [lines[k] for k in kept], [commas[k] for k in kept]
+        line_nos = [k + 2 for k in kept]
+    if not lines:
         raise ProfileError("line 2: missing column header")
-
-    columns = np.frombuffer(values).reshape(len(ids), len(_NUMERIC) + 1).T
-    bad = _first_bad(_columns(ids, columns[:-1], columns[-1],
-                              np.array(mpki_given, bool)), _READ_CHECKS)
-    if bad:
-        raise ProfileError(f"line {line_nos[bad[0]]}: {bad[1]}")
-    if stop is not None:
-        line_no, fields = stop
-        if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
-            raise ProfileError(
-                f"line {line_no}: expected {len(header_cols)} fields, "
-                f"got {len(fields)}")
-        named = list(zip([f.strip() for f in fields[1:]],
-                         _COLUMNS[1:] + (_OPTIONAL_COLUMN,)))
-        # A given llc_mpki is read first, then the columns in order.
-        for text, column in [n for n in named[6:] if n[0]] + named[:6]:
-            try:
-                float(text)
-            except ValueError:
-                raise ProfileError(f"line {line_no}: field {column!r} is "
-                                   f"not a number: {text!r}") from None
-    return ProfileSet._of(tuple(ids), columns[:-1], columns[-1],
-                          workload_label, workload_size)
-
-
-def _read_columns(text: str, lines: list[str], workload_label: str,
-                  workload_size: float | None) -> ProfileSet | None:
-    """The set in a profile file of the shape write_profiles writes (see
-    load_profiles), read a column at a time; None for any other file."""
-    records = lines[2:]
-    # A '#' can start a comment line; a unit separator around a number is
-    # stripped by numpy but not by float(), so the loop, which strips such
-    # fields itself, keeps those files too.
-    if not records or lines[1] not in _HEADERS or "#" in text \
-            or "\x1f" in text:
-        return None
-    widths = set(map(str.count, records, repeat(",")))
-    if widths != {len(_COLUMNS) - 1} and widths != {len(_COLUMNS)}:
-        return None
+    if ",".join(map(str.strip, lines[0].split(","))) not in _HEADERS:
+        raise ProfileError(f"line {line_nos[0]}: expected column header "
+                           f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
+    header_fields = commas[0] + 1
+    records, commas = lines[1:], commas[1:]
+    widths = set(commas)
     ids = list(map(str.strip, map(itemgetter(0),
                                   map(str.partition, records, repeat(",")))))
-    given = False
-    if widths == {len(_COLUMNS)}:
-        mpki_fields = list(map(str.strip, map(itemgetter(2), map(
-            str.rpartition, records, repeat(",")))))
-        given = all(mpki_fields)
-        if not given and any(mpki_fields):
-            return None
-    try:  # the numeric columns, and llc_mpki where every record gives one
-        values = np.loadtxt(records, delimiter=",", comments=None, ndmin=2,
-                            usecols=range(1, len(_COLUMNS) + given))
+    mpki = list(map(str.strip, map(itemgetter(2),
+                                   map(str.rpartition, records, repeat(",")))))
+    if widths != {len(_COLUMNS)}:  # only an 8-field record has llc_mpki
+        mpki = [m if c == len(_COLUMNS) else "" for m, c in zip(mpki, commas)]
+    given = all(mpki)
+    values = None
+    if records and widths <= {len(_COLUMNS) - 1, len(_COLUMNS)} \
+            and (given or not any(mpki)):
+        with suppress(ValueError):  # numpy reads fewer numbers than float()
+            values = np.loadtxt(records, delimiter=",", comments=None, ndmin=2,
+                                usecols=range(1, len(_COLUMNS) + given))
+    if values is not None:  # the numeric columns, and llc_mpki if all give one
+        mpki_given = np.full(len(values), given)
+        mpki_values = values[:, -1] if given \
+            else np.full(len(values), math.nan)
+    else:  # the records up to the first that cannot be read, by float()
+        rows = list(takewhile(bool, map(_numbers, records)))
+        values = np.array(rows).reshape(len(rows), len(_NUMERIC) + 1)
+        mpki_given = np.fromiter(map(bool, mpki), bool, len(rows))
+        mpki_values = values[:, -1]
+    stop = len(values)
+    table = values.T[:len(_NUMERIC)]
+    bad = _first_bad(_columns(ids[:stop], table, mpki_values, mpki_given),
+                     _READ_CHECKS)
+    if bad:
+        raise ProfileError(f"line {line_nos[bad[0] + 1]}: {bad[1]}")
+    if stop < len(records):
+        raise ProfileError(f"line {line_nos[stop + 1]}: "
+                           + _unreadable(records[stop], header_fields))
+    return ProfileSet._of(tuple(ids), table, mpki_values, workload_label,
+                          workload_size)
+
+
+def _numbers(record: str) -> list[float] | None:
+    """The six numbers of a record and its llc_mpki (NaN if blank) as
+    float() reads them, or None if it cannot read them all or the record
+    has neither 7 nor 8 fields."""
+    fields = record.split(",")
+    if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
+        return None
+    mpki = fields[-1].strip() if len(fields) > len(_COLUMNS) else ""
+    try:  # str.strip, not float(), drops a unit separator around a number
+        return [*map(float, map(str.strip, fields[1:len(_COLUMNS)])),
+                float(mpki) if mpki else math.nan]
     except ValueError:
         return None
-    table = values.T[:len(_NUMERIC)]
-    mpki = values[:, -1] if given else np.full(len(ids), math.nan)
-    if _first_bad(_columns(ids, table, mpki, np.full(len(ids), given)),
-                  _READ_CHECKS):
-        return None
-    return ProfileSet._of(tuple(ids), table, mpki, workload_label,
-                          workload_size)
+
+
+def _unreadable(record: str, header_fields: int) -> str:
+    """Why _numbers cannot read a record: its field count, or the first
+    field float() rejects, a given llc_mpki before the columns in order."""
+    fields = [f.strip() for f in record.split(",")]
+    if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
+        return f"expected {header_fields} fields, got {len(fields)}"
+    named = list(zip(fields[1:], _COLUMNS[1:] + (_OPTIONAL_COLUMN,)))
+    for text, column in [n for n in named[6:] if n[0]] + named[:6]:
+        try:
+            float(text)
+        except ValueError:
+            return f"field {column!r} is not a number: {text!r}"
+    raise AssertionError(f"{record!r} is readable")
 
 
 def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> None:
@@ -708,11 +668,12 @@ class GeneratorSpec:
         for name in ("size_range", "access_factor_range", "miss_rate_range",
                      "dirty_fraction_range", "lifetime_range", "mpki_range"):
             lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise GeneratorError(f"{name} must satisfy 0 < lo <= hi")
+            if not 0 < lo <= hi < math.inf:
+                raise GeneratorError(f"{name} must satisfy 0 < lo <= hi < inf")
         lo, hi = self.alloc_range
-        if not 0 <= lo <= hi:
-            raise GeneratorError("alloc_range must satisfy 0 <= lo <= hi")
+        if not 0 <= lo <= hi < math.inf:
+            raise GeneratorError(
+                "alloc_range must satisfy 0 <= lo <= hi < inf")
 
 
 @np.errstate(over="ignore")  # large draws can overflow: see the checks below

@@ -558,3 +558,48 @@ def test_a_bad_plan_file_names_the_file_and_the_field(
     assert _one_error_line(capsys) == \
         f"memplan: error: {plan_path}: {message}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["generate", "--size-range", "a:b"], "--size-range: expected LO:HI, "
+     "two numbers"),
+    (["generate", "--size-range", "1:2:3"], "--size-range: expected LO:HI, "
+     "two numbers"),
+    (["generate", "--lifetime-range", "0.5:x"], "--lifetime-range: "
+     "expected LO:HI, two numbers"),
+    (["sweep", "--ratios", "0.8", "--capacities", "8:16,1:x"],
+     "--capacities: expected LO:HI, two numbers"),
+    (["compare", "--random-seeds", "3,-1"], "--random-seeds must all be >= 0"),
+    (["generate", "--seed", -1], "--seed must be >= 0"),
+], ids=["size-range", "three-parts", "lifetime-range", "capacities",
+        "random-seeds", "seed"])
+def test_a_bad_range_or_seed_names_its_option(workload, tmp_path, capsys,
+                                              command, message):
+    source = ["--count", 5, "--seed", 1] if command[0] == "generate" \
+        else ["--profiles", workload]
+    out = tmp_path / "out"
+    # The last of a repeated option wins, so the case's options go last.
+    assert run([command[0], *source, *command[1:], "--out", out]) \
+        == EXIT_USAGE
+    assert _one_error_line(capsys) == f"memplan: error: {message}"
+    assert not out.exists()
+
+
+def test_a_ratio_that_overflows_the_energy_budget_is_an_input_error(
+        workload, tmp_path, capsys):
+    current = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 0.8,
+                "--preset", "testbed1", "--out", current]) == EXIT_OK
+    out = tmp_path / "out"
+    for command in (["plan", "--ratio", "1e308"],
+                    ["migrate", "--current", current, "--time", 4,
+                     "--new-ratio", "1e308"],
+                    ["sweep", "--ratios", "0.8,1e308", "--capacities",
+                     "8:16"]):
+        capsys.readouterr()
+        rc = run([*command, "--profiles", workload, "--preset", "testbed1",
+                  "--out", out])
+        assert rc == EXIT_USAGE
+        assert _one_error_line(capsys) == \
+            "memplan: error: the ratio makes the energy budget overflow"
+        assert not out.exists()

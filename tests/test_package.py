@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import memplan
 
 
@@ -5,3 +9,16 @@ def test_every_exported_name_resolves_once():
     assert len(set(memplan.__all__)) == len(memplan.__all__)
     assert [name for name in memplan.__all__
             if not hasattr(memplan, name)] == []
+
+
+def test_importing_the_package_and_its_cli_loads_no_test_only_module():
+    # scipy, hypothesis and pytest are in the test extra only.
+    code = ("import sys, memplan, memplan.cli; print(sorted("
+            "{'scipy', 'hypothesis', 'pytest'} & {name.partition('.')[0] "
+            "for name in sys.modules}))")
+    src = os.path.dirname(os.path.dirname(memplan.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path),
+                            check=True, timeout=60)
+    assert result.stdout == "[]\n"

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from memplan import profiles
 from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, PATTERNS,
                               GeneratorError, GeneratorSpec, ObjectProfile,
                               ProfileError,
@@ -491,7 +490,7 @@ def _broken_file(rng):
             del fields[-2:]
         elif kind < 0.75:
             fields[0] = rows[int(rng.integers(len(rows)))][0]
-        elif kind < 0.8:
+        elif kind < 0.8 and len(fields) > 3:
             fields[3] = fields[2]
         elif kind < 0.9:
             k = int(rng.integers(len(fields)))
@@ -500,39 +499,33 @@ def _broken_file(rng):
             fields[0] = str(rng.choice(["a#", "#"])) + fields[0]
     lines = [" , ".join(f) if rng.random() < 0.2 else ",".join(f)
              for f in rows]
-    for extra in ("# note", ""):
+    # Lines the reader skips: a comment, an empty line, whitespace and a
+    # full-width space, which str.strip() drops too.
+    for extra in ("# note", "", " \t ", "\u3000"):
         if rng.random() < 0.25:
             lines.insert(int(rng.integers(len(lines) + 1)), extra)
-    return profile_text(lines)
+    text = profile_text(lines)
+    if rng.random() < 0.1:
+        text = text.replace("\n", "\n# before the header\n", 1)
+    return text
 
 
-def test_loader_reports_what_a_per_record_loader_reports(monkeypatch):
-    read_columns, column_reads = profiles._read_columns, []
-
-    def recorded(*args):
-        column_reads.append(read_columns(*args))
-        return column_reads[-1]
-
-    monkeypatch.setattr(profiles, "_read_columns", recorded)
+def test_loader_reports_what_a_per_record_loader_reports():
     rng = np.random.default_rng(2024)
     kinds = set()
-    taken = 0
     for _ in range(600):
         text = _broken_file(rng)
         want = _outcome(_reference_load, text)
-        column_reads.clear()
         assert _outcome(load_profiles, text) == want, text
         kinds.add(want.split(": ")[-1][:20] if isinstance(want, str)
                   else "loaded")
-        if column_reads and column_reads[0] is not None:
-            taken += 1
-            ref = _reference_load(text)
-            assert column_reads[0]._table.tobytes() == ref._table.tobytes()
-            assert column_reads[0].llc_mpki.tobytes() == ref.llc_mpki.tobytes()
+        if not isinstance(want, str):
+            got, ref = load_profiles(io.StringIO(text)), _reference_load(text)
+            assert got._table.tobytes() == ref._table.tobytes(), text
+            assert got.llc_mpki.tobytes() == ref.llc_mpki.tobytes(), text
     # The draws cover loads, parse errors, field counts, each invariant,
-    # empty and duplicate ids, and files both readers take.
+    # and empty and duplicate ids.
     assert len(kinds) >= 10
-    assert 30 <= taken <= 570
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -774,3 +767,12 @@ def test_scaling_rejects_an_overflow_without_a_warning():
             extrapolate(ps, vector, 1e10)
         with pytest.raises(ScalingError, match="size not finite"):
             derive_scaling_vector(sets)
+
+
+@pytest.mark.parametrize("name", [
+    "size_range", "access_factor_range", "miss_rate_range",
+    "dirty_fraction_range", "alloc_range", "lifetime_range", "mpki_range"])
+def test_generator_rejects_an_infinite_range_bound(name):
+    with pytest.raises(GeneratorError, match=f"^{name} must satisfy"):
+        generate_synthetic(GeneratorSpec(count=5, with_mpki=True,
+                                         **{name: (1.0, float("inf"))}), 1)

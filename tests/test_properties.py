@@ -19,8 +19,8 @@ from memplan.evaluator import evaluate  # noqa: E402
 from memplan.migration import MigrationRequest, plan_migration  # noqa: E402
 from memplan.planner import load_plan, plan_static, write_plan  # noqa: E402
 from memplan.profiles import (ObjectProfile, ProfileError,  # noqa: E402
-                              ProfileSet, _rejected, load_profiles,
-                              write_profiles)
+                              ProfileSet, _VALUE_CHECKS, _broken, _columns,
+                              load_profiles, write_profiles)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None,
                              suppress_health_check=[HealthCheck.too_slow,
@@ -210,4 +210,5 @@ def test_the_column_check_rejects_exactly_what_object_profile_rejects(records):
             expected.append(False)
         except ProfileError:
             expected.append(True)
-    assert _rejected(table, mpki, given).tolist() == expected
+    rejected = _broken(_columns((), table, mpki, given), _VALUE_CHECKS)
+    assert rejected.tolist() == expected
