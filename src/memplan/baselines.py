@@ -7,6 +7,7 @@ strategy achieved rather than a requested budget.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ def _finish(major: ProfileSet, minor: ProfileSet, dev: DeviceSpec,
             status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
     placements = dict.fromkeys(minor.ids(), DRAM)
-    placements.update(zip(major.ids(), (DRAM if x else NVM for x in on_dram)))
+    placements.update(zip(major.ids(), map([NVM, DRAM].__getitem__, on_dram)))
     objective, energy = summarize_assignment(major, dev, on_dram)
     all_dram_energy = sum(dram_energy(major, dev).tolist(), 0.0)
     ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
@@ -79,6 +80,8 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
     residents to NVM; NVM overflow by promoting its highest-mpki residents
     back while they fit. Every major object must carry an llc_mpki value.
     """
+    if math.isnan(mpki_threshold):  # no mpki is above or below it
+        raise ValueError("mpki_threshold must be a number, got nan")
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
     mpki = major.llc_mpki

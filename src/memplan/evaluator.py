@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
+from itertools import compress, repeat
+from operator import eq
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .energy import DeviceSpec, dram_energy, price_placement
 from .planner import DRAM, NVM, PlacementPlan, plan_static
-from .profiles import ProfileSet, filter_major
+from .profiles import ProfileSet, major_mask
 
 _REL_TOL = 1e-9
 
@@ -51,39 +53,41 @@ class EvaluationReport:
 
 
 def _peak_bytes(profiles: ProfileSet, on_device: np.ndarray) -> float:
-    # Sweep alloc/dealloc events in (time, delta) order, so frees at time t
-    # happen before allocations at the same instant (half-open lifetimes);
-    # the running level is a sequential sum.
-    size = profiles.size[on_device]
-    times = np.concatenate((profiles.alloc_time[on_device],
-                            profiles.dealloc_time[on_device]))
-    deltas = np.concatenate((size, -size))
-    levels = np.cumsum(deltas[np.lexsort((deltas, times))])
+    # Sweep the set's alloc/dealloc events in (time, delta) order, so frees
+    # at time t happen before allocations at the same instant (half-open
+    # lifetimes); the running level is a sequential sum.
+    owners, deltas = profiles.events
+    levels = np.cumsum(deltas[on_device[owners]])
     return max(0.0, float(levels.max(initial=0.0)))
 
 
 def evaluate(profiles: ProfileSet, dev: DeviceSpec,
              plan: PlacementPlan) -> EvaluationReport:
-    """Score a plan from scratch; every profiled object must be placed."""
+    """Score a plan from scratch; every profiled object must be placed.
+
+    The whole set is priced once and the major and minor objects are
+    picked from its columns by mask, in profile order.
+    """
     ids = profiles.ids()
     devices = list(map(plan.placements.get, ids))
-    on_dram = np.array([d == DRAM for d in devices], dtype=bool)
-    on_nvm = np.array([d == NVM for d in devices], dtype=bool)
+    on_dram = np.fromiter(map(eq, devices, repeat(DRAM)), bool, len(ids))
+    on_nvm = np.fromiter(map(eq, devices, repeat(NVM)), bool, len(ids))
     if not np.all(on_dram | on_nvm):
         object_id = ids[int(np.argmin(on_dram | on_nvm))]
         if object_id not in plan.placements:
             raise ValueError(f"plan does not cover object {object_id!r}")
         raise ValueError(f"object {object_id!r} has no concrete device")
 
-    major_mask = profiles.accessed_volume > plan.major_threshold
-    major, minor = filter_major(profiles, plan.major_threshold)
-    latencies, energies = price_placement(major, dev, on_dram[major_mask])
-    breakdown = dict(zip(major.ids(), energies.tolist()))
-    latency = sum(latencies.tolist(), 0.0)
-    minor_energy = float(sum(dram_energy(minor, dev).tolist()))
+    major = major_mask(profiles, plan.major_threshold)
+    latencies, energies = price_placement(profiles, dev, on_dram)
+    all_dram = dram_energy(profiles, dev)
+    breakdown = dict(zip(compress(ids, major.tolist()),
+                         energies[major].tolist()))
+    latency = sum(latencies[major].tolist(), 0.0)
+    minor_energy = float(sum(all_dram[~major].tolist()))
 
     total = float(sum(breakdown.values()))
-    denom = float(sum(dram_energy(major, dev).tolist()))
+    denom = float(sum(all_dram[major].tolist()))
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy

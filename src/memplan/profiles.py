@@ -181,9 +181,9 @@ class ProfileSet:
     ``alloc_time``, ..., and the derived ``lifetime``) and ``llc_mpki``,
     which is NaN where an object has none. The pricing formulas take a set
     in place of one object and price every object elementwise, giving the
-    same doubles as one call per object. The id ``index`` and the
-    ObjectProfile tuple (``objects``, iteration, ``get``) are built on
-    first use and kept.
+    same doubles as one call per object. The id ``index``, the
+    ObjectProfile tuple (``objects``, iteration, ``get``) and the order of
+    the allocation and free ``events`` are built on first use and kept.
     """
 
     def __init__(self, objects: Iterable[ObjectProfile] = (),
@@ -238,8 +238,13 @@ class ProfileSet:
         if workload_size is not None and not math.isfinite(workload_size):
             raise ProfileError("workload_size must be finite")
         table = np.array(table, dtype=float)
-        mpki = np.array(mpki, dtype=float)
-        lifetime = table[2] - table[1]
+        self._keep(ids, table, np.array(mpki, dtype=float),
+                   table[2] - table[1], workload_label, workload_size)
+
+    def _keep(self, ids: tuple[str, ...], table: np.ndarray,
+              mpki: np.ndarray, lifetime: np.ndarray, workload_label: str,
+              workload_size: float | None) -> None:
+        # Takes ownership of the arrays and makes them read-only.
         for array in (table, mpki, lifetime):
             array.flags.writeable = False
         self.__dict__.update(zip(_NUMERIC, table))
@@ -255,6 +260,19 @@ class ProfileSet:
     def index(self) -> dict[str, int]:
         """Position of each object id in profile order."""
         return dict(zip(self._ids, range(len(self._ids))))
+
+    @cached_property
+    def events(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every allocation (+size) and free (-size) in (time, delta)
+        order, as the position of each event's object and its delta. The
+        sort is stable, so the events of a subset of objects, taken in
+        this order, are in the order a sort of the subset alone gives."""
+        times = np.concatenate((self.alloc_time, self.dealloc_time))
+        deltas = np.concatenate((self.size, -self.size))
+        order = np.lexsort((deltas, times))
+        owners, deltas = order % len(self), deltas[order]
+        owners.flags.writeable = deltas.flags.writeable = False
+        return owners, deltas
 
     @cached_property
     def objects(self) -> tuple[ObjectProfile, ...]:
@@ -299,11 +317,15 @@ class ProfileSet:
 
     def take(self, mask: Sequence[bool] | np.ndarray) -> "ProfileSet":
         """The objects where ``mask`` is true, in profile order, with this
-        set's label and workload size."""
+        set's label and workload size. A subset of a checked set needs no
+        check, and indexing gives it arrays of its own."""
         mask = np.asarray(mask, dtype=bool)
-        return ProfileSet._of(tuple(compress(self._ids, mask.tolist())),
-                              self._table[:, mask], self.llc_mpki[mask],
-                              self.workload_label, self.workload_size)
+        subset = ProfileSet.__new__(ProfileSet)
+        subset._keep(tuple(compress(self._ids, mask.tolist())),
+                     self._table[:, mask], self.llc_mpki[mask],
+                     self.lifetime[mask], self.workload_label,
+                     self.workload_size)
+        return subset
 
 
 @dataclass(frozen=True)
@@ -541,10 +563,16 @@ def filter_major(profiles: ProfileSet,
     Major objects are those whose accessed volume exceeds the threshold;
     everything else is minor and later forced onto DRAM by the planners.
     """
+    major = major_mask(profiles, threshold)
+    return profiles.take(major), profiles.take(~major)
+
+
+def major_mask(profiles: ProfileSet,
+               threshold: float = DEFAULT_MAJOR_THRESHOLD) -> np.ndarray:
+    """Mask of the major objects: accessed volume above the threshold."""
     if not threshold >= 0:  # NaN fails too: no volume is above or below it
         raise ValueError("major-object threshold must be >= 0")
-    volume = profiles.accessed_volume
-    return profiles.take(volume > threshold), profiles.take(volume <= threshold)
+    return profiles.accessed_volume > threshold
 
 
 @np.errstate(over="ignore", invalid="ignore")  # ScalingVector rejects inf/nan

@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from memplan.baselines import (place_all_dram, place_all_nvm,
                                place_mpki_threshold, place_random)
-from memplan.energy import GIB, dram_energy, nvm_energy
+from memplan.energy import GIB, dram_energy, nvm_energy, price_placement
 from memplan.energy import testbed1 as make_testbed1
-from memplan.evaluator import (COMPARISON_COLUMNS, _cell, _csv_table,
+from memplan.evaluator import (_REL_TOL, COMPARISON_COLUMNS,
+                               EvaluationReport, _cell, _csv_table,
                                _peak_bytes, compare, comparison_csv,
                                comparison_json, evaluate, report_csv,
                                report_json)
-from memplan.planner import DRAM, NVM, plan_static
+from memplan.planner import DRAM, NVM, PlacementPlan, plan_static
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
-                              generate_synthetic)
+                              filter_major, generate_synthetic)
 
 MB = 1 << 20
 
@@ -51,6 +54,12 @@ class TestMpkiThreshold:
         for obj in objects:
             expected = DRAM if obj.llc_mpki >= 0.025 else NVM
             assert plan.placements[obj.id] == expected
+
+    def test_nan_threshold_rejected(self):
+        # No mpki compares >= nan, so it used to place every object in NVM.
+        with pytest.raises(ValueError, match="mpki_threshold.*nan"):
+            place_mpki_threshold(instance(1), roomy_device(), float("nan"),
+                                 major_threshold=0)
 
     def test_missing_mpki_names_object(self):
         ps = ProfileSet((ObjectProfile("anon", 4 * MB, 0.0, 1.0, 4 * MB,
@@ -181,6 +190,17 @@ class TestEvaluate:
         assert report.total_energy_nj == pytest.approx(
             sum(report.breakdown.values()), rel=1e-12)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+    def test_bad_major_threshold_in_plan_rejected(self, threshold):
+        ps = instance(1, count=4)
+        dev = roomy_device()
+        plan = PlacementPlan(dict.fromkeys(ps.ids(), DRAM), ps.ids(),
+                             "optimal", 1.0, threshold, 0.0, 0.0,
+                             float("inf"))
+        with pytest.raises(ValueError,
+                           match="major-object threshold must be >= 0"):
+            evaluate(ps, dev, plan)
+
     def test_minor_energy_reported_separately(self):
         big = ObjectProfile("big", 8 * MB, 0.0, 1.0, 8 * MB, 500.0, 5.0)
         tiny = ObjectProfile("tiny", 4096.0, 0.0, 1.0, 4096.0, 5.0, 0.0)
@@ -304,6 +324,80 @@ def test_peak_bytes_equals_the_event_loop_with_tied_times_and_sizes():
         for device, mask in ((DRAM, on_dram), (NVM, ~on_dram)):
             assert _peak_bytes(ps, mask) \
                 == _event_loop_peak(objects, device, placements)
+
+
+def _split_report(objects, dev, plan):
+    """The report of a plan scored on the major and minor sets split off
+    by filter_major, each priced on its own, as the oracle."""
+    major, minor = filter_major(ProfileSet(objects), plan.major_threshold)
+    placed = plan.placements
+    latencies, energies = price_placement(
+        major, dev, [placed[i] == DRAM for i in major.ids()])
+    breakdown = dict(zip(major.ids(), energies.tolist()))
+    minor_energy = float(sum(dram_energy(minor, dev).tolist()))
+    total = float(sum(breakdown.values()))
+    denom = float(sum(dram_energy(major, dev).tolist()))
+    if plan.minor_energy_in_budget:
+        total += minor_energy
+        denom += minor_energy
+    ratio = total / denom if denom > 0 else \
+        1.0 if total == 0 else float("inf")
+    static = {device: sum(o.size for o in objects if placed[o.id] == device)
+              for device in (DRAM, NVM)}
+    dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
+    budget = plan.energy_budget_nj
+    return EvaluationReport(
+        total_energy_nj=total,
+        latency_objective_ns=sum(latencies.tolist(), 0.0),
+        energy_ratio_vs_all_dram=ratio,
+        capacity_ok_dram=static[DRAM]
+        <= dram_limit + _REL_TOL * max(1.0, dram_limit),
+        capacity_ok_nvm=static[NVM]
+        <= dev.nvm_capacity + _REL_TOL * max(1.0, dev.nvm_capacity),
+        budget_ok=not math.isfinite(budget)
+        or total <= budget + _REL_TOL * max(1.0, abs(budget)),
+        static_dram_bytes=static[DRAM],
+        static_nvm_bytes=static[NVM],
+        peak_dram_bytes=_event_loop_peak(objects, DRAM, placed),
+        peak_nvm_bytes=_event_loop_peak(objects, NVM, placed),
+        minor_dram_energy_nj=minor_energy,
+        breakdown=breakdown)
+
+
+def test_evaluate_equals_scoring_the_split_sets():
+    rng = np.random.default_rng(47)
+    times = (0.0, 0.5, 1.0, 1.5, 2.0, 3.25)
+    sizes = (0.1, 0.7, 3.0, 1e-3, 4 * MB, 1e16)  # sums depend on their order
+    volumes = (0.0, 1.0, 4096.0, MB, 2 * MB, 1e12)
+    for _ in range(200):
+        n = int(rng.integers(0, 30))
+        objects = []
+        for i in range(n):
+            alloc = float(rng.choice(times[:-1]))
+            objects.append(ObjectProfile(
+                f"o{i}", float(rng.choice(sizes)), alloc,
+                float(rng.choice([t for t in times if t > alloc])),
+                float(rng.choice(volumes)), float(rng.uniform(0, 1e4)),
+                float(rng.uniform(0, 1e3))))
+        ps = ProfileSet(tuple(objects), "w", 2.0)
+        total = sum(ps.size.tolist())
+        dev = make_testbed1(dram_capacity=float(rng.uniform(0, 1.2)) * total,
+                            nvm_capacity=float(rng.uniform(0, 1.2)) * total)
+        placements = {o.id: DRAM if rng.random() < 0.5 else NVM
+                      for o in objects}
+        threshold = float(rng.choice([0.0, 4096.0, MB, float("inf")]))
+        for in_budget in (False, True):
+            plan = PlacementPlan(
+                placements, ps.ids(), "optimal", 0.8, threshold, 0.0, 0.0,
+                float(rng.choice([float("inf"), 1e6, 1e12])),
+                reserved_dram_bytes=float(rng.choice([0.0, MB])),
+                minor_energy_in_budget=in_budget)
+            report = evaluate(ps, dev, plan)
+            want = _split_report(tuple(objects), dev, plan)
+            assert report == want
+            assert list(report.breakdown) == list(want.breakdown)
+            assert report_csv(report) == report_csv(want)
+            assert report_json(report) == report_json(want)
 
 
 def _two_objects():

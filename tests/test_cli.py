@@ -440,6 +440,16 @@ def test_a_nan_major_threshold_is_an_input_error(workload, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_nan_mpki_threshold_is_an_input_error(workload, tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    rc = run(["compare", "--profiles", workload, "--mpki-thresholds",
+              "0.02,nan", "--out", out])
+    assert rc == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        "memplan: error: mpki_threshold must be a number, got nan"
+    assert not out.exists()
+
+
 def test_an_infinite_major_threshold_pins_every_object(workload, tmp_path):
     out = tmp_path / "p.plan"
     rc = run(["plan", "--profiles", workload, "--ratio", 0.8,

@@ -382,6 +382,63 @@ def test_columns_and_index_follow_profile_order():
         ps.get("missing")
 
 
+def _tied_set(seed, count=40):
+    # Few distinct times and sizes, so events tie on time and on size.
+    rng = np.random.default_rng(seed)
+    alloc = rng.choice([0.0, 1.0, 2.0], count)
+    return ProfileSet.from_columns(
+        [f"o{i}" for i in range(count)], size=rng.choice([1.0, 2.0], count),
+        alloc_time=alloc, dealloc_time=alloc + rng.choice([1.0, 2.0], count),
+        accessed_volume=rng.uniform(0, 10, count),
+        llc_misses=rng.uniform(0, 10, count),
+        dirty_blocks=rng.uniform(0, 10, count),
+        llc_mpki=np.where(rng.random(count) < 0.3, np.nan,
+                          rng.uniform(0, 1, count)),
+        workload_label="w", workload_size=4.0)
+
+
+def test_take_equals_a_set_built_from_the_same_columns():
+    ps = _tied_set(5)
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        mask = rng.random(len(ps)) < 0.5
+        sub = ps.take(mask)
+        want = ProfileSet.from_columns(
+            [i for i, keep in zip(ps.ids(), mask) if keep],
+            **{name: getattr(ps, name)[mask] for name in (
+                "size", "alloc_time", "dealloc_time", "accessed_volume",
+                "llc_misses", "dirty_blocks", "llc_mpki")},
+            workload_label="w", workload_size=4.0)
+        assert sub == want
+        assert sub.ids() == want.ids()
+        assert sub._table.tobytes() == want._table.tobytes()
+        assert sub.llc_mpki.tobytes() == want.llc_mpki.tobytes()
+        assert sub.lifetime.tobytes() == want.lifetime.tobytes()
+        assert (sub.workload_label, sub.workload_size) == ("w", 4.0)
+        again = ps.take(mask)
+        for name in ("_table", "size", "llc_mpki", "lifetime"):
+            array = getattr(sub, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+            assert not np.shares_memory(array, getattr(again, name))
+    assert ps == _tied_set(5)
+
+
+def test_the_events_of_a_subset_are_its_sets_events_in_order():
+    ps = _tied_set(7)
+    owners, deltas = ps.events
+    assert sorted(owners.tolist()) == sorted(2 * list(range(len(ps))))
+    for mask in (np.ones(len(ps), bool), np.arange(len(ps)) % 3 == 0,
+                 np.random.default_rng(8).random(len(ps)) < 0.5):
+        sub_owners, sub_deltas = ps.take(mask).events
+        kept = mask[owners]
+        assert np.flatnonzero(mask)[sub_owners].tolist() \
+            == owners[kept].tolist()
+        assert sub_deltas.tobytes() == deltas[kept].tobytes()
+    assert ProfileSet(()).events[0].shape == (0,)
+
+
 def test_numpy_scalar_fields_survive_a_write_and_read():
     obj = make_obj(size=np.float64(1000.5), misses=np.float64(7.25),
                    mpki=np.float64(0.125))
