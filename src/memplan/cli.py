@@ -70,13 +70,17 @@ def _device_from_args(args) -> DeviceSpec:
     return dev
 
 
-def _add_planning_options(parser: argparse.ArgumentParser) -> None:
+def _add_pinning_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--major-threshold", type=float,
                         default=DEFAULT_MAJOR_THRESHOLD,
                         help="accessed-volume bound (bytes) below which "
                              "objects are pinned to DRAM")
     parser.add_argument("--reserved-dram", type=float, default=0.0,
                         help="DRAM bytes set aside for code/stack")
+
+
+def _add_planning_options(parser: argparse.ArgumentParser) -> None:
+    _add_pinning_options(parser)
     parser.add_argument("--include-minor-energy", action="store_true",
                         help="count minor-object DRAM energy on both sides "
                              "of the budget")
@@ -115,8 +119,6 @@ def _cmd_generate(args) -> int:
         skew_count=args.skew_count,
         skew_share=args.skew_share,
         with_mpki=args.with_mpki,
-        label=args.label,
-        workload_size=args.workload_size,
         **({"size_range": _parse_range(args.size_range, "--size-range")}
            if args.size_range else {}),
         **({"lifetime_range": _parse_range(args.lifetime_range,
@@ -163,9 +165,9 @@ def _cmd_migrate(args) -> int:
                                strict=not args.best_effort)
     plan = plan_migration(profiles, dev, current, request,
                           transient_capacity=args.transient_capacity,
-                          plan_future=not args.no_future)
+                          plan_future=args.future_out is not None)
     write_migration_plan(plan, args.out)
-    if plan.future_plan is not None and args.future_out:
+    if plan.future_plan is not None:
         write_plan(plan.future_plan, args.future_out)
     if not plan.feasible:
         print("infeasible: cannot satisfy "
@@ -191,7 +193,7 @@ def _cmd_compare(args) -> int:
     named: list[tuple[str, PlacementPlan | None]] = []
     for spec in args.plan or []:
         name, _, path = spec.partition("=")
-        if not path:
+        if not (name and path):
             raise ValueError(f"--plan expects NAME=PATH, got {spec!r}")
         named.append((name, load_plan(path)))
     if args.all_dram:
@@ -275,8 +277,6 @@ def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--skew-count", type=int, default=0)
     p.add_argument("--skew-share", type=float)
     p.add_argument("--with-mpki", action="store_true")
-    p.add_argument("--label", default="synthetic")
-    p.add_argument("--workload-size", type=float, default=1.0)
     p.add_argument("--size-range", help="object size bounds, bytes, LO:HI")
     p.add_argument("--lifetime-range", help="lifetime bounds, seconds, LO:HI")
     p.add_argument("--out", required=True)
@@ -309,8 +309,6 @@ def _migrate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transient-capacity", action="store_true",
                    help="require room for source and destination copies "
                         "during migration")
-    p.add_argument("--no-future", action="store_true",
-                   help="skip the companion plan for objects allocated later")
     _add_device_options(p)
     p.add_argument("--out", required=True)
     p.add_argument("--future-out",
@@ -336,7 +334,7 @@ def _compare_arguments(p: argparse.ArgumentParser) -> None:
                    help="comma-separated seeds for random placements")
     p.add_argument("--matched-optimal", action="store_true",
                    help="add an optimal plan at each row's achieved ratio")
-    _add_planning_options(p)
+    _add_pinning_options(p)
     _add_device_options(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")

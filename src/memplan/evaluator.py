@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import astuple, dataclass, fields
 from itertools import compress, repeat
-from operator import eq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .planner import DRAM, NVM, PlacementPlan, plan_static
 from .profiles import ProfileSet, major_mask
 
 _REL_TOL = 1e-9
+_DEVICE_CODES = {DRAM: 1, NVM: 2}  # any other device, or none, is 0
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,12 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
     picked from its columns by mask, in profile order.
     """
     ids = profiles.ids()
-    devices = list(map(plan.placements.get, ids))
-    on_dram = np.fromiter(map(eq, devices, repeat(DRAM)), bool, len(ids))
-    on_nvm = np.fromiter(map(eq, devices, repeat(NVM)), bool, len(ids))
-    if not np.all(on_dram | on_nvm):
-        object_id = ids[int(np.argmin(on_dram | on_nvm))]
+    codes = np.fromiter(map(_DEVICE_CODES.get, map(plan.placements.get, ids),
+                            repeat(0)), np.int8, len(ids))
+    on_dram = codes == 1
+    on_nvm = codes == 2
+    if not codes.all():
+        object_id = ids[int(np.argmin(codes))]
         if object_id not in plan.placements:
             raise ValueError(f"plan does not cover object {object_id!r}")
         raise ValueError(f"object {object_id!r} has no concrete device")

@@ -143,7 +143,7 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
     """
     de = dram_energy(major, dev)
     ne = nvm_energy(major, dev)
-    budget = ratio * (float(de.sum()) + extra_budget_energy)
+    budget = ratio * (sum(de.tolist()) + extra_budget_energy)
     return build_program(
         major, np.zeros(len(major), dtype=bool), (nvm_latency(major, dev), ne),
         (dram_latency(major, dev), de), budget, dram_free, dev.nvm_capacity,

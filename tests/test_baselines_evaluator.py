@@ -452,3 +452,39 @@ def test_the_csv_table_writes_every_cell_by_the_cell_rule():
     assert _csv_table(columns, rows) == want
     assert _csv_table(columns, iter(rows)) == want
     assert _csv_table(columns, []) == ",".join(columns) + "\n"
+
+
+def _cold_objects():
+    # Four 10 MB objects, all colder than a threshold of 1.0.
+    return ProfileSet(tuple(
+        ObjectProfile(f"o{i}", 10 * MB, 0.0, 1.0, 10 * MB, 100.0, 5.0, mpki)
+        for i, mpki in enumerate((0.01, 0.04, 0.02, 0.03))))
+
+
+@pytest.mark.parametrize("dram_mb, on_dram, binding", [
+    (25, ("o1", "o3"), ()),
+    (15, ("o1",), ("capacity_nvm",)),
+], ids=["fits", "nvm-overflows"])
+def test_mpki_threshold_promotes_the_hottest_nvm_residents(dram_mb, on_dram,
+                                                           binding):
+    # Everything starts in NVM, which holds 25 of the 40 MB: the hottest
+    # objects move to DRAM while they fit there.
+    ps = _cold_objects()
+    dev = make_testbed1(dram_capacity=dram_mb * MB, nvm_capacity=25 * MB)
+    plan = place_mpki_threshold(ps, dev, 1.0, major_threshold=0)
+    assert [i for i in ps.ids() if plan.placements[i] == DRAM] \
+        == list(on_dram)
+    assert plan.binding_constraints == binding
+    assert plan.feasible == (not binding)
+
+
+def test_evaluate_rejects_a_placement_on_no_concrete_device():
+    ps = instance(1, count=4)
+    plan = place_all_dram(ps, roomy_device(), major_threshold=0)
+    odd = dict(plan.placements, **{ps.ids()[2]: "hbm"})
+    with pytest.raises(ValueError, match=f"^object {ps.ids()[2]!r} has no "
+                                         "concrete device$"):
+        evaluate(ps, roomy_device(), PlacementPlan(
+            odd, plan.major_ids, plan.status, plan.ratio,
+            plan.major_threshold, plan.objective_ns, plan.planned_energy_nj,
+            plan.energy_budget_nj))

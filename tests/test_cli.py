@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import warnings
 
@@ -6,10 +7,12 @@ import pytest
 
 from memplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
-from memplan.energy import GIB
+import memplan.migration
+from memplan.energy import GIB, DeviceSpec
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import evaluate
-from memplan.planner import load_plan
+from memplan.migration import MigrationRequest, plan_migration
+from memplan.planner import load_plan, write_plan
 from memplan.profiles import (GeneratorSpec, ProfileSet,
                               derive_scaling_vector, extrapolate,
                               generate_synthetic, load_profiles,
@@ -613,3 +616,179 @@ def test_a_ratio_that_overflows_the_energy_budget_is_an_input_error(
         assert _one_error_line(capsys) == \
             "memplan: error: the ratio makes the energy budget overflow"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (["generate", "--count", 5, "--seed", 1], ["--label", "x"]),
+    (["generate", "--count", 5, "--seed", 1], ["--workload-size", 2]),
+    (["compare", "--all-dram"], ["--include-minor-energy"]),
+    (["migrate", "--current", "c.plan", "--time", 4, "--new-ratio", 0.9],
+     ["--no-future"]),
+], ids=["label", "workload-size", "include-minor-energy", "no-future"])
+def test_options_that_changed_nothing_are_unrecognized(workload, tmp_path,
+                                                       capsys, command,
+                                                       option):
+    source = [] if command[0] == "generate" else ["--profiles", workload]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run([*command, *source, *option, "--out", out])
+    assert err.value.code == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        "memplan: error: unrecognized arguments: " + " ".join(map(str, option))
+    assert not out.exists()
+
+
+def _plan_and_migrate(workload, tmp_path, *extra):
+    device = ["--preset", "testbed1", "--dram-capacity-gib", 0.05,
+              "--nvm-capacity-gib", 1]
+    current = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0, *device,
+                "--major-threshold", 0, "--out", current]) == EXIT_OK
+    out = tmp_path / "m.mig"
+    rc = run(["migrate", "--profiles", workload, "--current", current,
+              "--time", 4, "--new-ratio", 0.9, *device, "--out", out, *extra])
+    return rc, current, out.read_bytes()
+
+
+def test_migrate_plans_future_objects_only_for_future_out(
+        workload, tmp_path, monkeypatch):
+    plan_static = memplan.migration.plan_static
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_static(*args, **kwargs)
+
+    monkeypatch.setattr(memplan.migration, "plan_static", counted)
+    rc, current, table = _plan_and_migrate(workload, tmp_path)
+    assert rc == EXIT_OK and calls == []
+
+    future = tmp_path / "f.plan"
+    rc, _, again = _plan_and_migrate(workload, tmp_path, "--future-out",
+                                     future)
+    assert rc == EXIT_OK and len(calls) == 1 and again == table
+    dev = make_testbed1(dram_capacity=0.05 * GIB, nvm_capacity=1 * GIB)
+    want = plan_migration(load_profiles(workload), dev, load_plan(current),
+                          MigrationRequest(time=4.0, new_ratio=0.9))
+    # obj0001, obj0003 and obj0009 are allocated after t=4.
+    assert want.future_ids == ("obj0001", "obj0003", "obj0009")
+    text = io.StringIO()
+    write_plan(want.future_plan, text)
+    assert future.read_text() == text.getvalue()
+
+
+def test_a_best_effort_request_plans_no_unwritten_future_objects(
+        workload, tmp_path):
+    # Planning the objects allocated after t at this ratio overflows the
+    # budget; without --future-out that plan is not made.
+    current = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 0.8,
+                "--preset", "testbed1", "--out", current]) == EXIT_OK
+    out = tmp_path / "m.mig"
+    assert run(["migrate", "--profiles", workload, "--current", current,
+                "--time", 4, "--new-ratio", "1e308", "--best-effort",
+                "--preset", "testbed1", "--out", out]) == EXIT_OK
+    assert out.read_text().startswith("hmms-migration-v1\nstatus=optimal\n")
+
+
+def test_compare_rejects_a_plan_without_a_name(workload, tmp_path, capsys):
+    plan_path = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 0.9,
+                "--out", plan_path]) == EXIT_OK
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--profiles", workload, "--plan", f"={plan_path}",
+                "--out", out]) == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        f"memplan: error: --plan expects NAME=PATH, got '={plan_path}'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("matched", [False, True], ids=["plain", "matched"])
+def test_compare_scores_named_plan_files(workload, tmp_path, matched):
+    device = ["--dram-capacity-gib", 0.05, "--nvm-capacity-gib", 1]
+    plan_path = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 0.9, *device,
+                "--major-threshold", 0, "--out", plan_path]) == EXIT_OK
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--profiles", workload, *device,
+                "--plan", f"opt={plan_path}", "--all-nvm",
+                "--major-threshold", 0, "--out", out]
+               + ["--matched-optimal"] * matched) == EXIT_OK
+    dev = DeviceSpec(dram_capacity=0.05 * GIB, nvm_capacity=1 * GIB)
+    report = evaluate(load_profiles(workload), dev, load_plan(plan_path))
+    rows = out.read_text().splitlines()
+    assert rows[1] == (f"opt,{report.total_energy_nj!r},"
+                       f"{report.energy_ratio_vs_all_dram!r},"
+                       f"{report.latency_objective_ns!r},1")
+    names = [row.split(",")[0] for row in rows[1:]]
+    if not matched:
+        assert names == ["opt", "all-nvm"]
+        return
+    assert names == ["opt", "opt:optimal", "all-nvm", "all-nvm:optimal"]
+    # Optimal at the plan's own ratio: no slower than the plan, in budget.
+    _, _, ratio, latency, ok = rows[2].split(",")
+    assert ok == "1"
+    assert float(latency) <= report.latency_objective_ns
+    assert float(ratio) <= report.energy_ratio_vs_all_dram * (1 + 1e-9)
+
+
+def test_sweep_rows_when_minor_objects_alone_overflow_dram(workload,
+                                                           tmp_path):
+    # With an infinite threshold every object is pinned to DRAM, which
+    # holds them all at 1 GiB and none at 0.0001 GiB.
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--profiles", workload, "--ratios", "1.0,0.8",
+                "--capacities", "0.0001:1,1:1", "--major-threshold", "inf",
+                "--out", out]) == EXIT_OK
+    assert out.read_text().splitlines()[1:] == [
+        "0.0001,1.0,1.0,infeasible,nan,nan,nan,nan,nan,0",
+        "0.0001,1.0,0.8,infeasible,nan,nan,nan,nan,nan,0",
+        "1.0,1.0,1.0,optimal,0.0,0.0,0.0,0.0,1.0,1",
+        "1.0,1.0,0.8,optimal,0.0,0.0,0.0,0.0,1.0,1"]
+
+
+class _ReadLog:
+    """Parsed arguments that record which of them a handler reads."""
+
+    def __init__(self, args: argparse.Namespace):
+        self._values = vars(args)
+        self.read = set()
+
+    def __getattr__(self, name):
+        try:
+            value = self._values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        self.read.add(name)
+        return value
+
+
+def test_every_subcommand_option_is_read_by_its_handler(workload, tmp_path):
+    family = tmp_path / "family"
+    write_profile_dir([generate_synthetic(
+        GeneratorSpec(count=3, label=f"w{size:g}", workload_size=size), 3)
+        for size in (1.0, 2.0)], family)
+    current = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                "--out", current]) == EXIT_OK
+    argv = {
+        "generate": ["--count", 3, "--seed", 1],
+        "scale": ["--profiles-dir", family, "--target", 3.0],
+        "plan": ["--profiles", workload, "--ratio", 0.9],
+        "migrate": ["--profiles", workload, "--current", current,
+                    "--time", 4, "--new-ratio", 0.9],
+        "evaluate": ["--profiles", workload, "--plan", current],
+        "compare": ["--profiles", workload, "--all-dram"],
+        "sweep": ["--profiles", workload, "--ratios", "1.0",
+                  "--capacities", "8:16"],
+    }
+    for command, args in argv.items():
+        parser = build_parser(command)
+        (sub,) = (a.choices[command] for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest for a in sub._actions if a.dest != "help"}
+        parsed = parser.parse_args(
+            [str(a) for a in (command, *args, "--out", tmp_path / command)])
+        log = _ReadLog(parsed)
+        assert parsed.func(log) in (EXIT_OK, EXIT_INFEASIBLE)
+        assert options - log.read == set(), command

@@ -13,8 +13,9 @@ from memplan.migration import (MigrationRequest, build_migration_program,
                                migration_energies, migration_latency,
                                migration_times, plan_migration, price_live,
                                write_migration_plan)
-from memplan.planner import (CONSTRAINT_ENERGY, DRAM, NVM, PlacementPlan,
-                             diagnose_infeasibility, plan_static)
+from memplan.planner import (CONSTRAINT_ENERGY, DRAM, NVM, CapacityError,
+                             PlacementPlan, diagnose_infeasibility,
+                             plan_static)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
 
@@ -432,3 +433,23 @@ def test_a_current_plan_with_a_bad_reserve_is_rejected(reserve):
     with pytest.raises(ValueError, match="^reserved_dram_bytes must be >= 0$"):
         plan_migration(ps, dev, current,
                        MigrationRequest(time=4.0, new_ratio=0.9))
+
+
+def test_live_minor_objects_and_the_reserve_must_fit_in_dram():
+    # "tiny" is minor (4 KB accessed) but 4 MB large; "gone" is minor too
+    # and freed before the request.
+    big = live_obj("big")
+    tiny = ObjectProfile("tiny", 4 * MB, 0.0, 10.0, 4096.0, 5.0, 0.0)
+    gone = ObjectProfile("gone", 64 * MB, 0.0, 1.0, 4096.0, 5.0, 0.0)
+    ps = ProfileSet((big, tiny, gone))
+    current = plan_static(ps, make_testbed1(dram_capacity=GIB), 1.0)
+    assert current.major_ids == ("big",)
+    request = MigrationRequest(time=5.0, new_ratio=0.9)
+    roomy = make_testbed1(dram_capacity=5 * MB, nvm_capacity=GIB)
+    assert plan_migration(ps, roomy, current, request).feasible
+    reserved = dataclasses.replace(current, reserved_dram_bytes=2 * MB)
+    for plan, dev in ((current, make_testbed1(dram_capacity=3 * MB)),
+                      (reserved, roomy)):
+        with pytest.raises(CapacityError, match="^live minor objects and "
+                           "reservation exceed DRAM capacity$"):
+            plan_migration(ps, dev, plan, request)

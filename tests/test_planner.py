@@ -14,8 +14,9 @@ from memplan.planner import (CONSTRAINT_ENERGY, CapacityError, DRAM, NVM,
                              build_placement_program, diagnose_infeasibility,
                              load_plan, plan_static, summarize_assignment,
                              sweep_ratios, write_plan)
-from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
-                              filter_major, generate_synthetic)
+from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec,
+                              ObjectProfile, ProfileSet, filter_major,
+                              generate_synthetic)
 
 MB = 1 << 20
 
@@ -424,3 +425,25 @@ def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
     # the budget it is checked against.
     _, _, b = program.arrays()
     assert abs(b[2]) > 10 * limits[2]
+
+
+@pytest.mark.parametrize("include_minor", [False, True])
+def test_the_energy_row_is_checked_against_the_budget_the_plan_reports(
+        include_minor):
+    # The program used to add the all-DRAM energies in numpy's pairwise
+    # order and the plan in sequence: at seed 1 and ratio 0.8 the row's
+    # tolerance was 12.077314258950892, that of the budget ...894.
+    dev = make_testbed1()
+    for seed in range(4):
+        ps = generate_synthetic(
+            GeneratorSpec(count=24, size_range=(2 << 20, 16 << 20)), seed)
+        major, minor = filter_major(ps, DEFAULT_MAJOR_THRESHOLD)
+        extra = sum(dram_energy(minor, dev).tolist()) if include_minor \
+            else 0.0
+        for ratio in (0.9, 0.8, 0.7, 0.6):
+            plan = plan_static(ps, dev, ratio,
+                               include_minor_in_budget=include_minor)
+            program = build_placement_program(
+                major, dev, ratio, dev.dram_capacity,
+                extra_budget_energy=extra)
+            assert program.tolerances[2] == ilp._tol(plan.energy_budget_nj)

@@ -833,3 +833,35 @@ def test_generator_rejects_an_infinite_range_bound(name):
     with pytest.raises(GeneratorError, match=f"^{name} must satisfy"):
         generate_synthetic(GeneratorSpec(count=5, with_mpki=True,
                                          **{name: (1.0, float("inf"))}), 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("hmms-profile-v1\n", "line 2: missing column header"),
+    ("hmms-profile-v1\n# no records\n\n", "line 2: missing column header"),
+    ("hmms-profile-v1\nid,size_bytes\na,1\n", "line 2: expected column "
+     "header id,size_bytes,alloc_s,dealloc_s,accessed_bytes,llc_misses,"
+     "dirty_blocks[,llc_mpki]"),
+    ("hmms-profile-v1\n# header next\nid\n", "line 3: expected column "
+     "header id,size_bytes,alloc_s,dealloc_s,accessed_bytes,llc_misses,"
+     "dirty_blocks[,llc_mpki]"),
+], ids=["no-header", "comments-only", "short-header", "header-after-comment"])
+def test_a_missing_or_wrong_column_header_names_its_line(text, message):
+    with pytest.raises(ProfileError) as err:
+        load_profiles(io.StringIO(text))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ('{"format": ', "Expecting value: line 1 column 12"),
+    ('{"format": "hmms-profile-manifest-v0", "workloads": []}',
+     "expected format 'hmms-profile-manifest-v1'"),
+    ('{"workloads": []}', "expected format 'hmms-profile-manifest-v1'"),
+], ids=["malformed-json", "wrong-format", "no-format"])
+def test_a_manifest_that_is_not_the_manifest_format_is_rejected(
+        tmp_path, manifest, message):
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(ProfileError) as err:
+        load_profile_dir(tmp_path)
+    # json's own message goes on with the character offset.
+    assert str(err.value).startswith(
+        f"{tmp_path / 'manifest.json'}: {message}")
