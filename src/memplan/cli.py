@@ -167,7 +167,7 @@ def _cmd_migrate(args) -> int:
                           transient_capacity=args.transient_capacity,
                           plan_future=args.future_out is not None)
     write_migration_plan(plan, args.out)
-    if plan.future_plan is not None:
+    if args.future_out is not None:
         write_plan(plan.future_plan, args.future_out)
     if not plan.feasible:
         print("infeasible: cannot satisfy "
@@ -250,7 +250,8 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     for dram_gib, nvm_gib in configs:
-        dev = base.with_capacities(dram_gib * GIB, nvm_gib * GIB)
+        dev = replace(base, dram_capacity=dram_gib * GIB,
+                      nvm_capacity=nvm_gib * GIB)
         plans = sweep_ratios(profiles, dev, ratios, args.major_threshold,
                              reserved_dram_bytes=args.reserved_dram,
                              include_minor_in_budget=args.include_minor_energy)

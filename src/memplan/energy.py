@@ -19,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import IO, Sequence
 
@@ -90,11 +90,6 @@ class DeviceSpec:
         """Refresh energy in nJ per byte per second of residency."""
         return self.dram_ref / self.refresh_period
 
-    def with_capacities(self, dram_capacity: float,
-                        nvm_capacity: float) -> "DeviceSpec":
-        return replace(self, dram_capacity=dram_capacity,
-                       nvm_capacity=nvm_capacity)
-
 
 def testbed1(dram_capacity: float = 16 * GIB,
              nvm_capacity: float = 16 * GIB) -> DeviceSpec:
@@ -121,7 +116,9 @@ def load_device_spec(source: str | os.PathLike | IO[str]) -> DeviceSpec:
         data = json.load(stream)
     if not isinstance(data, dict):
         raise ValueError("device spec file must contain a JSON object")
-    data.pop("format", None)
+    if data.pop("format", DEVICE_FORMAT_VERSION) != DEVICE_FORMAT_VERSION:
+        raise ValueError(
+            f"device spec: expected format {DEVICE_FORMAT_VERSION!r}")
     known = set(DeviceSpec.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:

@@ -17,7 +17,7 @@ doing nothing", which the all-zero migration vector always satisfies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import IO, Sequence
 import os
@@ -27,7 +27,8 @@ import numpy as np
 from . import ilp
 from .energy import (DeviceSpec, Priceable, dram_energy, dram_latency,
                      nvm_energy, nvm_latency, price_placement)
-from .planner import (DRAM, NVM, CapacityError, PlacementPlan, _check_reserve,
+from .planner import (CONSTRAINT_CAPACITY_DRAM, DRAM, NVM, CapacityError,
+                      PlacementPlan, _check_reserve, _infeasible_plan,
                       build_program, diagnose_infeasibility, plan_static)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
@@ -95,6 +96,28 @@ def _check_live(obj: Priceable, t: float) -> None:
             f"(lifetime [{obj.alloc_time}, {obj.dealloc_time}])")
 
 
+def _price_migration(obj: Priceable, dev: DeviceSpec, t: float
+                     ) -> tuple[MigrationEnergy, MigrationLatency]:
+    """Energy and latency of migrating at time t, both directions."""
+    _check_live(obj, t)
+    elapsed = (t - obj.alloc_time) / obj.lifetime
+    remaining = (obj.dealloc_time - t) / obj.lifetime
+    time_dn, time_nd = migration_times(obj, dev)
+    copy_traffic = (dev.dram_act_pre + dev.dram_rw
+                    + dev.nvm_act_pre + dev.nvm_rba) * obj.size
+    cost_dn = copy_traffic + dev.refresh_rate * obj.size * (time_dn / _NS_PER_S)
+    cost_nd = copy_traffic + dev.refresh_rate * obj.size * (time_nd / _NS_PER_S)
+
+    def moved(on_dram, on_nvm, to_nvm, to_dram):
+        return (on_dram * elapsed + to_nvm + on_nvm * remaining,
+                on_nvm * elapsed + to_dram + on_dram * remaining,
+                to_nvm, to_dram)
+    return (MigrationEnergy(*moved(dram_energy(obj, dev), nvm_energy(obj, dev),
+                                   cost_dn, cost_nd)),
+            MigrationLatency(*moved(dram_latency(obj, dev),
+                                    nvm_latency(obj, dev), time_dn, time_nd)))
+
+
 def migration_energies(obj: Priceable, dev: DeviceSpec,
                        t: float) -> MigrationEnergy:
     """Energy of migrating at time t versus device-resident phases.
@@ -104,39 +127,13 @@ def migration_energies(obj: Priceable, dev: DeviceSpec,
     writes the whole object once and accrues DRAM refresh over the copy
     time.
     """
-    _check_live(obj, t)
-    de = dram_energy(obj, dev)
-    ne = nvm_energy(obj, dev)
-    elapsed = (t - obj.alloc_time) / obj.lifetime
-    remaining = (obj.dealloc_time - t) / obj.lifetime
-    time_dn, time_nd = migration_times(obj, dev)
-    copy_traffic = (dev.dram_act_pre + dev.dram_rw
-                    + dev.nvm_act_pre + dev.nvm_rba) * obj.size
-    cost_dn = copy_traffic + dev.refresh_rate * obj.size * (time_dn / _NS_PER_S)
-    cost_nd = copy_traffic + dev.refresh_rate * obj.size * (time_nd / _NS_PER_S)
-    return MigrationEnergy(
-        dram_to_nvm=de * elapsed + cost_dn + ne * remaining,
-        nvm_to_dram=ne * elapsed + cost_nd + de * remaining,
-        cost_dram_to_nvm=cost_dn,
-        cost_nvm_to_dram=cost_nd,
-    )
+    return _price_migration(obj, dev, t)[0]
 
 
 def migration_latency(obj: Priceable, dev: DeviceSpec,
                       t: float) -> MigrationLatency:
     """LLC-miss latency of a migrated object's lifetime, both directions."""
-    _check_live(obj, t)
-    elapsed = (t - obj.alloc_time) / obj.lifetime
-    remaining = (obj.dealloc_time - t) / obj.lifetime
-    time_dn, time_nd = migration_times(obj, dev)
-    ld = dram_latency(obj, dev)
-    ln = nvm_latency(obj, dev)
-    return MigrationLatency(
-        dram_to_nvm=ld * elapsed + time_dn + ln * remaining,
-        nvm_to_dram=ln * elapsed + time_nd + ld * remaining,
-        time_dram_to_nvm=time_dn,
-        time_nvm_to_dram=time_nd,
-    )
+    return _price_migration(obj, dev, t)[1]
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,7 @@ def price_live(live: ProfileSet, dev: DeviceSpec,
                on_dram: Sequence[bool], t: float) -> LiveCosts:
     """Price every live object once for the stay-or-migrate decision."""
     cp = np.asarray(on_dram, dtype=bool)
-    energy = migration_energies(live, dev, t)
-    latency = migration_latency(live, dev, t)
+    energy, latency = _price_migration(live, dev, t)
     stay_latency, stay_energy = price_placement(live, dev, cp)
     return LiveCosts(
         on_dram=cp,
@@ -248,7 +244,9 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     The current plan must assign a device to every major object that is
     live at the request time, and its DRAM reservation stays reserved.
     ``allow_migration=False`` evaluates the stay-everywhere vector instead
-    of optimizing, which is useful as a reference point.
+    of optimizing, which is useful as a reference point. ``plan_future``
+    always plans the objects allocated after t (maybe none) in the space
+    left; the plan names capacity_dram if its pinned objects overflow it.
     """
     t = request.time
     _check_reserve(current.reserved_dram_bytes)
@@ -311,18 +309,20 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     _, dead_energies = price_placement(dead, dev, _on_dram(current, dead))
 
     future_plan = None
-    if plan_future and future_ids:
+    if plan_future:
         future_set = profiles.take(profiles.alloc_time > t)
         live_post_dram = sum(live.size[post_dram].tolist())
         live_post_nvm = sum(live.size.tolist()) - live_post_dram
-        residual = dev.with_capacities(
-            max(0.0, dram_free - live_post_dram),
-            max(0.0, dev.nvm_capacity - live_post_nvm))
+        residual = replace(
+            dev, dram_capacity=max(0.0, dram_free - live_post_dram),
+            nvm_capacity=max(0.0, dev.nvm_capacity - live_post_nvm))
         try:
             future_plan = plan_static(future_set, residual, request.new_ratio,
                                       current.major_threshold)
-        except CapacityError:
-            future_plan = None
+        except CapacityError:  # pinned objects overflow the DRAM left
+            future_plan = _infeasible_plan(
+                request.new_ratio, (CONSTRAINT_CAPACITY_DRAM,),
+                current.major_threshold, 0.0, False)
 
     return MigrationPlan(
         decisions=decisions,

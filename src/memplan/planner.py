@@ -307,6 +307,7 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
         raise ValueError("plan file is missing the id,device,major table")
     placements: dict[str, str] = {}
     major_ids: list[str] = []
+    seen: set[str] = set()
     for number, line in enumerate(lines[i + 1:], i + 2):
         line = line.strip()
         if not line:
@@ -318,6 +319,10 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
                              f"got {line!r}") from None
         if device not in (DRAM, NVM, "unassigned"):
             raise ValueError(f"unknown device {device!r} for {object_id!r}")
+        if object_id in seen:
+            raise ValueError(
+                f"line {number}: duplicate object id {object_id!r}")
+        seen.add(object_id)
         if device != "unassigned":
             placements[object_id] = device
         if major_flag == "1":

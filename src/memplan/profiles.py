@@ -420,8 +420,9 @@ def load_profiles(source: str | os.PathLike | IO[str],
         mpki_given = np.full(len(values), given)
         mpki_values = values[:, -1] if given \
             else np.full(len(values), math.nan)
-    else:  # the records up to the first that cannot be read, by float()
-        rows = list(takewhile(bool, map(_numbers, records)))
+    else:  # _numbers reads the records up to the first it gives a reason for
+        rows = list(takewhile(list.__instancecheck__,
+                              map(_numbers, records, repeat(header_fields))))
         values = np.array(rows).reshape(len(rows), len(_NUMERIC) + 1)
         mpki_given = np.fromiter(map(bool, mpki), bool, len(rows))
         mpki_values = values[:, -1]
@@ -433,34 +434,27 @@ def load_profiles(source: str | os.PathLike | IO[str],
         raise ProfileError(f"line {line_nos[bad[0] + 1]}: {bad[1]}")
     if stop < len(records):
         raise ProfileError(f"line {line_nos[stop + 1]}: "
-                           + _unreadable(records[stop], header_fields))
+                           + _numbers(records[stop], header_fields))
     return ProfileSet._of(tuple(ids), table, mpki_values, workload_label,
                           workload_size)
 
 
-def _numbers(record: str) -> list[float] | None:
+def _numbers(record: str, header_fields: int) -> list[float] | str:
     """The six numbers of a record and its llc_mpki (NaN if blank) as
-    float() reads them, or None if it cannot read them all or the record
-    has neither 7 nor 8 fields."""
+    float() reads them, or why it cannot: the record has neither 7 nor 8
+    fields, or the first field float() rejects, a given llc_mpki before
+    the columns in order."""
     fields = record.split(",")
     if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
-        return None
+        return f"expected {header_fields} fields, got {len(fields)}"
     mpki = fields[-1].strip() if len(fields) > len(_COLUMNS) else ""
     try:  # str.strip, not float(), drops a unit separator around a number
         return [*map(float, map(str.strip, fields[1:len(_COLUMNS)])),
                 float(mpki) if mpki else math.nan]
-    except ValueError:
-        return None
-
-
-def _unreadable(record: str, header_fields: int) -> str:
-    """Why _numbers cannot read a record: its field count, or the first
-    field float() rejects, a given llc_mpki before the columns in order."""
-    fields = [f.strip() for f in record.split(",")]
-    if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
-        return f"expected {header_fields} fields, got {len(fields)}"
-    named = list(zip(fields[1:], _COLUMNS[1:] + (_OPTIONAL_COLUMN,)))
-    for text, column in [n for n in named[6:] if n[0]] + named[:6]:
+    except ValueError:  # name the first field float() rejects
+        pass
+    named = list(zip(map(str.strip, fields[1:]), _COLUMNS[1:]))
+    for text, column in [(mpki, _OPTIONAL_COLUMN)] * bool(mpki) + named:
         try:
             float(text)
         except ValueError:

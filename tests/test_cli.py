@@ -792,3 +792,40 @@ def test_every_subcommand_option_is_read_by_its_handler(workload, tmp_path):
         log = _ReadLog(parsed)
         assert parsed.func(log) in (EXIT_OK, EXIT_INFEASIBLE)
         assert options - log.read == set(), command
+
+
+def test_future_out_is_written_when_nothing_major_comes_after_t(workload,
+                                                                tmp_path):
+    device = ["--preset", "testbed1", "--dram-capacity-gib", 0.5,
+              "--nvm-capacity-gib", 4]
+    current = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0, *device,
+                "--major-threshold", 0, "--out", current]) == EXIT_OK
+    future = tmp_path / "f.plan"
+    assert run(["migrate", "--profiles", workload, "--current", current,
+                "--time", 5, "--new-ratio", 0.9, *device,
+                "--out", tmp_path / "m.txt", "--future-out", future]) \
+        == EXIT_OK
+    assert "\nfuture_ids=\n" in (tmp_path / "m.txt").read_text()
+    plan = load_plan(future)
+    assert (plan.status, plan.placements, plan.major_ids) \
+        == ("optimal", {}, ())
+
+
+def test_future_out_is_written_when_its_pinned_objects_overflow_dram(
+        workload, tmp_path):
+    # Every object is minor under the current plan's threshold; the 64 MB
+    # live at t=4 leave too little of a 0.1 GiB DRAM for the 53 MB after.
+    current = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                "--preset", "testbed1", "--major-threshold", 1e12,
+                "--out", current]) == EXIT_OK
+    future = tmp_path / "f.plan"
+    assert run(["migrate", "--profiles", workload, "--current", current,
+                "--time", 4, "--new-ratio", 0.9, "--preset", "testbed1",
+                "--dram-capacity-gib", 0.1, "--out", tmp_path / "m.txt",
+                "--future-out", future]) == EXIT_OK
+    text = future.read_text()
+    assert text.startswith("hmms-plan-v1\nstatus=infeasible\nratio=0.9\n")
+    assert "\nbinding=capacity_dram\nid,device,major\n" in text
+    assert text.endswith("\nid,device,major\n")

@@ -1,0 +1,233 @@
+"""Input and limit errors of the library and the command line, each named by
+its message or exit code."""
+
+import io
+import json
+import math
+
+import pytest
+
+import memplan.baselines
+from memplan import ilp
+from memplan.baselines import NoFeasibleAssignment, place_random
+from memplan.cli import EXIT_OK, EXIT_USAGE, main
+from memplan.energy import DeviceSpec, load_device_spec, write_device_spec
+from memplan.energy import testbed1 as make_testbed1
+from memplan.migration import MigrationRequest, plan_migration
+from memplan.planner import (CONSTRAINT_ENERGY, DRAM, PlacementPlan,
+                             load_plan)
+from memplan.profiles import (GeneratorError, GeneratorSpec, ObjectProfile,
+                              ProfileError, ProfileSet, ScalingError,
+                              ScalingVector, extrapolate)
+
+MB = 1 << 20
+
+_PLAN_HEAD = ("hmms-plan-v1\nstatus=optimal\nratio=0.9\n"
+              "major_threshold_bytes=0.0\nreserved_dram_bytes=0.0\n"
+              "minor_energy_in_budget=0\nobjective_ns=1.0\n"
+              "planned_energy_nj=1.0\nenergy_budget_nj=2.0\nbinding=\n")
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+@pytest.fixture
+def workload(tmp_path):
+    path = tmp_path / "w.prof"
+    assert run(["generate", "--count", 10, "--seed", 7, "--skew-count", 3,
+                "--skew-share", 0.9, "--with-mpki", "--out", path]) == EXIT_OK
+    return path
+
+
+# --- plan files -----------------------------------------------------------
+
+def test_a_plan_listing_an_id_twice_is_rejected(tmp_path):
+    path = tmp_path / "p.plan"
+    path.write_text(_PLAN_HEAD + "id,device,major\na,dram,1\na,nvm,1\n")
+    with pytest.raises(ValueError) as err:
+        load_plan(path)
+    assert str(err.value) == f"{path}: line 13: duplicate object id 'a'"
+
+
+def test_a_plan_without_its_table_is_rejected():
+    with pytest.raises(ValueError, match="^plan: plan file is missing the "
+                       "id,device,major table$"):
+        load_plan(io.StringIO(_PLAN_HEAD))
+
+
+def test_a_plan_naming_an_unknown_device_is_rejected():
+    with pytest.raises(ValueError,
+                       match="^plan: unknown device 'hbm' for 'a'$"):
+        load_plan(io.StringIO(_PLAN_HEAD + "id,device,major\na,hbm,1\n"))
+
+
+def test_a_plan_missing_a_summary_key_is_rejected():
+    text = _PLAN_HEAD.replace("energy_budget_nj=2.0\n", "")
+    with pytest.raises(ValueError, match="^plan: missing summary key "
+                       "'energy_budget_nj'$"):
+        load_plan(io.StringIO(text + "id,device,major\na,dram,1\n"))
+
+
+def test_a_blank_line_inside_the_plan_table_is_skipped():
+    plan = load_plan(io.StringIO(
+        _PLAN_HEAD + "id,device,major\na,dram,1\n\n   \nb,nvm,0\n"))
+    assert plan.placements == {"a": "dram", "b": "nvm"}
+    assert plan.major_ids == ("a",)
+
+
+# --- device specs ---------------------------------------------------------
+
+def test_a_device_spec_that_is_not_an_object_is_rejected():
+    with pytest.raises(ValueError, match="^device spec file must contain a "
+                       "JSON object$"):
+        load_device_spec(io.StringIO('[{"dram_latency": 1.0}]'))
+
+
+def test_a_device_spec_format_other_than_v1_is_rejected():
+    with pytest.raises(ValueError, match="^device spec: expected format "
+                       "'hmms-device-v1'$"):
+        load_device_spec(io.StringIO(
+            '{"format": "bogus-v9", "dram_latency": 1.0}'))
+    # No format, or the one write_device_spec writes, still loads.
+    assert load_device_spec(io.StringIO('{"dram_latency": 1.0}')) \
+        == DeviceSpec(dram_latency=1.0)
+    buf = io.StringIO()
+    write_device_spec(make_testbed1(), buf)
+    assert load_device_spec(io.StringIO(buf.getvalue())) == make_testbed1()
+
+
+def test_plan_with_a_device_spec_of_another_format_exits_one(
+        workload, tmp_path, capsys):
+    device = tmp_path / "dev.json"
+    device.write_text('{"format": "bogus-v9", "dram_latency": 1.0}')
+    out = tmp_path / "p.plan"
+    assert run(["plan", "--profiles", workload, "--ratio", 0.8,
+                "--device", device, "--out", out]) == EXIT_USAGE
+    assert _one_error_line(capsys) == ("memplan: error: device spec: "
+                                       "expected format 'hmms-device-v1'")
+    assert not out.exists()
+
+
+# --- command-line lists and manifests --------------------------------------
+
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "--ratios", "0.9,0", "--capacities", "8:16"],
+     "--ratios must all be > 0"),
+    (["sweep", "--ratios", "0.9", "--capacities", ","],
+     "--capacities: expected at least one DRAM:NVM pair"),
+    (["compare", "--mpki-thresholds", ","],
+     "--mpki-thresholds: expected at least one value"),
+], ids=["zero-ratio", "no-capacity", "no-threshold"])
+def test_an_empty_or_non_positive_list_names_its_option(
+        workload, tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    assert run([*command, "--profiles", workload, "--out", out]) \
+        == EXIT_USAGE
+    assert _one_error_line(capsys) == f"memplan: error: {message}"
+    assert not out.exists()
+
+
+def test_scale_needs_a_workload_size_for_every_entry(workload, tmp_path,
+                                                     capsys):
+    family = tmp_path / "family"
+    family.mkdir()
+    (family / "w.prof").write_bytes(workload.read_bytes())
+    (family / "manifest.json").write_text(json.dumps(
+        {"format": "hmms-profile-manifest-v1",
+         "workloads": [{"file": "w.prof", "workload_size": 1.0},
+                       {"file": "w.prof"}]}))
+    out = tmp_path / "scaled.prof"
+    assert run(["scale", "--profiles-dir", family, "--target", 3.0,
+                "--out", out]) == EXIT_USAGE
+    assert _one_error_line(capsys) == \
+        "memplan: error: every manifest entry needs a workload_size"
+    assert not out.exists()
+
+
+# --- profiles and scaling --------------------------------------------------
+
+def _obj(object_id="a"):
+    return ObjectProfile(object_id, 4096.0, 0.0, 1.0, 8192.0, 10.0, 2.0)
+
+
+@pytest.mark.parametrize("size", [math.inf, math.nan])
+def test_a_set_with_a_non_finite_workload_size_is_rejected(size):
+    with pytest.raises(ProfileError, match="^workload_size must be finite$"):
+        ProfileSet((_obj(),), "w", size)
+
+
+def test_a_scaling_vector_with_an_unknown_pattern_is_rejected():
+    with pytest.raises(ScalingError,
+                       match="^unknown pattern 'bandwidth' for 'a'$"):
+        ScalingVector({"a": {"size": 1.0, "bandwidth": 2.0}})
+
+
+def test_extrapolate_needs_an_anchor_workload_size():
+    vector = ScalingVector({"a": {"size": 1.0}})
+    with pytest.raises(ScalingError,
+                       match="^anchor profile set has no workload_size$"):
+        extrapolate(ProfileSet((_obj(),)), vector, 2.0)
+
+
+@pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+def test_extrapolate_needs_a_finite_target(target):
+    vector = ScalingVector({"a": {"size": 1.0}})
+    with pytest.raises(ScalingError,
+                       match="^target workload size must be finite$"):
+        extrapolate(ProfileSet((_obj(),), "w", 1.0), vector, target)
+
+
+def test_a_skew_share_without_a_skew_count_is_rejected():
+    with pytest.raises(GeneratorError,
+                       match="^skew_share given without skew_count$"):
+        GeneratorSpec(count=5, skew_share=0.5)
+
+
+# --- solver and placements -------------------------------------------------
+
+def test_constraint_violations_needs_one_value_per_variable():
+    program = ilp.ZeroOneProgram((1.0, 2.0), [((1.0, 1.0), 1.0)])
+    for assignment in ((1,), (0, 1, 0)):
+        with pytest.raises(ValueError, match="^assignment length does not "
+                           "match program$"):
+            ilp.constraint_violations(program, assignment)
+
+
+def test_place_random_gives_up_after_its_draws(monkeypatch):
+    # Distinct powers of two: one assignment of the 2**16 fits exactly.
+    ps = ProfileSet(tuple(
+        ObjectProfile(f"o{i}", float(1 << i), 0.0, 1.0, 2.0 * MB, 1.0, 0.0)
+        for i in range(16)))
+    dram = float(sum(1 << i for i in range(0, 16, 2)))
+    dev = DeviceSpec(dram_capacity=dram,
+                     nvm_capacity=float((1 << 16) - 1) - dram)
+    monkeypatch.setattr(memplan.baselines, "_MAX_DRAWS", 3)
+    with pytest.raises(NoFeasibleAssignment, match="^no capacity-feasible "
+                       "assignment found in 3 draws$"):
+        place_random(ps, dev, seed=0, major_threshold=0)
+
+
+def test_staying_put_against_a_strict_budget_it_breaks_is_infeasible():
+    ps = ProfileSet(tuple(
+        ObjectProfile(f"m{i}", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
+        for i in range(3)))
+    dev = make_testbed1(dram_capacity=64 * MB, nvm_capacity=64 * MB)
+    current = PlacementPlan({o.id: DRAM for o in ps}, ps.ids(), "optimal",
+                            1.0, 0.0, 0.0, 0.0, 0.0)
+    # Moving an object to NVM at t=5 saves 30% of its energy.
+    request = MigrationRequest(time=5.0, new_ratio=0.8, strict=True)
+    plan = plan_migration(ps, dev, current, request, allow_migration=False)
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert CONSTRAINT_ENERGY in plan.binding_constraints
+    assert [(d.current_device, d.target_device, d.migrate)
+            for d in plan.decisions] == [(DRAM, DRAM, False)] * 3
+    assert plan.migrated_ids == ()
+    # The same request with migration allowed is met by moving objects.
+    assert plan_migration(ps, dev, current, request).feasible

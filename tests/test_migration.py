@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import memplan.migration
 from memplan import ilp
 from memplan.baselines import place_all_nvm
 from memplan.energy import (DeviceSpec, GIB, dram_energy, dram_latency,
@@ -453,3 +454,72 @@ def test_live_minor_objects_and_the_reserve_must_fit_in_dram():
         with pytest.raises(CapacityError, match="^live minor objects and "
                            "reservation exceed DRAM capacity$"):
             plan_migration(ps, dev, plan, request)
+
+
+def test_pricing_live_objects_checks_and_times_them_once(monkeypatch):
+    calls = {"_check_live": 0, "migration_times": 0}
+    for name in calls:
+        original = getattr(memplan.migration, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(memplan.migration, name, counted)
+    ps = migration_instance(3, count=12)
+    live = ps.take(ps.live_at(ENUM_T))
+    assert len(live) > 1
+    dev = make_testbed1()
+    costs = price_live(live, dev, [True, False] * (len(live) // 2)
+                       + [True] * (len(live) % 2), ENUM_T)
+    assert calls == {"_check_live": 1, "migration_times": 1}
+    energy = migration_energies(live, dev, ENUM_T)
+    latency = migration_latency(live, dev, ENUM_T)
+    assert costs.move_energy.tolist() == np.where(
+        costs.on_dram, energy.dram_to_nvm, energy.nvm_to_dram).tolist()
+    assert costs.copy_time.tolist() == np.where(
+        costs.on_dram, latency.time_dram_to_nvm,
+        latency.time_nvm_to_dram).tolist()
+
+
+def test_a_requested_companion_plan_is_made_for_no_future_objects(
+        monkeypatch):
+    plan_static_calls = []
+    original = memplan.migration.plan_static
+
+    def counted(*args, **kwargs):
+        plan_static_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(memplan.migration, "plan_static", counted)
+    ps = ProfileSet(tuple(live_obj(f"m{i}") for i in range(3)))
+    dev = make_testbed1(dram_capacity=GIB, nvm_capacity=GIB)
+    current = plan_static(ps, dev, 1.0, major_threshold=0)
+    request = MigrationRequest(time=5.0, new_ratio=0.9)
+    plan = plan_migration(ps, dev, current, request)
+    assert plan.future_ids == () and len(plan_static_calls) == 1
+    assert plan.future_plan.status == ilp.STATUS_OPTIMAL
+    assert plan.future_plan.placements == {}
+    assert plan_migration(ps, dev, current, request,
+                          plan_future=False).future_plan is None
+
+
+def test_a_companion_plan_whose_pinned_objects_overflow_dram_is_infeasible():
+    # "late" is minor and allocated after t; the live object leaves 4 MB of
+    # DRAM, too little for its 6 MB.
+    late = ObjectProfile("late", 6 * MB, 6.0, 9.0, 4096.0, 5.0, 0.0)
+    big = live_obj("big", size=12 * MB)
+    ps = ProfileSet((big, late, live_obj("future", alloc=7.0)))
+    dev = make_testbed1(dram_capacity=16 * MB, nvm_capacity=GIB)
+    current = PlacementPlan({"big": DRAM, "late": DRAM, "future": NVM},
+                            ("big", "future"), "optimal", 1.0, 1 * MB, 0.0,
+                            0.0, 0.0)
+    request = MigrationRequest(time=5.0, new_ratio=2.0)
+    plan = plan_migration(ps, dev, current, request)
+    assert plan.future_ids == ("future",)
+    assert plan.migrated_ids == ()
+    assert plan.future_plan.status == ilp.STATUS_INFEASIBLE
+    assert plan.future_plan.binding_constraints == ("capacity_dram",)
+    assert plan.future_plan.ratio == 2.0
+    assert plan.future_plan.major_threshold == 1 * MB
+    assert plan.future_plan.placements == {}
