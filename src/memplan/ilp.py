@@ -37,6 +37,22 @@ keeps its lexicographic winner. Only distinct objectives within about twice
 the tolerance of each other can end at a different, equally optimal leaf
 than the oracle's scan.
 
+With the seed in hand, `solve` fixes variables at the root by reduced cost
+(Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is the rate of
+the item that covers the dearest overloaded row's root excess, the LP dual
+of that row's relaxation, or 0 when no row is overloaded. With reduced
+costs ``r = c + λ·a`` over that row and the Lagrangian bound
+``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to anything but its
+Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``. When that is
+beyond the seed's cutoff by more than a float margin, the search would cut
+every such leaf, so x_j is fixed. The search then runs over the free
+variables alone, from a root that holds the fixed ones' objective and row
+loads; suffix sums and bound tables are built for the free variables only
+(a root table is filtered, which keeps its order), and the leaf check still
+runs every row against its own slack. A fixed variable has the same value
+in every leaf that can still be accepted, so the remaining leaves arrive in
+the same lexicographic order and the tie-break is unchanged.
+
 Randomized tests keep the two routes equivalent. Objective comparisons use
 a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``, 1e-9 relative with a
 1e-12 absolute floor, and so does each constraint, on its bound, unless its
@@ -280,37 +296,95 @@ def _seed(c: np.ndarray, columns: np.ndarray, slack: np.ndarray,
     return tuple(x.astype(int).tolist()), obj
 
 
+def _critical_rate(table: list, excess: float) -> float:
+    """Rate of the item that covers ``excess`` in a root walk of ``table``.
+
+    It is the LP dual of the row's relaxation: the price per unit of load
+    at which buying relief stops.
+    """
+    total = 0.0
+    for _, relief, rate in table:
+        total += relief
+        if total >= excess:
+            return rate
+    return math.inf
+
+
+def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
+         cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed, value): the variables no leaf below ``cutoff`` can flip.
+
+    With multiplier ``rate`` on the row ``row.x <= limit``, the reduced
+    costs are ``r = c + rate*row`` and ``L = sum(min(0, r)) - rate*limit``
+    bounds every feasible leaf. A leaf that sets x_j to anything but its
+    Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``, so x_j is
+    fixed when that is beyond the cutoff.
+    """
+    r = c + rate * row
+    bound = float(np.minimum(r, 0.0).sum()) - rate * limit
+    # Each of L, r_j, a leaf's objective and its row load is a float sum of
+    # at most n terms no larger than these magnitudes, each off by at most
+    # n*eps of them; 1e-9 of their total covers that with room up to 10^6
+    # variables, so no leaf the search could still accept is fixed away.
+    margin = REL_TOL * (float(np.abs(c).sum())
+                        + rate * (float(np.abs(row).sum()) + abs(limit)))
+    return np.abs(r) > cutoff - bound + margin, r < 0
+
+
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
     c, a, b = program.arrays()
     n, m = len(c), len(b)
     neg = c < 0
     # The relaxation at depth d takes every free negative-cost variable.
-    free_load = _suffix_sums(np.where(neg, a, 0.0).T)
+    neg_load = np.where(neg, a, 0.0).T
+    free_load = _suffix_sums(neg_load)
 
     excess = (free_load[0] - program.slack()).tolist()
     over = [i for i, e in enumerate(excess) if e > 0]
     # Only the overloaded rows' tables price the root; the others are built
-    # once the search is sure to run.
+    # once the search is sure to run, for the variables it searches.
     tables = {i: _bound_table(c, a[i], neg) for i in over}
     reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
     if math.inf in reliefs:
         # A row its free variables cannot relieve fits no leaf: the search
         # would pop the root alone and cut it.
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE, 1)
+
+    cutoff = math.inf  # a leaf must fall below this to be the incumbent
+    seed_x: tuple[int, ...] | None = None
+    dearest = over[reliefs.index(max(reliefs))] if over else None
+    seed = _seed(c, a.T, program.slack(), neg,
+                 tables[dearest] if over else [], free_load[0])
+    fixed = np.zeros(n, dtype=bool)
+    if seed is not None:
+        # Every leaf up to the seed's objective stays acceptable, the seed
+        # included; the seed itself answers if rounding cuts its path.
+        seed_x, upper = seed
+        cutoff = upper + _tol(upper)
+        rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
+        if over:
+            rate = _critical_rate(tables[dearest], excess[dearest])
+            row, limit = a[dearest], float(program.slack()[dearest])
+        fixed, value = _fix(c, row, limit, rate, cutoff)
+    # The search runs over the free variables only, from a root that holds
+    # the fixed ones' objective and row loads.
+    root_obj, root_load = 0.0, (0.0,) * m
+    if fixed.any():
+        keep = np.flatnonzero(~fixed)
+        taken = np.flatnonzero(fixed & value).tolist()
+        root_obj = sum(c[taken].tolist(), 0.0)
+        root_load = tuple(sum(row, 0.0) for row in a[:, taken].tolist())
+        # A table filtered to the free variables keeps its stable order.
+        index = dict(zip(keep.tolist(), range(len(keep))))
+        tables = {i: [(index[j], relief, rate) for j, relief, rate in table
+                      if j in index] for i, table in tables.items()}
+        c, a, neg, n = c[keep], a[:, keep], neg[keep], len(keep)
+        free_load = _suffix_sums(neg_load[keep])
     tables = [tables[i] if i in tables else _bound_table(c, row, neg)
               for i, row in enumerate(a)]
     free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
 
-    cutoff = math.inf  # a leaf must fall below this to be the incumbent
-    best_x: tuple[int, ...] | None = None
-    dearest = tables[over[reliefs.index(max(reliefs))]] if over else []
-    seed = _seed(c, a.T, program.slack(), neg, dearest, free_load[0])
-    if seed is not None:
-        # Every leaf up to the seed's objective stays acceptable, the seed
-        # included; the seed itself answers if rounding cuts its path.
-        best_x, upper = seed
-        cutoff = upper + _tol(upper)
     # The search runs on Python floats, in the order the arrays would add.
     free_load = free_load.tolist()
     slack = program.slack().tolist()
@@ -320,8 +394,9 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     # first depth, filtered when a node of the block first prices row i.
     blocks = [[table] + [None] * (n >> _BLOCK_BITS) for table in tables]
     nodes = 0
+    best_x: tuple[int, ...] | None = None
     x = [0] * n
-    stack = [(0, 0, 0.0, (0.0,) * m)]
+    stack = [(0, 0, root_obj, root_load)]
     while stack:
         depth, bit, obj, load = stack.pop()
         nodes += 1
@@ -352,6 +427,13 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
                       tuple(map(add, load, columns[depth]))))
         stack.append((depth + 1, 0, obj, load))
     if best_x is None:
+        best_x = seed_x
+    elif fixed.any():
+        full = (fixed & value).astype(int)
+        full[keep] = best_x
+        best_x = tuple(full.tolist())
+    if best_x is None:
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE, nodes)
+    c = program.objective_coeffs
     objective = float(c @ np.asarray(best_x, dtype=float))
     return IlpSolution(best_x, objective, STATUS_OPTIMAL, nodes)

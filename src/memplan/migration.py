@@ -27,9 +27,10 @@ import numpy as np
 from . import ilp
 from .energy import (DeviceSpec, Priceable, dram_energy, dram_latency,
                      nvm_energy, nvm_latency, price_placement)
-from .planner import (CONSTRAINT_CAPACITY_DRAM, DRAM, NVM, CapacityError,
-                      PlacementPlan, _check_reserve, _infeasible_plan,
-                      build_program, diagnose_infeasibility, plan_static)
+from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_NAMES, DRAM, NVM,
+                      CapacityError, PlacementPlan, _check_reserve,
+                      _infeasible_plan, build_program, diagnose_infeasibility,
+                      plan_static)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
@@ -244,9 +245,10 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     The current plan must assign a device to every major object that is
     live at the request time, and its DRAM reservation stays reserved.
     ``allow_migration=False`` evaluates the stay-everywhere vector instead
-    of optimizing, which is useful as a reference point. ``plan_future``
-    always plans the objects allocated after t (maybe none) in the space
-    left; the plan names capacity_dram if its pinned objects overflow it.
+    of optimizing, which is useful as a reference point; the rows it
+    breaks are the binding constraints. ``plan_future`` always plans the
+    objects allocated after t (maybe none) in the space left; the plan
+    names capacity_dram if its pinned objects overflow it.
     """
     t = request.time
     _check_reserve(current.reserved_dram_bytes)
@@ -275,16 +277,20 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         live, dev, costs, requirement, dram_free,
         transient_capacity=transient_capacity)
     stay_put = (0,) * len(live)
+    binding: tuple[str, ...] = ()
     if allow_migration:
         solution = ilp.solve(program)
-    elif ilp.constraint_violations(program, stay_put):
-        solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE)
+        if solution.status == ilp.STATUS_INFEASIBLE:
+            binding = diagnose_infeasibility(program)
     else:
+        # Staying put is the only assignment tried: the rows it breaks bind.
+        broken = ilp.constraint_violations(program, stay_put)
+        binding = tuple(name for i, name in enumerate(CONSTRAINT_NAMES)
+                        if f"constraint {i}" in broken)
         solution = ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
+        if broken:
+            solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE)
     status = solution.status
-    binding: tuple[str, ...] = ()
-    if status == ilp.STATUS_INFEASIBLE:
-        binding = diagnose_infeasibility(program)
     # An infeasible solution has no assignment: everything stays in place.
     migrate = np.array(solution.assignment or stay_put, dtype=bool)
 

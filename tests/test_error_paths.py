@@ -14,8 +14,8 @@ from memplan.cli import EXIT_OK, EXIT_USAGE, main
 from memplan.energy import DeviceSpec, load_device_spec, write_device_spec
 from memplan.energy import testbed1 as make_testbed1
 from memplan.migration import MigrationRequest, plan_migration
-from memplan.planner import (CONSTRAINT_ENERGY, DRAM, PlacementPlan,
-                             load_plan)
+from memplan.planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY,
+                             DRAM, PlacementPlan, load_plan)
 from memplan.profiles import (GeneratorError, GeneratorSpec, ObjectProfile,
                               ProfileError, ProfileSet, ScalingError,
                               ScalingVector, extrapolate)
@@ -231,3 +231,23 @@ def test_staying_put_against_a_strict_budget_it_breaks_is_infeasible():
     assert plan.migrated_ids == ()
     # The same request with migration allowed is met by moving objects.
     assert plan_migration(ps, dev, current, request).feasible
+
+
+@pytest.mark.parametrize("dram_mb,broken", [
+    (64, (CONSTRAINT_ENERGY,)),
+    (16, (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY)),
+])
+def test_staying_put_names_only_the_rows_it_breaks(dram_mb, broken):
+    # Three 8 MB objects kept in DRAM at t=5 against a strict ratio of 0.8:
+    # staying put breaks the energy row, and the DRAM row too when 16 MB of
+    # DRAM cannot hold the 24 MB that stay there.
+    ps = ProfileSet(tuple(
+        ObjectProfile(f"m{i}", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
+        for i in range(3)))
+    dev = make_testbed1(dram_capacity=dram_mb * MB, nvm_capacity=64 * MB)
+    current = PlacementPlan({o.id: DRAM for o in ps}, ps.ids(), "optimal",
+                            1.0, 0.0, 0.0, 0.0, 0.0)
+    request = MigrationRequest(time=5.0, new_ratio=0.8, strict=True)
+    plan = plan_migration(ps, dev, current, request, allow_migration=False)
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert plan.binding_constraints == broken

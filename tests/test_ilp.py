@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from memplan import ilp
 from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                          IlpSolution, ZeroOneProgram, _bound_table,
@@ -302,8 +303,9 @@ def test_near_ties_stay_within_the_tolerance_of_the_oracle():
 
 def test_loose_budget_needs_one_descent():
     # Ample DRAM and a budget the all-DRAM placement meets: the rounded
-    # relaxation is the optimum, so the search pops each depth's two
-    # children and the root, and proves it.
+    # relaxation is the optimum and no row is overloaded, so every
+    # variable's reduced cost (its own cost) exceeds the gap and the root
+    # fixes them all; the search pops the root alone.
     ps = generate_synthetic(GeneratorSpec(count=200,
                                           size_range=(2 << 20, 48 << 20)), 1)
     total = sum(ps.size.tolist())
@@ -312,7 +314,7 @@ def test_loose_budget_needs_one_descent():
     solution = solve(program)
     n = program.num_variables
     assert solution.assignment == (1,) * n
-    assert solution.nodes == 2 * n + 1
+    assert solution.nodes == 1
     # The node count is telemetry: it takes no part in equality.
     assert solution == IlpSolution(solution.assignment,
                                    solution.objective_value, STATUS_OPTIMAL)
@@ -348,7 +350,7 @@ def test_a_tight_80_object_placement_stays_within_its_search_size():
     solution = solve(program)
     assert solution.status == STATUS_OPTIMAL
     assert solution.objective_value == -1332463000.0
-    assert solution.nodes <= 13145
+    assert solution.nodes <= 6657
 
 
 def test_a_row_no_variable_can_relieve_ends_at_the_root():
@@ -402,3 +404,71 @@ def test_relief_walk_matches_the_array_formula():
                     finite += 1
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert finite > 3000 and infinite > 1000
+
+
+def test_a_tight_320_object_placement_stays_within_its_search_size():
+    ps = generate_synthetic(GeneratorSpec(count=320), 1)
+    major, _ = filter_major(ps, 0.0)
+    total = sum(ps.size.tolist())
+    dev = make_testbed1(dram_capacity=0.6 * total, nvm_capacity=total)
+    program = build_placement_program(major, dev, 0.6, dev.dram_capacity)
+    assert program.num_variables == 320
+    solution = solve(program)
+    assert solution.status == STATUS_OPTIMAL
+    assert solution.objective_value == -3105317600.0
+    assert solution.nodes <= 12199
+
+
+@pytest.fixture
+def fixed_counts(monkeypatch):
+    """How many variables each `solve` fixed at its root, in call order."""
+    counts = []
+    fix = ilp._fix
+
+    def counting(*args):
+        fixed, value = fix(*args)
+        counts.append(int(fixed.sum()))
+        return fixed, value
+
+    monkeypatch.setattr(ilp, "_fix", counting)
+    return counts
+
+
+def test_placement_grid_with_root_fixing_matches_the_oracle(fixed_counts):
+    # Solve-sweep's cells on one all-major 18-object set: every feasible
+    # cell fixes variables at the root and must still keep the oracle's
+    # status and assignment.
+    ps = generate_synthetic(GeneratorSpec(
+        count=18, size_range=(2 << 20, 16 << 20)), 3)
+    total = ps.total_size()
+    statuses = set()
+    for share in (1.0, 0.5, 0.25):
+        dev = make_testbed1(dram_capacity=share * total, nvm_capacity=total)
+        for ratio in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
+            program = build_placement_program(ps, dev, ratio,
+                                              dev.dram_capacity)
+            got, want = solve(program), solve_exhaustive(program)
+            statuses.add(got.status)
+            assert (got.status, got.assignment) \
+                == (want.status, want.assignment)
+    assert statuses == {STATUS_OPTIMAL, STATUS_INFEASIBLE}
+    assert len(fixed_counts) == 15 and min(fixed_counts) > 0
+
+
+def test_root_fixing_keeps_exact_ties_with_the_oracle(fixed_counts):
+    # Small integer costs and a knapsack row of integer weights: many
+    # optimal assignments share one objective exactly, so the fixed
+    # variables must leave the lexicographically smallest one reachable.
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        n = int(rng.integers(6, 15))
+        rows = [(rng.integers(0, 6, n).astype(float),
+                 float(rng.integers(3, 4 * n)))]
+        rows += [(rng.integers(-3, 4, n).astype(float),
+                  float(rng.integers(-2, 6)))
+                 for _ in range(int(rng.integers(0, 3)))]
+        program = ZeroOneProgram(rng.integers(-9, 4, n).astype(float),
+                                 tuple(rows))
+        got, want = solve(program), solve_exhaustive(program)
+        assert (got.status, got.assignment) == (want.status, want.assignment)
+    assert sum(count > 0 for count in fixed_counts) > 200
