@@ -57,17 +57,13 @@ def _add_device_options(parser: argparse.ArgumentParser) -> None:
 def _device_from_args(args) -> DeviceSpec:
     if args.device and args.preset:
         raise ValueError("give either --device or --preset, not both")
+    capacities = {name: gib * GIB for name, gib in (
+        ("dram_capacity", args.dram_capacity_gib),
+        ("nvm_capacity", args.nvm_capacity_gib)) if gib is not None}
     if args.device:
         dev = load_device_spec(args.device)
-    elif args.preset:
-        dev = PRESETS[args.preset]()
-    else:
-        dev = DeviceSpec()
-    if args.dram_capacity_gib is not None:
-        dev = replace(dev, dram_capacity=args.dram_capacity_gib * GIB)
-    if args.nvm_capacity_gib is not None:
-        dev = replace(dev, nvm_capacity=args.nvm_capacity_gib * GIB)
-    return dev
+        return replace(dev, **capacities) if capacities else dev
+    return (PRESETS[args.preset] if args.preset else DeviceSpec)(**capacities)
 
 
 def _add_pinning_options(parser: argparse.ArgumentParser) -> None:
@@ -375,9 +371,8 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``memplan`` parser with every subcommand, or only ``command``.
 
-    A one-subcommand parser gives that subcommand the same help, usage
-    and errors as the full tree; building all seven costs several times
-    as much, and ``main`` runs only one.
+    A one-subcommand tree gives that subcommand the same help, usage and
+    errors as the full tree; ``main`` builds neither for a subcommand.
     """
     parser = _Parser(prog="memplan",
                      description="DRAM/NVM object placement planning")
@@ -393,12 +388,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Anything but a known subcommand first (no arguments, --help, a
-    # typo) gets the full tree, whose usage and errors list every choice.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # A known subcommand is parsed by the parser add_parser would build for
+    # it; anything else gets the full tree, whose errors list every choice.
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments, handler = _COMMANDS[argv[0]]
+        parser = _Parser(prog=f"memplan {argv[0]}")
+        add_arguments(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            parser.exit(EXIT_USAGE, "memplan: error: unrecognized arguments: "
+                        + " ".join(extra) + "\n")
+    else:
+        args = build_parser().parse_args(argv)
+        handler = args.func
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"memplan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -305,29 +305,32 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
         i += 1
     if i >= len(lines) or lines[i].strip() != "id,device,major":
         raise ValueError("plan file is missing the id,device,major table")
-    placements: dict[str, str] = {}
-    major_ids: list[str] = []
-    seen: set[str] = set()
-    for number, line in enumerate(lines[i + 1:], i + 2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            object_id, device, major_flag = line.split(",")
-        except ValueError:
-            raise ValueError(f"line {number}: expected id,device,major, "
-                             f"got {line!r}") from None
-        if device not in (DRAM, NVM, "unassigned"):
-            raise ValueError(f"unknown device {device!r} for {object_id!r}")
-        if object_id in seen:
-            raise ValueError(
-                f"line {number}: duplicate object id {object_id!r}")
-        seen.add(object_id)
-        if device != "unassigned":
-            placements[object_id] = device
-        if major_flag == "1":
-            major_ids.append(object_id)
-
+    # Checked by columns; a row's id starts with the break joined before it,
+    # so the ids hold every break only if every row has three fields.
+    kept = list(filter(None, map(str.strip, lines[i + 1:])))
+    fields = ",\n".join(kept).split(",")
+    ids, devices = "".join(fields[0::3]).split("\n"), fields[1::3]
+    if kept and (len(ids) < len(kept) or len(fields) != 3 * len(ids)
+                 or set(devices) - {DRAM, NVM, "unassigned"}
+                 or len(set(ids)) < len(ids)):
+        seen: set[str] = set()
+        for number, line in enumerate(lines[i + 1:], i + 2):
+            line = line.strip()
+            if not line:
+                continue
+            if line.count(",") != 2:
+                raise ValueError(f"line {number}: expected id,device,major, "
+                                 f"got {line!r}")
+            object_id, device, _ = line.split(",")
+            if device not in (DRAM, NVM, "unassigned"):
+                raise ValueError(
+                    f"unknown device {device!r} for {object_id!r}")
+            if object_id in seen:
+                raise ValueError(
+                    f"line {number}: duplicate object id {object_id!r}")
+            seen.add(object_id)
+    placements = {k: d for k, d in zip(ids, devices) if d != "unassigned"}
+    major_ids = tuple([k for k, f in zip(ids, fields[2::3]) if f == "1"])
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
     summary.setdefault("reserved_dram_bytes", "0")
@@ -357,7 +360,7 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
     return PlacementPlan(
         placements=placements,
-        major_ids=tuple(major_ids),
+        major_ids=major_ids,
         status=summary["status"],
         ratio=ratio,
         major_threshold=threshold,

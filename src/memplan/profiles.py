@@ -173,6 +173,19 @@ def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
     return None
 
 
+def _all_kept(ids: tuple[str, ...], table: np.ndarray) -> bool:
+    """Whether records keep every rule, by tests of whole columns. ``ids``
+    are strs; ``table`` holds the _NUMERIC rows, then an llc_mpki row (0
+    where a record has none) if any record gives one."""
+    if set(map(type, ids)) != {str} or tuple(map(str.strip, ids)) != ids:
+        return False
+    text = ",".join(ids)
+    return bool("" not in ids and text.count(",") == len(ids) - 1
+                and text.splitlines() == [text] and ",#" not in "," + text
+                and np.isfinite(table).all() and (table[0] > 0).all()
+                and (table[3:] >= 0).all() and (table[2] > table[1]).all())
+
+
 class ProfileSet:
     """Ordered collection of object profiles for one profiled workload.
 
@@ -182,8 +195,8 @@ class ProfileSet:
     which is NaN where an object has none. The pricing formulas take a set
     in place of one object and price every object elementwise, giving the
     same doubles as one call per object. The id ``index``, the
-    ObjectProfile tuple (``objects``, iteration, ``get``) and the order of
-    the allocation and free ``events`` are built on first use and kept.
+    ObjectProfile tuple (``objects``, iteration, ``get``), the ``events``
+    order and filter_major's splits are built on first use and kept.
     """
 
     def __init__(self, objects: Iterable[ObjectProfile] = (),
@@ -213,7 +226,9 @@ class ProfileSet:
         table = table.reshape(len(_NUMERIC), len(ids))
         mpki = np.array([None] * len(ids) if llc_mpki is None else llc_mpki,
                         dtype=float)
-        bad = _first_bad(_columns(ids, table, mpki))
+        bad = None if _all_kept(ids, np.vstack(
+            (table, np.where(np.isnan(mpki), 0.0, mpki)))) \
+            else _first_bad(_columns(ids, table, mpki))
         if bad:
             raise ProfileError(bad[1])
         return cls._of(ids, table, mpki, workload_label, workload_size)
@@ -251,7 +266,7 @@ class ProfileSet:
         self.__dict__.update(
             _ids=ids, _table=table, lifetime=lifetime,
             llc_mpki=mpki, workload_label=workload_label,
-            workload_size=workload_size)
+            workload_size=workload_size, _splits={})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"ProfileSet is read-only ({name!r})")
@@ -384,17 +399,17 @@ def load_profiles(source: str | os.PathLike | IO[str],
     with open_text(source) as stream:
         text = stream.read()
     lines = text.splitlines()
+    written = _read_written(text, lines)
+    if written:
+        return ProfileSet._of(*written, workload_label, workload_size)
+    # Any other file: per-line passes, which name the first bad line.
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
-    del lines[0]
-    line_nos = range(2, len(lines) + 2)
+    kept = [k for k, line in enumerate(lines[1:])
+            if line.strip()[:1] not in ("", "#")]
+    lines, line_nos = [lines[k + 1] for k in kept], [k + 2 for k in kept]
     commas = list(map(str.count, lines, repeat(",")))
-    if "#" in text or 0 in commas:  # a comment or blank line may be there
-        kept = [k for k, line in enumerate(lines)
-                if line.strip()[:1] not in ("", "#")]
-        lines, commas = [lines[k] for k in kept], [commas[k] for k in kept]
-        line_nos = [k + 2 for k in kept]
     if not lines:
         raise ProfileError("line 2: missing column header")
     if ",".join(map(str.strip, lines[0].split(","))) not in _HEADERS:
@@ -402,32 +417,26 @@ def load_profiles(source: str | os.PathLike | IO[str],
                            f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
     header_fields = commas[0] + 1
     records, commas = lines[1:], commas[1:]
-    widths = set(commas)
     ids = list(map(str.strip, map(itemgetter(0),
                                   map(str.partition, records, repeat(",")))))
     mpki = list(map(str.strip, map(itemgetter(2),
                                    map(str.rpartition, records, repeat(",")))))
-    if widths != {len(_COLUMNS)}:  # only an 8-field record has llc_mpki
-        mpki = [m if c == len(_COLUMNS) else "" for m, c in zip(mpki, commas)]
-    given = all(mpki)
-    values = None
-    if records and widths <= {len(_COLUMNS) - 1, len(_COLUMNS)} \
+    # Only an 8-field record has llc_mpki.
+    mpki = [m if c == len(_COLUMNS) else "" for m, c in zip(mpki, commas)]
+    given, values = all(mpki), None
+    if records and set(commas) <= {len(_COLUMNS) - 1, len(_COLUMNS)} \
             and (given or not any(mpki)):
         with suppress(ValueError):  # numpy reads fewer numbers than float()
             values = np.loadtxt(records, delimiter=",", comments=None, ndmin=2,
                                 usecols=range(1, len(_COLUMNS) + given))
-    if values is not None:  # the numeric columns, and llc_mpki if all give one
-        mpki_given = np.full(len(values), given)
-        mpki_values = values[:, -1] if given \
-            else np.full(len(values), math.nan)
-    else:  # _numbers reads the records up to the first it gives a reason for
+    if values is None:  # _numbers reads up to the first record it cannot
         rows = list(takewhile(list.__instancecheck__,
                               map(_numbers, records, repeat(header_fields))))
         values = np.array(rows).reshape(len(rows), len(_NUMERIC) + 1)
-        mpki_given = np.fromiter(map(bool, mpki), bool, len(rows))
-        mpki_values = values[:, -1]
-    stop = len(values)
-    table = values.T[:len(_NUMERIC)]
+    elif not given:
+        values = np.column_stack((values, np.full(len(values), math.nan)))
+    mpki_given = np.fromiter(map(bool, mpki), bool, len(values))
+    stop, table, mpki_values = len(values), values.T[:-1], values[:, -1]
     bad = _first_bad(_columns(ids[:stop], table, mpki_values, mpki_given),
                      _READ_CHECKS)
     if bad:
@@ -437,6 +446,26 @@ def load_profiles(source: str | os.PathLike | IO[str],
                            + _numbers(records[stop], header_fields))
     return ProfileSet._of(tuple(ids), table, mpki_values, workload_label,
                           workload_size)
+
+
+def _read_written(text: str, lines: list[str]) -> tuple | None:
+    """The columns of a file as write_profiles writes it, or None: the
+    8-column header, 7 commas a record, llc_mpki in all or none, no line
+    that starts with '#'. np.loadtxt skips a blank line and rejects a
+    short record or a blank field; _all_kept rejects a comment as an id."""
+    rows, given = lines[2:], not text.endswith(",\n")
+    if lines[:2] != [PROFILE_FORMAT_VERSION, _HEADERS[-1]] or not rows \
+            or "\n#" in text or not given and text.count(",\n") != len(rows) \
+            or text.count(",") != len(_COLUMNS) * (len(rows) + 1):
+        return None
+    with suppress(ValueError):
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                            usecols=range(1, len(_COLUMNS) + given))
+        ids = tuple(map(itemgetter(0), map(str.partition, rows, repeat(","))))
+        mpki = values[:, -1] if given else np.full(len(values), math.nan)
+        if len(values) == len(rows) and _all_kept(ids, values.T):
+            return ids, values.T[:len(_NUMERIC)], mpki
+    return None
 
 
 def _numbers(record: str, header_fields: int) -> list[float] | str:
@@ -556,9 +585,13 @@ def filter_major(profiles: ProfileSet,
 
     Major objects are those whose accessed volume exceeds the threshold;
     everything else is minor and later forced onto DRAM by the planners.
+    The pair is kept on the set and shared by later calls.
     """
-    major = major_mask(profiles, threshold)
-    return profiles.take(major), profiles.take(~major)
+    splits = profiles._splits
+    if threshold not in splits:
+        major = major_mask(profiles, threshold)
+        splits[threshold] = profiles.take(major), profiles.take(~major)
+    return splits[threshold]
 
 
 def major_mask(profiles: ProfileSet,

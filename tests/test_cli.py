@@ -829,3 +829,49 @@ def test_future_out_is_written_when_its_pinned_objects_overflow_dram(
     assert text.startswith("hmms-plan-v1\nstatus=infeasible\nratio=0.9\n")
     assert "\nbinding=capacity_dram\nid,device,major\n" in text
     assert text.endswith("\nid,device,major\n")
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("command", sorted(_VALID_ARGS))
+def test_a_subcommand_wraps_help_and_errors_as_the_full_tree_does(
+        command, columns, capsys, monkeypatch):
+    # argparse wraps help and usage at the terminal width it reads from
+    # COLUMNS each time it formats them.
+    monkeypatch.setenv("COLUMNS", columns)
+    full = build_parser().parse_args
+    for argv in ([command, "-h"], [command],
+                 [command, "--frob", *_VALID_ARGS[command]],
+                 [command, *_VALID_ARGS[command], "--frob", "x", "--", "y"],
+                 [command, "--prof", "p", "--ou", "x", "--frob"],
+                 [command, "--p", "x"]):
+        assert _exit(main, argv, capsys) == _exit(full, argv, capsys)
+
+
+def test_a_subcommand_builds_its_parser_alone(workload, tmp_path,
+                                              monkeypatch):
+    from memplan import cli
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                "--out", tmp_path / "p.plan"]) == EXIT_OK
+    assert built == ["memplan plan"]
+
+
+def test_a_preset_takes_both_capacity_overrides_in_one_device_spec(
+        workload, tmp_path, monkeypatch):
+    checked = []
+    check = DeviceSpec.__post_init__
+    monkeypatch.setattr(DeviceSpec, "__post_init__",
+                        lambda self: checked.append(self) or check(self))
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                "--preset", "testbed1", "--dram-capacity-gib", 0.5,
+                "--nvm-capacity-gib", 2, "--out", tmp_path / "p.plan"]) \
+        == EXIT_OK
+    assert [(d.dram_capacity, d.nvm_capacity, d.nvm_write_latency)
+            for d in checked] == [(0.5 * GIB, 2 * GIB, 1440.0)]

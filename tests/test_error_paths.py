@@ -251,3 +251,30 @@ def test_staying_put_names_only_the_rows_it_breaks(dram_mb, broken):
     plan = plan_migration(ps, dev, current, request, allow_migration=False)
     assert plan.status == ilp.STATUS_INFEASIBLE
     assert plan.binding_constraints == broken
+
+
+@pytest.mark.parametrize("table, message", [
+    # Rows of two and four fields hold six fields in all: still line 12.
+    ("a,dram\n1,b,nvm,1\n", "line 12: expected id,device,major, got 'a,dram'"),
+    ("a,dram,1\n\n,nvm,1,\nb,hbm,1\n",
+     "line 14: expected id,device,major, got ',nvm,1,'"),
+    ("a,dram,1\nb,hbm,1\na,nvm,1\n", "unknown device 'hbm' for 'b'"),
+    ("a,dram,1\nb,nvm,0\n a,nvm,1\nc,hbm,1\n",
+     "line 14: duplicate object id 'a'"),
+])
+def test_the_first_bad_row_of_a_plan_table_is_named(table, message):
+    with pytest.raises(ValueError) as err:
+        load_plan(io.StringIO(_PLAN_HEAD + "id,device,major\n" + table))
+    assert str(err.value) == f"plan: {message}"
+
+
+@pytest.mark.parametrize("table, placements, major_ids", [
+    ("", {}, ()),
+    ("\n  \n", {}, ()),
+    ("  a,dram,1 \n\tb,unassigned,1\nc,nvm,0\nd,nvm,yes\n",
+     {"a": "dram", "c": "nvm", "d": "nvm"}, ("a", "b")),
+])
+def test_a_plan_table_reads_its_rows_in_order(table, placements, major_ids):
+    plan = load_plan(io.StringIO(_PLAN_HEAD + "id,device,major\n" + table))
+    assert list(plan.placements.items()) == list(placements.items())
+    assert plan.major_ids == major_ids

@@ -865,3 +865,93 @@ def test_a_manifest_that_is_not_the_manifest_format_is_rejected(
     # json's own message goes on with the character offset.
     assert str(err.value).startswith(
         f"{tmp_path / 'manifest.json'}: {message}")
+
+
+def _written_then_broken(rng):
+    """A file exactly as write_profiles writes it, with one field or record
+    broken (or left readable, as some draws do)."""
+    profiles = generate_synthetic(GeneratorSpec(
+        count=int(rng.integers(1, 9)), with_mpki=bool(rng.random() < 0.5)),
+        int(rng.integers(1000)))
+    buf = io.StringIO()
+    write_profiles(profiles, buf)
+    lines = buf.getvalue().splitlines()
+    k = int(rng.integers(2, len(lines)))
+    fields = lines[k].split(",")
+    kind = rng.random()
+    if kind < 0.6:
+        fields[int(rng.integers(len(fields)))] = str(rng.choice(_BREAKS))
+    elif kind < 0.7:
+        fields.append("1")
+    elif kind < 0.8:
+        del fields[-2:]
+    elif kind < 0.9:
+        fields[0] = lines[int(rng.integers(2, len(lines)))].split(",")[0]
+    else:
+        fields[3] = fields[2]
+    lines[k] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_the_one_pass_reader_refuses_every_broken_written_file():
+    # Only the whole-text counts and whole-column tests stand between such
+    # a file and the one-pass result, so each fault must fail one of them.
+    from memplan.profiles import _read_written
+    rng = np.random.default_rng(19)
+    kinds = set()
+    for _ in range(600):
+        text = _written_then_broken(rng)
+        want = _outcome(_reference_load, text)
+        assert _outcome(load_profiles, text) == want, text
+        if isinstance(want, str):
+            kinds.add(want.split(": ")[-1][:20])
+            # Duplicate ids are the set's own check, on either path.
+            if not want.startswith("duplicate object id"):
+                assert _read_written(text, text.splitlines()) is None, text
+    # Parse errors, field counts, each invariant and duplicate ids.
+    assert len(kinds) >= 12
+
+
+def test_a_written_file_is_read_without_the_per_rule_reporter(monkeypatch):
+    def no_reporter(*args):
+        raise AssertionError("the per-rule reporter ran")
+    monkeypatch.setattr("memplan.profiles._first_bad", no_reporter)
+    sets = [generate_synthetic(GeneratorSpec(count=n, with_mpki=mpki), n)
+            for n, mpki in ((1, False), (24, True), (300, False))]
+    # Inner whitespace and an inner '#' keep the id rules.
+    sets.append(ProfileSet.from_columns(
+        ["heap 1", "a#b", "x\x1fy"], size=[1, 2, 3], alloc_time=[0, 0, 1],
+        dealloc_time=[1, 2, 3], accessed_volume=[0, 5, 6],
+        llc_misses=[1, 0, 2], dirty_blocks=[0, 0, 0],
+        workload_label="synthetic", workload_size=1.0))
+    for profiles in sets:
+        buf = io.StringIO()
+        write_profiles(profiles, buf)
+        loaded = load_profiles(io.StringIO(buf.getvalue()), "synthetic", 1.0)
+        assert loaded == profiles
+
+
+def test_a_set_is_split_once_per_threshold(monkeypatch):
+    from memplan.baselines import (place_all_dram, place_all_nvm,
+                                   place_mpki_threshold)
+    from memplan.energy import testbed1
+    from memplan.planner import plan_static
+    profiles = generate_synthetic(GeneratorSpec(count=30, with_mpki=True), 4)
+    threshold = float(np.median(profiles.accessed_volume))
+    mask = profiles.accessed_volume > threshold
+    fresh = (profiles.take(mask), profiles.take(~mask))
+    takes = []
+    take = ProfileSet.take
+    monkeypatch.setattr(ProfileSet, "take",
+                        lambda self, m: takes.append(1) or take(self, m))
+    dev = testbed1()
+    place_all_dram(profiles, dev, threshold)
+    place_all_nvm(profiles, dev, threshold)
+    place_mpki_threshold(profiles, dev, 0.05, threshold)
+    plan_static(profiles, dev, 0.9, threshold)
+    assert len(takes) == 2
+    assert filter_major(profiles, threshold) == fresh
+    assert filter_major(profiles, 0.0) != fresh and len(takes) == 4
+    for _ in range(2):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            filter_major(profiles, float("nan"))
