@@ -368,20 +368,17 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``memplan`` parser with every subcommand, or only ``command``.
-
-    A one-subcommand tree gives that subcommand the same help, usage and
-    errors as the full tree; ``main`` builds neither for a subcommand.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``memplan`` parser with every subcommand. ``main`` builds it only
+    for an argument list that names none; each subcommand's own parser gives
+    the same help, usage and errors."""
     parser = _Parser(prog="memplan",
                      description="DRAM/NVM object placement planning")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -91,12 +91,22 @@ _NUMERIC = ("size", "alloc_time", "dealloc_time", "accessed_volume",
 
 def _id_ok(object_id) -> bool | np.ndarray:
     # A profile file splits on commas and line breaks, strips each field
-    # and skips lines that start with '#'. Columns hold ids as objects.
+    # and skips lines that start with '#'. Columns hold ids as objects and
+    # are tested per id only if their joined text shows a broken one.
     if isinstance(object_id, str):
         return ("," not in object_id and object_id.splitlines() == [object_id]
                 and object_id == object_id.strip() and object_id[:1] != "#")
     if isinstance(object_id, np.ndarray):
-        return np.fromiter(map(_id_ok, object_id), bool, len(object_id))
+        ids = object_id.tolist()
+        with suppress(TypeError):  # a column holding a non-str id
+            text = ",".join(ids)
+            if (text.count(",") == len(ids) - 1 and all(ids)
+                    and ("#" not in text or ",#" not in "," + text)
+                    and (text.split() == [text]  # no whitespace at all
+                         or (text.splitlines() == [text]
+                             and ",".join(map(str.strip, ids)) == text))):
+                return np.ones(len(ids), bool)
+        return np.fromiter(map(_id_ok, ids), bool, len(ids))
     return False
 
 
@@ -131,18 +141,14 @@ def _passes(*tests: str):
 
 _CHECKS = tuple((_passes(test), message) for test, message in _RULES)
 _VALUE_CHECKS = _CHECKS[2:]  # the rules that do not read the id
-# The rules a record read from a file can break: split and stripped fields
-# cannot hold a comma, a line break, surrounding whitespace or a leading
-# '#', so only an empty id is possible.
-_READ_CHECKS = _CHECKS[:1] + _VALUE_CHECKS
 _keeps_all = _passes(*(test for test, _ in _RULES))
 
 
 def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
-             mpki_given: np.ndarray | None = None) -> SimpleNamespace:
+             mpki_given: np.ndarray | bool | None = None) -> SimpleNamespace:
     """Records as columns for the rules. ``mpki`` is NaN where a record has
-    none; ``mpki_given`` marks those that spelled one out (a file can spell
-    NaN), by default those not NaN. A record without one passes as 0."""
+    none; ``mpki_given``, one flag or one per record, marks those that gave
+    one (a file can spell NaN), by default those not NaN. Others pass as 0."""
     if mpki_given is None:
         mpki_given = ~np.isnan(mpki)
     return SimpleNamespace(id=np.array(ids, dtype=object),
@@ -171,19 +177,6 @@ def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
         if not test(record):
             return k, message.format_map(vars(record))
     return None
-
-
-def _all_kept(ids: tuple[str, ...], table: np.ndarray) -> bool:
-    """Whether records keep every rule, by tests of whole columns. ``ids``
-    are strs; ``table`` holds the _NUMERIC rows, then an llc_mpki row (0
-    where a record has none) if any record gives one."""
-    if set(map(type, ids)) != {str} or tuple(map(str.strip, ids)) != ids:
-        return False
-    text = ",".join(ids)
-    return bool("" not in ids and text.count(",") == len(ids) - 1
-                and text.splitlines() == [text] and ",#" not in "," + text
-                and np.isfinite(table).all() and (table[0] > 0).all()
-                and (table[3:] >= 0).all() and (table[2] > table[1]).all())
 
 
 class ProfileSet:
@@ -226,9 +219,7 @@ class ProfileSet:
         table = table.reshape(len(_NUMERIC), len(ids))
         mpki = np.array([None] * len(ids) if llc_mpki is None else llc_mpki,
                         dtype=float)
-        bad = None if _all_kept(ids, np.vstack(
-            (table, np.where(np.isnan(mpki), 0.0, mpki)))) \
-            else _first_bad(_columns(ids, table, mpki))
+        bad = _first_bad(_columns(ids, table, mpki))
         if bad:
             raise ProfileError(bad[1])
         return cls._of(ids, table, mpki, workload_label, workload_size)
@@ -399,46 +390,57 @@ def load_profiles(source: str | os.PathLike | IO[str],
     with open_text(source) as stream:
         text = stream.read()
     lines = text.splitlines()
-    written = _read_written(text, lines)
-    if written:
-        return ProfileSet._of(*written, workload_label, workload_size)
-    # Any other file: per-line passes, which name the first bad line.
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
-    kept = [k for k, line in enumerate(lines[1:])
-            if line.strip()[:1] not in ("", "#")]
-    lines, line_nos = [lines[k + 1] for k in kept], [k + 2 for k in kept]
-    commas = list(map(str.count, lines, repeat(",")))
-    if not lines:
-        raise ProfileError("line 2: missing column header")
-    if ",".join(map(str.strip, lines[0].split(","))) not in _HEADERS:
-        raise ProfileError(f"line {line_nos[0]}: expected column header "
-                           f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
-    header_fields = commas[0] + 1
-    records, commas = lines[1:], commas[1:]
-    ids = list(map(str.strip, map(itemgetter(0),
-                                  map(str.partition, records, repeat(",")))))
-    mpki = list(map(str.strip, map(itemgetter(2),
-                                   map(str.rpartition, records, repeat(",")))))
-    # Only an 8-field record has llc_mpki.
-    mpki = [m if c == len(_COLUMNS) else "" for m, c in zip(mpki, commas)]
-    given, values = all(mpki), None
-    if records and set(commas) <= {len(_COLUMNS) - 1, len(_COLUMNS)} \
-            and (given or not any(mpki)):
+    # A file as write_profiles writes it (the 8-column header, 7 commas a
+    # record, llc_mpki in every record or none, ids that keep the id rules)
+    # needs none of the per-line passes: whole-text counts and the id rule
+    # vouch for it, and np.loadtxt refuses a short record or a blank field.
+    records, given = lines[2:], not text.endswith(",\n")
+    line_nos, header_fields = range(2, len(lines) + 1), len(_COLUMNS) + 1
+    loadable = (lines[1:2] == [_HEADERS[-1]]
+                and (given or text.count(",\n") == len(records))
+                and text.count(",") == len(_COLUMNS) * (len(records) + 1))
+    if loadable:
+        ids = list(map(itemgetter(0), map(str.partition, records, repeat(","))))
+        loadable = _id_ok(np.array(ids, dtype=object)).all()
+    if not loadable:  # per-line passes, which skip blank and comment lines
+        kept = [k for k, line in enumerate(lines[1:])
+                if line.strip()[:1] not in ("", "#")]
+        lines, line_nos = [lines[k + 1] for k in kept], [k + 2 for k in kept]
+        commas = list(map(str.count, lines, repeat(",")))
+        if not lines:
+            raise ProfileError("line 2: missing column header")
+        if ",".join(map(str.strip, lines[0].split(","))) not in _HEADERS:
+            raise ProfileError(f"line {line_nos[0]}: expected column header "
+                               f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
+        header_fields = commas[0] + 1
+        records, commas = lines[1:], commas[1:]
+        ids = list(map(str.strip, map(itemgetter(0),
+                                      map(str.partition, records, repeat(",")))))
+        mpki = list(map(str.strip, map(itemgetter(2),
+                                       map(str.rpartition, records, repeat(",")))))
+        # Only an 8-field record has llc_mpki.
+        mpki = [m if c == len(_COLUMNS) else "" for m, c in zip(mpki, commas)]
+        given = all(mpki)
+        loadable = (set(commas) <= {len(_COLUMNS) - 1, len(_COLUMNS)}
+                    and (given or not any(mpki)))
+    values = None
+    if records and loadable:
         with suppress(ValueError):  # numpy reads fewer numbers than float()
             values = np.loadtxt(records, delimiter=",", comments=None, ndmin=2,
                                 usecols=range(1, len(_COLUMNS) + given))
     if values is None:  # _numbers reads up to the first record it cannot
         rows = list(takewhile(list.__instancecheck__,
                               map(_numbers, records, repeat(header_fields))))
-        values = np.array(rows).reshape(len(rows), len(_NUMERIC) + 1)
+        given = np.array([row[-1] is not None for row in rows], bool)
+        values = np.array(rows, dtype=float).reshape(len(rows),
+                                                     len(_NUMERIC) + 1)
     elif not given:
         values = np.column_stack((values, np.full(len(values), math.nan)))
-    mpki_given = np.fromiter(map(bool, mpki), bool, len(values))
     stop, table, mpki_values = len(values), values.T[:-1], values[:, -1]
-    bad = _first_bad(_columns(ids[:stop], table, mpki_values, mpki_given),
-                     _READ_CHECKS)
+    bad = _first_bad(_columns(ids[:stop], table, mpki_values, given))
     if bad:
         raise ProfileError(f"line {line_nos[bad[0] + 1]}: {bad[1]}")
     if stop < len(records):
@@ -448,28 +450,8 @@ def load_profiles(source: str | os.PathLike | IO[str],
                           workload_size)
 
 
-def _read_written(text: str, lines: list[str]) -> tuple | None:
-    """The columns of a file as write_profiles writes it, or None: the
-    8-column header, 7 commas a record, llc_mpki in all or none, no line
-    that starts with '#'. np.loadtxt skips a blank line and rejects a
-    short record or a blank field; _all_kept rejects a comment as an id."""
-    rows, given = lines[2:], not text.endswith(",\n")
-    if lines[:2] != [PROFILE_FORMAT_VERSION, _HEADERS[-1]] or not rows \
-            or "\n#" in text or not given and text.count(",\n") != len(rows) \
-            or text.count(",") != len(_COLUMNS) * (len(rows) + 1):
-        return None
-    with suppress(ValueError):
-        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                            usecols=range(1, len(_COLUMNS) + given))
-        ids = tuple(map(itemgetter(0), map(str.partition, rows, repeat(","))))
-        mpki = values[:, -1] if given else np.full(len(values), math.nan)
-        if len(values) == len(rows) and _all_kept(ids, values.T):
-            return ids, values.T[:len(_NUMERIC)], mpki
-    return None
-
-
-def _numbers(record: str, header_fields: int) -> list[float] | str:
-    """The six numbers of a record and its llc_mpki (NaN if blank) as
+def _numbers(record: str, header_fields: int) -> list[float | None] | str:
+    """The six numbers of a record and its llc_mpki (None if blank) as
     float() reads them, or why it cannot: the record has neither 7 nor 8
     fields, or the first field float() rejects, a given llc_mpki before
     the columns in order."""
@@ -479,7 +461,7 @@ def _numbers(record: str, header_fields: int) -> list[float] | str:
     mpki = fields[-1].strip() if len(fields) > len(_COLUMNS) else ""
     try:  # str.strip, not float(), drops a unit separator around a number
         return [*map(float, map(str.strip, fields[1:len(_COLUMNS)])),
-                float(mpki) if mpki else math.nan]
+                float(mpki) if mpki else None]
     except ValueError:  # name the first field float() rejects
         pass
     named = list(zip(map(str.strip, fields[1:]), _COLUMNS[1:]))

@@ -1,5 +1,6 @@
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -869,10 +870,15 @@ def test_a_manifest_that_is_not_the_manifest_format_is_rejected(
 
 def _written_then_broken(rng):
     """A file exactly as write_profiles writes it, with one field or record
-    broken (or left readable, as some draws do)."""
+    broken (or left readable, as some draws do). Some draws also give
+    llc_mpki for only some objects, add a line the reader skips, pad an id
+    or end the lines with \\r\\n."""
     profiles = generate_synthetic(GeneratorSpec(
         count=int(rng.integers(1, 9)), with_mpki=bool(rng.random() < 0.5)),
         int(rng.integers(1000)))
+    if rng.random() < 0.15:
+        profiles = ProfileSet(replace(o, llc_mpki=None if rng.random() < 0.5
+                                      else 0.5) for o in profiles)
     buf = io.StringIO()
     write_profiles(profiles, buf)
     lines = buf.getvalue().splitlines()
@@ -890,13 +896,22 @@ def _written_then_broken(rng):
     else:
         fields[3] = fields[2]
     lines[k] = ",".join(fields)
-    return "\n".join(lines) + "\n"
+    layout = rng.random()
+    if layout < 0.15:  # a blank, whitespace-only or comment line
+        lines.insert(int(rng.integers(1, len(lines) + 1)),
+                     str(rng.choice(["", " \t ", "# note", " # note"])))
+    elif layout < 0.25:  # whitespace the reader strips from an id
+        k = int(rng.integers(2, len(lines)))
+        pad = str(rng.choice([" ", "\t", "\x1f", "\u3000"]))
+        lines[k] = pad + lines[k] if rng.random() < 0.5 \
+            else lines[k].replace(",", pad + ",", 1)
+    newline = "\r\n" if 0.25 <= layout < 0.35 else "\n"
+    return newline.join(lines) + newline
 
 
 def test_the_one_pass_reader_refuses_every_broken_written_file():
-    # Only the whole-text counts and whole-column tests stand between such
-    # a file and the one-pass result, so each fault must fail one of them.
-    from memplan.profiles import _read_written
+    # Whole-text counts decide whether a file skips the per-line passes, so
+    # each fault and each layout must still give the per-record outcome.
     rng = np.random.default_rng(19)
     kinds = set()
     for _ in range(600):
@@ -905,17 +920,65 @@ def test_the_one_pass_reader_refuses_every_broken_written_file():
         assert _outcome(load_profiles, text) == want, text
         if isinstance(want, str):
             kinds.add(want.split(": ")[-1][:20])
-            # Duplicate ids are the set's own check, on either path.
-            if not want.startswith("duplicate object id"):
-                assert _read_written(text, text.splitlines()) is None, text
     # Parse errors, field counts, each invariant and duplicate ids.
     assert len(kinds) >= 12
 
 
-def test_a_written_file_is_read_without_the_per_rule_reporter(monkeypatch):
-    def no_reporter(*args):
-        raise AssertionError("the per-rule reporter ran")
-    monkeypatch.setattr("memplan.profiles._first_bad", no_reporter)
+@pytest.mark.parametrize("fault", [None, "1_0 field", "padded id"])
+def test_a_written_file_is_parsed_by_numpy_at_most_once(monkeypatch, fault):
+    profiles = generate_synthetic(GeneratorSpec(count=20, with_mpki=True), 7)
+    buf = io.StringIO()
+    write_profiles(profiles, buf)
+    lines, want = buf.getvalue().splitlines(), list(profiles)
+    if fault == "1_0 field":  # float() reads it, numpy does not
+        lines[8] = lines[8].rsplit(",", 1)[0] + ",1_0"
+        want[6] = replace(want[6], llc_mpki=10.0)
+    elif fault == "padded id":
+        lines[8] = " " + lines[8]
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr("memplan.profiles.np.loadtxt",
+                        lambda *args, **kwargs: calls.append(args)
+                        or loadtxt(*args, **kwargs))
+    loaded = load_profiles(io.StringIO("\n".join(lines) + "\n"))
+    assert list(loaded) == want
+    assert len(calls) == 1
+
+
+def test_the_column_id_rule_agrees_with_the_per_id_rule():
+    from memplan.profiles import _id_ok
+    breaks = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+    pads = ["\t", "\x1f", "\u3000"]
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(3000):
+        ids = []
+        for i in range(int(rng.integers(0, 6))):
+            object_id, kind = f"o{i}", rng.random()
+            if kind < 0.05:
+                object_id = [None, 5, ""][int(rng.integers(3))]
+            elif kind < 0.1:
+                object_id = str(rng.choice(breaks)).join([object_id, "x"])
+            elif kind < 0.13:
+                object_id += ","
+            elif kind < 0.16:
+                object_id = str(rng.choice(pads)) + object_id
+            elif kind < 0.19:
+                object_id += str(rng.choice(pads))
+            elif kind < 0.22:
+                object_id = "#" + object_id
+            elif kind < 0.25:
+                object_id = "a#" + object_id
+            ids.append(object_id)
+        column = _id_ok(np.array(ids, dtype=object))
+        mask = [_id_ok(object_id) for object_id in ids]
+        assert column.dtype == bool and column.tolist() == mask, ids
+        seen.add((all(mask), len(ids) > 1))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_written_file_round_trips():
     sets = [generate_synthetic(GeneratorSpec(count=n, with_mpki=mpki), n)
             for n, mpki in ((1, False), (24, True), (300, False))]
     # Inner whitespace and an inner '#' keep the id rules.
