@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, dram_energy
+from .energy import DeviceSpec, prices
 from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM, DRAM,
                       NVM, PlacementPlan, _major_minor, summarize_assignment)
 from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet
@@ -34,7 +34,7 @@ def _finish(major: ProfileSet, minor: ProfileSet, dev: DeviceSpec,
     placements = dict.fromkeys(minor.ids(), DRAM)
     placements.update(zip(major.ids(), map([NVM, DRAM].__getitem__, on_dram)))
     objective, energy = summarize_assignment(major, dev, on_dram)
-    all_dram_energy = sum(dram_energy(major, dev).tolist(), 0.0)
+    all_dram_energy = sum(prices(major, dev)[0].tolist(), 0.0)
     ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
     return PlacementPlan(
         placements=placements,

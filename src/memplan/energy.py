@@ -162,6 +162,21 @@ def nvm_latency(obj: Priceable, dev: DeviceSpec) -> float | np.ndarray:
     return dev.nvm_latency * obj.llc_misses
 
 
+def prices(obj: Priceable, dev: DeviceSpec) -> tuple:
+    """(DRAM energy, NVM energy, DRAM latency, NVM latency) of the object; a
+    set's are kept on it, read-only, per the constants the formulas read."""
+    kept = obj._prices if isinstance(obj, ProfileSet) else {}
+    key = (dev.dram_act_pre, dev.dram_rw, dev.refresh_rate, dev.nvm_act_pre,
+           dev.nvm_rba, dev.nvm_wb, dev.cache_block_size, dev.dram_latency,
+           dev.nvm_latency)
+    if key not in kept:
+        kept[key] = (dram_energy(obj, dev), nvm_energy(obj, dev),
+                     dram_latency(obj, dev), nvm_latency(obj, dev))
+        for column in kept[key]:
+            np.asarray(column).flags.writeable = False  # a float's is a copy
+    return kept[key]
+
+
 def price_placement(profiles: ProfileSet, dev: DeviceSpec,
                     on_dram: Sequence[int] | np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +184,7 @@ def price_placement(profiles: ProfileSet, dev: DeviceSpec,
 
     ``on_dram`` is true for objects in DRAM and false for those in STT-RAM.
     """
+    de, ne, dl, nl = prices(profiles, dev)
     on = np.asarray(on_dram, dtype=bool)
-    return (np.where(on, dram_latency(profiles, dev),
-                     nvm_latency(profiles, dev)),
-            np.where(on, dram_energy(profiles, dev),
-                     nvm_energy(profiles, dev)))
+    return np.where(on, dl, nl), np.where(on, de, ne)
 

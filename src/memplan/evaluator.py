@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import DeviceSpec, dram_energy, price_placement
+from .energy import DeviceSpec, price_placement, prices
 from .planner import DRAM, NVM, PlacementPlan, plan_static
 from .profiles import ProfileSet, major_mask
 
@@ -81,7 +81,7 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
 
     major = major_mask(profiles, plan.major_threshold)
     latencies, energies = price_placement(profiles, dev, on_dram)
-    all_dram = dram_energy(profiles, dev)
+    all_dram = prices(profiles, dev)[0]
     breakdown = dict(zip(compress(ids, major.tolist()),
                          energies[major].tolist()))
     latency = sum(latencies[major].tolist(), 0.0)

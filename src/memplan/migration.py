@@ -25,8 +25,7 @@ import os
 import numpy as np
 
 from . import ilp
-from .energy import (DeviceSpec, Priceable, dram_energy, dram_latency,
-                     nvm_energy, nvm_latency, price_placement)
+from .energy import DeviceSpec, Priceable, price_placement, prices
 from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_NAMES, DRAM, NVM,
                       CapacityError, PlacementPlan, _check_reserve,
                       _infeasible_plan, build_program, diagnose_infeasibility,
@@ -113,10 +112,9 @@ def _price_migration(obj: Priceable, dev: DeviceSpec, t: float
         return (on_dram * elapsed + to_nvm + on_nvm * remaining,
                 on_nvm * elapsed + to_dram + on_dram * remaining,
                 to_nvm, to_dram)
-    return (MigrationEnergy(*moved(dram_energy(obj, dev), nvm_energy(obj, dev),
-                                   cost_dn, cost_nd)),
-            MigrationLatency(*moved(dram_latency(obj, dev),
-                                    nvm_latency(obj, dev), time_dn, time_nd)))
+    de, ne, dl, nl = prices(obj, dev)
+    return (MigrationEnergy(*moved(de, ne, cost_dn, cost_nd)),
+            MigrationLatency(*moved(dl, nl, time_dn, time_nd)))
 
 
 def migration_energies(obj: Priceable, dev: DeviceSpec,
@@ -270,7 +268,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
             "live minor objects and reservation exceed DRAM capacity")
 
     costs = price_live(live, dev, _on_dram(current, live), t)
-    requirement = request.new_ratio * sum(dram_energy(live, dev).tolist()) \
+    requirement = request.new_ratio * sum(prices(live, dev)[0].tolist()) \
         if request.strict else float(sum(costs.stay_energy.tolist()))
 
     program = build_migration_program(

@@ -22,8 +22,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import ilp
-from .energy import (DeviceSpec, dram_energy, dram_latency, nvm_energy,
-                     nvm_latency, price_placement)
+from .energy import DeviceSpec, price_placement, prices
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, filter_major,
                        open_text)
 
@@ -141,13 +140,11 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
     A placement is a migration from an all-NVM start: variables are 1 for
     DRAM, 0 for NVM, in profile order.
     """
-    de = dram_energy(major, dev)
-    ne = nvm_energy(major, dev)
+    de, ne, dl, nl = prices(major, dev)
     budget = ratio * (sum(de.tolist()) + extra_budget_energy)
     return build_program(
-        major, np.zeros(len(major), dtype=bool), (nvm_latency(major, dev), ne),
-        (dram_latency(major, dev), de), budget, dram_free, dev.nvm_capacity,
-        fixed_energy=extra_budget_energy)
+        major, np.zeros(len(major), dtype=bool), (nl, ne), (dl, de), budget,
+        dram_free, dev.nvm_capacity, fixed_energy=extra_budget_energy)
 
 
 def diagnose_infeasibility(program: ilp.ZeroOneProgram,
@@ -188,14 +185,14 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
         raise ValueError("energy ratio must be finite and > 0")
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
-    extra = sum(dram_energy(minor, dev).tolist()) if include_minor_in_budget \
+    extra = sum(prices(minor, dev)[0].tolist()) if include_minor_in_budget \
         else 0.0
     program = build_placement_program(major, dev, ratio, dram_free,
                                       extra_budget_energy=extra)
     solution = ilp.solve(program)
 
     placements = dict.fromkeys(minor.ids(), DRAM)
-    budget = ratio * (sum(dram_energy(major, dev).tolist()) + extra)
+    budget = ratio * (sum(prices(major, dev)[0].tolist()) + extra)
     if solution.status == ilp.STATUS_INFEASIBLE:
         return _infeasible_plan(
             ratio, diagnose_infeasibility(program), major_threshold,

@@ -185,11 +185,11 @@ class ProfileSet:
     The set is stored as columns in profile order: the ids, one read-only
     float array per numeric field of ObjectProfile (``size``,
     ``alloc_time``, ..., and the derived ``lifetime``) and ``llc_mpki``,
-    which is NaN where an object has none. The pricing formulas take a set
-    in place of one object and price every object elementwise, giving the
-    same doubles as one call per object. The id ``index``, the
-    ObjectProfile tuple (``objects``, iteration, ``get``), the ``events``
-    order and filter_major's splits are built on first use and kept.
+    which is NaN where an object has none. The pricing formulas price a set
+    elementwise, giving the same doubles as one call per object. The id
+    ``index``, the ObjectProfile tuple (``objects``, iteration, ``get``),
+    the ``events`` order, filter_major's splits and energy.prices' columns
+    per device are built on first use and kept.
     """
 
     def __init__(self, objects: Iterable[ObjectProfile] = (),
@@ -257,7 +257,7 @@ class ProfileSet:
         self.__dict__.update(
             _ids=ids, _table=table, lifetime=lifetime,
             llc_mpki=mpki, workload_label=workload_label,
-            workload_size=workload_size, _splits={})
+            workload_size=workload_size, _splits={}, _prices={})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"ProfileSet is read-only ({name!r})")
@@ -405,6 +405,7 @@ def load_profiles(source: str | os.PathLike | IO[str],
     if loadable:
         ids = list(map(itemgetter(0), map(str.partition, records, repeat(","))))
         loadable = _id_ok(np.array(ids, dtype=object)).all()
+    checks = _VALUE_CHECKS if loadable else _CHECKS  # vouched for the ids
     if not loadable:  # per-line passes, which skip blank and comment lines
         kept = [k for k, line in enumerate(lines[1:])
                 if line.strip()[:1] not in ("", "#")]
@@ -440,7 +441,7 @@ def load_profiles(source: str | os.PathLike | IO[str],
     elif not given:
         values = np.column_stack((values, np.full(len(values), math.nan)))
     stop, table, mpki_values = len(values), values.T[:-1], values[:, -1]
-    bad = _first_bad(_columns(ids[:stop], table, mpki_values, given))
+    bad = _first_bad(_columns(ids[:stop], table, mpki_values, given), checks)
     if bad:
         raise ProfileError(f"line {line_nos[bad[0] + 1]}: {bad[1]}")
     if stop < len(records):

@@ -1,14 +1,20 @@
 import io
 import json
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from memplan.energy import (DeviceSpec, dram_energy, load_device_spec,
-                            nvm_energy, write_device_spec)
+from memplan.cli import EXIT_OK, main
+from memplan.energy import (DeviceSpec, dram_energy, dram_latency,
+                            load_device_spec, nvm_energy, nvm_latency, prices,
+                            write_device_spec)
 from memplan.energy import testbed1 as make_testbed1
 from memplan.energy import testbed2 as make_testbed2
-from memplan.profiles import GeneratorSpec, ObjectProfile, generate_synthetic
+from memplan.profiles import (GeneratorSpec, ObjectProfile, generate_synthetic,
+                              write_profiles)
 
 TABLE_CONSTANTS = {
     "dram_act_pre": 3.07,
@@ -159,3 +165,81 @@ def test_energies_nonnegative_and_linear_random():
                                2 * o.dirty_blocks)
         assert nvm_energy(bigger, dev) - ne \
             == pytest.approx(2.83 * o.dirty_blocks * 64.0, rel=1e-9)
+
+
+FORMULAS = (dram_energy, nvm_energy, dram_latency, nvm_latency)
+
+
+def test_a_set_keeps_its_prices_per_device_constants():
+    ps = generate_synthetic(GeneratorSpec(count=50), 3)
+    dev = make_testbed1()
+    kept = prices(ps, dev)
+    assert prices(ps, dev) is kept
+    for column, formula in zip(kept, FORMULAS):
+        fresh = formula(ps, dev)
+        assert not column.flags.writeable
+        assert np.array_equal(column, fresh)
+        assert column.tobytes() == fresh.tobytes()
+    # Capacities are not read by the formulas: every capacity shares them.
+    assert prices(ps, replace(dev, dram_capacity=1.0, nvm_capacity=2.0)) \
+        is kept
+    for name in ("dram_act_pre", "dram_rw", "dram_ref", "refresh_period",
+                 "nvm_act_pre", "nvm_rba", "nvm_wb", "cache_block_size",
+                 "dram_latency", "nvm_latency"):
+        other = replace(dev, **{name: getattr(dev, name) * 1.5})
+        priced = prices(ps, other)
+        assert priced is not kept and prices(ps, other) is priced
+        assert [column.tobytes() for column in priced] \
+            == [formula(ps, other).tobytes() for formula in FORMULAS]
+    one = ps.objects[7]
+    assert prices(one, dev) == tuple(formula(one, dev) for formula in FORMULAS)
+
+
+def _count_pricings(monkeypatch) -> Counter:
+    """Wrap the four formulas wherever a memplan module looks them up and
+    count their calls per (formula, id of the priced set)."""
+    counts, priced = Counter(), []
+    modules = [module for key, module in sys.modules.items()
+               if key == "memplan" or key.startswith("memplan.")]
+    for formula in FORMULAS:
+        def counted(obj, dev, formula=formula):
+            priced.append(obj)  # kept alive, so no later set reuses its id
+            counts[formula.__name__, id(obj)] += 1
+            return formula(obj, dev)
+        for module in modules:
+            if vars(module).get(formula.__name__) is formula:
+                monkeypatch.setattr(module, formula.__name__, counted)
+    return counts
+
+
+def test_each_command_prices_each_set_once(tmp_path, monkeypatch):
+    profiles = generate_synthetic(GeneratorSpec(count=40, with_mpki=True), 5)
+    workload, plan = tmp_path / "w.prof", tmp_path / "p.plan"
+    write_profiles(profiles, workload)
+    t = float(np.median(profiles.alloc_time))
+    counts = _count_pricings(monkeypatch)
+    device = ["--preset", "testbed1", "--dram-capacity-gib", 0.02,
+              "--nvm-capacity-gib", 1]
+    migrate = ["migrate", "--profiles", workload, "--current", plan,
+               "--time", t, "--new-ratio", 0.7, *device,
+               "--out", tmp_path / "m.txt",
+               "--future-out", tmp_path / "f.plan"]
+    commands = [
+        ["plan", "--profiles", workload, "--ratio", 0.9, *device,
+         "--include-minor-energy", "--out", plan],
+        ["sweep", "--profiles", workload, "--ratios", "1.0,0.9,0.8,0.6",
+         "--capacities", "0.02:1,0.01:0.5", "--preset", "testbed1",
+         "--out", tmp_path / "s.csv"],
+        ["compare", "--profiles", workload, "--plan", f"opt={plan}",
+         "--all-dram", "--all-nvm", "--mpki-thresholds", "0.01,0.05",
+         "--random-seeds", "1,2", "--matched-optimal", *device,
+         "--out", tmp_path / "c.csv"],
+        migrate, migrate + ["--best-effort"],
+        migrate + ["--transient-capacity"],
+        ["evaluate", "--profiles", workload, "--plan", plan, *device,
+         "--out", tmp_path / "e.csv"],
+    ]
+    for command in commands:
+        counts.clear()
+        assert main(list(map(str, command))) == EXIT_OK
+        assert counts and max(counts.values()) == 1, (command, counts)

@@ -945,6 +945,22 @@ def test_a_written_file_is_parsed_by_numpy_at_most_once(monkeypatch, fault):
     assert len(calls) == 1
 
 
+def test_a_written_file_runs_the_column_id_rule_once(monkeypatch):
+    profiles = generate_synthetic(GeneratorSpec(count=30, with_mpki=True), 8)
+    buf = io.StringIO()
+    write_profiles(profiles, buf)
+    from memplan.profiles import _id_ok
+    columns = []
+
+    def counted(ids):
+        columns.append(isinstance(ids, np.ndarray))
+        return _id_ok(ids)
+    monkeypatch.setattr("memplan.profiles._id_ok", counted)
+    loaded = load_profiles(io.StringIO(buf.getvalue()), "synthetic", 1.0)
+    assert loaded == profiles
+    assert columns.count(True) == 1
+
+
 def test_the_column_id_rule_agrees_with_the_per_id_rule():
     from memplan.profiles import _id_ok
     breaks = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
