@@ -141,10 +141,16 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
     DRAM, 0 for NVM, in profile order.
     """
     de, ne, dl, nl = prices(major, dev)
-    budget = ratio * (sum(de.tolist()) + extra_budget_energy)
     return build_program(
-        major, np.zeros(len(major), dtype=bool), (nl, ne), (dl, de), budget,
-        dram_free, dev.nvm_capacity, fixed_energy=extra_budget_energy)
+        major, np.zeros(len(major), dtype=bool), (nl, ne), (dl, de),
+        _budget(major, dev, ratio, extra_budget_energy), dram_free,
+        dev.nvm_capacity, fixed_energy=extra_budget_energy)
+
+
+def _budget(major: ProfileSet, dev: DeviceSpec, ratio: float,
+            extra: float) -> float:
+    """The energy budget (nJ) that both the program and the plan hold."""
+    return ratio * (sum(prices(major, dev)[0].tolist()) + extra)
 
 
 def diagnose_infeasibility(program: ilp.ZeroOneProgram,
@@ -192,7 +198,7 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
     solution = ilp.solve(program)
 
     placements = dict.fromkeys(minor.ids(), DRAM)
-    budget = ratio * (sum(prices(major, dev)[0].tolist()) + extra)
+    budget = _budget(major, dev, ratio, extra)
     if solution.status == ilp.STATUS_INFEASIBLE:
         return _infeasible_plan(
             ratio, diagnose_infeasibility(program), major_threshold,

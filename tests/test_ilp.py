@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from memplan import ilp
+from memplan.baselines import place_mpki_threshold
 from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                          IlpSolution, ZeroOneProgram, _bound_table,
                          _relief_cost, _tol, constraint_violations, solve,
                          solve_exhaustive)
-from memplan.migration import build_migration_program, price_live
+from memplan.migration import (MigrationRequest, build_migration_program,
+                               plan_migration, price_live)
 from memplan.planner import build_placement_program
 from memplan.profiles import (GeneratorSpec, ProfileSet, filter_major,
                               generate_synthetic)
@@ -417,6 +419,38 @@ def test_a_tight_320_object_placement_stays_within_its_search_size():
     assert solution.status == STATUS_OPTIMAL
     assert solution.objective_value == -3105317600.0
     assert solution.nodes <= 12199
+
+
+@pytest.mark.parametrize("seed, ratio, transient, rows, variables, nodes, "
+                         "objective", [
+                             (2, 0.7, True, 5, 188, 3837, 935926502.6038187),
+                             (7, 0.65, False, 3, 204, 4805,
+                              1909115323.9261508)])
+def test_a_strict_migration_stays_within_its_search_size(
+        monkeypatch, seed, ratio, transient, rows, variables, nodes,
+        objective):
+    # Strict requests just below the current placement's ratio: the
+    # migration program's search, pinned by its node count like the
+    # placements above.
+    solved = []
+
+    def recording(program):
+        solution = solve(program)
+        solved.append((program, solution))
+        return solution
+
+    monkeypatch.setattr(ilp, "solve", recording)
+    ps = generate_synthetic(GeneratorSpec(count=256, with_mpki=True), seed)
+    total = ps.total_size()
+    dev = make_testbed1(dram_capacity=0.5 * total, nvm_capacity=total)
+    current = place_mpki_threshold(ps, dev, 0.05)
+    plan_migration(ps, dev, current, MigrationRequest(5, ratio),
+                   transient_capacity=transient, plan_future=False)
+    [(program, solution)] = solved
+    assert program.arrays()[1].shape == (rows, variables)
+    assert solution.status == STATUS_OPTIMAL
+    assert solution.objective_value == objective
+    assert solution.nodes <= nodes
 
 
 @pytest.fixture

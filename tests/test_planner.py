@@ -5,7 +5,7 @@ import signal
 import numpy as np
 import pytest
 
-from memplan import ilp
+from memplan import ilp, planner
 from memplan.baselines import place_mpki_threshold
 from memplan.energy import DeviceSpec, GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
@@ -447,3 +447,32 @@ def test_the_energy_row_is_checked_against_the_budget_the_plan_reports(
                 major, dev, ratio, dev.dram_capacity,
                 extra_budget_energy=extra)
             assert program.tolerances[2] == ilp._tol(plan.energy_budget_nj)
+
+
+def test_a_plan_reports_the_budget_its_energy_row_was_built_with(monkeypatch):
+    # The program and the plan take the budget from one computation, so the
+    # plan's energy_budget_nj is the energy row's limit bit for bit.
+    limits = []
+    build = planner.build_program
+
+    def recording(objects, on_dram, stay, move, energy_limit, *args, **kw):
+        limits.append(energy_limit)
+        return build(objects, on_dram, stay, move, energy_limit, *args, **kw)
+
+    monkeypatch.setattr(planner, "build_program", recording)
+    dev = make_testbed1()
+    statuses = set()
+    for seed in range(3):
+        ps = generate_synthetic(
+            GeneratorSpec(count=24, size_range=(2 << 20, 16 << 20)), seed)
+        for include_minor in (False, True):
+            for ratio in (1.0, 0.8, 0.6, 0.3):
+                plan = plan_static(ps, dev, ratio,
+                                   include_minor_in_budget=include_minor)
+                statuses.add((plan.status, include_minor))
+                assert plan.energy_budget_nj == limits.pop()
+    assert not limits
+    assert statuses == {(status, include_minor)
+                        for status in (ilp.STATUS_OPTIMAL,
+                                       ilp.STATUS_INFEASIBLE)
+                        for include_minor in (False, True)}
