@@ -332,8 +332,8 @@ def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
 
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
-    c, a, b = program.arrays()
-    n, m = len(c), len(b)
+    c, a, _ = program.arrays()
+    n = len(c)
     neg = c < 0
     # The relaxation at depth d takes every free negative-cost variable.
     neg_load = np.where(neg, a, 0.0).T
@@ -355,7 +355,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     dearest = over[reliefs.index(max(reliefs))] if over else None
     seed = _seed(c, a.T, program.slack(), neg,
                  tables[dearest] if over else [], free_load[0])
-    fixed = np.zeros(n, dtype=bool)
+    fixed = value = np.zeros(n, dtype=bool)
     if seed is not None:
         # Every leaf up to the seed's objective stays acceptable, the seed
         # included; the seed itself answers if rounding cuts its path.
@@ -368,18 +368,16 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         fixed, value = _fix(c, row, limit, rate, cutoff)
     # The search runs over the free variables only, from a root that holds
     # the fixed ones' objective and row loads.
-    root_obj, root_load = 0.0, (0.0,) * m
-    if fixed.any():
-        keep = np.flatnonzero(~fixed)
-        taken = np.flatnonzero(fixed & value).tolist()
-        root_obj = sum(c[taken].tolist(), 0.0)
-        root_load = tuple(sum(row, 0.0) for row in a[:, taken].tolist())
-        # A table filtered to the free variables keeps its stable order.
-        index = dict(zip(keep.tolist(), range(len(keep))))
-        tables = {i: [(index[j], relief, rate) for j, relief, rate in table
-                      if j in index] for i, table in tables.items()}
-        c, a, neg, n = c[keep], a[:, keep], neg[keep], len(keep)
-        free_load = _suffix_sums(neg_load[keep])
+    keep = np.flatnonzero(~fixed)
+    taken = np.flatnonzero(fixed & value).tolist()
+    root_obj = sum(c[taken].tolist(), 0.0)
+    root_load = tuple(sum(row, 0.0) for row in a[:, taken].tolist())
+    # A table filtered to the free variables keeps its stable order.
+    index = dict(zip(keep.tolist(), range(len(keep))))
+    tables = {i: [(index[j], relief, rate) for j, relief, rate in table
+                  if j in index] for i, table in tables.items()}
+    c, a, neg, n = c[keep], a[:, keep], neg[keep], len(keep)
+    free_load = _suffix_sums(neg_load[keep])
     tables = [tables[i] if i in tables else _bound_table(c, row, neg)
               for i, row in enumerate(a)]
     free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
@@ -418,7 +416,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         stack.append((depth + 1, 0, obj, load))
     if best_x is None:
         best_x = seed_x
-    elif fixed.any():
+    else:
         full = (fixed & value).astype(int)
         full[keep] = best_x
         best_x = tuple(full.tolist())

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import ilp
 from .energy import DeviceSpec, Priceable, price_placement, prices
-from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_NAMES, DRAM, NVM,
-                      CapacityError, PlacementPlan, _check_reserve,
-                      _infeasible_plan, build_program, diagnose_infeasibility,
-                      plan_static)
+from .planner import (CONSTRAINT_NAMES, DRAM, NVM, CapacityError,
+                      PlacementPlan, _budget, _check_reserve, build_program,
+                      diagnose_infeasibility, sweep_ratios)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
@@ -245,8 +244,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     ``allow_migration=False`` evaluates the stay-everywhere vector instead
     of optimizing, which is useful as a reference point; the rows it
     breaks are the binding constraints. ``plan_future`` always plans the
-    objects allocated after t (maybe none) in the space left; the plan
-    names capacity_dram if its pinned objects overflow it.
+    objects allocated after t (maybe none) in the space left, as one
+    `sweep_ratios` cell: capacity_dram binds if pinned objects overflow it.
     """
     t = request.time
     _check_reserve(current.reserved_dram_bytes)
@@ -255,10 +254,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     live = major.take(major.live_at(t))
     dead = major.take(major.dealloc_time <= t)
     future_ids = tuple(compress(major.ids(), (major.alloc_time > t).tolist()))
-    for object_id in live.ids() + dead.ids():
-        if object_id not in current.placements:
-            raise ValueError(
-                f"current plan does not place object {object_id!r}")
+    live_on_dram = _on_dram(current, live)
+    dead_on_dram = _on_dram(current, dead)
 
     live_minor_bytes = sum(minor.size[minor.live_at(t)].tolist())
     dram_free = (dev.dram_capacity - current.reserved_dram_bytes
@@ -267,8 +264,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         raise CapacityError(
             "live minor objects and reservation exceed DRAM capacity")
 
-    costs = price_live(live, dev, _on_dram(current, live), t)
-    requirement = request.new_ratio * sum(prices(live, dev)[0].tolist()) \
+    costs = price_live(live, dev, live_on_dram, t)
+    requirement = _budget(live, dev, request.new_ratio, 0.0) \
         if request.strict else float(sum(costs.stay_energy.tolist()))
 
     program = build_migration_program(
@@ -281,13 +278,11 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         if solution.status == ilp.STATUS_INFEASIBLE:
             binding = diagnose_infeasibility(program)
     else:
-        # Staying put is the only assignment tried: the rows it breaks bind.
-        broken = ilp.constraint_violations(program, stay_put)
-        binding = tuple(name for i, name in enumerate(CONSTRAINT_NAMES)
-                        if f"constraint {i}" in broken)
-        solution = ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
-        if broken:
-            solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE)
+        # Staying put loads no row: the rows of negative slack break, and bind.
+        binding = tuple(compress(CONSTRAINT_NAMES,
+                                 (program.slack() < 0).tolist()))
+        solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE) \
+            if binding else ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
     status = solution.status
     # An infeasible solution has no assignment: everything stays in place.
     migrate = np.array(solution.assignment or stay_put, dtype=bool)
@@ -310,7 +305,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
             np.where(migrate, costs.copy_energy, 0.0).tolist(),
             np.where(migrate, costs.copy_time, 0.0).tolist()))
 
-    _, dead_energies = price_placement(dead, dev, _on_dram(current, dead))
+    _, dead_energies = price_placement(dead, dev, dead_on_dram)
 
     future_plan = None
     if plan_future:
@@ -320,13 +315,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         residual = replace(
             dev, dram_capacity=max(0.0, dram_free - live_post_dram),
             nvm_capacity=max(0.0, dev.nvm_capacity - live_post_nvm))
-        try:
-            future_plan = plan_static(future_set, residual, request.new_ratio,
-                                      current.major_threshold)
-        except CapacityError:  # pinned objects overflow the DRAM left
-            future_plan = _infeasible_plan(
-                request.new_ratio, (CONSTRAINT_CAPACITY_DRAM,),
-                current.major_threshold, 0.0, False)
+        future_plan = sweep_ratios(future_set, residual, [request.new_ratio],
+                                   current.major_threshold)[0]
 
     return MigrationPlan(
         decisions=decisions,
@@ -346,8 +336,12 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 
 
 def _on_dram(plan: PlacementPlan, profiles: ProfileSet) -> list[bool]:
-    return [plan.placements[object_id] == DRAM
-            for object_id in profiles.ids()]
+    try:
+        return [plan.placements[object_id] == DRAM
+                for object_id in profiles.ids()]
+    except KeyError as missing:
+        raise ValueError(f"current plan does not place object "
+                         f"{missing.args[0]!r}") from None
 
 
 def write_migration_plan(plan: MigrationPlan,

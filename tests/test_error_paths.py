@@ -15,10 +15,11 @@ from memplan.energy import DeviceSpec, load_device_spec, write_device_spec
 from memplan.energy import testbed1 as make_testbed1
 from memplan.migration import MigrationRequest, plan_migration
 from memplan.planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY,
-                             DRAM, PlacementPlan, load_plan)
-from memplan.profiles import (GeneratorError, GeneratorSpec, ObjectProfile,
-                              ProfileError, ProfileSet, ScalingError,
-                              ScalingVector, extrapolate)
+                             DRAM, CapacityError, PlacementPlan, load_plan)
+from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorError,
+                              GeneratorSpec, ObjectProfile, ProfileError,
+                              ProfileSet, ScalingError, ScalingVector,
+                              extrapolate)
 
 MB = 1 << 20
 
@@ -233,14 +234,18 @@ def test_staying_put_against_a_strict_budget_it_breaks_is_infeasible():
     assert plan_migration(ps, dev, current, request).feasible
 
 
-@pytest.mark.parametrize("dram_mb,broken", [
-    (64, (CONSTRAINT_ENERGY,)),
-    (16, (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY)),
-])
-def test_staying_put_names_only_the_rows_it_breaks(dram_mb, broken):
+@pytest.mark.parametrize("dram_mb,transient,broken", [
+    (64, False, (CONSTRAINT_ENERGY,)),
+    (16, False, (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY)),
+    (16, True,
+     (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY, "transient_dram")),
+    (64, True, (CONSTRAINT_ENERGY,)),
+], ids=["64-broken0", "16-broken1", "16-transient", "64-transient"])
+def test_staying_put_names_only_the_rows_it_breaks(dram_mb, transient, broken):
     # Three 8 MB objects kept in DRAM at t=5 against a strict ratio of 0.8:
     # staying put breaks the energy row, and the DRAM row too when 16 MB of
-    # DRAM cannot hold the 24 MB that stay there.
+    # DRAM cannot hold the 24 MB that stay there; with transient capacity
+    # the transient DRAM row breaks with it, and no NVM row breaks.
     ps = ProfileSet(tuple(
         ObjectProfile(f"m{i}", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
         for i in range(3)))
@@ -248,9 +253,35 @@ def test_staying_put_names_only_the_rows_it_breaks(dram_mb, broken):
     current = PlacementPlan({o.id: DRAM for o in ps}, ps.ids(), "optimal",
                             1.0, 0.0, 0.0, 0.0, 0.0)
     request = MigrationRequest(time=5.0, new_ratio=0.8, strict=True)
-    plan = plan_migration(ps, dev, current, request, allow_migration=False)
+    plan = plan_migration(ps, dev, current, request,
+                          transient_capacity=transient, allow_migration=False)
     assert plan.status == ilp.STATUS_INFEASIBLE
     assert plan.binding_constraints == broken
+
+
+@pytest.mark.parametrize("dram_mb,missing", [(64, "d"), (64, "a"), (1, "d")])
+def test_a_current_plan_must_place_every_live_and_dead_major_object(
+        dram_mb, missing):
+    # At t=5 the major "a" is live and "d" freed; the minor "m" is live, so
+    # with 1 MB of DRAM the missing placement is named before the overflow.
+    ps = ProfileSet((
+        ObjectProfile("a", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0),
+        ObjectProfile("d", 8 * MB, 0.0, 2.0, 16 * MB, 5000.0, 200.0),
+        ObjectProfile("m", 4 * MB, 0.0, 10.0, 1024.0, 1.0, 0.0)))
+    dev = make_testbed1(dram_capacity=dram_mb * MB, nvm_capacity=64 * MB)
+    current = PlacementPlan(dict.fromkeys(ps.ids(), DRAM), ("a", "d"),
+                            "optimal", 1.0, DEFAULT_MAJOR_THRESHOLD,
+                            0.0, 0.0, 0.0)
+    request = MigrationRequest(time=5.0, new_ratio=0.8)
+    if dram_mb == 1:
+        with pytest.raises(CapacityError, match="^live minor objects and "
+                           "reservation exceed DRAM capacity$"):
+            plan_migration(ps, dev, current, request)
+    del current.placements[missing]
+    with pytest.raises(ValueError) as err:
+        plan_migration(ps, dev, current, request)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"current plan does not place object {missing!r}"
 
 
 @pytest.mark.parametrize("table, message", [

@@ -485,13 +485,13 @@ def test_pricing_live_objects_checks_and_times_them_once(monkeypatch):
 def test_a_requested_companion_plan_is_made_for_no_future_objects(
         monkeypatch):
     plan_static_calls = []
-    original = memplan.migration.plan_static
+    original = memplan.planner.plan_static
 
     def counted(*args, **kwargs):
         plan_static_calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(memplan.migration, "plan_static", counted)
+    monkeypatch.setattr(memplan.planner, "plan_static", counted)
     ps = ProfileSet(tuple(live_obj(f"m{i}") for i in range(3)))
     dev = make_testbed1(dram_capacity=GIB, nvm_capacity=GIB)
     current = plan_static(ps, dev, 1.0, major_threshold=0)

@@ -409,6 +409,23 @@ def test_a_tiny_budget_keeps_its_own_tolerance_beside_a_huge_coefficient():
     assert evaluate(ps, dev, roomy).budget_ok
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "the energy row's bound rounds at the ulp of the NVM energies, far "
+    "beyond the budget's tolerance"))
+def test_an_optimal_plan_meets_its_budget_when_the_row_bound_rounds():
+    # o1's NVM energy is about 2.4e10 times the budget, so the row's bound,
+    # budget - sum of NVM energies, rounds at far more than the budget's
+    # tolerance: an all-DRAM plan 1.2e-4 nJ over a 6410.65 nJ budget passes.
+    ps = ProfileSet((
+        ObjectProfile("o0", 301.0, 0.0, 0.9941829791588097, 650.0, 99.0,
+                      87.27535223784487),
+        ObjectProfile("o1", 163.0, 0.0, 0.40950145460475507, 385.0, 55.0,
+                      866337445302.387)))
+    dev = make_testbed1(dram_capacity=1e15, nvm_capacity=1e15)
+    plan = plan_static(ps, dev, 0.9999999819649182, major_threshold=0)
+    assert not plan.feasible or evaluate(ps, dev, plan).budget_ok
+
+
 def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
     ps = ProfileSet((ObjectProfile("a", 4 * MB, 0, 1, 8 * MB, 10.0, 1e7),
                      ObjectProfile("b", 2 * MB, 0, 1, 4 * MB, 20.0, 2e7)))
