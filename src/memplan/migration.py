@@ -26,9 +26,9 @@ import numpy as np
 
 from . import ilp
 from .energy import DeviceSpec, Priceable, price_placement, prices
-from .planner import (CONSTRAINT_NAMES, DRAM, NVM, CapacityError,
-                      PlacementPlan, _budget, _check_reserve, build_program,
-                      diagnose_infeasibility, sweep_ratios)
+from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
+                      CapacityError, PlacementPlan, _budget, _check_reserve,
+                      build_program, diagnose_infeasibility, sweep_ratios)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
@@ -239,12 +239,12 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
                    plan_future: bool = True) -> MigrationPlan:
     """Decide which live major objects to migrate under the new requirement.
 
-    The current plan must assign a device to every major object that is
-    live at the request time, and its DRAM reservation stays reserved.
-    ``allow_migration=False`` evaluates the stay-everywhere vector instead
-    of optimizing, which is useful as a reference point; the rows it
-    breaks are the binding constraints. ``plan_future`` always plans the
-    objects allocated after t (maybe none) in the space left, as one
+    The current plan must assign a device to every major object live at
+    the request time, and its DRAM reservation stays reserved. Binding
+    rows take `build_program`'s names. ``allow_migration=False`` takes
+    the stay-put vector instead of optimizing, as a reference point; the
+    rows it breaks bind. ``plan_future`` always plans the objects
+    allocated after t (maybe none) in the space left, as one
     `sweep_ratios` cell: capacity_dram binds if pinned objects overflow it.
     """
     t = request.time
@@ -271,16 +271,16 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     program = build_migration_program(
         live, dev, costs, requirement, dram_free,
         transient_capacity=transient_capacity)
+    names = TRANSIENT_NAMES if transient_capacity else CONSTRAINT_NAMES
     stay_put = (0,) * len(live)
     binding: tuple[str, ...] = ()
     if allow_migration:
         solution = ilp.solve(program)
         if solution.status == ilp.STATUS_INFEASIBLE:
-            binding = diagnose_infeasibility(program)
+            binding = diagnose_infeasibility(program, names)
     else:
         # Staying put loads no row: the rows of negative slack break, and bind.
-        binding = tuple(compress(CONSTRAINT_NAMES,
-                                 (program.slack() < 0).tolist()))
+        binding = tuple(compress(names, (program.slack() < 0).tolist()))
         solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE) \
             if binding else ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
     status = solution.status

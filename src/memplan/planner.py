@@ -34,9 +34,10 @@ PLAN_FORMAT_VERSION = "hmms-plan-v1"
 CONSTRAINT_CAPACITY_DRAM = "capacity_dram"
 CONSTRAINT_CAPACITY_NVM = "capacity_nvm"
 CONSTRAINT_ENERGY = "energy_budget"
-# Row names of the program `build_program` writes, in row order.
+# Row names of `build_program`'s rows, without and with transient capacity.
 CONSTRAINT_NAMES = (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
-                    CONSTRAINT_ENERGY, "transient_dram", "transient_nvm")
+                    CONSTRAINT_ENERGY)
+TRANSIENT_NAMES = ("transient_dram", "transient_nvm", CONSTRAINT_ENERGY)
 
 
 class CapacityError(ValueError):
@@ -103,12 +104,12 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     ``stay`` and ``move`` are its (latency ns, energy nJ) either way. The
     energy of every object, plus ``fixed_energy`` nJ spent outside the
     program, must stay within ``energy_limit`` nJ. The objective is the
-    latency change of moving. Rows follow CONSTRAINT_NAMES; with
-    ``transient_capacity`` a moving object also holds its source space.
-    Rows are in bytes and nJ and the objective in ns, unscaled. A row's
-    tolerance is the solver's one of its limit, the capacity, budget or
-    requirement the evaluator checks, not of its bound: ``budget - sum of
-    stay energies`` cancels.
+    latency change of moving. Rows follow CONSTRAINT_NAMES, or
+    TRANSIENT_NAMES with ``transient_capacity``, when a moving object
+    frees no source space until its copy lands. Rows are in bytes and nJ
+    and the objective in ns, unscaled. A row's tolerance is the solver's
+    one of its limit, the capacity, budget or requirement the evaluator
+    checks, not of its bound: ``budget - sum of stay energies`` cancels.
     """
     if not math.isfinite(energy_limit):
         raise ValueError("the ratio makes the energy budget overflow")
@@ -121,11 +122,11 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     dram_bound = dram_free - float((cp * sizes).sum())
     nvm_bound = nvm_capacity - float(((1.0 - cp) * sizes).sum())
     energy_bound = energy_limit - float(stay_energy.sum()) - fixed_energy
-    rows = [(flip, dram_bound, dram_free), (-flip, nvm_bound, nvm_capacity),
+    dram_row, nvm_row = (np.maximum(flip, 0.0), np.maximum(-flip, 0.0)) \
+        if transient_capacity else (flip, -flip)
+    rows = [(dram_row, dram_bound, dram_free),
+            (nvm_row, nvm_bound, nvm_capacity),
             (move_energy - stay_energy, energy_bound, energy_limit)]
-    if transient_capacity:
-        rows += [((1.0 - cp) * sizes, dram_bound, dram_free),
-                 (cp * sizes, nvm_bound, nvm_capacity)]
     return ilp.ZeroOneProgram(
         move_latency - stay_latency, [(row, bound) for row, bound, _ in rows],
         tolerances=[ilp._tol(limit) for _, _, limit in rows])
@@ -165,8 +166,7 @@ def diagnose_infeasibility(program: ilp.ZeroOneProgram,
     """
     _, a, b = program.arrays()
     least = np.minimum(a, 0.0).sum(axis=1)
-    singles = tuple(names[i] if i < len(names) else f"constraint {i}"
-                    for i in np.flatnonzero(least > program.slack()))
+    singles = tuple(names[i] for i in np.flatnonzero(least > program.slack()))
     return singles or tuple(names[:len(b)])
 
 

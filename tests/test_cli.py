@@ -1,11 +1,11 @@
 import argparse
 import io
 import json
-import signal
 import warnings
 
 import pytest
 
+from conftest import CapExceeded, time_cap
 from memplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
 import memplan.planner
@@ -33,10 +33,6 @@ def workload(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
-
-
-class CommandTimeout(Exception):
-    """A command ran past its time cap (not an OSError, which main reports)."""
 
 
 class TestGenerate:
@@ -881,7 +877,7 @@ def test_a_preset_takes_both_capacity_overrides_in_one_device_spec(
             for d in checked] == [(0.5 * GIB, 2 * GIB, 1440.0)]
 
 
-@pytest.mark.xfail(raises=CommandTimeout, strict=True, reason=(
+@pytest.mark.xfail(raises=CapExceeded, strict=True, reason=(
     "rows that conflict only jointly pass the solver's one-row root check, "
     "so the search walks the tree to prove that no leaf fits"))
 def test_a_jointly_infeasible_plan_exits_at_once(tmp_path):
@@ -891,24 +887,9 @@ def test_a_jointly_infeasible_plan_exits_at_once(tmp_path):
     assert run(["generate", "--count", 32, "--seed", 1,
                 "--out", profiles]) == EXIT_OK
     share = 0.038172504678368566
-
-    def on_alarm(signum, frame):
-        raise CommandTimeout("plan ran past 1 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_cap(1.0, "plan"):
         rc = run(["plan", "--profiles", profiles, "--preset", "testbed1",
                   "--major-threshold", 0, "--ratio", 0.6,
                   "--dram-capacity-gib", share, "--nvm-capacity-gib", share,
                   "--out", tmp_path / "p.plan"])
-    except CommandTimeout:
-        # Raised again below: a traceback through the frame the alarm
-        # interrupted may have no line number, which pytest cannot report.
-        rc = None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    if rc is None:
-        raise CommandTimeout("plan ran past 1 s")
     assert rc == EXIT_INFEASIBLE

@@ -14,8 +14,9 @@ from memplan.cli import EXIT_OK, EXIT_USAGE, main
 from memplan.energy import DeviceSpec, load_device_spec, write_device_spec
 from memplan.energy import testbed1 as make_testbed1
 from memplan.migration import MigrationRequest, plan_migration
-from memplan.planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY,
-                             DRAM, CapacityError, PlacementPlan, load_plan)
+from memplan.planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
+                             CONSTRAINT_ENERGY, DRAM, CapacityError,
+                             PlacementPlan, load_plan)
 from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorError,
                               GeneratorSpec, ObjectProfile, ProfileError,
                               ProfileSet, ScalingError, ScalingVector,
@@ -237,15 +238,14 @@ def test_staying_put_against_a_strict_budget_it_breaks_is_infeasible():
 @pytest.mark.parametrize("dram_mb,transient,broken", [
     (64, False, (CONSTRAINT_ENERGY,)),
     (16, False, (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY)),
-    (16, True,
-     (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_ENERGY, "transient_dram")),
+    (16, True, ("transient_dram", CONSTRAINT_ENERGY)),
     (64, True, (CONSTRAINT_ENERGY,)),
 ], ids=["64-broken0", "16-broken1", "16-transient", "64-transient"])
 def test_staying_put_names_only_the_rows_it_breaks(dram_mb, transient, broken):
     # Three 8 MB objects kept in DRAM at t=5 against a strict ratio of 0.8:
     # staying put breaks the energy row, and the DRAM row too when 16 MB of
     # DRAM cannot hold the 24 MB that stay there; with transient capacity
-    # the transient DRAM row breaks with it, and no NVM row breaks.
+    # that row is the transient DRAM row. No NVM row breaks.
     ps = ProfileSet(tuple(
         ObjectProfile(f"m{i}", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
         for i in range(3)))
@@ -257,6 +257,29 @@ def test_staying_put_names_only_the_rows_it_breaks(dram_mb, transient, broken):
                           transient_capacity=transient, allow_migration=False)
     assert plan.status == ilp.STATUS_INFEASIBLE
     assert plan.binding_constraints == broken
+
+
+@pytest.mark.parametrize("transient,names", [
+    (False, (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
+             CONSTRAINT_ENERGY)),
+    (True, ("transient_dram", "transient_nvm", CONSTRAINT_ENERGY)),
+], ids=["plain", "transient"])
+def test_a_joint_conflict_names_the_three_rows_of_its_mode(transient, names):
+    # Three 8 MB objects kept in DRAM at t=5 against a strict ratio of 0.8:
+    # meeting the budget takes moving objects to a 16 MB NVM that cannot
+    # hold enough of them, though each row alone can be met.
+    ps = ProfileSet(tuple(
+        ObjectProfile(f"m{i}", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
+        for i in range(3)))
+    dev = make_testbed1(dram_capacity=64 * MB, nvm_capacity=16 * MB)
+    current = PlacementPlan({o.id: DRAM for o in ps}, ps.ids(), "optimal",
+                            1.0, 0.0, 0.0, 0.0, 0.0)
+    request = MigrationRequest(time=5.0, new_ratio=0.8, strict=True)
+    plan = plan_migration(ps, dev, current, request,
+                          transient_capacity=transient)
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert plan.binding_constraints == names
+    assert plan.migrated_ids == ()
 
 
 @pytest.mark.parametrize("dram_mb,missing", [(64, "d"), (64, "a"), (1, "d")])

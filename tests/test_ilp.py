@@ -423,7 +423,7 @@ def test_a_tight_320_object_placement_stays_within_its_search_size():
 
 @pytest.mark.parametrize("seed, ratio, transient, rows, variables, nodes, "
                          "objective", [
-                             (2, 0.7, True, 5, 188, 3837, 935926502.6038187),
+                             (2, 0.7, True, 3, 188, 3837, 935926502.6038187),
                              (7, 0.65, False, 3, 204, 4805,
                               1909115323.9261508)])
 def test_a_strict_migration_stays_within_its_search_size(

@@ -14,9 +14,9 @@ from memplan.migration import (MigrationRequest, build_migration_program,
                                migration_energies, migration_latency,
                                migration_times, plan_migration, price_live,
                                write_migration_plan)
-from memplan.planner import (CONSTRAINT_ENERGY, DRAM, NVM, CapacityError,
-                             PlacementPlan, diagnose_infeasibility,
-                             plan_static)
+from memplan.planner import (CONSTRAINT_ENERGY, DRAM, NVM, TRANSIENT_NAMES,
+                             CapacityError, PlacementPlan,
+                             diagnose_infeasibility, plan_static)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               generate_synthetic)
 
@@ -252,8 +252,12 @@ class TestPlanMigration:
 
 
 def enumerate_migrations(live, dev, on_dram, requirement, dram_free,
-                         nvm_capacity):
-    """Independent brute force over migration vectors (lexicographic)."""
+                         nvm_capacity, transient=False):
+    """Independent brute force over migration vectors (lexicographic).
+
+    With ``transient`` a moving object holds both devices while its copy
+    is in flight, so the bytes in flight must fit as well as the result.
+    """
     n = len(live)
     stay_e, mig_e, stay_l, mig_l, sizes = [], [], [], [], []
     for obj, here in zip(live, on_dram):
@@ -281,6 +285,17 @@ def enumerate_migrations(live, dev, on_dram, requirement, dram_free,
             continue
         if nvm_bytes > nvm_capacity * (1 + 1e-9):
             continue
+        if transient:
+            # Every object on a device before or after the move is there
+            # while the copies run.
+            copy_dram = sum(s for s, here, xi in zip(sizes, on_dram, x)
+                            if here or xi)
+            copy_nvm = sum(s for s, here, xi in zip(sizes, on_dram, x)
+                           if not here or xi)
+            if copy_dram > dram_free * (1 + 1e-9):
+                continue
+            if copy_nvm > nvm_capacity * (1 + 1e-9):
+                continue
         e_total = sum(m if xi else s
                       for m, s, xi in zip(mig_e, stay_e, x))
         if e_total > requirement + 1e-9 * abs(requirement):
@@ -318,6 +333,56 @@ class TestMigrationOracle:
         got = tuple(int(d.migrate) for d in plan.decisions)
         assert got == best_x
         assert plan.objective_ns == pytest.approx(best_f, rel=1e-9)
+
+    def test_transient_capacity_matches_enumeration(self):
+        # Cold objects fill a DRAM barely larger than them and hot ones wait
+        # on NVM, as in the cold/hot pair above: the optimum often swaps
+        # them, which copies in flight may not fit.
+        optima = []
+        for seed in range(8):
+            ps, dev, current, ratio = swap_prone_instance(seed)
+            request = MigrationRequest(time=ENUM_T, new_ratio=ratio)
+            on_dram = [current.placements[o.id] == DRAM for o in ps]
+            requirement = ratio * sum(dram_energy(o, dev) for o in ps)
+            for transient in (False, True):
+                plan = plan_migration(ps, dev, current, request,
+                                      transient_capacity=transient)
+                best_f, best_x = enumerate_migrations(
+                    list(ps), dev, on_dram, requirement, dev.dram_capacity,
+                    dev.nvm_capacity, transient)
+                optima.append(best_x)
+                if best_x is None:
+                    assert not plan.feasible
+                    continue
+                assert plan.feasible
+                assert tuple(int(d.migrate) for d in plan.decisions) \
+                    == best_x
+                assert plan.objective_ns == pytest.approx(best_f, rel=1e-9)
+        assert any(plain != staged
+                   for plain, staged in zip(optima[::2], optima[1::2]))
+
+
+def swap_prone_instance(seed, count=7):
+    """Cold objects on a nearly full DRAM, hot ones on NVM, all live at 5 s."""
+    rng = np.random.default_rng(seed)
+    objects, placements = [], {}
+    for i in range(count):
+        hot = i % 2 == 1
+        size = float(rng.uniform(4, 40)) * MB
+        volume = size * float(rng.uniform(8, 30) if hot
+                              else rng.uniform(0.1, 1))
+        misses = float(rng.uniform(1e6, 5e6) if hot else rng.uniform(1e3, 1e4))
+        objects.append(ObjectProfile(f"o{i}", size, 0.0,
+                                     float(rng.uniform(6, 60)), volume,
+                                     misses, 0.1 * misses))
+        placements[f"o{i}"] = NVM if hot else DRAM
+    ps = ProfileSet(tuple(objects))
+    resident = sum(o.size for o in objects if placements[o.id] == DRAM)
+    dev = make_testbed1(dram_capacity=resident * float(rng.uniform(1.0, 1.3)),
+                        nvm_capacity=1024 * MB)
+    current = PlacementPlan(placements, ps.ids(), "optimal", 1.0, 0.0, 0.0,
+                            0.0, float("inf"))
+    return ps, dev, current, float(rng.uniform(0.2, 0.9))
 
 
 def test_serialization_contains_table_and_summary():
@@ -400,7 +465,8 @@ def test_strict_transient_migration_names_the_overflowing_dram_row():
     program = build_migration_program(ps, dev, costs, requirement,
                                       dev.dram_capacity,
                                       transient_capacity=True)
-    assert diagnose_infeasibility(program) == ("transient_dram",)
+    assert diagnose_infeasibility(program, TRANSIENT_NAMES) \
+        == ("transient_dram",)
     # Without the copy-time rows, moving one object out is enough.
     assert plan_migration(ps, dev, current, request).feasible
 

@@ -1,10 +1,10 @@
 import io
 import math
-import signal
 
 import numpy as np
 import pytest
 
+from conftest import time_cap
 from memplan import ilp, planner
 from memplan.baselines import place_mpki_threshold
 from memplan.energy import DeviceSpec, GIB, dram_energy, nvm_energy
@@ -340,17 +340,9 @@ def test_zero_miss_objects_tie_without_an_exhaustive_search():
                                   8 * (i + 1) * MB, 0.0, 0.0)
                     for i in range(40))
 
-    def on_alarm(signum, frame):
-        raise TimeoutError("plan_static ran past 10 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
-    try:
+    with time_cap(10.0, "plan_static"):
         plan = plan_static(ProfileSet(objects), make_testbed1(), 1.0,
                            major_threshold=0)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert plan.status == ilp.STATUS_OPTIMAL
     assert set(plan.placements.values()) == {NVM}
 
@@ -363,16 +355,8 @@ def test_loose_budget_all_dram_optimum_is_found_at_once():
     total = sum(ps.size.tolist())
     dev = make_testbed1(dram_capacity=total, nvm_capacity=total)
 
-    def on_alarm(signum, frame):
-        raise TimeoutError("plan_static ran past 1 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_cap(1.0, "plan_static"):
         plan = plan_static(ps, dev, 1.0, major_threshold=0)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert plan.status == ilp.STATUS_OPTIMAL
     assert set(plan.placements.values()) == {DRAM}
 
