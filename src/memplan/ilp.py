@@ -27,15 +27,17 @@ last bits from a BLAS dot product over the same items. A node is cut when
 its bound cannot beat the incumbent by more than the tolerance, ties
 included, so no cut subtree holds a replacing leaf.
 
-Before the search, `solve` prices the root: a row that the free variables
-cannot relieve ends the solve as infeasible after that one node, as the
-search would. Otherwise it rounds the root relaxation to one feasible leaf
-(the seed) and starts with a cutoff just above the seed's objective, so the
-search proves an optimum instead of walking toward it one improvement at a
-time. Any leaf no worse than the seed is still accepted, so an exact tie
-keeps its lexicographic winner. Only distinct objectives within about twice
-the tolerance of each other can end at a different, equally optimal leaf
-than the oracle's scan.
+Before the search, `solve` checks the rows at the root: a row and its
+negation whose slacks sum below zero (`empty_ranges`), which the search,
+pricing one row at a time, would only prove by walking the tree, and a row
+that the free variables cannot relieve each end the solve as infeasible
+after that one node, as the search would. Otherwise it rounds the root
+relaxation to one feasible leaf (the seed) and starts with a cutoff just
+above the seed's objective, so the search proves an optimum instead of
+walking toward it one improvement at a time. Any leaf no worse than the
+seed is still accepted, so an exact tie keeps its lexicographic winner.
+Only distinct objectives within about twice the tolerance of each other
+can end at a different, equally optimal leaf than the oracle's scan.
 
 With the seed in hand, `solve` fixes variables at the root by reduced cost
 (Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is the rate of
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import add, le, sub
 from typing import Sequence
 
@@ -168,6 +171,20 @@ def constraint_violations(program: ZeroOneProgram,
     slack = program.slack()
     return [f"constraint {i}" for i in range(len(b))
             if float(a[i] @ x) > slack[i]]
+
+
+def empty_ranges(program: ZeroOneProgram) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of rows that no assignment satisfies together.
+
+    A row j that is row i negated asks ``row_i.x >= -slack_j``, so the two
+    leave the load an empty range when their slacks sum below zero. The
+    row loads of any assignment negate exactly, as rounding is symmetric,
+    so no leaf the search or the oracle checks fits both.
+    """
+    _, a, _ = program.arrays()
+    slack = program.slack().tolist()
+    return [(i, j) for i, j in combinations(range(len(slack)), 2)
+            if slack[i] + slack[j] < 0 and np.array_equal(a[j], -a[i])]
 
 
 def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
@@ -332,6 +349,9 @@ def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
 
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
+    if empty_ranges(program):
+        # The search would walk the whole tree to find no leaf in the range.
+        return IlpSolution((), float("nan"), STATUS_INFEASIBLE, 1)
     c, a, _ = program.arrays()
     n = len(c)
     neg = c < 0

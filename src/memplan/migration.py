@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import compress
 from typing import IO, Sequence
 import os
@@ -148,16 +149,24 @@ class MigrationDecision:
 
 @dataclass(frozen=True)
 class MigrationPlan:
-    """Per-object migration decisions plus totals for the live population.
+    """Per-object migration outcome plus totals for the live population.
 
+    The outcome is kept as columns over the live major objects, in profile
+    order: ``live_ids``, ``on_dram`` (the object starts in DRAM),
+    ``migrate``, and the copy's ``migration_cost_nj`` and
+    ``migration_time_ns`` (0.0 where the object stays). ``decisions``
+    builds one MigrationDecision per object from them on first read.
     ``e_total_nj`` and ``objective_ns`` cover live major objects (migration
     candidates); energy already committed by freed objects is reported
     separately and objects allocated after t are covered by the companion
-    ``future_plan``. With status infeasible the decisions keep every object
-    in place.
+    ``future_plan``. With status infeasible every object stays in place.
     """
 
-    decisions: tuple[MigrationDecision, ...]
+    live_ids: tuple[str, ...]
+    on_dram: tuple[bool, ...]
+    migrate: tuple[bool, ...]
+    migration_cost_nj: tuple[float, ...]
+    migration_time_ns: tuple[float, ...]
     status: str
     time_s: float
     new_ratio: float
@@ -177,7 +186,16 @@ class MigrationPlan:
 
     @property
     def migrated_ids(self) -> tuple[str, ...]:
-        return tuple(d.id for d in self.decisions if d.migrate)
+        return tuple(compress(self.live_ids, self.migrate))
+
+    @cached_property
+    def decisions(self) -> tuple[MigrationDecision, ...]:
+        return tuple(
+            MigrationDecision(object_id, DRAM if here else NVM,
+                              DRAM if here != x else NVM, x, cost, copy_time)
+            for object_id, here, x, cost, copy_time in zip(
+                self.live_ids, self.on_dram, self.migrate,
+                self.migration_cost_nj, self.migration_time_ns))
 
 
 @dataclass(frozen=True)
@@ -290,20 +308,6 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     energies = np.where(migrate, costs.move_energy, costs.stay_energy).tolist()
     latencies = np.where(migrate, costs.move_latency, costs.stay_latency)
     post_dram = costs.on_dram != migrate
-    decisions = tuple(
-        MigrationDecision(
-            id=object_id,
-            current_device=DRAM if here else NVM,
-            target_device=DRAM if there else NVM,
-            migrate=x,
-            migration_cost_nj=cost,
-            migration_time_ns=copy_time,
-        )
-        for object_id, here, there, x, cost, copy_time in zip(
-            live.ids(), costs.on_dram.tolist(), post_dram.tolist(),
-            migrate.tolist(),
-            np.where(migrate, costs.copy_energy, 0.0).tolist(),
-            np.where(migrate, costs.copy_time, 0.0).tolist()))
 
     _, dead_energies = price_placement(dead, dev, dead_on_dram)
 
@@ -319,7 +323,13 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
                                    current.major_threshold)[0]
 
     return MigrationPlan(
-        decisions=decisions,
+        live_ids=live.ids(),
+        on_dram=tuple(live_on_dram),
+        migrate=tuple(migrate.tolist()),
+        migration_cost_nj=tuple(
+            np.where(migrate, costs.copy_energy, 0.0).tolist()),
+        migration_time_ns=tuple(
+            np.where(migrate, costs.copy_time, 0.0).tolist()),
         status=status,
         time_s=t,
         new_ratio=request.new_ratio,
@@ -361,7 +371,9 @@ def write_migration_plan(plan: MigrationPlan,
         stream.write(f"future_ids={';'.join(plan.future_ids)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
         stream.write("id,from,to,migrate,migce_nJ,migct_ns\n")
-        for d in plan.decisions:
-            stream.write(f"{d.id},{d.current_device},{d.target_device},"
-                         f"{int(d.migrate)},{repr(d.migration_cost_nj)},"
-                         f"{repr(d.migration_time_ns)}\n")
+        for object_id, here, x, cost, copy_time in zip(
+                plan.live_ids, plan.on_dram, plan.migrate,
+                plan.migration_cost_nj, plan.migration_time_ns):
+            stream.write(f"{object_id},{DRAM if here else NVM},"
+                         f"{DRAM if here != x else NVM},"
+                         f"{int(x)},{repr(cost)},{repr(copy_time)}\n")

@@ -161,13 +161,20 @@ def diagnose_infeasibility(program: ilp.ZeroOneProgram,
 
     A ``<=`` row over binary variables is unsatisfiable alone exactly when
     its least load, the sum of its negative coefficients, exceeds its bound
-    plus the row's tolerance. When every row is satisfiable alone, all
-    of them are named: they conflict jointly.
+    plus the row's tolerance. A row and its negation, the two capacity rows
+    without transient capacity, that each fit alone are named as a pair
+    when their slacks sum below zero (`ilp.empty_ranges`): the objects
+    outgrow both devices together. When no row or pair fails alone, all
+    the rows are named: they conflict jointly.
     """
     _, a, b = program.arrays()
     least = np.minimum(a, 0.0).sum(axis=1)
-    singles = tuple(names[i] for i in np.flatnonzero(least > program.slack()))
-    return singles or tuple(names[:len(b)])
+    alone = (least > program.slack()).tolist()
+    broken = {i for i, bad in enumerate(alone) if bad}
+    for i, j in ilp.empty_ranges(program):
+        if not (alone[i] or alone[j]):
+            broken.update((i, j))
+    return tuple(names[i] for i in sorted(broken)) or tuple(names[:len(b)])
 
 
 def summarize_assignment(major: ProfileSet, dev: DeviceSpec,

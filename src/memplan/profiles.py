@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat, takewhile
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -111,54 +112,71 @@ def _id_ok(object_id) -> bool | np.ndarray:
 
 
 # The rules every record keeps, in the order a broken one is reported: a
-# test of the record r and the message of a record that fails it,
-# formatted from its fields. r is an ObjectProfile or columns of records
-# (see _columns); the numeric tests use comparisons only (finiteness is
+# test of one field x of the record r, the fields it is applied to, in
+# order, and the message of a record that fails it, formatted from its
+# fields and the failing one's name. r is an ObjectProfile or columns of
+# records (see _columns); the tests use comparisons only (finiteness is
 # x - x == 0), so they give a bool for one record and a mask for columns.
+# A rule of several fields, a run of _NUMERIC, tests their stacked rows of
+# the columns' table at once.
 _RULES = (
-    ("(r.id != '') & (r.id != None)", "object id must be a non-empty string"),
-    ("_id_ok(r.id)", "object id {id!r} contains a separator character, "
-     "surrounding whitespace or a leading '#'"),
-    *((f"r.{name} - r.{name} == 0", f"object {{id!r}}: {name} must be finite")
-      for name in _NUMERIC),
-    ("r.size > 0", "object {id!r}: size must be positive"),
-    *((f"r.{name} >= 0", f"object {{id!r}}: {name} must be >= 0")
-      for name in ("accessed_volume", "llc_misses", "dirty_blocks")),
-    ("r.dealloc_time > r.alloc_time", "object {id!r}: dealloc_time "
+    ("(x != '') & (x != None)", ("id",),
+     "object id must be a non-empty string"),
+    ("_id_ok(x)", ("id",), "object id {id!r} contains a separator "
+     "character, surrounding whitespace or a leading '#'"),
+    ("x - x == 0", _NUMERIC, "object {id!r}: {field} must be finite"),
+    ("x > 0", ("size",), "object {id!r}: size must be positive"),
+    ("x >= 0", ("accessed_volume", "llc_misses", "dirty_blocks"),
+     "object {id!r}: {field} must be >= 0"),
+    ("x > r.alloc_time", ("dealloc_time",), "object {id!r}: dealloc_time "
      "{dealloc_time} must be after alloc_time {alloc_time}"),
-    ("r.llc_mpki is None"
-     " or (r.llc_mpki - r.llc_mpki == 0) & (r.llc_mpki >= 0)",
+    ("x is None or (x - x == 0) & (x >= 0)", ("llc_mpki",),
      "object {id!r}: llc_mpki must be >= 0"),
 )
 
 
-def _passes(*tests: str):
-    """The function of a record r that is true if r passes every test. The
-    tests are source text so that ObjectProfile can run all of them in one
-    call; a call per rule would double the cost of building one."""
-    return eval("lambda r: " + " and ".join(f"({test})" for test in tests))
+def _rule_check(test: str, names: tuple[str, ...], message: str):
+    """(test of the record r and its field x, the x of columns r, the field
+    names, the message)."""
+    if len(names) == 1:
+        column = attrgetter(names[0])
+    else:  # a run of _NUMERIC: its stacked rows of the table
+        first = _NUMERIC.index(names[0])
+        column = lambda r: r.table[first:first + len(names)]
+    return eval("lambda r, x: " + test), column, names, message
 
 
-_CHECKS = tuple((_passes(test), message) for test, message in _RULES)
+_CHECKS = tuple(_rule_check(*rule) for rule in _RULES)
 _VALUE_CHECKS = _CHECKS[2:]  # the rules that do not read the id
-_keeps_all = _passes(*(test for test, _ in _RULES))
+# The test of every rule on one record, in one call: a call per rule would
+# double the cost of building an ObjectProfile.
+_keeps_all = eval("lambda r: " + " and ".join(
+    "(" + re.sub(r"\bx\b", f"r.{name}", test) + ")"
+    for test, names, _ in _RULES for name in names))
 
 
 def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
              mpki_given: np.ndarray | bool | None = None) -> SimpleNamespace:
-    """Records as columns for the rules. ``mpki`` is NaN where a record has
-    none; ``mpki_given``, one flag or one per record, marks those that gave
-    one (a file can spell NaN), by default those not NaN. Others pass as 0."""
+    """Records as columns for the rules: the numeric fields as the rows of
+    ``table`` and by name. ``mpki`` is NaN where a record has none;
+    ``mpki_given``, one flag or one per record, marks those that gave one
+    (a file can spell NaN), by default those not NaN. Others pass as 0."""
     if mpki_given is None:
         mpki_given = ~np.isnan(mpki)
-    return SimpleNamespace(id=np.array(ids, dtype=object),
+    return SimpleNamespace(id=np.array(ids, dtype=object), table=table,
                            **dict(zip(_NUMERIC, table)),
                            llc_mpki=np.where(mpki_given, mpki, 0.0))
 
 
 def _broken(columns: SimpleNamespace, checks) -> np.ndarray:
+    """The records that break any of the rules: each rule is tested once,
+    on its field or its fields' stacked rows."""
+    kept = []
     with np.errstate(invalid="ignore"):
-        return ~np.logical_and.reduce([test(columns) for test, _ in checks])
+        for check, field, _, _ in checks:
+            ok = check(columns, field(columns))
+            kept.append(ok.all(axis=0) if ok.ndim == 2 else ok)
+    return ~np.logical_and.reduce(kept)
 
 
 def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
@@ -171,11 +189,13 @@ def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
         if not bad.any():
             return None
         k = int(np.argmax(bad))
-        record = SimpleNamespace(**{name: column.tolist()[k] for name, column
-                                    in vars(record).items()})
-    for test, message in checks:
-        if not test(record):
-            return k, message.format_map(vars(record))
+        record = SimpleNamespace(**{
+            name: getattr(record, name).tolist()[k]
+            for name in ("id",) + _NUMERIC + ("llc_mpki",)})
+    for check, _, names, message in checks:
+        for name in names:
+            if not check(record, getattr(record, name)):
+                return k, message.format(field=name, **vars(record))
     return None
 
 

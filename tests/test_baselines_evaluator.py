@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -436,6 +438,27 @@ def test_report_bytes_of_an_all_nvm_plan():
         "plan,energy_nJ,ratio,latency_ns,capacity_ok\n"
         "all-nvm,23155274.88,0.4940107871508019,96000.0,1\n"
         "random_1,nan,nan,nan,0\n")
+
+
+@pytest.mark.parametrize("breakdown", [
+    {},
+    {"only": 1.5},
+    {"b": float("nan"), "a": float("inf"), "c": -float("inf"), "d": -0.0},
+    {'q"uote': 1.0, "back\\slash": 2.0, "tab\there": 3.0, "nl\nid": 4.0,
+     "ctl\x01": 5.0, "café": 6.0, "中文": 7.0,
+     "emoji\U0001f600": 8.0, "per_object_energy_nj": 9.0, "": 1e300},
+], ids=["empty", "one", "non-finite", "escapes"])
+def test_the_json_report_is_the_bytes_of_one_indented_dump(breakdown):
+    ps = _two_objects()
+    dev = make_testbed1(dram_capacity=4 * MB, nvm_capacity=16 * MB)
+    report = replace(evaluate(ps, dev, place_all_nvm(ps, dev, 0)),
+                     breakdown=breakdown, total_energy_nj=float("nan"),
+                     energy_ratio_vs_all_dram=float("inf"))
+    payload = dict({f.name: getattr(report, f.name) for f in fields(report)
+                    if f.name != "breakdown"},
+                   per_object_energy_nj=breakdown)
+    assert report_json(report) \
+        == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_the_csv_table_writes_every_cell_by_the_cell_rule():

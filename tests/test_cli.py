@@ -893,3 +893,19 @@ def test_a_jointly_infeasible_plan_exits_at_once(tmp_path):
                   "--dram-capacity-gib", share, "--nvm-capacity-gib", share,
                   "--out", tmp_path / "p.plan"])
     assert rc == EXIT_INFEASIBLE
+
+
+def test_a_plan_whose_objects_outgrow_both_devices_exits_at_once(tmp_path):
+    # 0.03 GiB of each device holds less than the 32 objects: the capacity
+    # rows leave an empty range, which the solver answers at the root.
+    profiles = tmp_path / "w.prof"
+    assert run(["generate", "--count", 32, "--seed", 1,
+                "--out", profiles]) == EXIT_OK
+    out = tmp_path / "p.plan"
+    with time_cap(1.0, "plan"):
+        rc = run(["plan", "--profiles", profiles, "--preset", "testbed1",
+                  "--major-threshold", 0, "--ratio", 2.0,
+                  "--dram-capacity-gib", 0.03, "--nvm-capacity-gib", 0.03,
+                  "--out", out])
+    assert rc == EXIT_INFEASIBLE
+    assert "binding=capacity_dram;capacity_nvm\n" in out.read_text()

@@ -366,6 +366,26 @@ def test_a_row_no_variable_can_relieve_ends_at_the_root():
     assert solve_exhaustive(program).status == STATUS_INFEASIBLE
 
 
+def test_a_row_and_its_negation_with_an_empty_range_end_at_the_root():
+    # 3 <= 2x0 + x1 + 2x2 <= 2 (the second row is the first negated) fits
+    # no leaf, though each row alone does and the root can relieve both.
+    row = (2.0, 1.0, 2.0)
+    program = ZeroOneProgram((-1.0, -1.0, 1.0), ((row, 2.0),
+                                                 ((-2.0, -1.0, -2.0), -3.0),
+                                                 ((1.0, 1.0, 1.0), 3.0)))
+    assert ilp.empty_ranges(program) == [(0, 1)]
+    solution = solve(program)
+    assert solution.status == STATUS_INFEASIBLE
+    assert solution.nodes == 1
+    assert solve_exhaustive(program).status == STATUS_INFEASIBLE
+    # A range of one point still holds its leaves.
+    touching = ZeroOneProgram(program.objective_coeffs,
+                              ((row, 3.0), ((-2.0, -1.0, -2.0), -3.0)))
+    assert ilp.empty_ranges(touching) == []
+    assert solve(touching) == solve_exhaustive(touching)
+    assert solve(touching).assignment == (1, 1, 0)
+
+
 def _numpy_relief_cost(table, depth, excess):
     """The array form of the fractional relief cost: masked cumsum,
     searchsorted and a dot product over the bought prefix."""

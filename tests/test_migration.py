@@ -589,3 +589,76 @@ def test_a_companion_plan_whose_pinned_objects_overflow_dram_is_infeasible():
     assert plan.future_plan.ratio == 2.0
     assert plan.future_plan.major_threshold == 1 * MB
     assert plan.future_plan.placements == {}
+
+
+# (seed of swap_prone_instance, strict, transient capacity): a strict, a
+# best-effort and a transient request that each move some objects, and a
+# strict one that is infeasible.
+COLUMN_CASES = {"strict": (3, True, False), "best-effort": (3, False, False),
+                "transient": (3, True, True), "infeasible": (2, True, False)}
+
+
+def _column_case(name):
+    seed, strict, transient = COLUMN_CASES[name]
+    ps, dev, current, ratio = swap_prone_instance(seed)
+    request = MigrationRequest(time=ENUM_T, new_ratio=ratio, strict=strict)
+    return plan_migration(ps, dev, current, request,
+                          transient_capacity=transient)
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+def test_decisions_are_built_from_the_plan_columns(name):
+    plan = _column_case(name)
+    assert plan.feasible == (name != "infeasible")
+    assert len(plan.migrated_ids) > 0 or not plan.feasible
+    assert [(d.id, d.current_device == DRAM, d.migrate, d.migration_cost_nj,
+             d.migration_time_ns) for d in plan.decisions] \
+        == list(zip(plan.live_ids, plan.on_dram, plan.migrate,
+                    plan.migration_cost_nj, plan.migration_time_ns))
+    for d in plan.decisions:
+        assert d.current_device in (DRAM, NVM)
+        assert (d.target_device != d.current_device) == d.migrate
+        if not d.migrate:
+            assert d.migration_cost_nj == d.migration_time_ns == 0.0
+        else:
+            assert d.migration_cost_nj > 0 and d.migration_time_ns > 0
+    assert plan.migrated_ids == tuple(d.id for d in plan.decisions
+                                      if d.migrate)
+    assert plan.decisions is plan.decisions
+    assert all(type(x) is bool for x in plan.on_dram + plan.migrate)
+    # The columns are tuples, so plans compare and hash by value; the
+    # decisions read above are not a field.
+    again = _column_case(name)
+    assert again == plan
+    assert hash(dataclasses.replace(again, future_plan=None)) \
+        == hash(dataclasses.replace(plan, future_plan=None))
+
+    buf = io.StringIO()
+    write_migration_plan(plan, buf)
+    header, table = buf.getvalue().split("id,from,to,migrate,migce_nJ,"
+                                         "migct_ns\n")
+    assert table == "".join(
+        f"{d.id},{d.current_device},{d.target_device},{int(d.migrate)},"
+        f"{d.migration_cost_nj!r},{d.migration_time_ns!r}\n"
+        for d in plan.decisions)
+
+
+def test_planning_and_writing_a_migration_build_no_decision(monkeypatch):
+    built = []
+    init = memplan.migration.MigrationDecision.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(memplan.migration.MigrationDecision, "__init__",
+                        counted)
+    for name in COLUMN_CASES:
+        plan = _column_case(name)
+        write_migration_plan(plan, io.StringIO())
+        plan.migrated_ids
+        assert built == []
+    # The counter sees the decisions once they are read, and only once.
+    assert len(plan.decisions) == len(plan.live_ids) > 0
+    plan.decisions
+    assert built == list(plan.live_ids)

@@ -332,6 +332,19 @@ def test_diagnosis_names_the_rows_the_solver_finds_infeasible_alone():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("energy_bound,names", [
+    (10.0, ("capacity_dram", "capacity_nvm")),
+    (-10.0, planner.CONSTRAINT_NAMES)])
+def test_diagnosis_names_a_capacity_range_left_empty(energy_bound, names):
+    # Rows 0 and 1 ask 4 <= 2x0 + 3x1 <= 2: each fits alone, the pair does
+    # not; the energy row fails alone only with a negative bound.
+    program = ilp.ZeroOneProgram(
+        (1.0, 1.0), (((2.0, 3.0), 2.0), ((-2.0, -3.0), -4.0),
+                     ((1.0, 1.0), energy_bound)))
+    assert ilp.solve(program).status == ilp.STATUS_INFEASIBLE
+    assert diagnose_infeasibility(program) == names
+
+
 def test_zero_miss_objects_tie_without_an_exhaustive_search():
     # Objects without LLC misses have objective coefficient 0, so every
     # placement of them ties; the search must cut tied subtrees instead of
