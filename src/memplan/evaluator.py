@@ -186,19 +186,10 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _column(values: tuple) -> Iterable[str]:
-    # The cells of one column by `_cell`; a column of floats only or of
-    # strs only gets the same text without a Python call per cell.
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return map(repr, values)
-    return values if kinds == {str} else map(_cell, values)
-
-
 def _csv_table(columns: Sequence[str], rows: Iterable[Iterable]) -> str:
     """CSV text: a header line of the column names, then a line per row."""
     lines = [",".join(columns)]
-    cells = map(_column, zip(*rows))  # formatted a column at a time
+    cells = (map(_cell, column) for column in zip(*rows))
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 

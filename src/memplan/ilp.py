@@ -27,17 +27,19 @@ last bits from a BLAS dot product over the same items. A node is cut when
 its bound cannot beat the incumbent by more than the tolerance, ties
 included, so no cut subtree holds a replacing leaf.
 
-Before the search, `solve` checks the rows at the root: a row and its
-negation whose slacks sum below zero (`empty_ranges`), which the search,
-pricing one row at a time, would only prove by walking the tree, and a row
-that the free variables cannot relieve each end the solve as infeasible
-after that one node, as the search would. Otherwise it rounds the root
-relaxation to one feasible leaf (the seed) and starts with a cutoff just
-above the seed's objective, so the search proves an optimum instead of
-walking toward it one improvement at a time. Any leaf no worse than the
-seed is still accepted, so an exact tie keeps its lexicographic winner.
-Only distinct objectives within about twice the tolerance of each other
-can end at a different, equally optimal leaf than the oracle's scan.
+Before the search, `solve` checks the rows at the root. A row whose excess
+the free variables cannot relieve is refused alone, and a row and its
+negation, neither refused alone, whose slacks sum below zero leave an empty
+range, which the search, pricing one row at a time, would only prove by
+walking the tree. Either ends the solve as infeasible after that one node,
+with `IlpSolution.binding` naming those rows; a search that finds no leaf
+names every row. Otherwise it rounds the root relaxation to one feasible
+leaf (the seed) and starts with a cutoff just above the seed's objective,
+so the search proves an optimum instead of walking toward it one
+improvement at a time. Any leaf no worse than the seed is still accepted,
+so an exact tie keeps its lexicographic winner. Only distinct objectives
+within about twice the tolerance of each other can end at a different,
+equally optimal leaf than the oracle's scan.
 
 With the seed in hand, `solve` fixes variables at the root by reduced cost
 (Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is the rate of
@@ -122,9 +124,10 @@ class ZeroOneProgram:
         b = _frozen([bound for _, bound in pairs])
         if not np.all(np.isfinite(c)):
             raise ValueError("objective coefficients must be finite")
-        for i, row in enumerate(a):
-            if not np.all(np.isfinite(row)) or not np.isfinite(b[i]):
-                raise ValueError(f"constraint {i} has non-finite entries")
+        bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(b))
+        if bad.any():
+            raise ValueError(
+                f"constraint {bad.argmax()} has non-finite entries")
         tol = _frozen(self.tolerances) if len(self.tolerances) \
             else np.maximum(ABS_TOL, REL_TOL * np.abs(b))
         if tol.shape != b.shape or not np.all(np.isfinite(tol) & (tol >= 0)):
@@ -159,32 +162,20 @@ class IlpSolution:
     status: str
     # Search nodes `solve` popped; telemetry only, never part of a result.
     nodes: int = field(default=0, compare=False)
+    # Indices of the rows that decide an infeasible result (see `solve`);
+    # empty when optimal, and no part of equality either.
+    binding: tuple[int, ...] = field(default=(), compare=False)
 
 
 def constraint_violations(program: ZeroOneProgram,
-                          assignment: Sequence[int]) -> list[str]:
-    """Names of constraints the assignment violates beyond tolerance."""
+                          assignment: Sequence[int]) -> list[int]:
+    """Indices of the rows the assignment loads beyond tolerance."""
     _, a, b = program.arrays()
     if len(assignment) != program.num_variables:
         raise ValueError("assignment length does not match program")
     x = np.asarray(assignment, dtype=float)
     slack = program.slack()
-    return [f"constraint {i}" for i in range(len(b))
-            if float(a[i] @ x) > slack[i]]
-
-
-def empty_ranges(program: ZeroOneProgram) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of rows that no assignment satisfies together.
-
-    A row j that is row i negated asks ``row_i.x >= -slack_j``, so the two
-    leave the load an empty range when their slacks sum below zero. The
-    row loads of any assignment negate exactly, as rounding is symmetric,
-    so no leaf the search or the oracle checks fits both.
-    """
-    _, a, _ = program.arrays()
-    slack = program.slack().tolist()
-    return [(i, j) for i, j in combinations(range(len(slack)), 2)
-            if slack[i] + slack[j] < 0 and np.array_equal(a[j], -a[i])]
+    return [i for i in range(len(b)) if float(a[i] @ x) > slack[i]]
 
 
 def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
@@ -349,9 +340,6 @@ def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
 
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
-    if empty_ranges(program):
-        # The search would walk the whole tree to find no leaf in the range.
-        return IlpSolution((), float("nan"), STATUS_INFEASIBLE, 1)
     c, a, _ = program.arrays()
     n = len(c)
     neg = c < 0
@@ -359,16 +347,23 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     neg_load = np.where(neg, a, 0.0).T
     free_load = _suffix_sums(neg_load)
 
+    slack = program.slack().tolist()
     excess = (free_load[0] - program.slack()).tolist()
     over = [i for i, e in enumerate(excess) if e > 0]
     # Only the overloaded rows' tables price the root; the others are built
     # once the search is sure to run, for the variables it searches.
     tables = {i: _bound_table(c, a[i], neg) for i in over}
     reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
-    if math.inf in reliefs:
-        # A row its free variables cannot relieve fits no leaf: the search
-        # would pop the root alone and cut it.
-        return IlpSolution((), float("nan"), STATUS_INFEASIBLE, 1)
+    # A row its free variables cannot relieve fits no leaf, nor does the
+    # empty range of a row and its negation, as leaf loads negate exactly:
+    # the search would pop the root alone, or walk the whole tree.
+    refused = {i for i, cost in zip(over, reliefs) if cost == math.inf}
+    binding = tuple(sorted(refused.union(*(
+        (i, j) for i, j in combinations(range(len(slack)), 2)
+        if slack[i] + slack[j] < 0 and not refused & {i, j}
+        and np.array_equal(a[j], -a[i])))))
+    if binding:
+        return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1, binding)
 
     cutoff = math.inf  # a leaf must fall below this to be the incumbent
     seed_x: tuple[int, ...] | None = None
@@ -404,7 +399,6 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
 
     # The search runs on Python floats, in the order the arrays would add.
     free_load = free_load.tolist()
-    slack = program.slack().tolist()
     columns = a.T.tolist()
     costs = c.tolist()
     nodes = 0
@@ -441,7 +435,9 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         full[keep] = best_x
         best_x = tuple(full.tolist())
     if best_x is None:
-        return IlpSolution((), float("nan"), STATUS_INFEASIBLE, nodes)
+        # No row is refused alone, so the rows conflict jointly.
+        return IlpSolution((), math.nan, STATUS_INFEASIBLE, nodes,
+                           tuple(range(len(slack))))
     c = program.objective_coeffs
     objective = float(c @ np.asarray(best_x, dtype=float))
     return IlpSolution(best_x, objective, STATUS_OPTIMAL, nodes)

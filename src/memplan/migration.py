@@ -291,17 +291,17 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         transient_capacity=transient_capacity)
     names = TRANSIENT_NAMES if transient_capacity else CONSTRAINT_NAMES
     stay_put = (0,) * len(live)
-    binding: tuple[str, ...] = ()
     if allow_migration:
         solution = ilp.solve(program)
-        if solution.status == ilp.STATUS_INFEASIBLE:
-            binding = diagnose_infeasibility(program, names)
     else:
-        # Staying put loads no row: the rows of negative slack break, and bind.
-        binding = tuple(compress(names, (program.slack() < 0).tolist()))
-        solution = ilp.IlpSolution((), float("nan"), ilp.STATUS_INFEASIBLE) \
-            if binding else ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
+        # The rows that staying put breaks bind.
+        broken = tuple(ilp.constraint_violations(program, stay_put))
+        solution = ilp.IlpSolution(
+            (), math.nan, ilp.STATUS_INFEASIBLE, binding=broken) if broken \
+            else ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
     status = solution.status
+    binding = diagnose_infeasibility(solution, names) \
+        if status == ilp.STATUS_INFEASIBLE else ()
     # An infeasible solution has no assignment: everything stays in place.
     migrate = np.array(solution.assignment or stay_put, dtype=bool)
 

@@ -154,27 +154,19 @@ def _budget(major: ProfileSet, dev: DeviceSpec, ratio: float,
     return ratio * (sum(prices(major, dev)[0].tolist()) + extra)
 
 
-def diagnose_infeasibility(program: ilp.ZeroOneProgram,
+def diagnose_infeasibility(solution: ilp.IlpSolution,
                            names: Sequence[str] = CONSTRAINT_NAMES
                            ) -> tuple[str, ...]:
-    """Names of the constraints that no assignment satisfies on its own.
+    """Names of the rows that decide ``solution``, `ilp.solve`'s verdict.
 
-    A ``<=`` row over binary variables is unsatisfiable alone exactly when
-    its least load, the sum of its negative coefficients, exceeds its bound
-    plus the row's tolerance. A row and its negation, the two capacity rows
-    without transient capacity, that each fit alone are named as a pair
-    when their slacks sum below zero (`ilp.empty_ranges`): the objects
-    outgrow both devices together. When no row or pair fails alone, all
-    the rows are named: they conflict jointly.
+    A row unsatisfiable alone, whose excess at the root no variable can
+    relieve, is named; so are a row and its negation, the two capacity
+    rows without transient capacity, that each fit alone but whose slacks
+    sum below zero: the objects outgrow both devices together. When the
+    solver had to search to find no leaf, all the rows are named: they
+    conflict jointly. A feasible solution names none.
     """
-    _, a, b = program.arrays()
-    least = np.minimum(a, 0.0).sum(axis=1)
-    alone = (least > program.slack()).tolist()
-    broken = {i for i, bad in enumerate(alone) if bad}
-    for i, j in ilp.empty_ranges(program):
-        if not (alone[i] or alone[j]):
-            broken.update((i, j))
-    return tuple(names[i] for i in sorted(broken)) or tuple(names[:len(b)])
+    return tuple(names[i] for i in solution.binding)
 
 
 def summarize_assignment(major: ProfileSet, dev: DeviceSpec,
@@ -208,7 +200,7 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
     budget = _budget(major, dev, ratio, extra)
     if solution.status == ilp.STATUS_INFEASIBLE:
         return _infeasible_plan(
-            ratio, diagnose_infeasibility(program), major_threshold,
+            ratio, diagnose_infeasibility(solution), major_threshold,
             reserved_dram_bytes, include_minor_in_budget,
             placements, major.ids(), budget)
 

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,9 @@ def test_every_traced_name_is_a_memplan_function(table):
         for name in functions:
             assert callable(getattr(module, name, None)), \
                 f"bench/tracing.py {table} names memplan.{module_name}.{name}"
+
+
+def test_the_benchmark_declares_every_per_layer_metric_the_tracer_reports():
+    declared = json.loads((_TRACING.parents[1] / "BENCHMARK.json").read_text())
+    assert [metric["name"] for metric in declared["per_layer"]] \
+        == tracing.metric_names()

@@ -13,10 +13,12 @@ from memplan.baselines import NoFeasibleAssignment, place_random
 from memplan.cli import EXIT_OK, EXIT_USAGE, main
 from memplan.energy import DeviceSpec, load_device_spec, write_device_spec
 from memplan.energy import testbed1 as make_testbed1
-from memplan.migration import MigrationRequest, plan_migration
+from memplan.migration import (MigrationRequest, build_migration_program,
+                               plan_migration, price_live)
 from memplan.planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
-                             CONSTRAINT_ENERGY, DRAM, CapacityError,
-                             PlacementPlan, load_plan)
+                             CONSTRAINT_ENERGY, CONSTRAINT_NAMES, DRAM,
+                             TRANSIENT_NAMES, CapacityError, PlacementPlan,
+                             load_plan)
 from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorError,
                               GeneratorSpec, ObjectProfile, ProfileError,
                               ProfileSet, ScalingError, ScalingVector,
@@ -257,6 +259,13 @@ def test_staying_put_names_only_the_rows_it_breaks(dram_mb, transient, broken):
                           transient_capacity=transient, allow_migration=False)
     assert plan.status == ilp.STATUS_INFEASIBLE
     assert plan.binding_constraints == broken
+    # The names are the program's rows that the stay-put vector breaks.
+    costs = price_live(ps, dev, [True] * 3, 5.0)
+    program = build_migration_program(ps, dev, costs, plan.requirement_nj,
+                                      dev.dram_capacity, transient)
+    names = TRANSIENT_NAMES if transient else CONSTRAINT_NAMES
+    assert tuple(names[i] for i in ilp.constraint_violations(
+        program, (0, 0, 0))) == broken
 
 
 @pytest.mark.parametrize("transient,names", [

@@ -465,7 +465,7 @@ def test_strict_transient_migration_names_the_overflowing_dram_row():
     program = build_migration_program(ps, dev, costs, requirement,
                                       dev.dram_capacity,
                                       transient_capacity=True)
-    assert diagnose_infeasibility(program, TRANSIENT_NAMES) \
+    assert diagnose_infeasibility(ilp.solve(program), TRANSIENT_NAMES) \
         == ("transient_dram",)
     # Without the copy-time rows, moving one object out is enough.
     assert plan_migration(ps, dev, current, request).feasible

@@ -312,24 +312,42 @@ def test_include_minor_energy_changes_budget():
 
 
 def test_diagnosis_names_the_rows_the_solver_finds_infeasible_alone():
+    # Half the programs end with a row negated from an earlier one, so the
+    # pair can leave an empty range though each of the two fits alone.
     rng = np.random.default_rng(29)
-    names = ("r0", "r1", "r2", "r3", "r4")
+    names = ("r0", "r1", "r2", "r3", "r4", "r5")
     outcomes = set()
     for _ in range(400):
         n = int(rng.integers(0, 9))
         m = int(rng.integers(1, 6))
         coeffs = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
         bounds = rng.normal(size=m) * rng.uniform(0.0, 3.0)
+        negated = int(rng.integers(0, m)) if rng.random() < 0.5 else None
+        if negated is not None:
+            coeffs = np.vstack((coeffs, -coeffs[negated]))
+            bounds = np.append(bounds, -bounds[negated] - rng.uniform(-1, 1))
+            m += 1
         program = ilp.ZeroOneProgram(
             tuple(rng.normal(size=n)),
             tuple((tuple(row), float(b)) for row, b in zip(coeffs, bounds)))
-        alone = tuple(
-            names[i] for i, row in enumerate(program.constraints)
-            if ilp.solve(ilp.ZeroOneProgram(program.objective_coeffs, (row,))
-                         ).status == ilp.STATUS_INFEASIBLE)
-        outcomes.add(bool(alone))
-        assert diagnose_infeasibility(program, names) == (alone or names[:m])
-    assert outcomes == {True, False}
+        alone = [i for i, row in enumerate(program.constraints)
+                 if ilp.solve(ilp.ZeroOneProgram(program.objective_coeffs,
+                                                 (row,))
+                              ).status == ilp.STATUS_INFEASIBLE]
+        empty = negated is not None and not {negated, m - 1} & set(alone) \
+            and bool(program.slack()[negated] + program.slack()[m - 1] < 0)
+        rows = sorted(set(alone) | ({negated, m - 1} if empty else set()))
+        solution = ilp.solve(program)
+        outcomes.add((solution.status, bool(alone), empty))
+        named = diagnose_infeasibility(solution, names)
+        if solution.status == ilp.STATUS_OPTIMAL:
+            assert not rows and named == ()
+        else:
+            assert named == (tuple(names[i] for i in rows) or names[:m])
+    assert {(ilp.STATUS_OPTIMAL, False, False),
+            (ilp.STATUS_INFEASIBLE, True, False),
+            (ilp.STATUS_INFEASIBLE, False, True),
+            (ilp.STATUS_INFEASIBLE, False, False)} <= outcomes
 
 
 @pytest.mark.parametrize("energy_bound,names", [
@@ -341,8 +359,9 @@ def test_diagnosis_names_a_capacity_range_left_empty(energy_bound, names):
     program = ilp.ZeroOneProgram(
         (1.0, 1.0), (((2.0, 3.0), 2.0), ((-2.0, -3.0), -4.0),
                      ((1.0, 1.0), energy_bound)))
-    assert ilp.solve(program).status == ilp.STATUS_INFEASIBLE
-    assert diagnose_infeasibility(program) == names
+    solution = ilp.solve(program)
+    assert solution.status == ilp.STATUS_INFEASIBLE
+    assert diagnose_infeasibility(solution) == names
 
 
 def test_zero_miss_objects_tie_without_an_exhaustive_search():
