@@ -14,7 +14,9 @@ artifact is still written so sweeps and scripts can branch on it).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from dataclasses import replace
 
@@ -37,6 +39,15 @@ EXIT_INFEASIBLE = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # HelpFormatter reads the terminal width each time one is built, and
+        # add_argument builds one per call: read it once, by argparse's own
+        # formula, when the parser is built.
+        kwargs.setdefault("formatter_class", functools.partial(
+            argparse.HelpFormatter,
+            width=shutil.get_terminal_size().columns - 2))
+        super().__init__(*args, **kwargs)
+
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # infeasible plans here.
     def error(self, message):

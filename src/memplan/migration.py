@@ -370,10 +370,10 @@ def write_migration_plan(plan: MigrationPlan,
         stream.write(f"dead_ids={';'.join(plan.dead_ids)}\n")
         stream.write(f"future_ids={';'.join(plan.future_ids)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        stream.write("id,from,to,migrate,migce_nJ,migct_ns\n")
-        for object_id, here, x, cost, copy_time in zip(
-                plan.live_ids, plan.on_dram, plan.migrate,
-                plan.migration_cost_nj, plan.migration_time_ns):
-            stream.write(f"{object_id},{DRAM if here else NVM},"
-                         f"{DRAM if here != x else NVM},"
-                         f"{int(x)},{repr(cost)},{repr(copy_time)}\n")
+        rows = [f"{object_id},{DRAM if here else NVM},"
+                f"{DRAM if here != x else NVM},"
+                f"{int(x)},{repr(cost)},{repr(copy_time)}\n"
+                for object_id, here, x, cost, copy_time in zip(
+                    plan.live_ids, plan.on_dram, plan.migrate,
+                    plan.migration_cost_nj, plan.migration_time_ns)]
+        stream.write("id,from,to,migrate,migce_nJ,migct_ns\n" + "".join(rows))

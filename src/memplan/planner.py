@@ -272,13 +272,12 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
         stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        stream.write("id,device,major\n")
         major = set(plan.major_ids)
-        for object_id, device in plan.placements.items():
-            stream.write(f"{object_id},{device},{int(object_id in major)}\n")
-        for object_id in plan.major_ids:
-            if object_id not in plan.placements:
-                stream.write(f"{object_id},unassigned,1\n")
+        rows = [f"{object_id},{device},{int(object_id in major)}\n"
+                for object_id, device in plan.placements.items()]
+        rows += [f"{object_id},unassigned,1\n" for object_id in plan.major_ids
+                 if object_id not in plan.placements]
+        stream.write("id,device,major\n" + "".join(rows))
 
 
 def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:

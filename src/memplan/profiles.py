@@ -216,12 +216,12 @@ class ProfileSet:
                  workload_label: str = "",
                  workload_size: float | None = None) -> None:
         objects = tuple(objects)
-        table = np.array([[getattr(o, name) for name in _NUMERIC]
-                          for o in objects], dtype=float)
-        self._fill(tuple(o.id for o in objects),
+        table = np.array(list(map(attrgetter(*_NUMERIC), objects)),
+                         dtype=float)
+        mpki = list(map(attrgetter("llc_mpki"), objects))
+        self._fill(tuple(map(attrgetter("id"), objects)),
                    table.reshape(-1, len(_NUMERIC)).T,
-                   np.array([o.llc_mpki for o in objects], dtype=float),
-                   workload_label, workload_size)
+                   np.array(mpki, dtype=float), workload_label, workload_size)
 
     @classmethod
     def from_columns(cls, ids: Sequence[str], *, size, alloc_time,
@@ -375,12 +375,33 @@ class ScalingVector:
             raise ScalingError(f"no scaling entry for object {object_id!r}") from None
 
 
-def _format_number(x: float) -> str:
-    # Integral values print as integers so generated files stay tidy; repr
-    # keeps full round-trip precision for everything else.
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
+# Records write_profiles formats and writes at a time: enough to make the
+# per-column passes pay, few enough that one block's text stays small.
+_WRITE_BLOCK = 4096
+
+
+def _format_columns(values: np.ndarray) -> list[list[str]]:
+    """Each row of ``values`` as the column of fields a profile file spells.
+    NaN (no llc_mpki) is an empty field; integral values below 1e16 in
+    magnitude print as integers so generated files stay tidy; repr keeps
+    full round-trip precision for everything else. Which values are
+    integral is worked out for the whole block at once, the spelling one
+    column at a time."""
+    whole = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    columns = []
+    for column, column_whole in zip(values, whole):
+        if column_whole.all():
+            columns.append(list(map(str, column.astype(np.int64).tolist())))
+            continue
+        texts = list(map(repr, column.tolist()))
+        if column_whole.any():
+            ints = column[column_whole].astype(np.int64).tolist()
+            for k, value in zip(np.flatnonzero(column_whole).tolist(), ints):
+                texts[k] = str(value)
+        if "nan" in texts:
+            texts = ["" if text == "nan" else text for text in texts]
+        columns.append(texts)
+    return columns
 
 
 @contextmanager
@@ -495,15 +516,19 @@ def _numbers(record: str, header_fields: int) -> list[float | None] | str:
 
 
 def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> None:
-    """Write a ProfileSet in the profile file format (see load_profiles)."""
-    columns = [map(_format_number, row) for row in profiles._table.tolist()]
-    mpki = ("" if math.isnan(m) else _format_number(m)
-            for m in profiles.llc_mpki.tolist())
+    """Write a ProfileSet in the profile file format (see load_profiles).
+
+    Records are formatted a block at a time, one pass per column, and each
+    block is written with one call."""
+    ids, table, mpki = profiles.ids(), profiles._table, profiles.llc_mpki
     with open_text(dest, "w") as stream:
-        stream.write(PROFILE_FORMAT_VERSION + "\n")
-        stream.write(_HEADERS[-1] + "\n")
-        stream.writelines(",".join(row) + "\n" for row in zip(
-            profiles.ids(), *columns, mpki))
+        stream.write(PROFILE_FORMAT_VERSION + "\n" + _HEADERS[-1] + "\n")
+        for start in range(0, len(ids), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            columns = _format_columns(np.vstack((table[:, block],
+                                                 mpki[block])))
+            stream.write("\n".join(map(",".join, zip(ids[block], *columns)))
+                         + "\n")
 
 
 def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:

@@ -863,6 +863,24 @@ def test_a_subcommand_builds_its_parser_alone(workload, tmp_path,
     assert built == ["memplan plan"]
 
 
+def test_a_subcommand_reads_the_terminal_width_once(workload, tmp_path,
+                                                    monkeypatch):
+    # argparse's HelpFormatter reads the width each time one is built, and
+    # add_argument builds one per call; the parser reads it once instead.
+    import shutil
+    queries = []
+    query = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        queries.append(args)
+        return query(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                "--out", tmp_path / "p.plan"]) == EXIT_OK
+    assert len(queries) <= 1
+
+
 def test_a_preset_takes_both_capacity_overrides_in_one_device_spec(
         workload, tmp_path, monkeypatch):
     checked = []

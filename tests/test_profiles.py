@@ -458,6 +458,52 @@ def test_ids_a_profile_file_cannot_hold_are_rejected(object_id):
         make_obj(object_id)
 
 
+def _spelled(x: float | None) -> str:
+    # The file's spelling of one value, one value at a time: the reference
+    # for write_profiles' column formatter.
+    if x is None:
+        return ""
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(float(x))
+
+
+def test_write_profiles_spells_each_value_as_pinned(tmp_path):
+    header = profile_text([])
+    path = tmp_path / "empty.prof"
+    write_profiles(ProfileSet(()), path)
+    assert path.read_bytes() == header.encode()
+    ps = ProfileSet((
+        make_obj("a", 9999999999999998.0, -3.0, -0.0, 1e16, 0.1, 5e-324),
+        make_obj("b", 1.5, 0.0, 2.0, 0.0, 7.0, 1.0, mpki=2.0)))
+    path = tmp_path / "edges.prof"
+    write_profiles(ps, path)
+    assert path.read_bytes() == (
+        header + "a,9999999999999998,-3,0,1e+16,0.1,5e-324,\n"
+        "b,1.5,0,2,0,7,1,2\n").encode()
+
+
+def test_write_profiles_spells_records_across_a_block_boundary():
+    from memplan.profiles import _WRITE_BLOCK
+    n = _WRITE_BLOCK + 2
+    objects = [make_obj(f"o{i}", i + 1.0, i / 7, i / 7 + 1.5, i * 0.5,
+                        1e16 + 2.0 * i, 0.0, None if i % 2 else i / 3)
+               for i in range(n)]
+    stream = io.StringIO()
+    write_profiles(ProfileSet(objects), stream)
+    fields = ("size", "alloc_time", "dealloc_time", "accessed_volume",
+              "llc_misses", "dirty_blocks", "llc_mpki")
+    expected = profile_text(
+        [",".join([o.id] + [_spelled(getattr(o, name)) for name in fields])
+         for o in objects]).splitlines()
+    lines = stream.getvalue().splitlines()
+    # The first differing line, not a diff of some 4000 lines.
+    assert [(k, line) for k, (line, want) in enumerate(zip(lines, expected))
+            if line != want][:1] == []
+    assert len(lines) == len(expected)
+    assert stream.getvalue().endswith("\n")
+
+
 def test_ids_with_inner_space_or_hash_round_trip():
     ps = ProfileSet((make_obj("a b"), make_obj("a#b")))
     stream = io.StringIO()
