@@ -9,8 +9,7 @@ mid-run. Baselines and an independent evaluator support comparisons.
 
 from .energy import (DeviceSpec, GIB, dram_energy, load_device_spec,
                      nvm_energy, testbed1, testbed2, write_device_spec)
-from .ilp import (IlpSolution, ZeroOneProgram, constraint_violations, solve,
-                  solve_exhaustive)
+from .ilp import IlpSolution, ZeroOneProgram, constraint_violations, solve
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorError, GeneratorSpec,
                        ObjectProfile, ProfileError, ProfileSet, ScalingError,
                        ScalingVector, derive_scaling_vector, extrapolate,
@@ -42,8 +41,7 @@ __all__ = [
     "load_profile_dir", "load_profiles", "migration_energies",
     "migration_latency", "migration_times", "nvm_energy", "place_all_dram",
     "place_all_nvm", "place_mpki_threshold", "place_random",
-    "plan_migration", "plan_static", "solve", "solve_exhaustive",
-    "sweep_ratios", "testbed1", "testbed2", "write_device_spec",
-    "write_migration_plan", "write_plan", "write_profile_dir",
-    "write_profiles",
+    "plan_migration", "plan_static", "solve", "sweep_ratios", "testbed1",
+    "testbed2", "write_device_spec", "write_migration_plan", "write_plan",
+    "write_profile_dir", "write_profiles",
 ]

@@ -1,11 +1,11 @@
 """Exact 0-1 integer linear programming.
 
-Solves ``minimize c.x subject to A.x <= b, x in {0,1}^n``. Two routes with
-the same contract: `solve` (branch and bound) for real use and
-`solve_exhaustive` (full enumeration, n <= 24) as an independent oracle.
-Both are deterministic and return an assignment that is optimal within
-the tolerance; exact objective ties go to the lexicographically smallest
-optimal assignment.
+Solves ``minimize c.x subject to A.x <= b, x in {0,1}^n`` by branch and
+bound (`solve`). It is deterministic and returns an assignment that is
+optimal within the tolerance; exact objective ties go to the
+lexicographically smallest optimal assignment. The oracle, a scan of every
+assignment in that order (n <= 24), lives in the tests (``tests/oracle.py``),
+and randomized tests keep `solve` equal to it.
 
 `solve` is a depth-first search on an explicit stack, so no recursion limit
 caps the number of variables. It fixes variable 0 first and tries 0 before
@@ -42,9 +42,10 @@ within about twice the tolerance of each other can end at a different,
 equally optimal leaf than the oracle's scan.
 
 With the seed in hand, `solve` fixes variables at the root by reduced cost
-(Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is the rate of
-the item that covers the dearest overloaded row's root excess, the LP dual
-of that row's relaxation, or 0 when no row is overloaded. With reduced
+(Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is read off
+the dearest overloaded row's root table: the rate of the first item whose
+running relief total covers the row's excess, the LP dual of that row's
+relaxation, or 0 when no row is overloaded. With reduced
 costs ``r = c + λ·a`` over that row and the Lagrangian bound
 ``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to anything but its
 Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``. When that is
@@ -57,17 +58,17 @@ runs every row against its own slack. A fixed variable has the same value
 in every leaf that can still be accepted, so the remaining leaves arrive in
 the same lexicographic order and the tie-break is unchanged.
 
-Randomized tests keep the two routes equivalent. Objective comparisons use
-a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``, 1e-9 relative with a
-1e-12 absolute floor, and so does each constraint, on its bound, unless its
-program gives the row a tolerance of its own.
+Objective comparisons use a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``,
+1e-9 relative with a 1e-12 absolute floor, and so does each constraint, on
+its bound, unless its program gives the row a tolerance of its own.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, le, sub
 from typing import Sequence
 
@@ -75,9 +76,6 @@ import numpy as np
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
-
-EXHAUSTIVE_MAX_VARIABLES = 24
-_CHUNK_BITS = 18
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -178,51 +176,6 @@ def constraint_violations(program: ZeroOneProgram,
     return [i for i in range(len(b)) if float(a[i] @ x) > slack[i]]
 
 
-def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
-    """Oracle: enumerate every binary assignment (n <= 24)."""
-    n = program.num_variables
-    if n > EXHAUSTIVE_MAX_VARIABLES:
-        raise ValueError(
-            f"exhaustive enumeration limited to {EXHAUSTIVE_MAX_VARIABLES} "
-            f"variables, got {n}")
-    c, a, b = program.arrays()
-    # Padded here, not by `ZeroOneProgram.slack`, so the oracle shares no
-    # code with the solver it checks.
-    slack = b + program.tolerances
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)  # variable 0 is the MSB
-    cutoff = float("inf")  # a leaf must fall below this to be the incumbent
-    best_index = -1
-
-    # A chunk's low bits repeat in every chunk; only the high columns (the
-    # first ``high``) change, and they are constant within a chunk.
-    chunk = 1 << min(_CHUNK_BITS, n)
-    high = n - min(_CHUNK_BITS, n)
-    bits = ((np.arange(chunk, dtype=np.uint32)[:, None] >> shifts[None, :])
-            & 1).astype(float)
-    for start in range(0, 1 << n, chunk):
-        bits[:, :high] = (start >> shifts[:high]) & 1
-        feasible = np.all(bits @ a.T <= slack[None, :], axis=1)
-        objs = bits @ c
-        # Sequential incumbent scan in index (= lexicographic) order with
-        # `solve`'s rule: only a leaf below the cutoff replaces the
-        # incumbent, and the cutoff then falls to its objective less the
-        # tolerance.
-        candidates = np.flatnonzero(feasible & (objs < cutoff))
-        while candidates.size:
-            i = int(candidates[0])
-            best_index = start + i
-            best = float(objs[i])
-            cutoff = best - _tol(best)
-            rest = candidates[1:]
-            candidates = rest[objs[rest] < cutoff]
-
-    if best_index < 0:
-        return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
-    assignment = tuple(int((best_index >> int(s)) & 1) for s in shifts)
-    objective = float(c @ np.asarray(assignment, dtype=float))
-    return IlpSolution(assignment, objective, STATUS_OPTIMAL)
-
-
 def _bound_table(c: np.ndarray, row: np.ndarray,
                  neg: np.ndarray) -> list[tuple[int, float, float]]:
     """One row's movable variables sorted by cost per unit of load relief.
@@ -263,7 +216,7 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _seed(c: np.ndarray, columns: np.ndarray, slack: np.ndarray,
+def _seed(c: np.ndarray, columns: np.ndarray, slack: list[float],
           neg: np.ndarray, table: list, load: np.ndarray
           ) -> tuple[tuple[int, ...], float] | None:
     """(assignment, objective) of a feasible leaf rounded from the root.
@@ -287,34 +240,24 @@ def _seed(c: np.ndarray, columns: np.ndarray, slack: np.ndarray,
         k = int(fits[0])
         x[var[:k + 1]] = ~neg[var[:k + 1]]
         load = loads[k].tolist()
-        limits = slack.tolist()
         for j, delta in zip(var[k::-1].tolist(), signed[k::-1].tolist()):
             back = list(map(sub, load, delta))
-            if all(map(le, back, limits)):
+            if all(map(le, back, slack)):
                 load = back
                 x[j] = neg[j]
-    # Priced as the search prices a leaf: from zero, adding the taken
-    # variables in index order, so objective and load carry its bits.
-    sel = np.flatnonzero(x)
-    obj = float(np.concatenate(([0.0], c[sel])).cumsum()[-1])
-    load = np.vstack((np.zeros(len(slack)), columns[sel])).cumsum(0)[-1]
-    if not np.all(load <= slack):
+    obj, load = _price(c, columns.T, np.flatnonzero(x))
+    if not all(map(le, load, slack)):
         return None
     return tuple(x.astype(int).tolist()), obj
 
 
-def _critical_rate(table: list, excess: float) -> float:
-    """Rate of the item that covers ``excess`` in a root walk of ``table``.
-
-    It is the LP dual of the row's relaxation: the price per unit of load
-    at which buying relief stops.
-    """
-    total = 0.0
-    for _, relief, rate in table:
-        total += relief
-        if total >= excess:
-            return rate
-    return math.inf
+def _price(c: np.ndarray, a: np.ndarray,
+           taken: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """Objective and row loads of the ``taken`` variables, each summed from
+    zero in index order as ``sum(list, 0.0)`` adds. The search adds in this
+    order unless variables are fixed; then it adds the fixed ones first."""
+    return (sum(c[taken].tolist(), 0.0),
+            tuple(sum(row, 0.0) for row in a[:, taken].tolist()))
 
 
 def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
@@ -368,7 +311,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     cutoff = math.inf  # a leaf must fall below this to be the incumbent
     seed_x: tuple[int, ...] | None = None
     dearest = over[reliefs.index(max(reliefs))] if over else None
-    seed = _seed(c, a.T, program.slack(), neg,
+    seed = _seed(c, a.T, slack, neg,
                  tables[dearest] if over else [], free_load[0])
     fixed = value = np.zeros(n, dtype=bool)
     if seed is not None:
@@ -378,15 +321,14 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         cutoff = upper + _tol(upper)
         rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
         if over:
-            rate = _critical_rate(tables[dearest], excess[dearest])
+            totals = list(accumulate(item[1] for item in tables[dearest]))
+            rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
             row, limit = a[dearest], float(program.slack()[dearest])
         fixed, value = _fix(c, row, limit, rate, cutoff)
     # The search runs over the free variables only, from a root that holds
     # the fixed ones' objective and row loads.
     keep = np.flatnonzero(~fixed)
-    taken = np.flatnonzero(fixed & value).tolist()
-    root_obj = sum(c[taken].tolist(), 0.0)
-    root_load = tuple(sum(row, 0.0) for row in a[:, taken].tolist())
+    root_obj, root_load = _price(c, a, np.flatnonzero(fixed & value))
     # A table filtered to the free variables keeps its stable order.
     index = dict(zip(keep.tolist(), range(len(keep))))
     tables = {i: [(index[j], relief, rate) for j, relief, rate in table

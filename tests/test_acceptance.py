@@ -21,6 +21,7 @@ from memplan.planner import DRAM, plan_static, sweep_ratios
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               ScalingVector, derive_scaling_vector,
                               extrapolate, generate_synthetic)
+from oracle import solve_exhaustive
 
 MB = 1 << 20
 RATIOS = (1.0, 0.9, 0.8, 0.7)
@@ -69,7 +70,7 @@ def test_criterion_1_ilp_oracle_equivalence():
             constraints.append((tuple(a), bound))
         program = ilp.ZeroOneProgram(tuple(c), tuple(constraints))
         got = ilp.solve(program)
-        want = ilp.solve_exhaustive(program)
+        want = solve_exhaustive(program)
         if got.status != want.status:
             mismatches += 1
             continue

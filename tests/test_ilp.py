@@ -9,13 +9,13 @@ from memplan.baselines import place_mpki_threshold
 from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                          IlpSolution, ZeroOneProgram, _bound_table,
-                         _relief_cost, _tol, constraint_violations, solve,
-                         solve_exhaustive)
+                         _relief_cost, _tol, constraint_violations, solve)
 from memplan.migration import (MigrationRequest, build_migration_program,
                                plan_migration, price_live)
 from memplan.planner import build_placement_program
 from memplan.profiles import (GeneratorSpec, ProfileSet, filter_major,
                               generate_synthetic)
+from oracle import solve_exhaustive
 
 
 def random_program(rng, max_vars=10, max_constraints=3):
@@ -533,3 +533,36 @@ def test_root_fixing_keeps_exact_ties_with_the_oracle(fixed_counts):
         got, want = solve(program), solve_exhaustive(program)
         assert (got.status, got.assignment) == (want.status, want.assignment)
     assert sum(count > 0 for count in fixed_counts) > 200
+
+
+def test_the_fixing_multiplier_is_the_lp_dual_of_the_dearest_row(
+        monkeypatch):
+    # The λ that root fixing uses, read off the dearest row's root table,
+    # must be the dual of that row's LP relaxation
+    # ``min c.x s.t. row.x <= limit, 0 <= x <= 1`` as HiGHS reports it.
+    optimize = pytest.importorskip("scipy.optimize")
+    calls = []
+    fix = ilp._fix
+
+    def recording(c, row, limit, rate, cutoff):
+        calls.append((c, row, limit, rate))
+        return fix(c, row, limit, rate, cutoff)
+
+    monkeypatch.setattr(ilp, "_fix", recording)
+    for seed in range(1, 9):
+        ps = generate_synthetic(GeneratorSpec(
+            count=32, size_range=(2 << 20, 16 << 20)), seed)
+        total = ps.total_size()
+        for share in (1.0, 0.5):
+            dev = make_testbed1(dram_capacity=share * total,
+                                nvm_capacity=total)
+            for ratio in (0.9, 0.8, 0.7, 0.6):
+                solve(build_placement_program(ps, dev, ratio,
+                                              dev.dram_capacity))
+    overloaded = [call for call in calls if call[3]]
+    assert len(overloaded) == 64
+    for c, row, limit, rate in overloaded:
+        lp = optimize.linprog(c, A_ub=[row], b_ub=[limit], bounds=(0, 1),
+                              method="highs")
+        assert lp.status == 0
+        assert rate == pytest.approx(-lp.ineqlin.marginals[0], rel=1e-12)

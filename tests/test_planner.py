@@ -17,6 +17,7 @@ from memplan.planner import (CONSTRAINT_ENERGY, CapacityError, DRAM, NVM,
 from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec,
                               ObjectProfile, ProfileSet, filter_major,
                               generate_synthetic)
+from oracle import solve_exhaustive
 
 MB = 1 << 20
 
@@ -112,7 +113,7 @@ class TestOracleEquivalence:
         assert len(minor) == 0
         program = build_placement_program(
             major, dev, ratio, dev.dram_capacity)
-        want = ilp.solve_exhaustive(program)
+        want = solve_exhaustive(program)
         plan = plan_static(ps, dev, ratio, major_threshold=0)
         if want.status == ilp.STATUS_INFEASIBLE:
             assert not plan.feasible
