@@ -89,8 +89,8 @@ def migration_times(obj: Priceable, dev: DeviceSpec) -> tuple:
 def _check_live(obj: Priceable, t: float) -> None:
     outside = np.logical_not((obj.alloc_time <= t) & (t <= obj.dealloc_time))
     if np.any(outside):
-        if isinstance(obj, ProfileSet):
-            obj = obj.objects[int(np.argmax(outside))]
+        if isinstance(obj, ProfileSet):  # the first one, as a one-record set
+            obj = obj.take(outside & (np.cumsum(outside) == 1)).objects[0]
         raise ValueError(
             f"object {obj.id!r} is not allocated at t={t} "
             f"(lifetime [{obj.alloc_time}, {obj.dealloc_time}])")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,8 +71,8 @@ class ObjectProfile:
     llc_mpki: float | None = None
 
     def __post_init__(self) -> None:
-        if not _keeps_all(self):
-            raise ProfileError(_first_bad(self)[1])
+        if bad := _first_bad(self):
+            raise ProfileError(bad[1])
 
     @property
     def lifetime(self) -> float:
@@ -116,67 +115,45 @@ def _id_ok(object_id) -> bool | np.ndarray:
 # order, and the message of a record that fails it, formatted from its
 # fields and the failing one's name. r is an ObjectProfile or columns of
 # records (see _columns); the tests use comparisons only (finiteness is
-# x - x == 0), so they give a bool for one record and a mask for columns.
-# A rule of several fields, a run of _NUMERIC, tests their stacked rows of
-# the columns' table at once.
-_RULES = (
-    ("(x != '') & (x != None)", ("id",),
+# x - x == 0), so they give a bool for one record and a mask for a column.
+_CHECKS = (
+    (lambda r, x: (x != '') & (x != None), ("id",),
      "object id must be a non-empty string"),
-    ("_id_ok(x)", ("id",), "object id {id!r} contains a separator "
-     "character, surrounding whitespace or a leading '#'"),
-    ("x - x == 0", _NUMERIC, "object {id!r}: {field} must be finite"),
-    ("x > 0", ("size",), "object {id!r}: size must be positive"),
-    ("x >= 0", ("accessed_volume", "llc_misses", "dirty_blocks"),
+    (lambda r, x: _id_ok(x), ("id",), "object id {id!r} contains a "
+     "separator character, surrounding whitespace or a leading '#'"),
+    (lambda r, x: x - x == 0, _NUMERIC,
+     "object {id!r}: {field} must be finite"),
+    (lambda r, x: x > 0, ("size",), "object {id!r}: size must be positive"),
+    (lambda r, x: x >= 0, ("accessed_volume", "llc_misses", "dirty_blocks"),
      "object {id!r}: {field} must be >= 0"),
-    ("x > r.alloc_time", ("dealloc_time",), "object {id!r}: dealloc_time "
-     "{dealloc_time} must be after alloc_time {alloc_time}"),
-    ("x is None or (x - x == 0) & (x >= 0)", ("llc_mpki",),
+    (lambda r, x: x > r.alloc_time, ("dealloc_time",), "object {id!r}: "
+     "dealloc_time {dealloc_time} must be after alloc_time {alloc_time}"),
+    (lambda r, x: x is None or (x - x == 0) & (x >= 0), ("llc_mpki",),
      "object {id!r}: llc_mpki must be >= 0"),
 )
-
-
-def _rule_check(test: str, names: tuple[str, ...], message: str):
-    """(test of the record r and its field x, the x of columns r, the field
-    names, the message)."""
-    if len(names) == 1:
-        column = attrgetter(names[0])
-    else:  # a run of _NUMERIC: its stacked rows of the table
-        first = _NUMERIC.index(names[0])
-        column = lambda r: r.table[first:first + len(names)]
-    return eval("lambda r, x: " + test), column, names, message
-
-
-_CHECKS = tuple(_rule_check(*rule) for rule in _RULES)
 _VALUE_CHECKS = _CHECKS[2:]  # the rules that do not read the id
-# The test of every rule on one record, in one call: a call per rule would
-# double the cost of building an ObjectProfile.
-_keeps_all = eval("lambda r: " + " and ".join(
-    "(" + re.sub(r"\bx\b", f"r.{name}", test) + ")"
-    for test, names, _ in _RULES for name in names))
 
 
 def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
              mpki_given: np.ndarray | bool | None = None) -> SimpleNamespace:
-    """Records as columns for the rules: the numeric fields as the rows of
-    ``table`` and by name. ``mpki`` is NaN where a record has none;
+    """Records as columns for the rules: one per field, the numeric ones
+    the rows of ``table``. ``mpki`` is NaN where a record has none;
     ``mpki_given``, one flag or one per record, marks those that gave one
     (a file can spell NaN), by default those not NaN. Others pass as 0."""
     if mpki_given is None:
         mpki_given = ~np.isnan(mpki)
-    return SimpleNamespace(id=np.array(ids, dtype=object), table=table,
+    return SimpleNamespace(id=np.array(ids, dtype=object),
                            **dict(zip(_NUMERIC, table)),
                            llc_mpki=np.where(mpki_given, mpki, 0.0))
 
 
 def _broken(columns: SimpleNamespace, checks) -> np.ndarray:
-    """The records that break any of the rules: each rule is tested once,
-    on its field or its fields' stacked rows."""
-    kept = []
+    """The records that break any of the rules: each rule is tested on the
+    column of each of its fields."""
     with np.errstate(invalid="ignore"):
-        for check, field, _, _ in checks:
-            ok = check(columns, field(columns))
-            kept.append(ok.all(axis=0) if ok.ndim == 2 else ok)
-    return ~np.logical_and.reduce(kept)
+        return ~np.logical_and.reduce([
+            check(columns, getattr(columns, name))
+            for check, names, _ in checks for name in names])
 
 
 def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
@@ -192,7 +169,7 @@ def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
         record = SimpleNamespace(**{
             name: getattr(record, name).tolist()[k]
             for name in ("id",) + _NUMERIC + ("llc_mpki",)})
-    for check, _, names, message in checks:
+    for check, names, message in checks:
         for name in names:
             if not check(record, getattr(record, name)):
                 return k, message.format(field=name, **vars(record))

@@ -927,3 +927,52 @@ def test_a_plan_whose_objects_outgrow_both_devices_exits_at_once(tmp_path):
                   "--out", out])
     assert rc == EXIT_INFEASIBLE
     assert "binding=capacity_dram;capacity_nvm\n" in out.read_text()
+
+
+def test_no_command_builds_an_object_profile(tmp_path, monkeypatch):
+    # Every command works on a set's columns: none of them builds the
+    # ObjectProfile records that iteration and ProfileSet.get give.
+    from memplan.profiles import PATTERNS, ObjectProfile, ScalingVector
+    base = generate_synthetic(
+        GeneratorSpec(count=6, label="w", workload_size=1.0), 5)
+    vector = ScalingVector({object_id: dict.fromkeys(PATTERNS, 1.0)
+                            for object_id in base.ids()})
+    write_profile_dir([base, extrapolate(base, vector, 2.0)],
+                      tmp_path / "family")
+    built = []
+    monkeypatch.setattr(ObjectProfile, "__post_init__",
+                        lambda record: built.append(record.id))
+
+    w, p = tmp_path / "w.prof", tmp_path / "p.plan"
+    device = ["--preset", "testbed1", "--dram-capacity-gib", 0.05,
+              "--nvm-capacity-gib", 1]
+    migrate = ["migrate", "--profiles", w, "--current", p, "--time", 4,
+               *device, "--out", tmp_path / "m.mig"]
+    for args, rc in [
+            (["generate", "--count", 10, "--seed", 7, "--skew-count", 3,
+              "--skew-share", 0.9, "--with-mpki", "--out", w], EXIT_OK),
+            (["scale", "--profiles-dir", tmp_path / "family", "--target", 3,
+              "--out", tmp_path / "s.prof"], EXIT_OK),
+            (["plan", "--profiles", w, "--ratio", 1e-9, *device,
+              "--out", p], EXIT_INFEASIBLE),
+            (["plan", "--profiles", w, "--ratio", 1.0, *device,
+              "--major-threshold", 0, "--out", p], EXIT_OK),
+            ([*migrate, "--new-ratio", 0.9], EXIT_OK),
+            ([*migrate, "--new-ratio", 1e-9], EXIT_INFEASIBLE),
+            ([*migrate, "--new-ratio", 1e-9, "--best-effort"], EXIT_OK),
+            ([*migrate, "--new-ratio", 0.9, "--transient-capacity"],
+             EXIT_OK),
+            ([*migrate, "--new-ratio", 0.9, "--future-out",
+              tmp_path / "f.plan"], EXIT_OK),
+            (["evaluate", "--profiles", w, "--plan", p, *device,
+              "--out", tmp_path / "e.csv"], EXIT_OK),
+            (["evaluate", "--profiles", w, "--plan", p, *device,
+              "--format", "json", "--out", tmp_path / "e.json"], EXIT_OK),
+            (["compare", "--profiles", w, "--plan", f"optimal={p}",
+              "--all-dram", "--all-nvm", "--mpki-thresholds", "0.5,2",
+              "--random-seeds", "1,2", "--matched-optimal", *device,
+              "--major-threshold", 0, "--out", tmp_path / "c.csv"], EXIT_OK),
+            (["sweep", "--profiles", w, "--ratios", "1.0,0.8,1e-9",
+              "--capacities", "0.05:1,0.01:1", "--preset", "testbed1",
+              "--out", tmp_path / "s.csv"], EXIT_OK)]:
+        assert (run(args), built) == (rc, []), args

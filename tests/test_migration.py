@@ -446,6 +446,7 @@ def test_set_pricing_names_the_first_object_not_allocated():
     for formula in (migration_energies, migration_latency):
         with pytest.raises(ValueError, match="'b' is not allocated at t=2.0"):
             formula(ps, dev, 2.0)
+    assert "objects" not in vars(ps)
 
 
 def test_strict_transient_migration_names_the_overflowing_dram_row():

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -22,3 +24,17 @@ def test_importing_the_package_and_its_cli_loads_no_test_only_module():
                             text=True, env=dict(os.environ, PYTHONPATH=path),
                             check=True, timeout=60)
     assert result.stdout == "[]\n"
+
+
+def test_no_module_compiles_source_at_run_time():
+    # Rules and formulas are written as code, not as text for eval or exec.
+    package = os.path.dirname(memplan.__file__)
+    calls = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as stream:
+            tree = ast.parse(stream.read(), path)
+        calls += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("eval", "exec")]
+    assert calls == []
