@@ -1,0 +1,114 @@
+"""Every program the benchmark's workloads solve keeps its committed answer.
+
+The three workloads of ``bench/workloads.py`` are built at their default
+size, and their ``plan``, ``sweep`` and ``migrate`` ops run in build order
+through `memplan.cli.main` with `memplan.ilp.solve` wrapped. Each program
+it solves leaves one entry: a sha256 of its arrays and tolerances, the
+status, a sha256 of the assignment, ``repr(objective_value)``, ``binding``
+and the node count. The entries must equal ``solver_record.json``, so a
+change to the solver that moves any answer, tie-break or node count shows
+here. Node counts are deterministic, which makes the record a noise-free
+measure of search work too.
+
+To rewrite the record after a change that is meant to move it, run::
+
+    python tests/test_solver_record.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORD = Path(__file__).with_name("solver_record.json")
+WORKLOADS = ("solve-sweep", "wide-pipeline", "migrate-live")
+SOLVING = ("plan", "sweep", "migrate")
+
+
+def _workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first, as an import would: its dataclasses look it up.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def solves(workload: str, workdir: str) -> list[list]:
+    """One entry per program the workload's solving ops pass to the solver."""
+    import numpy as np
+
+    from memplan import cli, ilp
+
+    solve = ilp.solve
+    entries: list[list] = []
+    op_id = ""
+
+    def recorded(program):
+        solution = solve(program)
+        c, a, b = program.arrays()
+        entries.append([
+            op_id, _sha(c, a, b, program.tolerances), solution.status,
+            _sha(np.asarray(solution.assignment, dtype=np.int64)),
+            repr(solution.objective_value), list(solution.binding),
+            solution.nodes])
+        return solution
+
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp, "solve", recorded)
+        for op in _workloads().BUILDERS[workload](workdir):
+            if op.kind not in SOLVING:
+                continue
+            op_id = op.op_id
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                cli.main(list(op.argv))
+    return entries
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_benchmark_solve_keeps_its_recorded_answer(workload, tmp_path):
+    expected = json.loads(RECORD.read_text())[workload]
+    entries = solves(workload, str(tmp_path))
+    for k, (got, want) in enumerate(zip(entries, expected)):
+        assert got == want, f"{workload} program {k} (op {want[0]}) moved"
+    assert len(entries) == len(expected)
+
+
+def main() -> None:
+    """Rewrite the record from the solver in this checkout."""
+    sys.path.insert(0, str(ROOT / "src"))
+    record = {}
+    for workload in WORKLOADS:
+        with tempfile.TemporaryDirectory() as workdir:
+            record[workload] = solves(workload, workdir)
+        nodes = sum(entry[-1] for entry in record[workload])
+        print(f"{workload}: {len(record[workload])} programs, {nodes} nodes")
+    lines = ",\n".join(
+        f"  {json.dumps(workload)}: [\n"
+        + ",\n".join(f"    {json.dumps(entry)}" for entry in entries)
+        + "\n  ]" for workload, entries in record.items())
+    RECORD.write_text("{\n" + lines + "\n}\n")
+
+
+if __name__ == "__main__":
+    main()
