@@ -113,10 +113,12 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
             dram_bytes += sizes[i]
             nvm_bytes -= sizes[i]
 
+    # The final split's own sums decide: running counts carry residue.
+    mask = np.array(on_dram, dtype=bool)
     binding: tuple[str, ...] = ()
-    if dram_bytes > dram_free:
+    if sum(major.size[mask].tolist()) > dram_free:
         binding += (CONSTRAINT_CAPACITY_DRAM,)
-    if nvm_bytes > dev.nvm_capacity:
+    if sum(major.size[~mask].tolist()) > dev.nvm_capacity:
         binding += (CONSTRAINT_CAPACITY_NVM,)
     status = ilp.STATUS_INFEASIBLE if binding else ilp.STATUS_OPTIMAL
     return _finish(major, minor, dev, on_dram, major_threshold,

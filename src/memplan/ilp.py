@@ -14,7 +14,7 @@ the incumbent only when better by more than the tolerance, as in the
 oracle's scan. A node's bound is the largest of the rows' fractional
 relaxations: take every free negative-cost variable, then buy back the
 row's excess load at the least cost per unit of relief. Each row's bound
-table (its movable variables sorted by that rate) is built once per solve.
+table (its movable variables sorted by that rate) is built once per search.
 The search keeps a node's objective and row loads as Python floats, added
 in the order numpy would add the arrays, so they are the same doubles, and
 prices a row with a scalar walk over its one table that skips the variables
@@ -41,7 +41,7 @@ so an exact tie keeps its lexicographic winner. Only distinct objectives
 within about twice the tolerance of each other can end at a different,
 equally optimal leaf than the oracle's scan.
 
-With the seed in hand, `solve` fixes variables at the root by reduced cost
+Then `solve` fixes variables at the root by reduced cost
 (Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is read off
 the dearest overloaded row's root table: the rate of the first item whose
 running relief total covers the row's excess, the LP dual of that row's
@@ -50,13 +50,14 @@ costs ``r = c + λ·a`` over that row and the Lagrangian bound
 ``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to anything but its
 Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``. When that is
 beyond the seed's cutoff by more than a float margin, the search would cut
-every such leaf, so x_j is fixed. The search then runs over the free
-variables alone, from a root that holds the fixed ones' objective and row
-loads; suffix sums and bound tables are built for the free variables only
-(a root table is filtered, which keeps its order), and the leaf check still
-runs every row against its own slack. A fixed variable has the same value
-in every leaf that can still be accepted, so the remaining leaves arrive in
-the same lexicographic order and the tie-break is unchanged.
+every such leaf, so x_j is fixed. A solve without a seed has an infinite
+cutoff and fixes nothing. The search then runs over the free variables
+alone, from a root that holds the fixed ones' objective and row loads;
+suffix sums and every row's bound table are built once, for the free
+variables, and the leaf check still runs every row against its own slack.
+A fixed variable has the same value in every leaf that can still be
+accepted, so the remaining leaves arrive in the same lexicographic order
+and the tie-break is unchanged.
 
 Objective comparisons use a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``,
 1e-9 relative with a 1e-12 absolute floor, and so does each constraint, on
@@ -168,12 +169,12 @@ class IlpSolution:
 def constraint_violations(program: ZeroOneProgram,
                           assignment: Sequence[int]) -> list[int]:
     """Indices of the rows the assignment loads beyond tolerance."""
-    _, a, b = program.arrays()
+    c, a, _ = program.arrays()
     if len(assignment) != program.num_variables:
         raise ValueError("assignment length does not match program")
-    x = np.asarray(assignment, dtype=float)
-    slack = program.slack()
-    return [i for i in range(len(b)) if float(a[i] @ x) > slack[i]]
+    _, load = _price(c, a, np.flatnonzero(assignment))
+    return [i for i, (used, limit) in enumerate(
+        zip(load, program.slack().tolist())) if used > limit]
 
 
 def _bound_table(c: np.ndarray, row: np.ndarray,
@@ -293,8 +294,8 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     slack = program.slack().tolist()
     excess = (free_load[0] - program.slack()).tolist()
     over = [i for i, e in enumerate(excess) if e > 0]
-    # Only the overloaded rows' tables price the root; the others are built
-    # once the search is sure to run, for the variables it searches.
+    # Only the overloaded rows' tables price the root; the search builds
+    # every row's table afresh, for the variables it searches.
     tables = {i: _bound_table(c, a[i], neg) for i in over}
     reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
     # A row its free variables cannot relieve fits no leaf, nor does the
@@ -308,35 +309,26 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     if binding:
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1, binding)
 
-    cutoff = math.inf  # a leaf must fall below this to be the incumbent
-    seed_x: tuple[int, ...] | None = None
     dearest = over[reliefs.index(max(reliefs))] if over else None
-    seed = _seed(c, a.T, slack, neg,
-                 tables[dearest] if over else [], free_load[0])
-    fixed = value = np.zeros(n, dtype=bool)
-    if seed is not None:
-        # Every leaf up to the seed's objective stays acceptable, the seed
-        # included; the seed itself answers if rounding cuts its path.
-        seed_x, upper = seed
-        cutoff = upper + _tol(upper)
-        rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
-        if over:
-            totals = list(accumulate(item[1] for item in tables[dearest]))
-            rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
-            row, limit = a[dearest], float(program.slack()[dearest])
-        fixed, value = _fix(c, row, limit, rate, cutoff)
+    # Every leaf up to the seed's objective stays acceptable, the seed
+    # included; the seed itself answers if rounding cuts its path. Without
+    # a seed the cutoff is infinite, and no variable is fixed.
+    seed_x, upper = _seed(c, a.T, slack, neg, tables[dearest] if over else [],
+                          free_load[0]) or (None, math.inf)
+    cutoff = upper + _tol(upper)  # a leaf must fall below this
+    rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
+    if over:
+        totals = list(accumulate(item[1] for item in tables[dearest]))
+        rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
+        row, limit = a[dearest], float(program.slack()[dearest])
+    fixed, value = _fix(c, row, limit, rate, cutoff)
     # The search runs over the free variables only, from a root that holds
     # the fixed ones' objective and row loads.
     keep = np.flatnonzero(~fixed)
     root_obj, root_load = _price(c, a, np.flatnonzero(fixed & value))
-    # A table filtered to the free variables keeps its stable order.
-    index = dict(zip(keep.tolist(), range(len(keep))))
-    tables = {i: [(index[j], relief, rate) for j, relief, rate in table
-                  if j in index] for i, table in tables.items()}
     c, a, neg, n = c[keep], a[:, keep], neg[keep], len(keep)
     free_load = _suffix_sums(neg_load[keep])
-    tables = [tables[i] if i in tables else _bound_table(c, row, neg)
-              for i, row in enumerate(a)]
+    tables = [_bound_table(c, row, neg) for row in a]
     free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
 
     # The search runs on Python floats, in the order the arrays would add.

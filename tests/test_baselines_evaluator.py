@@ -84,6 +84,19 @@ class TestMpkiThreshold:
         assert plan.placements["o2"] == NVM
         assert plan.placements["o3"] == NVM
 
+    def test_a_split_that_fits_is_not_refused_for_counter_residue(self):
+        # Both hot objects are demoted to a 0-byte DRAM; a running byte
+        # count of 0.1 + 0.2 - 0.1 - 0.2 would leave 5.55e-17 "in" it.
+        ps = ProfileSet(tuple(
+            ObjectProfile(f"o{i}", size, 0.0, 1.0, size, 100.0, 5.0, 0.05)
+            for i, size in enumerate((0.1, 0.2))))
+        dev = make_testbed1(dram_capacity=0.0, nvm_capacity=1e9)
+        plan = place_mpki_threshold(ps, dev, 0.01, major_threshold=0)
+        assert plan.placements == {"o0": NVM, "o1": NVM}
+        assert plan.feasible
+        assert plan.binding_constraints == ()
+        assert evaluate(ps, dev, plan).capacity_ok
+
 
 class TestRandomPlacement:
     def test_deterministic_per_seed(self):

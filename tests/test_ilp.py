@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -566,3 +567,46 @@ def test_the_fixing_multiplier_is_the_lp_dual_of_the_dearest_row(
                               method="highs")
         assert lp.status == 0
         assert rate == pytest.approx(-lp.ineqlin.marginals[0], rel=1e-12)
+
+
+def test_an_infinite_cutoff_fixes_no_variable():
+    # A solve whose seed rounding finds no leaf fixes at cutoff +inf, and
+    # relies on that leaving every variable free.
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.integers(-3, 10)
+        c = rng.uniform(-scale, scale, n)
+        row = rng.uniform(-scale, scale, n)
+        limit = float(rng.uniform(-scale, scale) * n)
+        rate = float(rng.exponential(10.0 ** rng.integers(-6, 6)))
+        for args in ((row, limit, rate), (np.zeros(n), 0.0, 0.0)):
+            fixed, _ = ilp._fix(c, *args, math.inf)
+            assert not fixed.any()
+
+
+def test_a_solve_without_a_seed_matches_the_oracle(monkeypatch):
+    # Where rounding the root finds no leaf but a feasible one exists, the
+    # search runs from an infinite cutoff over every variable.
+    seeds = []
+    seed = ilp._seed
+
+    def recording(*args):
+        seeds.append(seed(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(ilp, "_seed", recording)
+    rng = np.random.default_rng(8)
+    seedless = 0
+    for _ in range(400):
+        program = random_program(rng, max_vars=8, max_constraints=3)
+        seeds.clear()
+        got = solve(program)
+        if seeds != [None]:
+            continue
+        want = solve_exhaustive(program)
+        if want.status == STATUS_OPTIMAL:
+            seedless += 1
+            assert (got.status, got.assignment, got.objective_value) \
+                == (want.status, want.assignment, want.objective_value)
+    assert seedless >= 5
