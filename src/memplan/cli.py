@@ -263,8 +263,7 @@ def _cmd_sweep(args) -> int:
                              reserved_dram_bytes=args.reserved_dram,
                              include_minor_in_budget=args.include_minor_energy)
         for ratio, plan in zip(ratios, plans):
-            scored = _row("", evaluate(profiles, dev, plan)
-                          if plan.feasible else None)
+            scored = _row("", profiles, dev, plan if plan.feasible else None)
             rows.append((dram_gib, nvm_gib, ratio, plan.status,
                          plan.objective_ns, plan.planned_energy_nj,
                          plan.energy_budget_nj, scored.energy_nj,

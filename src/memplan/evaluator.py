@@ -2,10 +2,11 @@
 
 Recomputes energy and latency for any plan from the profiles and device
 constants alone, never trusting planner-reported totals, and checks
-capacity and budget. Two capacity views are reported: the static one
-(every object counted for its whole size regardless of lifetime, the view
-the planners constrain) and a time-resolved one (peak bytes concurrently
-allocated per device).
+capacity and budget against the static capacity view (every object counted
+for its whole size regardless of lifetime, the view the planners
+constrain). `compare` and `sweep` rank plans by those totals and checks
+alone. The time-resolved view (peak bytes concurrently allocated per
+device) and the per-object energy table belong to `evaluate`'s report.
 
 Energy totals cover the major objects, the same population the budget is
 defined over; the DRAM energy of minor objects is reported separately (or
@@ -61,13 +62,11 @@ def _peak_bytes(profiles: ProfileSet, on_device: np.ndarray) -> float:
     return max(0.0, float(levels.max(initial=0.0)))
 
 
-def evaluate(profiles: ProfileSet, dev: DeviceSpec,
-             plan: PlacementPlan) -> EvaluationReport:
-    """Score a plan from scratch; every profiled object must be placed.
-
-    The whole set is priced once and the major and minor objects are
-    picked from its columns by mask, in profile order.
-    """
+def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
+    """The scoring core: `EvaluationReport`'s fields but the peaks and the
+    per-object table, by name; then the device codes, the major mask and the
+    major objects' energies. The whole set is priced once and the major and
+    minor objects are picked from its columns by mask, in profile order."""
     ids = profiles.ids()
     codes = np.fromiter(map(_DEVICE_CODES.get, map(plan.placements.get, ids),
                             repeat(0)), np.int8, len(ids))
@@ -82,12 +81,12 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
     major = major_mask(profiles, plan.major_threshold)
     latencies, energies = price_placement(profiles, dev, on_dram)
     all_dram = prices(profiles, dev)[0]
-    breakdown = dict(zip(compress(ids, major.tolist()),
-                         energies[major].tolist()))
+    major_energies = energies[major].tolist()
     latency = sum(latencies[major].tolist(), 0.0)
     minor_energy = float(sum(all_dram[~major].tolist()))
 
-    total = float(sum(breakdown.values()))
+    # The sum of the per-object table's values, in its order.
+    total = float(sum(major_energies))
     denom = float(sum(all_dram[major].tolist()))
     if plan.minor_energy_in_budget:
         total += minor_energy
@@ -109,20 +108,26 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
     if math.isfinite(budget):
         budget_ok = total <= budget + _REL_TOL * max(1.0, abs(budget))
 
+    scores = dict(
+        total_energy_nj=total, latency_objective_ns=latency,
+        energy_ratio_vs_all_dram=ratio, capacity_ok_dram=capacity_ok_dram,
+        capacity_ok_nvm=capacity_ok_nvm, budget_ok=budget_ok,
+        static_dram_bytes=static_dram, static_nvm_bytes=static_nvm,
+        minor_dram_energy_nj=minor_energy)
+    return scores, codes, major, major_energies
+
+
+def evaluate(profiles: ProfileSet, dev: DeviceSpec,
+             plan: PlacementPlan) -> EvaluationReport:
+    """Score a plan from scratch (every profiled object must be placed):
+    the scoring core's fields, each device's peak and the per-object table.
+    """
+    scores, codes, major, major_energies = _score(profiles, dev, plan)
     return EvaluationReport(
-        total_energy_nj=total,
-        latency_objective_ns=latency,
-        energy_ratio_vs_all_dram=ratio,
-        capacity_ok_dram=capacity_ok_dram,
-        capacity_ok_nvm=capacity_ok_nvm,
-        budget_ok=budget_ok,
-        static_dram_bytes=static_dram,
-        static_nvm_bytes=static_nvm,
-        peak_dram_bytes=_peak_bytes(profiles, on_dram),
-        peak_nvm_bytes=_peak_bytes(profiles, on_nvm),
-        minor_dram_energy_nj=minor_energy,
-        breakdown=breakdown,
-    )
+        **scores, peak_dram_bytes=_peak_bytes(profiles, codes == 1),
+        peak_nvm_bytes=_peak_bytes(profiles, codes == 2),
+        breakdown=dict(zip(compress(profiles.ids(), major.tolist()),
+                           major_energies)))
 
 
 @dataclass(frozen=True)
@@ -134,13 +139,18 @@ class ComparisonRow:
     capacity_ok: bool
 
 
-def _row(name: str, report: EvaluationReport | None) -> ComparisonRow:
-    if report is None:
+def _row(name: str, profiles: ProfileSet, dev: DeviceSpec,
+         plan: PlacementPlan | None) -> ComparisonRow:
+    """A plan's row from the scoring core alone; no plan gives nan."""
+    if plan is None:
         nan = float("nan")
         return ComparisonRow(name, nan, nan, nan, False)
-    return ComparisonRow(name, report.total_energy_nj,
-                         report.energy_ratio_vs_all_dram,
-                         report.latency_objective_ns, report.capacity_ok)
+    scores = _score(profiles, dev, plan)[0]
+    return ComparisonRow(name, scores["total_energy_nj"],
+                         scores["energy_ratio_vs_all_dram"],
+                         scores["latency_objective_ns"],
+                         scores["capacity_ok_dram"]
+                         and scores["capacity_ok_nvm"])
 
 
 def compare(profiles: ProfileSet, dev: DeviceSpec,
@@ -158,20 +168,16 @@ def compare(profiles: ProfileSet, dev: DeviceSpec,
         raise ValueError("compare needs at least one plan")
     rows = []
     for name, plan in plans:
-        report = None if plan is None else evaluate(profiles, dev, plan)
-        rows.append(_row(name, report))
-        if include_matched_optimal and report is not None \
-                and report.capacity_ok \
-                and report.energy_ratio_vs_all_dram > 0 \
-                and math.isfinite(report.energy_ratio_vs_all_dram):
+        row = _row(name, profiles, dev, plan)
+        rows.append(row)
+        if include_matched_optimal and row.capacity_ok and row.ratio > 0 \
+                and math.isfinite(row.ratio):
             matched = plan_static(
-                profiles, dev, report.energy_ratio_vs_all_dram,
-                plan.major_threshold,
+                profiles, dev, row.ratio, plan.major_threshold,
                 reserved_dram_bytes=plan.reserved_dram_bytes,
                 include_minor_in_budget=plan.minor_energy_in_budget)
-            rows.append(_row(f"{name}:optimal",
-                             evaluate(profiles, dev, matched)
-                             if matched.feasible else None))
+            rows.append(_row(f"{name}:optimal", profiles, dev,
+                             matched if matched.feasible else None))
     return rows
 
 
@@ -224,5 +230,9 @@ def report_json(report: EvaluationReport) -> str:
 
 
 def report_csv(report: EvaluationReport) -> str:
+    # The per-object table is all floats, so it is written a column at a
+    # time: the values' reprs zipped with the ids and joined once.
+    table = map(",".join, zip(report.breakdown,
+                              map(repr, report.breakdown.values())))
     return (_csv_table(("metric", "value"), _scalars(report).items()) + "\n"
-            + _csv_table(("id", "energy_nj"), report.breakdown.items()))
+            + "\n".join(("id,energy_nj", *table, "")))

@@ -272,12 +272,14 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
         stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
+        # The table by columns: ids, devices and 0/1 major flags, joined once.
+        placed = plan.placements
         major = set(plan.major_ids)
-        rows = [f"{object_id},{device},{int(object_id in major)}\n"
-                for object_id, device in plan.placements.items()]
-        rows += [f"{object_id},unassigned,1\n" for object_id in plan.major_ids
-                 if object_id not in plan.placements]
-        stream.write("id,device,major\n" + "".join(rows))
+        rows = map(",".join, zip(placed, placed.values(), map(
+            "01".__getitem__, map(major.__contains__, placed))))
+        unassigned = [f"{object_id},unassigned,1" for object_id
+                      in plan.major_ids if object_id not in placed]
+        stream.write("\n".join(("id,device,major", *rows, *unassigned, "")))
 
 
 def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:

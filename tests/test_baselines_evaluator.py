@@ -1,22 +1,25 @@
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
+from memplan import cli, evaluator
 from memplan.baselines import (place_all_dram, place_all_nvm,
                                place_mpki_threshold, place_random)
 from memplan.energy import GIB, dram_energy, nvm_energy, price_placement
 from memplan.energy import testbed1 as make_testbed1
-from memplan.evaluator import (_REL_TOL, COMPARISON_COLUMNS,
+from memplan.evaluator import (_REL_TOL, COMPARISON_COLUMNS, ComparisonRow,
                                EvaluationReport, _cell, _csv_table,
                                _peak_bytes, compare, comparison_csv,
                                comparison_json, evaluate, report_csv,
                                report_json)
-from memplan.planner import DRAM, NVM, PlacementPlan, plan_static
+from memplan.planner import (DRAM, NVM, PlacementPlan, plan_static,
+                             sweep_ratios)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
-                              filter_major, generate_synthetic)
+                              filter_major, generate_synthetic, load_profiles,
+                              write_profiles)
 
 MB = 1 << 20
 
@@ -524,3 +527,137 @@ def test_evaluate_rejects_a_placement_on_no_concrete_device():
             odd, plan.major_ids, plan.status, plan.ratio,
             plan.major_threshold, plan.objective_ns, plan.planned_energy_nj,
             plan.energy_budget_nj))
+
+
+def _report_row(name, report):
+    """A comparison row read off `evaluate`'s full report, as the oracle."""
+    if report is None:
+        nan = float("nan")
+        return ComparisonRow(name, nan, nan, nan, False)
+    return ComparisonRow(name, report.total_energy_nj,
+                         report.energy_ratio_vs_all_dram,
+                         report.latency_objective_ns, report.capacity_ok)
+
+
+def _compare_by_evaluate(profiles, dev, plans, include_matched_optimal):
+    """`compare` spelled with `evaluate`'s reports, as the oracle."""
+    rows = []
+    for name, plan in plans:
+        report = None if plan is None else evaluate(profiles, dev, plan)
+        rows.append(_report_row(name, report))
+        if include_matched_optimal and report is not None \
+                and report.capacity_ok \
+                and report.energy_ratio_vs_all_dram > 0 \
+                and math.isfinite(report.energy_ratio_vs_all_dram):
+            matched = plan_static(
+                profiles, dev, report.energy_ratio_vs_all_dram,
+                plan.major_threshold,
+                reserved_dram_bytes=plan.reserved_dram_bytes,
+                include_minor_in_budget=plan.minor_energy_in_budget)
+            rows.append(_report_row(f"{name}:optimal",
+                                    evaluate(profiles, dev, matched)
+                                    if matched.feasible else None))
+    return rows
+
+
+def _reprs(rows):
+    # repr-equal cells: the same bits, nan equal to nan, -0.0 apart from 0.0.
+    return [tuple(map(repr, astuple(row))) for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compare_rows_equal_the_rows_of_evaluates_reports(seed):
+    rng = np.random.default_rng(seed)
+    ps = generate_synthetic(GeneratorSpec(count=40, with_mpki=True), seed)
+    total = ps.total_size()
+    dev = make_testbed1(dram_capacity=float(rng.uniform(0.3, 1.1)) * total,
+                        nvm_capacity=float(rng.uniform(0.8, 1.1)) * total)
+    threshold = float(rng.choice([0.0, MB, 4 * MB]))
+    reserved = float(rng.choice([0.0, 0.05 * total]))
+    plans = [
+        ("all-dram", place_all_dram(ps, dev, threshold)),
+        ("all-nvm", place_all_nvm(ps, dev, threshold)),
+        ("all-dram-reserved", place_all_dram(ps, dev, threshold, reserved)),
+        *((f"mpki_{t:g}", place_mpki_threshold(ps, dev, t, threshold,
+                                               reserved))
+          for t in (0.01, 0.05, 0.2)),
+        ("none", None),
+        ("minor-in-budget", plan_static(ps, dev, 0.8, threshold,
+                                        include_minor_in_budget=True)),
+        ("reserved", plan_static(ps, dev, 0.9, threshold,
+                                 reserved_dram_bytes=reserved)),
+    ]
+    # An infeasible plan has no placements: compare takes None for it.
+    plans = [(name, plan if plan is None or plan.placements else None)
+             for name, plan in plans]
+    for include in (False, True):
+        rows = compare(ps, dev, plans, include_matched_optimal=include)
+        want = _compare_by_evaluate(ps, dev, plans, include)
+        assert _reprs(rows) == _reprs(want)
+    assert any(row.plan.endswith(":optimal") for row in rows)
+    assert not all(row.capacity_ok for row in rows)
+
+
+def test_sweep_rows_equal_the_rows_of_evaluates_reports(tmp_path):
+    ps = generate_synthetic(GeneratorSpec(count=30, with_mpki=True), 5)
+    path = tmp_path / "w.prof"
+    write_profiles(ps, path)
+    ps = load_profiles(path)
+    total = ps.total_size() / GIB
+    cells = [(total, total), (0.5 * total, total), (0.3 * total, 0.5 * total)]
+    ratios = (1.0, 0.8, 0.6, 0.3)
+    for in_budget, reserved in ((False, 0.0), (True, 0.0),
+                                (False, 0.05 * ps.total_size())):
+        out = tmp_path / "s.csv"
+        assert cli.main([str(a) for a in (
+            "sweep", "--profiles", path, "--ratios", "1.0,0.8,0.6,0.3",
+            "--capacities", ",".join(f"{d!r}:{n!r}" for d, n in cells),
+            "--preset", "testbed1", "--reserved-dram", reserved,
+            *(("--include-minor-energy",) if in_budget else ()),
+            "--out", out)]) == 0
+        rows, statuses = [], set()
+        for d, n in cells:
+            dev = replace(make_testbed1(), dram_capacity=d * GIB,
+                          nvm_capacity=n * GIB)
+            plans = sweep_ratios(ps, dev, ratios, reserved_dram_bytes=reserved,
+                                 include_minor_in_budget=in_budget)
+            for ratio, plan in zip(ratios, plans):
+                statuses.add(plan.status)
+                scored = _report_row("", evaluate(ps, dev, plan)
+                                     if plan.feasible else None)
+                rows.append((d, n, ratio, plan.status, plan.objective_ns,
+                             plan.planned_energy_nj, plan.energy_budget_nj,
+                             scored.energy_nj, scored.ratio,
+                             scored.capacity_ok))
+        assert statuses == {"optimal", "infeasible"}
+        assert out.read_text() == _csv_table(cli._SWEEP_COLUMNS, rows)
+
+
+def test_compare_and_sweep_score_without_the_events_or_peaks(tmp_path):
+    # No clock: the work they skip is checked by what they leave undone.
+    ps = generate_synthetic(GeneratorSpec(count=40, with_mpki=True), 3)
+    dev = roomy_device()
+    compare(ps, dev, [("all-dram", place_all_dram(ps, dev)),
+                      ("mpki", place_mpki_threshold(ps, dev, 0.05)),
+                      ("none", None)], include_matched_optimal=True)
+    assert "events" not in ps.__dict__
+
+    path = tmp_path / "w.prof"
+    write_profiles(ps, path)
+
+    def refuse(profiles, on_device):
+        raise AssertionError("sweep built a time-resolved peak")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_peak_bytes", refuse)
+        assert cli.main([
+            "sweep", "--profiles", str(path), "--ratios", "1.0,0.7",
+            "--capacities", "4:16,0.01:0.01", "--preset", "testbed1",
+            "--out", str(tmp_path / "s.csv")]) == 0
+
+    report = evaluate(ps, dev, place_mpki_threshold(ps, dev, 0.05))
+    assert "events" in ps.__dict__
+    placed = place_mpki_threshold(ps, dev, 0.05).placements
+    assert report.peak_dram_bytes == _event_loop_peak(ps, DRAM, placed) > 0
+    assert report.peak_nvm_bytes == _event_loop_peak(ps, NVM, placed) > 0
+    assert list(report.breakdown) == list(filter_major(ps, MB)[0].ids())
