@@ -8,14 +8,14 @@ strategy achieved rather than a requested budget.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from . import ilp
 from .energy import DeviceSpec, prices
-from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM, DRAM,
-                      NVM, PlacementPlan, _major_minor, summarize_assignment)
+from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
+                      PlacementPlan, _major_minor, _set_plan,
+                      summarize_assignment)
 from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet
 
 
@@ -26,48 +26,39 @@ class NoFeasibleAssignment(ValueError):
     """A strategy found no assignment that fits the device capacities."""
 
 
-def _finish(major: ProfileSet, minor: ProfileSet, dev: DeviceSpec,
-            on_dram: Sequence[int], major_threshold: float,
+def _finish(profiles: ProfileSet, major: ProfileSet, dev: DeviceSpec,
+            on_dram: np.ndarray, major_threshold: float,
             reserved_dram_bytes: float,
             status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
-    placements = dict.fromkeys(minor.ids(), DRAM)
-    placements.update(zip(major.ids(), map([NVM, DRAM].__getitem__, on_dram)))
     objective, energy = summarize_assignment(major, dev, on_dram)
     all_dram_energy = sum(prices(major, dev)[0].tolist(), 0.0)
     ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
-    return PlacementPlan(
-        placements=placements,
-        major_ids=major.ids(),
-        status=status,
-        ratio=ratio,
-        major_threshold=major_threshold,
-        objective_ns=objective,
-        planned_energy_nj=energy,
-        energy_budget_nj=energy,
-        reserved_dram_bytes=reserved_dram_bytes,
-        binding_constraints=binding,
-    )
+    return _set_plan(
+        profiles, on_dram, status, ratio=ratio,
+        major_threshold=major_threshold, objective_ns=objective,
+        planned_energy_nj=energy, energy_budget_nj=energy,
+        reserved_dram_bytes=reserved_dram_bytes, binding_constraints=binding)
 
 
 def place_all_dram(profiles: ProfileSet, dev: DeviceSpec,
                    major_threshold: float = DEFAULT_MAJOR_THRESHOLD,
                    reserved_dram_bytes: float = 0.0) -> PlacementPlan:
     """Everything in DRAM: the energy-normalization reference point."""
-    major, minor, _ = _major_minor(profiles, major_threshold,
-                                   reserved_dram_bytes, dev)
-    return _finish(major, minor, dev, [1] * len(major), major_threshold,
-                   reserved_dram_bytes)
+    major, _, _ = _major_minor(profiles, major_threshold,
+                               reserved_dram_bytes, dev)
+    return _finish(profiles, major, dev, np.ones(len(major), bool),
+                   major_threshold, reserved_dram_bytes)
 
 
 def place_all_nvm(profiles: ProfileSet, dev: DeviceSpec,
                   major_threshold: float = DEFAULT_MAJOR_THRESHOLD,
                   reserved_dram_bytes: float = 0.0) -> PlacementPlan:
     """Every major object in NVM (minor objects stay DRAM-pinned)."""
-    major, minor, _ = _major_minor(profiles, major_threshold,
-                                   reserved_dram_bytes, dev)
-    return _finish(major, minor, dev, [0] * len(major), major_threshold,
-                   reserved_dram_bytes)
+    major, _, _ = _major_minor(profiles, major_threshold,
+                               reserved_dram_bytes, dev)
+    return _finish(profiles, major, dev, np.zeros(len(major), bool),
+                   major_threshold, reserved_dram_bytes)
 
 
 def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
@@ -82,46 +73,47 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
     """
     if math.isnan(mpki_threshold):  # no mpki is above or below it
         raise ValueError("mpki_threshold must be a number, got nan")
-    major, minor, dram_free = _major_minor(profiles, major_threshold,
-                                           reserved_dram_bytes, dev)
+    major, _, dram_free = _major_minor(profiles, major_threshold,
+                                       reserved_dram_bytes, dev)
     mpki = major.llc_mpki
     missing = np.isnan(mpki)
     if missing.any():
         object_id = major.ids()[int(np.argmax(missing))]
         raise ValueError(f"object {object_id!r} has no llc_mpki value")
 
-    hot = mpki >= mpki_threshold
-    on_dram = hot.astype(int).tolist()
-    sizes = major.size.tolist()
-    dram_bytes = sum(major.size[hot].tolist())
-    nvm_bytes = sum(major.size[~hot].tolist())
+    on_dram = mpki >= mpki_threshold
+    dram_bytes = sum(major.size[on_dram].tolist())
+    nvm_bytes = sum(major.size[~on_dram].tolist())
 
-    # Demote coldest DRAM residents first (ties broken by profile order).
-    order = np.argsort(mpki, kind="stable").tolist()
-    for i in order:
-        if dram_bytes <= dram_free:
-            break
-        if on_dram[i]:
-            on_dram[i] = 0
-            dram_bytes -= sizes[i]
-            nvm_bytes += sizes[i]
-    for i in reversed(order):
+    # Demote coldest DRAM residents first (ties broken by profile order)
+    # until DRAM fits: the running byte counts are accumulated one object
+    # at a time, as a loop would subtract and add them.
+    order = np.argsort(mpki, kind="stable")
+    residents = order[on_dram[order]]
+    moved = major.size[residents]
+    left = np.subtract.accumulate(np.append(dram_bytes, moved))
+    k = int(np.argmax(left <= dram_free)) if left.min() <= dram_free \
+        else len(moved)
+    on_dram[residents[:k]] = False
+    dram_bytes = float(left[k])
+    nvm_bytes = float(np.add.accumulate(np.append(nvm_bytes, moved))[k])
+    sizes = major.size
+    for i in order[::-1]:
         if nvm_bytes <= dev.nvm_capacity:
             break
         if not on_dram[i] and dram_bytes + sizes[i] <= dram_free:
-            on_dram[i] = 1
+            on_dram[i] = True
             dram_bytes += sizes[i]
             nvm_bytes -= sizes[i]
 
     # The final split's own sums decide: running counts carry residue.
-    mask = np.array(on_dram, dtype=bool)
     binding: tuple[str, ...] = ()
-    if sum(major.size[mask].tolist()) > dram_free:
+    if sum(major.size[on_dram].tolist()) > dram_free:
         binding += (CONSTRAINT_CAPACITY_DRAM,)
-    if sum(major.size[~mask].tolist()) > dev.nvm_capacity:
+    if sum(major.size[~on_dram].tolist()) > dev.nvm_capacity:
         binding += (CONSTRAINT_CAPACITY_NVM,)
     status = ilp.STATUS_INFEASIBLE if binding else ilp.STATUS_OPTIMAL
-    return _finish(major, minor, dev, on_dram, major_threshold,
+    return _finish(profiles, major, dev, on_dram, major_threshold,
                    reserved_dram_bytes, status=status, binding=binding)
 
 
@@ -134,8 +126,8 @@ def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
     capacities admit no assignment at all or none is found within
     200,000 draws.
     """
-    major, minor, dram_free = _major_minor(profiles, major_threshold,
-                                           reserved_dram_bytes, dev)
+    major, _, dram_free = _major_minor(profiles, major_threshold,
+                                       reserved_dram_bytes, dev)
     sizes = major.size
     if sizes.sum() > dram_free + dev.nvm_capacity:
         raise NoFeasibleAssignment("no capacity-feasible assignment exists")
@@ -144,7 +136,7 @@ def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,
     for _ in range(_MAX_DRAWS):
         x = rng.integers(0, 2, size=n)
         if (sizes * x).sum() <= dram_free and (sizes * (1 - x)).sum() <= dev.nvm_capacity:
-            return _finish(major, minor, dev, [int(v) for v in x],
+            return _finish(profiles, major, dev, x.astype(bool),
                            major_threshold, reserved_dram_bytes)
     raise NoFeasibleAssignment(
         f"no capacity-feasible assignment found in {_MAX_DRAWS} draws")

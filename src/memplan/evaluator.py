@@ -18,17 +18,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .energy import DeviceSpec, price_placement, prices
-from .planner import DRAM, NVM, PlacementPlan, plan_static
+from .planner import PlacementPlan, _device_codes, plan_static
 from .profiles import ProfileSet, major_mask
 
 _REL_TOL = 1e-9
-_DEVICE_CODES = {DRAM: 1, NVM: 2}  # any other device, or none, is 0
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,11 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     per-object table, by name; then the device codes, the major mask and the
     major objects' energies. The whole set is priced once and the major and
     minor objects are picked from its columns by mask, in profile order."""
-    ids = profiles.ids()
-    codes = np.fromiter(map(_DEVICE_CODES.get, map(plan.placements.get, ids),
-                            repeat(0)), np.int8, len(ids))
+    codes = _device_codes(plan, profiles)
     on_dram = codes == 1
     on_nvm = codes == 2
     if not codes.all():
-        object_id = ids[int(np.argmin(codes))]
+        object_id = profiles.ids()[int(np.argmin(codes))]
         if object_id not in plan.placements:
             raise ValueError(f"plan does not cover object {object_id!r}")
         raise ValueError(f"object {object_id!r} has no concrete device")

@@ -29,7 +29,8 @@ from . import ilp
 from .energy import DeviceSpec, Priceable, price_placement, prices
 from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
                       CapacityError, PlacementPlan, _budget, _check_reserve,
-                      build_program, diagnose_infeasibility, sweep_ratios)
+                      _device_codes, build_program, diagnose_infeasibility,
+                      sweep_ratios)
 from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
@@ -269,11 +270,12 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     _check_reserve(current.reserved_dram_bytes)
     major, minor = filter_major(profiles, current.major_threshold)
 
-    live = major.take(major.live_at(t))
-    dead = major.take(major.dealloc_time <= t)
+    live_mask, dead_mask = major.live_at(t), major.dealloc_time <= t
+    live, dead = major.take(live_mask), major.take(dead_mask)
     future_ids = tuple(compress(major.ids(), (major.alloc_time > t).tolist()))
-    live_on_dram = _on_dram(current, live)
-    dead_on_dram = _on_dram(current, dead)
+    codes = _device_codes(current, major)
+    live_on_dram = _on_dram(current, live, codes[live_mask])
+    dead_on_dram = _on_dram(current, dead, codes[dead_mask])
 
     live_minor_bytes = sum(minor.size[minor.live_at(t)].tolist())
     dram_free = (dev.dram_capacity - current.reserved_dram_bytes
@@ -345,13 +347,14 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     )
 
 
-def _on_dram(plan: PlacementPlan, profiles: ProfileSet) -> list[bool]:
-    try:
-        return [plan.placements[object_id] == DRAM
-                for object_id in profiles.ids()]
-    except KeyError as missing:
-        raise ValueError(f"current plan does not place object "
-                         f"{missing.args[0]!r}") from None
+def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
+             codes: np.ndarray) -> list[bool]:
+    # codes: the plan's device code of each object of profiles.
+    for object_id in compress(profiles.ids(), (codes == 0).tolist()):
+        if object_id not in plan.placements:  # 0 for another device too
+            raise ValueError(f"current plan does not place object "
+                             f"{object_id!r}")
+    return (codes == 1).tolist()
 
 
 def write_migration_plan(plan: MigrationPlan,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -24,10 +25,14 @@ import numpy as np
 from . import ilp
 from .energy import DeviceSpec, price_placement, prices
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, filter_major,
-                       open_text)
+                       major_mask, open_text)
 
 DRAM = "dram"
 NVM = "nvm"
+_DEVICES = ("unassigned", DRAM, NVM)  # by device code
+_CODES = dict(zip(_DEVICES, range(3)))  # by name; any other is 0 too
+# A table row after its id, by 2 * device code + major flag.
+_ROW_ENDS = tuple(f",{d},{flag}\n" for d in _DEVICES for flag in "01")
 
 PLAN_FORMAT_VERSION = "hmms-plan-v1"
 
@@ -52,6 +57,13 @@ class PlacementPlan:
     "dram"); totals cover the major objects, matching the budget's
     population. Baseline strategies produce plans too, with ``ratio`` and
     ``energy_budget_nj`` set to the values they achieved.
+
+    A plan the package makes keeps as columns (``_rows``) the ids in plan
+    file order (placed, then unassigned major ones), a read-only int8 code
+    per row (0 unassigned, 1 DRAM, 2 NVM) and the major flags; its
+    ``placements`` are built on first read. A plan of a set lists the minor
+    then the major ids in profile order and keeps the set's ids and each
+    row's position (``_origin``). A plan built from a dict reads the dict.
     """
 
     placements: dict[str, str]
@@ -65,10 +77,58 @@ class PlacementPlan:
     reserved_dram_bytes: float = 0.0
     minor_energy_in_budget: bool = False
     binding_constraints: tuple[str, ...] = ()
+    _rows = _origin = None  # not fields
 
     @property
     def feasible(self) -> bool:
         return self.status == ilp.STATUS_OPTIMAL
+
+    @classmethod
+    def _of(cls, rows: tuple, origin: tuple | None, *fields, **named):
+        plan = cls(None, *fields, **named)
+        del plan.__dict__["placements"]
+        rows[1].flags.writeable = False
+        plan.__dict__.update(_rows=rows, _origin=origin)
+        return plan
+
+    def __getattr__(self, name: str):
+        if name != "placements" or self._rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        ids, codes = self._rows[0], self._rows[1].tolist()
+        placed = self.__dict__[name] = dict(compress(
+            zip(ids, map(_DEVICES.__getitem__, codes)), codes))
+        return placed
+
+
+def _set_plan(profiles: ProfileSet, on_dram: Sequence[int] | None,
+              status: str, ratio: float, major_threshold: float, *totals,
+              **named) -> PlacementPlan:
+    """A plan of ``profiles``: its minor objects in DRAM, its major ones
+    where ``on_dram`` puts them (unassigned if None)."""
+    major, minor = filter_major(profiles, major_threshold)
+    codes = np.ones(len(profiles), np.int8)
+    codes[len(minor):] = 0 if on_dram is None else np.where(on_dram, 1, 2)
+    mask = major_mask(profiles, major_threshold)
+    rows = np.concatenate((np.flatnonzero(~mask), np.flatnonzero(mask)))
+    return PlacementPlan._of(
+        (minor.ids() + major.ids(), codes, mask[rows]), (profiles.ids(), rows),
+        major.ids(), status, ratio, major_threshold, *totals, **named)
+
+
+def _device_codes(plan: PlacementPlan, profiles: ProfileSet) -> np.ndarray:
+    """The device code of each object of ``profiles`` under ``plan``, in
+    profile order: 1 DRAM, 2 NVM, 0 for no device or another one."""
+    ids = profiles.ids()
+    if plan._origin is not None and plan._origin[0] is ids:  # one scatter
+        codes = np.empty(len(ids), np.int8)
+        codes[plan._origin[1]] = plan._rows[1]
+        return codes
+    if plan._rows is None:  # a caller's dict, read as given
+        code = {k: _CODES.get(d, 0) for k, d in plan.placements.items()}
+    else:  # mapped by id
+        code = dict(zip(plan._rows[0], plan._rows[1].tolist()))
+    return np.fromiter(map(code.get, ids, repeat(0)), np.int8, len(ids))
 
 
 def _check_reserve(reserved_dram_bytes: float) -> None:
@@ -196,41 +256,20 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
                                       extra_budget_energy=extra)
     solution = ilp.solve(program)
 
-    placements = dict.fromkeys(minor.ids(), DRAM)
     budget = _budget(major, dev, ratio, extra)
     if solution.status == ilp.STATUS_INFEASIBLE:
-        return _infeasible_plan(
-            ratio, diagnose_infeasibility(solution), major_threshold,
-            reserved_dram_bytes, include_minor_in_budget,
-            placements, major.ids(), budget)
+        return _set_plan(
+            profiles, None, ilp.STATUS_INFEASIBLE, ratio, major_threshold,
+            math.nan, math.nan, budget, reserved_dram_bytes,
+            include_minor_in_budget, diagnose_infeasibility(solution))
 
-    placements.update(zip(major.ids(), (DRAM if x else NVM
-                                        for x in solution.assignment)))
     objective, energy = summarize_assignment(major, dev, solution.assignment)
-    return PlacementPlan(
-        placements=placements,
-        major_ids=major.ids(),
-        status=ilp.STATUS_OPTIMAL,
-        ratio=ratio,
-        major_threshold=major_threshold,
-        objective_ns=objective,
-        planned_energy_nj=energy + extra,
-        energy_budget_nj=budget,
+    return _set_plan(
+        profiles, solution.assignment, ilp.STATUS_OPTIMAL, ratio=ratio,
+        major_threshold=major_threshold, objective_ns=objective,
+        planned_energy_nj=energy + extra, energy_budget_nj=budget,
         reserved_dram_bytes=reserved_dram_bytes,
-        minor_energy_in_budget=include_minor_in_budget,
-    )
-
-
-def _infeasible_plan(ratio: float, binding: tuple[str, ...],
-                     major_threshold: float, reserved_dram_bytes: float,
-                     include_minor_in_budget: bool,
-                     placements: dict[str, str] | None = None,
-                     major_ids: tuple[str, ...] = (),
-                     budget: float = float("nan")) -> PlacementPlan:
-    nan = float("nan")
-    return PlacementPlan(placements or {}, major_ids, ilp.STATUS_INFEASIBLE,
-                         ratio, major_threshold, nan, nan, budget,
-                         reserved_dram_bytes, include_minor_in_budget, binding)
+        minor_energy_in_budget=include_minor_in_budget)
 
 
 def sweep_ratios(profiles: ProfileSet, dev: DeviceSpec,
@@ -249,9 +288,10 @@ def sweep_ratios(profiles: ProfileSet, dev: DeviceSpec,
                 reserved_dram_bytes=reserved_dram_bytes,
                 include_minor_in_budget=include_minor_in_budget))
         except CapacityError:
-            plans.append(_infeasible_plan(
-                ratio, (CONSTRAINT_CAPACITY_DRAM,), major_threshold,
-                reserved_dram_bytes, include_minor_in_budget))
+            plans.append(_set_plan(
+                ProfileSet(), None, ilp.STATUS_INFEASIBLE, ratio,
+                major_threshold, *[math.nan] * 3, reserved_dram_bytes,
+                include_minor_in_budget, (CONSTRAINT_CAPACITY_DRAM,)))
     return plans
 
 
@@ -272,14 +312,18 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
         stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        # The table by columns: ids, devices and 0/1 major flags, joined once.
-        placed = plan.placements
-        major = set(plan.major_ids)
-        rows = map(",".join, zip(placed, placed.values(), map(
-            "01".__getitem__, map(major.__contains__, placed))))
-        unassigned = [f"{object_id},unassigned,1" for object_id
-                      in plan.major_ids if object_id not in placed]
-        stream.write("\n".join(("id,device,major", *rows, *unassigned, "")))
+        # By columns, joined once: each id, then the rest of its row.
+        if plan._rows is None:  # a caller's dict, then its unassigned majors
+            placed, major = plan.placements, set(plan.major_ids)
+            ids = [*placed, *(i for i in plan.major_ids if i not in placed)]
+            ends = [f",{device},{int(object_id in major)}\n"
+                    for object_id, device in placed.items()]
+            ends += [_ROW_ENDS[1]] * (len(ids) - len(placed))
+        else:
+            ids, codes, major = plan._rows
+            ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
+        stream.write("id,device,major\n"
+                     + "".join(chain.from_iterable(zip(ids, ends))))
 
 
 def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
@@ -332,8 +376,14 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
                 raise ValueError(
                     f"line {number}: duplicate object id {object_id!r}")
             seen.add(object_id)
-    placements = {k: d for k, d in zip(ids, devices) if d != "unassigned"}
-    major_ids = tuple([k for k, f in zip(ids, fields[2::3]) if f == "1"])
+    codes = np.fromiter(map(_CODES.__getitem__, devices), np.int8,
+                        len(devices))
+    major = np.array(fields[2::3], dtype=object) == "1"
+    major_ids = tuple(compress(ids, major.tolist()))
+    if not codes.all():  # placed rows, then unassigned major ones
+        unassigned = np.flatnonzero((codes == 0) & major)
+        order = [*np.flatnonzero(codes), *unassigned]
+        ids, codes, major = [ids[k] for k in order], codes[order], major[order]
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
     summary.setdefault("reserved_dram_bytes", "0")
@@ -361,8 +411,8 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
         raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
                          f"got {reserved!r}")
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
-    return PlacementPlan(
-        placements=placements,
+    return PlacementPlan._of(
+        (tuple(ids) if kept else (), codes, major), None,
         major_ids=major_ids,
         status=summary["status"],
         ratio=ratio,

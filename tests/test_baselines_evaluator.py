@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import astuple, fields, replace
@@ -5,7 +6,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from memplan import cli, evaluator
+from memplan import cli, evaluator, ilp
 from memplan.baselines import (place_all_dram, place_all_nvm,
                                place_mpki_threshold, place_random)
 from memplan.energy import GIB, dram_energy, nvm_energy, price_placement
@@ -15,8 +16,9 @@ from memplan.evaluator import (_REL_TOL, COMPARISON_COLUMNS, ComparisonRow,
                                _peak_bytes, compare, comparison_csv,
                                comparison_json, evaluate, report_csv,
                                report_json)
-from memplan.planner import (DRAM, NVM, PlacementPlan, plan_static,
-                             sweep_ratios)
+from memplan.planner import (DRAM, NVM, PlacementPlan, _major_minor,
+                             build_placement_program, load_plan, plan_static,
+                             sweep_ratios, write_plan)
 from memplan.profiles import (GeneratorSpec, ObjectProfile, ProfileSet,
                               filter_major, generate_synthetic, load_profiles,
                               write_profiles)
@@ -517,6 +519,61 @@ def test_mpki_threshold_promotes_the_hottest_nvm_residents(dram_mb, on_dram,
     assert plan.feasible == (not binding)
 
 
+def _mpki_by_loop(sizes, mpki, threshold, dram_free, nvm_capacity):
+    """The MPKI rule's devices one object at a time, as the oracle: running
+    byte counts updated per demotion and per promotion."""
+    on_dram = [int(m >= threshold) for m in mpki]
+    dram_bytes = sum(s for s, x in zip(sizes, on_dram) if x)
+    nvm_bytes = sum(s for s, x in zip(sizes, on_dram) if not x)
+    order = sorted(range(len(sizes)), key=mpki.__getitem__)
+    for i in order:
+        if dram_bytes <= dram_free:
+            break
+        if on_dram[i]:
+            on_dram[i] = 0
+            dram_bytes -= sizes[i]
+            nvm_bytes += sizes[i]
+    for i in reversed(order):
+        if nvm_bytes <= nvm_capacity:
+            break
+        if not on_dram[i] and dram_bytes + sizes[i] <= dram_free:
+            on_dram[i] = 1
+            dram_bytes += sizes[i]
+            nvm_bytes -= sizes[i]
+    return on_dram
+
+
+def test_mpki_threshold_moves_the_objects_the_loop_moves():
+    # Sizes whose running sums round differently by grouping, tied mpki,
+    # and DRAM limits on the loop's own running counts, so a demotion
+    # count off by one, or sums taken in another order, would show.
+    rng = np.random.default_rng(11)
+    sizes_pool = (0.1, 0.2, 0.7, 3.0, 4 * MB, 1e16)
+    moved = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        sizes = [float(rng.choice(sizes_pool)) for _ in range(n)]
+        mpki = [float(rng.choice((0.0, 0.01, 0.02, 0.05, 1.0)))
+                for _ in range(n)]
+        ps = ProfileSet(ObjectProfile(f"o{i}", size, 0.0, 1.0, 1.0, 1.0,
+                                      0.0, m)
+                        for i, (size, m) in enumerate(zip(sizes, mpki)))
+        running = [sum(s for s, m in zip(sizes, mpki) if m >= 0.02)]
+        for i in sorted(range(n), key=mpki.__getitem__):
+            if mpki[i] >= 0.02:
+                running.append(running[-1] - sizes[i])
+        for dram in {*rng.choice(running, size=3), 0.5 * running[0], 0.0}:
+            dram = max(float(dram), 0.0)
+            for nvm in (sum(sizes), 0.3 * sum(sizes)):
+                dev = make_testbed1(dram_capacity=dram, nvm_capacity=nvm)
+                plan = place_mpki_threshold(ps, dev, 0.02, major_threshold=0)
+                want = _mpki_by_loop(sizes, mpki, 0.02, dram, nvm)
+                got = [int(plan.placements[i] == DRAM) for i in ps.ids()]
+                assert got == want, (sizes, mpki, dram, nvm)
+                moved.add(sum(want) < sum(m >= 0.02 for m in mpki))
+    assert moved == {False, True}
+
+
 def test_evaluate_rejects_a_placement_on_no_concrete_device():
     ps = instance(1, count=4)
     plan = place_all_dram(ps, roomy_device(), major_threshold=0)
@@ -661,3 +718,77 @@ def test_compare_and_sweep_score_without_the_events_or_peaks(tmp_path):
     assert report.peak_dram_bytes == _event_loop_peak(ps, DRAM, placed) > 0
     assert report.peak_nvm_bytes == _event_loop_peak(ps, NVM, placed) > 0
     assert list(report.breakdown) == list(filter_major(ps, MB)[0].ids())
+
+
+def _score_or_error(ps, dev, plan):
+    try:
+        return repr(evaluator._score(ps, dev, plan))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plans_kept_as_columns_equal_the_per_object_dict(seed):
+    # The oracle is the dict plans held before they kept columns: the minor
+    # ids pinned to DRAM, then each major id's device, in profile order.
+    ps = generate_synthetic(GeneratorSpec(count=40, with_mpki=True), seed)
+    total = ps.total_size()
+    threshold = float(np.median(ps.accessed_volume))
+    major, minor = filter_major(ps, threshold)
+    assert len(major) and len(minor)
+    roomy = make_testbed1(dram_capacity=2 * total, nvm_capacity=2 * total)
+    tight = make_testbed1(dram_capacity=0.6 * total, nvm_capacity=total)
+    reserved = 0.05 * total
+
+    def old_way(on_dram=None):
+        placements = dict.fromkeys(minor.ids(), DRAM)
+        if on_dram is not None:
+            placements.update(zip(major.ids(), (DRAM if x else NVM
+                                                for x in on_dram)))
+        return placements
+
+    def solved(ratio, reserve=0.0, in_budget=False):
+        dram_free = _major_minor(ps, threshold, reserve, tight)[2]
+        extra = sum(dram_energy(minor, tight).tolist()) if in_budget else 0.0
+        return ilp.solve(build_placement_program(
+            major, tight, ratio, dram_free, extra)).assignment
+
+    draw = np.random.default_rng(seed).integers(0, 2, size=len(major))
+    cases = [
+        (plan_static(ps, tight, 0.8, threshold), old_way(solved(0.8))),
+        (plan_static(ps, tight, 0.8, threshold, reserved_dram_bytes=reserved),
+         old_way(solved(0.8, reserved))),
+        (plan_static(ps, tight, 0.9, threshold, include_minor_in_budget=True),
+         old_way(solved(0.9, 0.0, True))),
+        (plan_static(ps, tight, 1e-6, threshold), old_way()),
+        (sweep_ratios(ps, make_testbed1(dram_capacity=0.0, nvm_capacity=total),
+                      [0.8], threshold)[0], {}),
+        (place_all_dram(ps, roomy, threshold), old_way([1] * len(major))),
+        (place_all_dram(ps, roomy, threshold, reserved),
+         old_way([1] * len(major))),
+        (place_all_nvm(ps, roomy, threshold), old_way([0] * len(major))),
+        (place_mpki_threshold(ps, roomy, 0.05, threshold),
+         old_way(major.llc_mpki >= 0.05)),
+        (place_random(ps, roomy, seed, threshold), old_way(draw)),
+    ]
+    assert [plan.feasible for plan, _ in cases].count(False) == 2
+    for plan, want in cases:
+        text = io.StringIO()
+        write_plan(plan, text)
+        for candidate in (plan, load_plan(io.StringIO(text.getvalue()))):
+            written = io.StringIO()
+            write_plan(candidate, written)
+            assert "placements" not in vars(candidate)
+            # Only the message of a plan that is not whole reads its dict.
+            scored = [_score_or_error(ps, dev, candidate)
+                      for dev in (roomy, tight)]
+            assert ("placements" in vars(candidate)) == (not plan.feasible)
+            assert list(candidate.placements.items()) == list(want.items())
+            twin = replace(candidate, placements=dict(want))
+            assert "_rows" not in vars(twin)
+            old = io.StringIO()
+            write_plan(twin, old)
+            assert written.getvalue() == old.getvalue() == text.getvalue()
+            assert scored == [_score_or_error(ps, dev, twin)
+                              for dev in (roomy, tight)]
+            assert candidate.major_ids == plan.major_ids

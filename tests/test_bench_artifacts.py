@@ -1,13 +1,14 @@
 """The benchmark's artifacts keep their committed bytes.
 
 ``bench/expected.json`` holds the exit code and the sha256 of the artifact
-of every op the benchmark's workloads run. Every wide-pipeline op at its
-default size (the only workload whose ops run ``evaluate``, ``compare``,
-``scale`` and ``sweep``), and every op of the three tiny sets, runs here
-through `memplan.cli.main`, so a change to any of those artifacts shows in
-the tests and not only in a benchmark run. The other two workloads' plan
-and migrate ops at their default size are held by ``solver_record.json``
-(see test_solver_record.py), down to each program's answer.
+of every op the benchmark's workloads run. Every op of the three workloads
+at their default size, and of the three tiny sets, runs here through
+`memplan.cli.main`, so a change to any of those artifacts shows in the
+tests and not only in a benchmark run: wide-pipeline's ``evaluate``,
+``compare``, ``scale``, ``plan`` and ``sweep`` ops, solve-sweep's plan
+files and migrate-live's migration tables, whose current plans are read
+from plan files. ``solver_record.json`` (see test_solver_record.py) holds
+the plan and migrate ops' programs down to each one's answer.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from test_solver_record import _workloads
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # (expected.json key, workload, work, tiny); the tiny sets are built at
 # bench/run.py's TINY_WORK, one op of each kind.
-CASES = [("wide-pipeline", "wide-pipeline", 1.0, False)] + [
-    (f"{workload}/tiny", workload, 0.01, True)
-    for workload in ("solve-sweep", "wide-pipeline", "migrate-live")]
+WORKLOADS = ("solve-sweep", "wide-pipeline", "migrate-live")
+CASES = [(workload, workload, 1.0, False) for workload in WORKLOADS] + [
+    (f"{workload}/tiny", workload, 0.01, True) for workload in WORKLOADS]
 
 
 @pytest.mark.parametrize("key, workload, work, tiny", CASES,

@@ -976,3 +976,44 @@ def test_no_command_builds_an_object_profile(tmp_path, monkeypatch):
               "--capacities", "0.05:1,0.01:1", "--preset", "testbed1",
               "--out", tmp_path / "s.csv"], EXIT_OK)]:
         assert (run(args), built) == (rc, []), args
+
+
+def test_no_command_builds_a_plans_per_object_dict(tmp_path, monkeypatch):
+    # Every plan a command makes or loads keeps its placement as columns:
+    # none of them is asked for its per-object placements dict.
+    from memplan.planner import PlacementPlan
+    made = []
+    init = PlacementPlan.__init__
+
+    def record(plan, *args, **kwargs):
+        init(plan, *args, **kwargs)
+        made.append(plan)
+
+    monkeypatch.setattr(PlacementPlan, "__init__", record)
+    w, p = tmp_path / "w.prof", tmp_path / "p.plan"
+    assert run(["generate", "--count", 10, "--seed", 7, "--skew-count", 3,
+                "--skew-share", 0.9, "--with-mpki", "--out", w]) == EXIT_OK
+    device = ["--preset", "testbed1", "--dram-capacity-gib", 0.05,
+              "--nvm-capacity-gib", 1]
+    for args, rc in [
+            (["plan", "--profiles", w, "--ratio", 1e-9, *device,
+              "--out", p], EXIT_INFEASIBLE),
+            (["plan", "--profiles", w, "--ratio", 0.8, *device,
+              "--out", p], EXIT_OK),
+            (["compare", "--profiles", w, "--plan", f"optimal={p}",
+              "--all-dram", "--all-nvm", "--mpki-thresholds", "0.5,2",
+              "--random-seeds", "1,2", "--matched-optimal", *device,
+              "--out", tmp_path / "c.csv"], EXIT_OK),
+            (["sweep", "--profiles", w, "--ratios", "1.0,0.8,1e-9",
+              "--capacities", "0.05:1,0.00001:1", "--preset", "testbed1",
+              "--out", tmp_path / "s.csv"], EXIT_OK),
+            (["evaluate", "--profiles", w, "--plan", p, *device,
+              "--out", tmp_path / "e.csv"], EXIT_OK),
+            (["migrate", "--profiles", w, "--current", p, "--time", 4,
+              "--new-ratio", 0.9, *device, "--out", tmp_path / "m.mig",
+              "--future-out", tmp_path / "f.plan"], EXIT_OK)]:
+        made.clear()
+        assert run(args) == rc, args
+        assert made, args
+        assert [plan for plan in made if "placements" in vars(plan)] == [], \
+            args

@@ -294,6 +294,49 @@ class TestSerialization:
         assert load_plan(io.StringIO(buf.getvalue())) == plan
 
 
+_HEAD = ("hmms-plan-v1\nstatus=optimal\nratio=0.75\n"
+         "major_threshold_bytes=1048576.0\nreserved_dram_bytes=0.0\n"
+         "minor_energy_in_budget=0\nobjective_ns=1.0\n"
+         "planned_energy_nj=2.0\nenergy_budget_nj=3e+20\nbinding=\n"
+         "id,device,major\n")
+
+
+@pytest.mark.parametrize("table, written", [
+    # Minor and major rows out of profile order, the unassigned major ids
+    # last, as write_plan writes them: the same bytes come back.
+    ("o3,nvm,1\no0,dram,0\no5,dram,1\no4,dram,0\no1,nvm,1\no2,dram,0\n"
+     "gone,unassigned,1\nlate,unassigned,1\n", None),
+    # Unassigned rows between placed ones are written after them, and an
+    # unassigned row that is not major is neither placed nor major.
+    ("o3,nvm,1\ngone,unassigned,1\no0,dram,0\nlost,unassigned,0\n"
+     "o5,dram,1\no4,dram,0\nlate,unassigned,1\no1,nvm,1\no2,dram,0\n",
+     "o3,nvm,1\no0,dram,0\no5,dram,1\no4,dram,0\no1,nvm,1\no2,dram,0\n"
+     "gone,unassigned,1\nlate,unassigned,1\n"),
+], ids=["in-write-order", "unassigned-between"])
+def test_a_hand_written_plan_file_round_trips(table, written):
+    ps = ProfileSet(ObjectProfile(f"o{i}", 4 * MB, float(i), 9.0,
+                                  (2 if i % 2 else 0.5) * MB, 300.0 * i, 7.0)
+                    for i in range(6))
+    loaded = load_plan(io.StringIO(_HEAD + table))
+    out = io.StringIO()
+    write_plan(loaded, out)
+    assert out.getvalue() == _HEAD + (written or table)
+
+    rows = [line.split(",") for line in table.splitlines()]
+    twin = planner.PlacementPlan(
+        {i: d for i, d, _ in rows if d != "unassigned"},
+        tuple(i for i, _, f in rows if f == "1"), "optimal", 0.75,
+        1048576.0, 1.0, 2.0, 3e20)
+    assert (loaded.major_ids, loaded.placements) \
+        == (twin.major_ids, twin.placements)
+    assert list(loaded.placements) == list(twin.placements)
+    dev = small_device()
+    assert repr(evaluate(ps, dev, loaded)) == repr(evaluate(ps, dev, twin))
+    out = io.StringIO()
+    write_plan(twin, out)
+    assert out.getvalue() == _HEAD + (written or table)
+
+
 def test_include_minor_energy_changes_budget():
     big = ObjectProfile("big", 8 * MB, 0.0, 1.0, 8 * MB, 500.0, 5.0)
     tiny = ObjectProfile("tiny", 4096.0, 0.0, 1.0, 4096.0, 5.0, 0.0)
