@@ -16,7 +16,7 @@ from .energy import DeviceSpec, prices
 from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
                       PlacementPlan, _major_minor, _set_plan,
                       summarize_assignment)
-from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet
+from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet, _sum_in_order
 
 
 _MAX_DRAWS = 200_000  # before place_random gives up
@@ -32,7 +32,7 @@ def _finish(profiles: ProfileSet, major: ProfileSet, dev: DeviceSpec,
             status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
     objective, energy = summarize_assignment(major, dev, on_dram)
-    all_dram_energy = sum(prices(major, dev)[0].tolist(), 0.0)
+    all_dram_energy = _sum_in_order(prices(major, dev)[0], 0.0)
     ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
     return _set_plan(
         profiles, on_dram, status, ratio=ratio,
@@ -82,13 +82,16 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
         raise ValueError(f"object {object_id!r} has no llc_mpki value")
 
     on_dram = mpki >= mpki_threshold
-    dram_bytes = sum(major.size[on_dram].tolist())
-    nvm_bytes = sum(major.size[~on_dram].tolist())
+    dram_bytes = _sum_in_order(major.size[on_dram])
+    nvm_bytes = _sum_in_order(major.size[~on_dram])
 
     # Demote coldest DRAM residents first (ties broken by profile order)
     # until DRAM fits: the running byte counts are accumulated one object
     # at a time, as a loop would subtract and add them.
-    order = np.argsort(mpki, kind="stable")
+    order = np.argsort(mpki)  # distinct values have one sorted order
+    ordered = mpki[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(mpki, kind="stable")
     residents = order[on_dram[order]]
     moved = major.size[residents]
     left = np.subtract.accumulate(np.append(dram_bytes, moved))
@@ -108,9 +111,9 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
 
     # The final split's own sums decide: running counts carry residue.
     binding: tuple[str, ...] = ()
-    if sum(major.size[on_dram].tolist()) > dram_free:
+    if _sum_in_order(major.size[on_dram]) > dram_free:
         binding += (CONSTRAINT_CAPACITY_DRAM,)
-    if sum(major.size[~on_dram].tolist()) > dev.nvm_capacity:
+    if _sum_in_order(major.size[~on_dram]) > dev.nvm_capacity:
         binding += (CONSTRAINT_CAPACITY_NVM,)
     status = ilp.STATUS_INFEASIBLE if binding else ilp.STATUS_OPTIMAL
     return _finish(profiles, major, dev, on_dram, major_threshold,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import DeviceSpec, price_placement, prices
 from .planner import PlacementPlan, _device_codes, plan_static
-from .profiles import ProfileSet, major_mask
+from .profiles import ProfileSet, _sum_in_order, major_mask
 
 _REL_TOL = 1e-9
 
@@ -78,13 +78,13 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     major = major_mask(profiles, plan.major_threshold)
     latencies, energies = price_placement(profiles, dev, on_dram)
     all_dram = prices(profiles, dev)[0]
-    major_energies = energies[major].tolist()
-    latency = sum(latencies[major].tolist(), 0.0)
-    minor_energy = float(sum(all_dram[~major].tolist()))
+    major_energies = energies[major]
+    latency = _sum_in_order(latencies[major], 0.0)
+    minor_energy = float(_sum_in_order(all_dram[~major]))
 
     # The sum of the per-object table's values, in its order.
-    total = float(sum(major_energies))
-    denom = float(sum(all_dram[major].tolist()))
+    total = float(_sum_in_order(major_energies))
+    denom = float(_sum_in_order(all_dram[major]))
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy
@@ -93,8 +93,8 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     else:
         ratio = 1.0 if total == 0 else float("inf")
 
-    static_dram = sum(profiles.size[on_dram].tolist())
-    static_nvm = sum(profiles.size[on_nvm].tolist())
+    static_dram = _sum_in_order(profiles.size[on_dram])
+    static_nvm = _sum_in_order(profiles.size[on_nvm])
     dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
     capacity_ok_dram = static_dram <= dram_limit + _REL_TOL * max(1.0, dram_limit)
     capacity_ok_nvm = static_nvm <= dev.nvm_capacity \
@@ -124,7 +124,7 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
         **scores, peak_dram_bytes=_peak_bytes(profiles, codes == 1),
         peak_nvm_bytes=_peak_bytes(profiles, codes == 2),
         breakdown=dict(zip(compress(profiles.ids(), major.tolist()),
-                           major_energies)))
+                           major_energies.tolist())))
 
 
 @dataclass(frozen=True)

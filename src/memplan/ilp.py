@@ -16,7 +16,9 @@ relaxations: take every free negative-cost variable, then buy back the
 row's excess load at the least cost per unit of relief. Each row's bound
 table (its movable variables sorted by that rate) is built once per search.
 The search keeps a node's objective and row loads as Python floats, added
-in the order numpy would add the arrays, so they are the same doubles, and
+in the order numpy would add the arrays, so they are the same doubles (a
+leaf priced from scratch, as `constraint_violations` prices one, is summed
+from zero in index order, left to right, on every supported Python), and
 prices a row with a scalar walk over its one table that skips the variables
 above the node and stops at the first free variable covering the excess.
 The walk reads the whole table: after root fixing (below) a table holds
@@ -74,6 +76,8 @@ from operator import add, le, sub
 from typing import Sequence
 
 import numpy as np
+
+from .profiles import _sum_in_order
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -189,6 +193,9 @@ def _bound_table(c: np.ndarray, row: np.ndarray,
     var = np.flatnonzero(np.where(neg, row > 0, row < 0))
     relief = np.abs(row[var])
     rate = np.abs(c[var]) / relief
+    # Stable, unlike the sorts of a set's events and mpki: a table holds
+    # at most tens of variables, where the tie check that the default sort
+    # needs costs more than the stable sort does.
     order = np.argsort(rate, kind="stable")
     return list(zip(var[order].tolist(), relief[order].tolist(),
                     rate[order].tolist()))
@@ -255,10 +262,11 @@ def _seed(c: np.ndarray, columns: np.ndarray, slack: list[float],
 def _price(c: np.ndarray, a: np.ndarray,
            taken: np.ndarray) -> tuple[float, tuple[float, ...]]:
     """Objective and row loads of the ``taken`` variables, each summed from
-    zero in index order as ``sum(list, 0.0)`` adds. The search adds in this
-    order unless variables are fixed; then it adds the fixed ones first."""
-    return (sum(c[taken].tolist(), 0.0),
-            tuple(sum(row, 0.0) for row in a[:, taken].tolist()))
+    zero in index order, left to right, on every supported Python. The
+    search adds in this order unless variables are fixed; then it adds the
+    fixed ones first."""
+    return (_sum_in_order(c[taken], 0.0),
+            tuple(_sum_in_order(row, 0.0) for row in a[:, taken]))
 
 
 def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,

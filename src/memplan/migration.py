@@ -31,7 +31,8 @@ from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
                       CapacityError, PlacementPlan, _budget, _check_reserve,
                       _device_codes, build_program, diagnose_infeasibility,
                       sweep_ratios)
-from .profiles import ObjectProfile, ProfileSet, filter_major, open_text
+from .profiles import (ObjectProfile, ProfileSet, _sum_in_order, filter_major,
+                       open_text)
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
 
@@ -277,7 +278,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     live_on_dram = _on_dram(current, live, codes[live_mask])
     dead_on_dram = _on_dram(current, dead, codes[dead_mask])
 
-    live_minor_bytes = sum(minor.size[minor.live_at(t)].tolist())
+    live_minor_bytes = _sum_in_order(minor.size[minor.live_at(t)])
     dram_free = (dev.dram_capacity - current.reserved_dram_bytes
                  - live_minor_bytes)
     if dram_free < 0:
@@ -286,7 +287,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 
     costs = price_live(live, dev, live_on_dram, t)
     requirement = _budget(live, dev, request.new_ratio, 0.0) \
-        if request.strict else float(sum(costs.stay_energy.tolist()))
+        if request.strict else float(_sum_in_order(costs.stay_energy))
 
     program = build_migration_program(
         live, dev, costs, requirement, dram_free,
@@ -307,7 +308,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     # An infeasible solution has no assignment: everything stays in place.
     migrate = np.array(solution.assignment or stay_put, dtype=bool)
 
-    energies = np.where(migrate, costs.move_energy, costs.stay_energy).tolist()
+    energies = np.where(migrate, costs.move_energy, costs.stay_energy)
     latencies = np.where(migrate, costs.move_latency, costs.stay_latency)
     post_dram = costs.on_dram != migrate
 
@@ -316,8 +317,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     future_plan = None
     if plan_future:
         future_set = profiles.take(profiles.alloc_time > t)
-        live_post_dram = sum(live.size[post_dram].tolist())
-        live_post_nvm = sum(live.size.tolist()) - live_post_dram
+        live_post_dram = _sum_in_order(live.size[post_dram])
+        live_post_nvm = _sum_in_order(live.size) - live_post_dram
         residual = replace(
             dev, dram_capacity=max(0.0, dram_free - live_post_dram),
             nvm_capacity=max(0.0, dev.nvm_capacity - live_post_nvm))
@@ -336,10 +337,10 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         time_s=t,
         new_ratio=request.new_ratio,
         strict=request.strict,
-        e_total_nj=sum(energies, 0.0),
+        e_total_nj=_sum_in_order(energies, 0.0),
         requirement_nj=requirement,
-        objective_ns=sum(latencies.tolist(), 0.0),
-        dead_energy_nj=sum(dead_energies.tolist()),
+        objective_ns=_sum_in_order(latencies, 0.0),
+        dead_energy_nj=_sum_in_order(dead_energies),
         dead_ids=dead.ids(),
         future_ids=future_ids,
         future_plan=future_plan,

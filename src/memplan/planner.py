@@ -24,8 +24,8 @@ import numpy as np
 
 from . import ilp
 from .energy import DeviceSpec, price_placement, prices
-from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, filter_major,
-                       major_mask, open_text)
+from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, _sum_in_order,
+                       filter_major, major_mask, open_text)
 
 DRAM = "dram"
 NVM = "nvm"
@@ -143,7 +143,7 @@ def _major_minor(profiles: ProfileSet, major_threshold: float,
     """Split the set and return the DRAM capacity left for major objects."""
     _check_reserve(reserved_dram_bytes)
     major, minor = filter_major(profiles, major_threshold)
-    pinned = sum(minor.size.tolist()) + reserved_dram_bytes
+    pinned = _sum_in_order(minor.size) + reserved_dram_bytes
     dram_free = dev.dram_capacity - pinned
     if dram_free < 0:
         raise CapacityError(
@@ -211,7 +211,7 @@ def build_placement_program(major: ProfileSet, dev: DeviceSpec,
 def _budget(major: ProfileSet, dev: DeviceSpec, ratio: float,
             extra: float) -> float:
     """The energy budget (nJ) that both the program and the plan hold."""
-    return ratio * (sum(prices(major, dev)[0].tolist()) + extra)
+    return ratio * (_sum_in_order(prices(major, dev)[0]) + extra)
 
 
 def diagnose_infeasibility(solution: ilp.IlpSolution,
@@ -233,7 +233,7 @@ def summarize_assignment(major: ProfileSet, dev: DeviceSpec,
                          on_dram: Sequence[int]) -> tuple[float, float]:
     """(latency objective ns, energy nJ) of a concrete major-object split."""
     latency, energy = price_placement(major, dev, on_dram)
-    return sum(latency.tolist(), 0.0), sum(energy.tolist(), 0.0)
+    return _sum_in_order(latency, 0.0), _sum_in_order(energy, 0.0)
 
 
 def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
@@ -250,7 +250,7 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
         raise ValueError("energy ratio must be finite and > 0")
     major, minor, dram_free = _major_minor(profiles, major_threshold,
                                            reserved_dram_bytes, dev)
-    extra = sum(prices(minor, dev)[0].tolist()) if include_minor_in_budget \
+    extra = _sum_in_order(prices(minor, dev)[0]) if include_minor_in_budget \
         else 0.0
     program = build_placement_program(major, dev, ratio, dram_free,
                                       extra_budget_energy=extra)

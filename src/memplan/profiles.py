@@ -15,9 +15,9 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, repeat, takewhile
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -39,6 +39,23 @@ _HEADERS = (",".join(_COLUMNS), ",".join(_COLUMNS + (_OPTIONAL_COLUMN,)))
 PATTERNS = ("size", "accessed_volume", "llc_misses", "dirty_blocks", "lifetime")
 
 DEFAULT_MAJOR_THRESHOLD = 1 << 20  # bytes of accessed volume
+
+# Below this length a Python loop over the values adds faster than a numpy
+# call can start.
+_SHORT_SUM = 12
+
+
+def _sum_in_order(values: np.ndarray, start=0):
+    """The float64 ``values`` added one at a time in index order onto
+    ``start``, as ``sum(values.tolist(), start)`` adds on Python 3.11, on
+    every supported Python (3.12's ``sum`` compensates). An empty array
+    gives ``start`` itself."""
+    if len(values) < _SHORT_SUM or start:
+        return reduce(add, values.tolist(), start)
+    # numpy's accumulate adds in sequence. From a zero start its running
+    # sums are the loop's but for a leading run of -0.0, which the loop
+    # starts at 0.0 and ``start +`` turns into 0.0 at the end.
+    return start + float(np.add.accumulate(values)[-1])
 
 
 class ProfileError(ValueError):
@@ -267,12 +284,17 @@ class ProfileSet:
     @cached_property
     def events(self) -> tuple[np.ndarray, np.ndarray]:
         """Every allocation (+size) and free (-size) in (time, delta)
-        order, as the position of each event's object and its delta. The
-        sort is stable, so the events of a subset of objects, taken in
-        this order, are in the order a sort of the subset alone gives."""
+        order, as the position of each event's object and its delta. Ties
+        keep position order (a stable sort), so the events of a subset of
+        objects, taken in this order, are in the order a sort of the subset
+        alone gives."""
         times = np.concatenate((self.alloc_time, self.dealloc_time))
         deltas = np.concatenate((self.size, -self.size))
-        order = np.lexsort((deltas, times))
+        # Distinct times have one sorted order, which any sort finds.
+        order = np.argsort(times)
+        ordered = times[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.lexsort((deltas, times))
         owners, deltas = order % len(self), deltas[order]
         owners.flags.writeable = deltas.flags.writeable = False
         return owners, deltas
@@ -312,7 +334,7 @@ class ProfileSet:
         return self.objects[self.index[object_id]]
 
     def total_size(self) -> float:
-        return sum(self.size.tolist())
+        return _sum_in_order(self.size)
 
     def live_at(self, t: float) -> np.ndarray:
         """Mask of the objects allocated and not yet freed at time t."""

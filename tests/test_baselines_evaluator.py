@@ -2,6 +2,8 @@ import io
 import json
 import math
 from dataclasses import astuple, fields, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -328,15 +330,25 @@ def test_peak_bytes_equals_the_event_loop_with_tied_times_and_sizes():
     rng = np.random.default_rng(31)
     times = (0.0, 0.5, 1.0, 1.5, 2.0, 3.25)
     sizes = (0.1, 0.7, 1.0, 3.0, 1e-3, 1e16)  # sums depend on their order
-    for _ in range(300):
-        n = int(rng.integers(1, 30))
+    for case in range(320):
         objects = []
-        for i in range(n):
-            alloc = float(rng.choice(times[:-1]))
-            objects.append(ObjectProfile(
-                f"o{i}", float(rng.choice(sizes)), alloc,
-                float(rng.choice([t for t in times if t > alloc])), 1.0, 1.0,
-                1.0))
+        if case < 300:  # few times, shared by many events
+            for i in range(int(rng.integers(1, 30))):
+                alloc = float(rng.choice(times[:-1]))
+                objects.append(ObjectProfile(
+                    f"o{i}", float(rng.choice(sizes)), alloc,
+                    float(rng.choice([t for t in times if t > alloc])), 1.0,
+                    1.0, 1.0))
+        else:  # hundreds of objects, no two events at one time
+            n = int(rng.integers(100, 400))
+            allocs = rng.random(n)
+            deallocs = allocs + rng.random(n) + 1e-3
+            assert len({*allocs.tolist(), *deallocs.tolist()}) == 2 * n
+            objects = [ObjectProfile(f"o{i}", float(rng.choice(sizes)),
+                                     alloc, dealloc, 1.0, 1.0, 1.0)
+                       for i, (alloc, dealloc) in enumerate(zip(
+                           allocs.tolist(), deallocs.tolist()))]
+        n = len(objects)
         ps = ProfileSet(tuple(objects))
         on_dram = rng.random(n) < 0.5
         placements = {o.id: DRAM if d else NVM
@@ -523,8 +535,8 @@ def _mpki_by_loop(sizes, mpki, threshold, dram_free, nvm_capacity):
     """The MPKI rule's devices one object at a time, as the oracle: running
     byte counts updated per demotion and per promotion."""
     on_dram = [int(m >= threshold) for m in mpki]
-    dram_bytes = sum(s for s, x in zip(sizes, on_dram) if x)
-    nvm_bytes = sum(s for s, x in zip(sizes, on_dram) if not x)
+    dram_bytes = reduce(add, (s for s, x in zip(sizes, on_dram) if x), 0)
+    nvm_bytes = reduce(add, (s for s, x in zip(sizes, on_dram) if not x), 0)
     order = sorted(range(len(sizes)), key=mpki.__getitem__)
     for i in order:
         if dram_bytes <= dram_free:
@@ -547,18 +559,25 @@ def test_mpki_threshold_moves_the_objects_the_loop_moves():
     # Sizes whose running sums round differently by grouping, tied mpki,
     # and DRAM limits on the loop's own running counts, so a demotion
     # count off by one, or sums taken in another order, would show.
+    # Long sets, with tied and with distinct mpki, reach the long-array
+    # totals and both sorts.
     rng = np.random.default_rng(11)
     sizes_pool = (0.1, 0.2, 0.7, 3.0, 4 * MB, 1e16)
     moved = set()
-    for _ in range(300):
-        n = int(rng.integers(1, 25))
+    for case in range(340):
+        n = int(rng.integers(1, 25) if case < 300 else rng.integers(25, 200))
         sizes = [float(rng.choice(sizes_pool)) for _ in range(n)]
-        mpki = [float(rng.choice((0.0, 0.01, 0.02, 0.05, 1.0)))
-                for _ in range(n)]
+        if case < 320:
+            mpki = [float(rng.choice((0.0, 0.01, 0.02, 0.05, 1.0)))
+                    for _ in range(n)]
+        else:
+            mpki = (rng.random(n) * 0.04).tolist()
+            assert len(set(mpki)) == n
         ps = ProfileSet(ObjectProfile(f"o{i}", size, 0.0, 1.0, 1.0, 1.0,
                                       0.0, m)
                         for i, (size, m) in enumerate(zip(sizes, mpki)))
-        running = [sum(s for s, m in zip(sizes, mpki) if m >= 0.02)]
+        running = [reduce(add, (s for s, m in zip(sizes, mpki) if m >= 0.02),
+                          0)]
         for i in sorted(range(n), key=mpki.__getitem__):
             if mpki[i] >= 0.02:
                 running.append(running[-1] - sizes[i])

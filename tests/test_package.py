@@ -38,3 +38,23 @@ def test_no_module_compiles_source_at_run_time():
                   and isinstance(node.func, ast.Name)
                   and node.func.id in ("eval", "exec")]
     assert calls == []
+
+
+def test_no_module_sums_a_list_copy_of_an_array():
+    # Totals of arrays go through profiles._sum_in_order, which adds left to
+    # right on every Python; builtin sum compensates from 3.12 on and makes
+    # a list of the array first.
+    package = os.path.dirname(memplan.__file__)
+    calls = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as stream:
+            tree = ast.parse(stream.read(), path)
+        calls += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "sum"
+                  and any(isinstance(inner, ast.Call)
+                          and isinstance(inner.func, ast.Attribute)
+                          and inner.func.attr == "tolist"
+                          for arg in node.args for inner in ast.walk(arg))]
+    assert calls == []

@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 from dataclasses import replace
 
@@ -1080,3 +1081,39 @@ def test_a_set_is_split_once_per_threshold(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="threshold must be >= 0"):
             filter_major(profiles, float("nan"))
+
+
+def test_sum_in_order_adds_left_to_right_as_a_loop_does():
+    # The loop is what sum(list, start) adds on Python 3.11; from 3.12 on
+    # builtin sum compensates, so the loop is the oracle on every Python.
+    from functools import reduce
+    from operator import add
+
+    from memplan.profiles import _SHORT_SUM, _sum_in_order
+
+    def same(got, want):
+        # repr round-trips a float, so equal reprs are equal bits (the
+        # sign of zero included); an int start stays an int.
+        return type(got) is type(want) and repr(got) == repr(want)
+
+    rng = np.random.default_rng(35)
+    uncompensated = 0
+    for n in [*range(1, 2 * _SHORT_SUM + 2), 100, 2000]:
+        for _ in range(20):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
+            for start in (0, 0.0, -0.0, 2.5):
+                want = reduce(add, values.tolist(), start)
+                assert same(_sum_in_order(values, start), want), (n, start)
+            uncompensated += want != math.fsum([start, *values.tolist()])
+    assert uncompensated  # the inputs tell a compensated sum apart
+
+    for pad in (0, 2 * _SHORT_SUM):  # either side of the switch
+        values = np.array([1e16, 1.0, -1e16] + [0.0] * pad)
+        assert same(_sum_in_order(values), 0.0)
+        assert same(_sum_in_order(values, 0.0), 0.0)
+        zeros = np.full(3 + pad, -0.0)
+        assert same(_sum_in_order(zeros), 0.0)
+        assert same(_sum_in_order(zeros, 0.0), 0.0)
+        assert same(_sum_in_order(zeros, -0.0), -0.0)
+    for start in (0, 0.0, -0.0, 2.5):
+        assert same(_sum_in_order(np.array([]), start), start)
