@@ -24,10 +24,10 @@ above the node and stops at the first free variable covering the excess.
 The walk reads the whole table: after root fixing (below) a table holds
 the free variables alone, at most 70 on the programs the benchmark solves,
 so the variables above a node that it steps over are few.
-The walk adds the bought cost item by item, so a bound can differ in its
-last bits from a BLAS dot product over the same items. A node is cut when
-its bound cannot beat the incumbent by more than the tolerance, ties
-included, so no cut subtree holds a replacing leaf.
+The walk adds the bought cost item by item, and the returned leaf is
+priced from scratch, so no reported number depends on a BLAS kernel.
+A node is cut when its bound cannot beat the incumbent by more than the
+tolerance, ties included, so no cut subtree holds a replacing leaf.
 
 Before the search, `solve` checks the rows at the root. A row whose excess
 the free variables cannot relieve is refused alone, and a row and its
@@ -380,6 +380,6 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         # No row is refused alone, so the rows conflict jointly.
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, nodes,
                            tuple(range(len(slack))))
-    c = program.objective_coeffs
-    objective = float(c @ np.asarray(best_x, dtype=float))
+    c, a, _ = program.arrays()
+    objective, _ = _price(c, a, np.flatnonzero(best_x))
     return IlpSolution(best_x, objective, STATUS_OPTIMAL, nodes)

@@ -179,9 +179,9 @@ def build_program(objects: ProfileSet, on_dram: np.ndarray,
     move_latency, move_energy = move
     # Post-move DRAM residency is cp + x*(1 - 2cp).
     flip = (1.0 - 2.0 * cp) * sizes
-    dram_bound = dram_free - float((cp * sizes).sum())
-    nvm_bound = nvm_capacity - float(((1.0 - cp) * sizes).sum())
-    energy_bound = energy_limit - float(stay_energy.sum()) - fixed_energy
+    dram_bound = dram_free - _sum_in_order(cp * sizes)
+    nvm_bound = nvm_capacity - _sum_in_order((1.0 - cp) * sizes)
+    energy_bound = energy_limit - _sum_in_order(stay_energy) - fixed_energy
     dram_row, nvm_row = (np.maximum(flip, 0.0), np.maximum(-flip, 0.0)) \
         if transient_capacity else (flip, -flip)
     rows = [(dram_row, dram_bound, dram_free),

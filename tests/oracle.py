@@ -5,6 +5,9 @@ solver's acceptance rule and tolerance, and shares no search code with it,
 so randomized tests can hold `solve` equal to it.
 """
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from memplan.ilp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, IlpSolution,
@@ -55,5 +58,7 @@ def solve_exhaustive(program: ZeroOneProgram) -> IlpSolution:
     if best_index < 0:
         return IlpSolution((), float("nan"), STATUS_INFEASIBLE)
     assignment = tuple(int((best_index >> int(s)) & 1) for s in shifts)
-    objective = float(c @ np.asarray(assignment, dtype=float))
+    # Summed from zero in index order, as the solver prices a leaf; a dot
+    # product's bits depend on the BLAS kernel the CPU selects.
+    objective = reduce(add, c[np.flatnonzero(assignment)].tolist(), 0.0)
     return IlpSolution(assignment, objective, STATUS_OPTIMAL)

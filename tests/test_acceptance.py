@@ -5,6 +5,8 @@ is deterministic; tolerances are pinned in the asserts.
 """
 
 import time
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -178,8 +180,9 @@ def test_criterion_5_migration_identities():
         checked += 1
         new_ratio = float(rng.uniform(0.5, 1.1))
         live = [o for o in ps if o.live_at(t)]
-        stay = sum(dram_energy(o, dev) if current.placements[o.id] == DRAM
-                   else nvm_energy(o, dev) for o in live)
+        stay = reduce(add, (dram_energy(o, dev)
+                            if current.placements[o.id] == DRAM
+                            else nvm_energy(o, dev) for o in live), 0.0)
 
         noop = plan_migration(ps, dev, current,
                               MigrationRequest(t, new_ratio, strict=False),

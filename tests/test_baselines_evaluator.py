@@ -366,21 +366,22 @@ def _split_report(objects, dev, plan):
     latencies, energies = price_placement(
         major, dev, [placed[i] == DRAM for i in major.ids()])
     breakdown = dict(zip(major.ids(), energies.tolist()))
-    minor_energy = float(sum(dram_energy(minor, dev).tolist()))
-    total = float(sum(breakdown.values()))
-    denom = float(sum(dram_energy(major, dev).tolist()))
+    minor_energy = reduce(add, dram_energy(minor, dev).tolist(), 0.0)
+    total = reduce(add, breakdown.values(), 0.0)
+    denom = reduce(add, dram_energy(major, dev).tolist(), 0.0)
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy
     ratio = total / denom if denom > 0 else \
         1.0 if total == 0 else float("inf")
-    static = {device: sum(o.size for o in objects if placed[o.id] == device)
+    static = {device: reduce(add, (o.size for o in objects
+                                   if placed[o.id] == device), 0)
               for device in (DRAM, NVM)}
     dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
     budget = plan.energy_budget_nj
     return EvaluationReport(
         total_energy_nj=total,
-        latency_objective_ns=sum(latencies.tolist(), 0.0),
+        latency_objective_ns=reduce(add, latencies.tolist(), 0.0),
         energy_ratio_vs_all_dram=ratio,
         capacity_ok_dram=static[DRAM]
         <= dram_limit + _REL_TOL * max(1.0, dram_limit),
@@ -768,7 +769,8 @@ def test_plans_kept_as_columns_equal_the_per_object_dict(seed):
 
     def solved(ratio, reserve=0.0, in_budget=False):
         dram_free = _major_minor(ps, threshold, reserve, tight)[2]
-        extra = sum(dram_energy(minor, tight).tolist()) if in_budget else 0.0
+        extra = reduce(add, dram_energy(minor, tight).tolist(), 0) \
+            if in_budget else 0.0
         return ilp.solve(build_placement_program(
             major, tight, ratio, dram_free, extra)).assignment
 

@@ -1,5 +1,7 @@
 import dataclasses
 import io
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -152,8 +154,9 @@ class TestPlanMigration:
         request = MigrationRequest(time=5.0, new_ratio=0.9, strict=False)
         plan = plan_migration(ps, dev, current, request,
                               allow_migration=False)
-        stay = sum(dram_energy(o, dev) if current.placements[o.id] == DRAM
-                   else nvm_energy(o, dev) for o in ps)
+        stay = reduce(add, (dram_energy(o, dev)
+                            if current.placements[o.id] == DRAM
+                            else nvm_energy(o, dev) for o in ps), 0.0)
         assert plan.e_total_nj == stay
         assert plan.migrated_ids == ()
 

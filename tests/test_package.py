@@ -26,17 +26,21 @@ def test_importing_the_package_and_its_cli_loads_no_test_only_module():
     assert result.stdout == "[]\n"
 
 
-def test_no_module_compiles_source_at_run_time():
-    # Rules and formulas are written as code, not as text for eval or exec.
+def _package_nodes():
+    """(module:line, node) for every syntax node of every package module."""
     package = os.path.dirname(memplan.__file__)
-    calls = []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
         with open(path, encoding="utf-8") as stream:
             tree = ast.parse(stream.read(), path)
-        calls += [f"{os.path.basename(path)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id in ("eval", "exec")]
+        for node in ast.walk(tree):
+            yield f"{os.path.basename(path)}:{getattr(node, 'lineno', 0)}", node
+
+
+def test_no_module_compiles_source_at_run_time():
+    # Rules and formulas are written as code, not as text for eval or exec.
+    calls = [where for where, node in _package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec")]
     assert calls == []
 
 
@@ -44,17 +48,22 @@ def test_no_module_sums_a_list_copy_of_an_array():
     # Totals of arrays go through profiles._sum_in_order, which adds left to
     # right on every Python; builtin sum compensates from 3.12 on and makes
     # a list of the array first.
-    package = os.path.dirname(memplan.__file__)
-    calls = []
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-        with open(path, encoding="utf-8") as stream:
-            tree = ast.parse(stream.read(), path)
-        calls += [f"{os.path.basename(path)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id == "sum"
-                  and any(isinstance(inner, ast.Call)
-                          and isinstance(inner.func, ast.Attribute)
-                          and inner.func.attr == "tolist"
-                          for arg in node.args for inner in ast.walk(arg))]
+    calls = [where for where, node in _package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"
+             and any(isinstance(inner, ast.Call)
+                     and isinstance(inner.func, ast.Attribute)
+                     and inner.func.attr == "tolist"
+                     for arg in node.args for inner in ast.walk(arg))]
     assert calls == []
+
+
+def test_no_module_adds_a_total_with_a_blas_routine():
+    # A BLAS product's bits depend on the kernel OpenBLAS picks for the CPU;
+    # totals go through profiles._sum_in_order, which adds in index order.
+    uses = [where for where, node in _package_nodes()
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in (
+                "dot", "matmul", "inner", "vdot", "einsum")]
+    assert uses == []

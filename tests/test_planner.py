@@ -1,5 +1,7 @@
 import io
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -460,7 +462,7 @@ def test_a_tiny_budget_keeps_its_own_tolerance_beside_a_huge_coefficient():
     dev = DeviceSpec(dram_capacity=1e12, nvm_capacity=1e12)
     ps = ProfileSet((ObjectProfile("A", 1e9, 0, 1000, 0.1, 1, 0),
                      ObjectProfile("B", 1, 0, 1000, 0.1, 1, 0)))
-    all_dram = sum(dram_energy(ps, dev).tolist())
+    all_dram = reduce(add, dram_energy(ps, dev).tolist(), 0)
     plan = plan_static(ps, dev, 1e-6 / all_dram, major_threshold=0)
     assert plan.status == ilp.STATUS_INFEASIBLE
     assert plan.binding_constraints == (CONSTRAINT_ENERGY,)
@@ -492,7 +494,7 @@ def test_row_tolerances_follow_the_capacity_or_budget_they_limit():
     dev = small_device(dram_mb=5, nvm_mb=3)
     program = build_placement_program(ps, dev, 0.9, 5 * MB)
     de, ne = dram_energy(ps, dev), nvm_energy(ps, dev)
-    budget = 0.9 * sum(de.tolist())
+    budget = 0.9 * reduce(add, de.tolist(), 0)
     # Rows stay in bytes and nJ, their tolerances with them.
     limits = np.array([5 * MB, 3 * MB, budget])
     assert program.tolerances.tolist() == pytest.approx(
@@ -515,8 +517,8 @@ def test_the_energy_row_is_checked_against_the_budget_the_plan_reports(
         ps = generate_synthetic(
             GeneratorSpec(count=24, size_range=(2 << 20, 16 << 20)), seed)
         major, minor = filter_major(ps, DEFAULT_MAJOR_THRESHOLD)
-        extra = sum(dram_energy(minor, dev).tolist()) if include_minor \
-            else 0.0
+        extra = reduce(add, dram_energy(minor, dev).tolist(), 0) \
+            if include_minor else 0.0
         for ratio in (0.9, 0.8, 0.7, 0.6):
             plan = plan_static(ps, dev, ratio,
                                include_minor_in_budget=include_minor)

@@ -1089,7 +1089,7 @@ def test_sum_in_order_adds_left_to_right_as_a_loop_does():
     from functools import reduce
     from operator import add
 
-    from memplan.profiles import _SHORT_SUM, _sum_in_order
+    from memplan.profiles import _sum_in_order
 
     def same(got, want):
         # repr round-trips a float, so equal reprs are equal bits (the
@@ -1098,7 +1098,7 @@ def test_sum_in_order_adds_left_to_right_as_a_loop_does():
 
     rng = np.random.default_rng(35)
     uncompensated = 0
-    for n in [*range(1, 2 * _SHORT_SUM + 2), 100, 2000]:
+    for n in [*range(1, 26), 100, 2000]:
         for _ in range(20):
             values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
             for start in (0, 0.0, -0.0, 2.5):
@@ -1107,7 +1107,7 @@ def test_sum_in_order_adds_left_to_right_as_a_loop_does():
             uncompensated += want != math.fsum([start, *values.tolist()])
     assert uncompensated  # the inputs tell a compensated sum apart
 
-    for pad in (0, 2 * _SHORT_SUM):  # either side of the switch
+    for pad in (0, 24):  # short and long inputs alike
         values = np.array([1e16, 1.0, -1e16] + [0.0] * pad)
         assert same(_sum_in_order(values), 0.0)
         assert same(_sum_in_order(values, 0.0), 0.0)

@@ -22,6 +22,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -92,6 +94,19 @@ def test_every_benchmark_solve_keeps_its_recorded_answer(workload, tmp_path):
     for k, (got, want) in enumerate(zip(entries, expected)):
         assert got == want, f"{workload} program {k} (op {want[0]}) moved"
     assert len(entries) == len(expected)
+
+
+def test_the_record_holds_under_another_blas_kernel():
+    # OpenBLAS picks its kernels for the CPU when numpy loads, and a total a
+    # BLAS routine adds changes its last bits with the kernel. Prescott
+    # needs only SSE3, so every x86-64 CPU can run the check under it.
+    check = f"{Path(__file__).name}::" \
+        f"{test_every_benchmark_solve_keeps_its_recorded_answer.__name__}"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         check], cwd=Path(__file__).parent, capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"), timeout=300)
+    assert result.returncode == 0, result.stdout[-3000:]
 
 
 def main() -> None:
