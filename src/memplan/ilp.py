@@ -7,59 +7,57 @@ lexicographically smallest optimal assignment. The oracle, a scan of every
 assignment in that order (n <= 24), lives in the tests (``tests/oracle.py``),
 and randomized tests keep `solve` equal to it.
 
-`solve` is a depth-first search on an explicit stack, so no recursion limit
-caps the number of variables. It fixes variable 0 first and tries 0 before
-1, so leaves arrive in the oracle's lexicographic order, and a leaf replaces
-the incumbent only when better by more than the tolerance, as in the
-oracle's scan. A node's bound is the largest of the rows' fractional
-relaxations: take every free negative-cost variable, then buy back the
-row's excess load at the least cost per unit of relief. Each row's bound
-table (its movable variables sorted by that rate) is built once per search.
-The search keeps a node's objective and row loads as Python floats, added
-in the order numpy would add the arrays, so they are the same doubles (a
-leaf priced from scratch, as `constraint_violations` prices one, is summed
-from zero in index order, left to right, on every supported Python), and
-prices a row with a scalar walk over its one table that skips the variables
-above the node and stops at the first free variable covering the excess.
-The walk reads the whole table: after root fixing (below) a table holds
-the free variables alone, at most 70 on the programs the benchmark solves,
-so the variables above a node that it steps over are few.
-The walk adds the bought cost item by item, and the returned leaf is
-priced from scratch, so no reported number depends on a BLAS kernel.
-A node is cut when its bound cannot beat the incumbent by more than the
+`solve` runs on Python floats from root to leaf, adding every total in the
+order numpy adds arrays (the relaxation's loads and the suffix sums as a
+sequential ``cumsum`` from the last variable, a leaf's price from zero in
+index order, left to right, on every supported Python), so each seed,
+multiplier, fixed set and price is the double the array code gives and no
+reported number depends on a BLAS kernel; only `_fix` runs on arrays.
+
+Its search (`_search`) is depth-first on an explicit stack, so no recursion
+limit caps the number of variables. It fixes variable 0 first and tries 0
+before 1, so leaves arrive in the oracle's lexicographic order, and a leaf
+replaces the incumbent only when better by more than the tolerance, as in
+the oracle's scan. A node's bound is the largest of the rows' bounds: take
+every free negative-cost variable, then buy back the row's excess load by a
+scalar walk over the row's table (its movable variables sorted by cost per
+unit of relief, built once per search), skipping the variables above the
+node. The fractional bound buys part of the critical item, the first that
+covers the excess; the node bound takes the smaller of buying it whole and
+skipping it, as Martello and Toth bound a knapsack (EJOR 1(3), 1977). A
+node is cut when its bound cannot beat the incumbent by more than the
 tolerance, ties included, so no cut subtree holds a replacing leaf.
 
-Before the search, `solve` checks the rows at the root. A row whose excess
-the free variables cannot relieve is refused alone, and a row and its
-negation, neither refused alone, whose slacks sum below zero leave an empty
-range, which the search, pricing one row at a time, would only prove by
-walking the tree. Either ends the solve as infeasible after that one node,
-with `IlpSolution.binding` naming those rows; a search that finds no leaf
-names every row. Otherwise it rounds the root relaxation to one feasible
-leaf (the seed) and starts with a cutoff just above the seed's objective,
-so the search proves an optimum instead of walking toward it one
-improvement at a time. Any leaf no worse than the seed is still accepted,
-so an exact tie keeps its lexicographic winner. Only distinct objectives
-within about twice the tolerance of each other can end at a different,
-equally optimal leaf than the oracle's scan.
+Before the search, `solve` checks the rows at the root, pricing each with the
+fractional bound. A row whose excess the free variables cannot relieve is
+refused alone, and a row and its negation, neither refused alone, whose slacks
+sum below zero leave an empty range, which the search, pricing one row at a
+time, would only prove by walking the tree. Either ends the solve as infeasible
+after that one node, with `IlpSolution.binding` naming those rows; a search
+that finds no leaf names every row. Otherwise it rounds the root relaxation to
+one feasible leaf (the seed) and starts with a cutoff just above the seed's
+objective, so the search proves an optimum instead of walking toward it one
+improvement at a time. Any leaf no worse than the seed is still accepted, so an
+exact tie keeps its lexicographic winner. Only distinct objectives within about
+twice the tolerance of each other can end at a different, equally optimal leaf
+than the oracle's scan.
 
-Then `solve` fixes variables at the root by reduced cost
-(Balas and Zemel, Oper. Res. 28(5), 1980). The multiplier λ is read off
-the dearest overloaded row's root table: the rate of the first item whose
-running relief total covers the row's excess, the LP dual of that row's
-relaxation, or 0 when no row is overloaded. With reduced
-costs ``r = c + λ·a`` over that row and the Lagrangian bound
-``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to anything but its
-Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``. When that is
-beyond the seed's cutoff by more than a float margin, the search would cut
-every such leaf, so x_j is fixed. A solve without a seed has an infinite
-cutoff and fixes nothing. The search then runs over the free variables
-alone, from a root that holds the fixed ones' objective and row loads;
-suffix sums and every row's bound table are built once, for the free
-variables, and the leaf check still runs every row against its own slack.
-A fixed variable has the same value in every leaf that can still be
-accepted, so the remaining leaves arrive in the same lexicographic order
-and the tie-break is unchanged.
+Then `solve` fixes variables at the root by reduced cost (Balas and Zemel,
+Oper. Res. 28(5), 1980). The multiplier λ is read off the dearest overloaded
+row's root table: the rate of the first item whose running relief total covers
+the row's excess, the LP dual of that row's relaxation, or 0 when no row is
+overloaded. With reduced costs ``r = c + λ·a`` over that row and the Lagrangian
+bound ``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to anything but its
+Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``. When that is beyond
+the seed's cutoff by more than a float margin, the search would cut every such
+leaf, so x_j is fixed. A solve without a seed has an infinite cutoff and fixes
+nothing. The search then runs over the free variables alone, from a root that
+holds the fixed ones' objective and row loads; suffix sums and every row's
+bound table are built once, for the free variables (the root's tables serve
+when none is fixed; when all are, the seed answers), and the leaf check still
+runs every row against its own slack. A fixed variable has the same value in
+every leaf that can still be accepted, so the remaining leaves arrive in the
+same lexicographic order and the tie-break is unchanged.
 
 Objective comparisons use a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``,
 1e-9 relative with a 1e-12 absolute floor, and so does each constraint, on
@@ -71,13 +69,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
-from operator import add, le, sub
+from functools import reduce
+from itertools import accumulate, combinations, compress
+from operator import add, and_, itemgetter, le, not_, sub
 from typing import Sequence
 
 import numpy as np
-
-from .profiles import _sum_in_order
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -176,29 +173,23 @@ def constraint_violations(program: ZeroOneProgram,
     c, a, _ = program.arrays()
     if len(assignment) != program.num_variables:
         raise ValueError("assignment length does not match program")
-    _, load = _price(c, a, np.flatnonzero(assignment))
+    _, load = _price(c.tolist(), a.tolist(), assignment)
     return [i for i, (used, limit) in enumerate(
         zip(load, program.slack().tolist())) if used > limit]
 
 
-def _bound_table(c: np.ndarray, row: np.ndarray,
-                 neg: np.ndarray) -> list[tuple[int, float, float]]:
+def _bound_table(costs: Sequence[float], row: Sequence[float],
+                 neg: Sequence[bool]) -> list[tuple[int, float, float]]:
     """One row's movable variables sorted by cost per unit of load relief.
 
     With every negative-cost variable taken, a row's load falls by
     releasing a taken variable of positive load or by raising an untaken
     one of negative load. Returns (variable, relief, cost per relief)
-    items in the order a fractional knapsack buys relief.
+    items in the order a fractional knapsack buys relief, ties by index.
     """
-    var = np.flatnonzero(np.where(neg, row > 0, row < 0))
-    relief = np.abs(row[var])
-    rate = np.abs(c[var]) / relief
-    # Stable, unlike the sorts of a set's events and mpki: a table holds
-    # at most tens of variables, where the tie check that the default sort
-    # needs costs more than the stable sort does.
-    order = np.argsort(rate, kind="stable")
-    return list(zip(var[order].tolist(), relief[order].tolist(),
-                    rate[order].tolist()))
+    return sorted([(j, abs(w), abs(cost) / abs(w))
+                   for j, (cost, w, taken) in enumerate(zip(costs, row, neg))
+                   if (w > 0 if taken else w < 0)], key=itemgetter(2))
 
 
 def _relief_cost(table: list, depth: int, excess: float) -> float:
@@ -217,15 +208,36 @@ def _relief_cost(table: list, depth: int, excess: float) -> float:
     return math.inf
 
 
-def _suffix_sums(values: np.ndarray) -> np.ndarray:
-    """Row d holds the sum of ``values[j]`` over j >= d; row n is zero."""
-    sums = np.zeros((len(values) + 1,) + values.shape[1:])
-    sums[:-1] = np.cumsum(values[::-1], axis=0)[::-1]
-    return sums
+def _node_bound(table: list, depth: int, excess: float) -> float:
+    """`_relief_cost` tightened as Martello and Toth bound a knapsack (EJOR
+    1(3), 1977): a cover buys the critical item, the free one covering the
+    excess, whole, selling the surplus back at most at the previous free
+    item's rate, or skips it, buying the rest at least at the next one's."""
+    total = dot = before = 0.0
+    items = iter(table)
+    for var, relief, rate in items:
+        if var >= depth:
+            if total + relief >= excess:
+                # Added as `_relief_cost` adds, so never below its value.
+                whole = (dot + rate * relief
+                         - (total + relief - excess) * before)
+                for j, _, after in items:
+                    if j >= depth:
+                        return min(whole, dot + (excess - total) * after)
+                return whole
+            total += relief
+            dot += rate * relief
+            before = rate
+    return math.inf
 
 
-def _seed(c: np.ndarray, columns: np.ndarray, slack: list[float],
-          neg: np.ndarray, table: list, load: np.ndarray
+def _suffix_sums(values: list[float]) -> list[float]:
+    """Each sum of ``values[d:]``, added from the last, then 0.0 for d = n."""
+    return [*accumulate(reversed(values))][::-1] + [0.0]
+
+
+def _seed(costs: list[float], rows: list[list[float]], slack: list[float],
+          neg: list[bool], table: list, load: list[float]
           ) -> tuple[tuple[int, ...], float] | None:
     """(assignment, objective) of a feasible leaf rounded from the root.
 
@@ -237,36 +249,37 @@ def _seed(c: np.ndarray, columns: np.ndarray, slack: list[float],
     first, is flipped back if every row still fits. None when no prefix of
     the walk fits or the leaf fails the search's own check.
     """
-    x = neg.copy()
+    x = [1 if t else 0 for t in neg]
     if table:
-        var = np.array([j for j, _, _ in table], dtype=np.intp)
-        signed = np.where(neg[var], -1.0, 1.0)[:, None] * columns[var]
-        loads = load + signed.cumsum(0)
-        fits = np.flatnonzero(np.all(loads <= slack, axis=1))
-        if not fits.size:
+        var = [j for j, _, _ in table]
+        signed = [[-row[j] if neg[j] else row[j] for j in var] for row in rows]
+        loads = [[used + total for total in accumulate(deltas)]
+                 for used, deltas in zip(load, signed)]
+        k = next((k for k, prefix in enumerate(zip(*loads))
+                  if all(map(le, prefix, slack))), None)
+        if k is None:
             return None
-        k = int(fits[0])
-        x[var[:k + 1]] = ~neg[var[:k + 1]]
-        load = loads[k].tolist()
-        for j, delta in zip(var[k::-1].tolist(), signed[k::-1].tolist()):
-            back = list(map(sub, load, delta))
+        load = [prefix[k] for prefix in loads]
+        for p in range(k, -1, -1):
+            back = [used - deltas[p] for used, deltas in zip(load, signed)]
             if all(map(le, back, slack)):
                 load = back
-                x[j] = neg[j]
-    obj, load = _price(c, columns.T, np.flatnonzero(x))
+            else:
+                x[var[p]] ^= 1
+    obj, load = _price(costs, rows, x)
     if not all(map(le, load, slack)):
         return None
-    return tuple(x.astype(int).tolist()), obj
+    return tuple(x), obj
 
 
-def _price(c: np.ndarray, a: np.ndarray,
-           taken: np.ndarray) -> tuple[float, tuple[float, ...]]:
-    """Objective and row loads of the ``taken`` variables, each summed from
-    zero in index order, left to right, on every supported Python. The
-    search adds in this order unless variables are fixed; then it adds the
-    fixed ones first."""
-    return (_sum_in_order(c[taken], 0.0),
-            tuple(_sum_in_order(row, 0.0) for row in a[:, taken]))
+def _price(costs: Sequence[float], rows: Sequence[Sequence[float]],
+           x: Sequence) -> tuple[float, tuple[float, ...]]:
+    """Objective and row loads of the leaf ``x`` (one 0 or 1 per variable),
+    each summed from zero in index order, left to right, on every
+    supported Python. The search adds in this order unless variables are
+    fixed; then it adds the fixed ones first."""
+    return (reduce(add, compress(costs, x), 0.0),
+            tuple(reduce(add, compress(row, x), 0.0) for row in rows))
 
 
 def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
@@ -290,62 +303,23 @@ def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
     return np.abs(r) > cutoff - bound + margin, r < 0
 
 
-def solve(program: ZeroOneProgram) -> IlpSolution:
-    """Exact branch-and-bound minimizer with the oracle's tie-break."""
-    c, a, _ = program.arrays()
-    n = len(c)
-    neg = c < 0
+def _search(costs: list[float], rows: list[list[float]], slack: list[float],
+            root_obj: float, root_load: tuple[float, ...], cutoff: float,
+            tables: dict[int, list]) -> tuple[tuple[int, ...] | None, int]:
+    """(leaf, nodes): the best leaf below ``cutoff`` (None if none) over the
+    variables of ``costs`` and ``rows``, from a root holding ``root_obj``
+    and ``root_load``, and the nodes popped. ``tables`` holds the bound
+    tables already built for these variables, by row."""
+    n = len(costs)
+    neg = [v < 0 for v in costs]
+    tables = [tables[i] if i in tables else _bound_table(costs, row, neg)
+              for i, row in enumerate(rows)]
     # The relaxation at depth d takes every free negative-cost variable.
-    neg_load = np.where(neg, a, 0.0).T
-    free_load = _suffix_sums(neg_load)
-
-    slack = program.slack().tolist()
-    excess = (free_load[0] - program.slack()).tolist()
-    over = [i for i, e in enumerate(excess) if e > 0]
-    # Only the overloaded rows' tables price the root; the search builds
-    # every row's table afresh, for the variables it searches.
-    tables = {i: _bound_table(c, a[i], neg) for i in over}
-    reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
-    # A row its free variables cannot relieve fits no leaf, nor does the
-    # empty range of a row and its negation, as leaf loads negate exactly:
-    # the search would pop the root alone, or walk the whole tree.
-    refused = {i for i, cost in zip(over, reliefs) if cost == math.inf}
-    binding = tuple(sorted(refused.union(*(
-        (i, j) for i, j in combinations(range(len(slack)), 2)
-        if slack[i] + slack[j] < 0 and not refused & {i, j}
-        and np.array_equal(a[j], -a[i])))))
-    if binding:
-        return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1, binding)
-
-    dearest = over[reliefs.index(max(reliefs))] if over else None
-    # Every leaf up to the seed's objective stays acceptable, the seed
-    # included; the seed itself answers if rounding cuts its path. Without
-    # a seed the cutoff is infinite, and no variable is fixed.
-    seed_x, upper = _seed(c, a.T, slack, neg, tables[dearest] if over else [],
-                          free_load[0]) or (None, math.inf)
-    cutoff = upper + _tol(upper)  # a leaf must fall below this
-    rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
-    if over:
-        totals = list(accumulate(item[1] for item in tables[dearest]))
-        rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
-        row, limit = a[dearest], float(program.slack()[dearest])
-    fixed, value = _fix(c, row, limit, rate, cutoff)
-    # The search runs over the free variables only, from a root that holds
-    # the fixed ones' objective and row loads.
-    keep = np.flatnonzero(~fixed)
-    root_obj, root_load = _price(c, a, np.flatnonzero(fixed & value))
-    c, a, neg, n = c[keep], a[:, keep], neg[keep], len(keep)
-    free_load = _suffix_sums(neg_load[keep])
-    tables = [_bound_table(c, row, neg) for row in a]
-    free_obj = _suffix_sums(np.where(neg, c, 0.0)).tolist()
-
-    # The search runs on Python floats, in the order the arrays would add.
-    free_load = free_load.tolist()
-    columns = a.T.tolist()
-    costs = c.tolist()
-    nodes = 0
-    best_x: tuple[int, ...] | None = None
-    x = [0] * n
+    free_obj, *free_load = (_suffix_sums([
+        w if t else 0.0 for w, t in zip(row, neg)]) for row in (costs, *rows))
+    free_load = list(zip(*free_load)) or [()] * (n + 1)
+    columns = list(zip(*rows)) or [()] * n
+    nodes, best_x, x = 0, None, [0] * n
     stack = [(0, 0, root_obj, root_load)]
     while stack:
         depth, bit, obj, load = stack.pop()
@@ -354,11 +328,11 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
             x[depth - 1] = bit
         base = obj + free_obj[depth]
         bound = base
-        for i, (used, free, limit) in enumerate(
-                zip(load, free_load[depth], slack)):
+        for used, free, limit, table in zip(load, free_load[depth], slack,
+                                            tables):
             excess = used + free - limit
             if excess > 0 and bound < cutoff:
-                priced = base + _relief_cost(tables[i], depth, excess)
+                priced = base + _node_bound(table, depth, excess)
                 if priced > bound:
                     bound = priced
         if bound >= cutoff:
@@ -370,16 +344,67 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         stack.append((depth + 1, 1, obj + costs[depth],
                       tuple(map(add, load, columns[depth]))))
         stack.append((depth + 1, 0, obj, load))
-    if best_x is None:
-        best_x = seed_x
-    else:
-        full = (fixed & value).astype(int)
-        full[keep] = best_x
-        best_x = tuple(full.tolist())
+    return best_x, nodes
+
+
+def solve(program: ZeroOneProgram) -> IlpSolution:
+    """Exact branch-and-bound minimizer with the oracle's tie-break."""
+    c, a, _ = program.arrays()
+    costs, rows, slack = c.tolist(), a.tolist(), program.slack().tolist()
+    n = len(costs)
+    neg = [v < 0 for v in costs]
+    # The root relaxation's loads, added as the search's suffix sums add.
+    root = [reduce(add, compress(row[::-1], neg[::-1]), 0.0) for row in rows]
+    excess = list(map(sub, root, slack))
+    over = [i for i, e in enumerate(excess) if e > 0]
+    # Only the overloaded rows' tables price the root; the search reuses
+    # them when no variable is fixed and builds the others.
+    tables = {i: _bound_table(costs, rows[i], neg) for i in over}
+    reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
+    # A row its free variables cannot relieve fits no leaf, nor does the
+    # empty range of a row and its negation, as leaf loads negate exactly:
+    # the search would pop the root alone, or walk the whole tree.
+    refused = {i for i, cost in zip(over, reliefs) if cost == math.inf}
+    binding = tuple(sorted(refused.union(*(
+        (i, j) for i, j in combinations(range(len(slack)), 2)
+        if slack[i] + slack[j] < 0 and not refused & {i, j}
+        and rows[j] == [-w for w in rows[i]]))))
+    if binding:
+        return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1, binding)
+
+    dearest = over[reliefs.index(max(reliefs))] if over else None
+    # Every leaf up to the seed's objective stays acceptable, the seed
+    # included; the seed itself answers if rounding cuts its path. Without
+    # a seed the cutoff is infinite, and no variable is fixed.
+    seed_x, upper = _seed(costs, rows, slack, neg,
+                          tables[dearest] if over else [], root) \
+        or (None, math.inf)
+    cutoff = upper + _tol(upper)  # a leaf must fall below this
+    rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
+    if over:
+        totals = list(accumulate(item[1] for item in tables[dearest]))
+        rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
+        row, limit = a[dearest], slack[dearest]
+    fixed, value = map(np.ndarray.tolist, _fix(c, row, limit, rate, cutoff))
+    if all(fixed):
+        # The seed is below the cutoff, so it holds every fixed value.
+        return IlpSolution(seed_x, upper, STATUS_OPTIMAL, 1)
+    # The search runs over the free variables only, from a root that holds
+    # the fixed ones' objective and row loads.
+    keep = list(compress(range(n), map(not_, fixed)))
+    taken = list(map(and_, fixed, value))
+    leaf, nodes = _search([costs[j] for j in keep],
+                          [[row[j] for j in keep] for row in rows], slack,
+                          *_price(costs, rows, taken), cutoff,
+                          tables if len(keep) == n else {})
+    best_x = seed_x
+    if leaf is not None:
+        bits = iter(leaf)
+        best_x = tuple(int(v) if f else next(bits)
+                       for f, v in zip(fixed, value))
     if best_x is None:
         # No row is refused alone, so the rows conflict jointly.
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, nodes,
                            tuple(range(len(slack))))
-    c, a, _ = program.arrays()
-    objective, _ = _price(c, a, np.flatnonzero(best_x))
-    return IlpSolution(best_x, objective, STATUS_OPTIMAL, nodes)
+    return IlpSolution(best_x, _price(costs, (), best_x)[0], STATUS_OPTIMAL,
+                       nodes)

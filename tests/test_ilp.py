@@ -12,7 +12,8 @@ from memplan.baselines import place_mpki_threshold
 from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                          IlpSolution, ZeroOneProgram, _bound_table,
-                         _relief_cost, _tol, constraint_violations, solve)
+                         _node_bound, _relief_cost, _tol,
+                         constraint_violations, solve)
 from memplan.migration import (MigrationRequest, build_migration_program,
                                plan_migration, price_live)
 from memplan.planner import build_placement_program
@@ -364,7 +365,7 @@ def test_a_tight_80_object_placement_stays_within_its_search_size():
     solution = solve(program)
     assert solution.status == STATUS_OPTIMAL
     assert solution.objective_value == -1332463000.0
-    assert solution.nodes <= 6657
+    assert solution.nodes <= 5497
 
 
 def test_a_row_no_variable_can_relieve_ends_at_the_root():
@@ -439,6 +440,94 @@ def test_relief_walk_matches_the_array_formula():
     assert finite > 3000 and infinite > 1000
 
 
+# Every 0-1 choice of up to 10 items, one row per choice.
+_CHOICES = np.array(list(itertools.product((0.0, 1.0), repeat=10)))
+
+
+def _cheapest_cover(table, depth, excess):
+    """Brute force: the least cost of free items whose reliefs sum to at
+    least ``excess``; +inf when no choice covers it."""
+    free = [(relief, rate * relief) for var, relief, rate in table
+            if var >= depth]
+    if not free:
+        return math.inf
+    choices = _CHOICES[-(1 << len(free)):, -len(free):]
+    relief, cost = (np.array(column) for column in zip(*free))
+    # Added in table order, as the walks add, so a prefix that covers the
+    # excess exactly covers it here too.
+    covers = (choices * relief).cumsum(axis=1)[:, -1] >= excess
+    return float((choices[covers] * cost).sum(axis=1).min()) \
+        if covers.any() else math.inf
+
+
+def test_the_node_bound_lies_between_the_lp_bound_and_the_cheapest_cover():
+    # Integer costs and reliefs give zero-cost items, tied rates and
+    # excesses that a prefix of free items covers exactly, where the
+    # critical item is bought whole with no surplus.
+    rng = np.random.default_rng(37)
+    draws = tighter = 0
+    for _ in range(6000):
+        n = int(rng.integers(1, 11))
+        if rng.random() < 0.7:
+            c = rng.integers(-6, 7, n).astype(float)
+            row = rng.integers(-4, 5, n).astype(float)
+        else:
+            c = rng.uniform(-10, 10, n)
+            row = rng.uniform(-5, 5, n)
+        table = _bound_table(c.tolist(), row.tolist(), (c < 0).tolist())
+        depth = int(rng.integers(0, n + 1))
+        reliefs = np.cumsum(
+            [relief for var, relief, _ in table if var >= depth]).tolist()
+        total = reliefs[-1] if reliefs else 0.0
+        for excess in (*reliefs, *rng.uniform(0, total, 2).tolist(),
+                       total + 1.0):
+            if not excess > 0:
+                continue
+            draws += 1
+            lp = _relief_cost(table, depth, excess)
+            bound = _node_bound(table, depth, excess)
+            cover = _cheapest_cover(table, depth, excess)
+            if cover == math.inf:
+                assert lp == bound == math.inf
+                continue
+            assert bound >= lp - 1e-9 * abs(lp)
+            assert bound <= cover + 1e-9 * abs(cover)
+            tighter += bound > lp + 1e-9 * abs(lp)
+    assert draws > 20000 and tighter > draws // 10
+
+
+def test_exact_covers_match_the_oracle():
+    # Integer programs whose first row's root excess is the relief total
+    # of a prefix of its bound table, give or take one unit: the critical
+    # item covers the excess exactly or nearly, where the node bound can
+    # equal a leaf's objective and ties are common.
+    rng = np.random.default_rng(38)
+    exact = 0
+    for _ in range(200):
+        n = int(rng.integers(6, 17))
+        c = rng.integers(-9, 4, n).astype(float)
+        row = rng.integers(-2, 7, n).astype(float)
+        neg = c < 0
+        table = _bound_table(c.tolist(), row.tolist(), neg.tolist())
+        if not table:
+            continue
+        reliefs = np.cumsum([relief for _, relief, _ in table])
+        k = int(rng.integers(0, len(table)))
+        shift = int(rng.integers(-1, 2)) if rng.random() < 0.3 else 0
+        load = float(row[neg].sum())
+        rows = [(row, load - float(reliefs[k]) + shift)]
+        rows += [(rng.integers(-3, 5, n).astype(float),
+                  float(rng.integers(0, 2 * n)))
+                 for _ in range(int(rng.integers(0, 3)))]
+        program = ZeroOneProgram(c, tuple(rows))
+        got, want = solve(program), solve_exhaustive(program)
+        assert (got.status, got.assignment) == (want.status, want.assignment)
+        if got.status == STATUS_OPTIMAL:
+            assert got.objective_value == want.objective_value
+        exact += shift == 0
+    assert exact > 100
+
+
 def test_a_tight_320_object_placement_stays_within_its_search_size():
     ps = generate_synthetic(GeneratorSpec(count=320), 1)
     major, _ = filter_major(ps, 0.0)
@@ -449,13 +538,13 @@ def test_a_tight_320_object_placement_stays_within_its_search_size():
     solution = solve(program)
     assert solution.status == STATUS_OPTIMAL
     assert solution.objective_value == -3105317600.0
-    assert solution.nodes <= 12199
+    assert solution.nodes <= 3977
 
 
 @pytest.mark.parametrize("seed, ratio, transient, rows, variables, nodes, "
                          "objective", [
-                             (2, 0.7, True, 3, 188, 3837, 935926502.6038185),
-                             (7, 0.65, False, 3, 204, 4805,
+                             (2, 0.7, True, 3, 188, 2467, 935926502.6038185),
+                             (7, 0.65, False, 3, 204, 1785,
                               1909115323.9261506)])
 def test_a_strict_migration_stays_within_its_search_size(
         monkeypatch, seed, ratio, transient, rows, variables, nodes,

@@ -110,14 +110,23 @@ def test_the_record_holds_under_another_blas_kernel():
 
 
 def main() -> None:
-    """Rewrite the record from the solver in this checkout."""
+    """Rewrite the record from the solver in this checkout, and print each
+    workload's node total, old -> new, and how many entries moved in a
+    field other than the node count."""
     sys.path.insert(0, str(ROOT / "src"))
+    old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
     record = {}
     for workload in WORKLOADS:
         with tempfile.TemporaryDirectory() as workdir:
             record[workload] = solves(workload, workdir)
-        nodes = sum(entry[-1] for entry in record[workload])
-        print(f"{workload}: {len(record[workload])} programs, {nodes} nodes")
+        before = old.get(workload, [])
+        moved = sum(got[:-1] != want[:-1] for got, want
+                    in zip(record[workload], before))
+        moved += abs(len(record[workload]) - len(before))
+        print(f"{workload}: {len(record[workload])} programs, nodes "
+              f"{sum(entry[-1] for entry in before)} -> "
+              f"{sum(entry[-1] for entry in record[workload])}, "
+              f"{moved} moved in another field")
     lines = ",\n".join(
         f"  {json.dumps(workload)}: [\n"
         + ",\n".join(f"    {json.dumps(entry)}" for entry in entries)
