@@ -7,12 +7,12 @@ lexicographically smallest optimal assignment. The oracle, a scan of every
 assignment in that order (n <= 24), lives in the tests (``tests/oracle.py``),
 and randomized tests keep `solve` equal to it.
 
-`solve` runs on Python floats from root to leaf, adding every total in the
-order numpy adds arrays (the relaxation's loads and the suffix sums as a
-sequential ``cumsum`` from the last variable, a leaf's price from zero in
-index order, left to right, on every supported Python), so each seed,
-multiplier, fixed set and price is the double the array code gives and no
-reported number depends on a BLAS kernel; only `_fix` runs on arrays.
+Every solve's passes over all its variables run on arrays (the root
+relaxation's loads, the fixing and each leaf's price); the bound tables (the
+overloaded rows' at the root, every row's over the free variables), the
+seed's walk and the search run on Python floats. Every total adds in index
+order (a leaf's price from zero, the relaxation's loads and suffix sums from
+the last variable), so no reported number depends on a BLAS kernel.
 
 Its search (`_search`) is depth-first on an explicit stack, so no recursion
 limit caps the number of variables. It fixes variable 0 first and tries 0
@@ -54,10 +54,10 @@ leaf, so x_j is fixed. A solve without a seed has an infinite cutoff and fixes
 nothing. The search then runs over the free variables alone, from a root that
 holds the fixed ones' objective and row loads; suffix sums and every row's
 bound table are built once, for the free variables (the root's tables serve
-when none is fixed; when all are, the seed answers), and the leaf check still
-runs every row against its own slack. A fixed variable has the same value in
-every leaf that can still be accepted, so the remaining leaves arrive in the
-same lexicographic order and the tie-break is unchanged.
+when none is fixed), and the leaf check still runs every row against its own
+slack. A fixed variable has the same value in every leaf that can still be
+accepted, so the remaining leaves arrive in the same lexicographic order and
+the tie-break is unchanged.
 
 Objective comparisons use a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``,
 1e-9 relative with a 1e-12 absolute floor, and so does each constraint, on
@@ -69,12 +69,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate, combinations, compress
-from operator import add, and_, itemgetter, le, not_, sub
+from itertools import accumulate, combinations
+from operator import add, itemgetter, le, sub
 from typing import Sequence
 
 import numpy as np
+
+from .profiles import _sum_in_order
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -173,7 +174,7 @@ def constraint_violations(program: ZeroOneProgram,
     c, a, _ = program.arrays()
     if len(assignment) != program.num_variables:
         raise ValueError("assignment length does not match program")
-    _, load = _price(c.tolist(), a.tolist(), assignment)
+    _, load = _price(c, a, np.flatnonzero(assignment))
     return [i for i, (used, limit) in enumerate(
         zip(load, program.slack().tolist())) if used > limit]
 
@@ -236,10 +237,10 @@ def _suffix_sums(values: list[float]) -> list[float]:
     return [*accumulate(reversed(values))][::-1] + [0.0]
 
 
-def _seed(costs: list[float], rows: list[list[float]], slack: list[float],
+def _seed(c: np.ndarray, a: np.ndarray, slack: list[float],
           neg: list[bool], table: list, load: list[float]
-          ) -> tuple[tuple[int, ...], float] | None:
-    """(assignment, objective) of a feasible leaf rounded from the root.
+          ) -> tuple[np.ndarray, float] | None:
+    """(mask, objective) of a feasible leaf rounded from the root.
 
     The root relaxation takes every negative-cost variable, with row loads
     ``load``. If that overloads some row, ``table`` is the bound table of
@@ -249,10 +250,11 @@ def _seed(costs: list[float], rows: list[list[float]], slack: list[float],
     first, is flipped back if every row still fits. None when no prefix of
     the walk fits or the leaf fails the search's own check.
     """
-    x = [1 if t else 0 for t in neg]
+    x = np.array(neg, dtype=bool)
     if table:
         var = [j for j, _, _ in table]
-        signed = [[-row[j] if neg[j] else row[j] for j in var] for row in rows]
+        signed = [[-w if neg[j] else w for j, w in zip(var, row)]
+                  for row in a[:, var].tolist()]
         loads = [[used + total for total in accumulate(deltas)]
                  for used, deltas in zip(load, signed)]
         k = next((k for k, prefix in enumerate(zip(*loads))
@@ -260,26 +262,28 @@ def _seed(costs: list[float], rows: list[list[float]], slack: list[float],
         if k is None:
             return None
         load = [prefix[k] for prefix in loads]
+        flipped = []
         for p in range(k, -1, -1):
             back = [used - deltas[p] for used, deltas in zip(load, signed)]
             if all(map(le, back, slack)):
                 load = back
             else:
-                x[var[p]] ^= 1
-    obj, load = _price(costs, rows, x)
+                flipped.append(var[p])
+        x[flipped] ^= True
+    obj, load = _price(c, a, x)
     if not all(map(le, load, slack)):
         return None
-    return tuple(x), obj
+    return x, obj
 
 
-def _price(costs: Sequence[float], rows: Sequence[Sequence[float]],
-           x: Sequence) -> tuple[float, tuple[float, ...]]:
-    """Objective and row loads of the leaf ``x`` (one 0 or 1 per variable),
-    each summed from zero in index order, left to right, on every
-    supported Python. The search adds in this order unless variables are
-    fixed; then it adds the fixed ones first."""
-    return (reduce(add, compress(costs, x), 0.0),
-            tuple(reduce(add, compress(row, x), 0.0) for row in rows))
+def _price(c: np.ndarray, a: np.ndarray,
+           taken: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """Objective and row loads of the ``taken`` variables (a mask or their
+    indices), each summed from zero in index order, left to right, on
+    every supported Python. The search adds in this order unless variables
+    are fixed; then it adds the fixed ones first."""
+    return (_sum_in_order(c[taken], 0.0),
+            tuple(_sum_in_order(row, 0.0) for row in a[:, taken]))
 
 
 def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
@@ -350,16 +354,18 @@ def _search(costs: list[float], rows: list[list[float]], slack: list[float],
 def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
     c, a, _ = program.arrays()
-    costs, rows, slack = c.tolist(), a.tolist(), program.slack().tolist()
-    n = len(costs)
-    neg = [v < 0 for v in costs]
-    # The root relaxation's loads, added as the search's suffix sums add.
-    root = [reduce(add, compress(row[::-1], neg[::-1]), 0.0) for row in rows]
+    slack = program.slack().tolist()
+    n = len(c)
+    neg = c < 0
+    # The root relaxation's loads, added from the last variable as the
+    # search's suffix sums add.
+    root = [_sum_in_order(row[::-1], 0.0) for row in np.where(neg, a, 0.0)]
     excess = list(map(sub, root, slack))
     over = [i for i, e in enumerate(excess) if e > 0]
     # Only the overloaded rows' tables price the root; the search reuses
     # them when no variable is fixed and builds the others.
-    tables = {i: _bound_table(costs, rows[i], neg) for i in over}
+    costs, flags = c.tolist(), neg.tolist()
+    tables = {i: _bound_table(costs, a[i].tolist(), flags) for i in over}
     reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
     # A row its free variables cannot relieve fits no leaf, nor does the
     # empty range of a row and its negation, as leaf loads negate exactly:
@@ -368,7 +374,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     binding = tuple(sorted(refused.union(*(
         (i, j) for i, j in combinations(range(len(slack)), 2)
         if slack[i] + slack[j] < 0 and not refused & {i, j}
-        and rows[j] == [-w for w in rows[i]]))))
+        and np.array_equal(a[j], -a[i])))))
     if binding:
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1, binding)
 
@@ -376,35 +382,29 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     # Every leaf up to the seed's objective stays acceptable, the seed
     # included; the seed itself answers if rounding cuts its path. Without
     # a seed the cutoff is infinite, and no variable is fixed.
-    seed_x, upper = _seed(costs, rows, slack, neg,
-                          tables[dearest] if over else [], root) \
-        or (None, math.inf)
+    seed_x, upper = _seed(c, a, slack, flags, tables[dearest] if over else [],
+                          root) or (None, math.inf)
     cutoff = upper + _tol(upper)  # a leaf must fall below this
     rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
     if over:
         totals = list(accumulate(item[1] for item in tables[dearest]))
         rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
         row, limit = a[dearest], slack[dearest]
-    fixed, value = map(np.ndarray.tolist, _fix(c, row, limit, rate, cutoff))
-    if all(fixed):
-        # The seed is below the cutoff, so it holds every fixed value.
-        return IlpSolution(seed_x, upper, STATUS_OPTIMAL, 1)
+    fixed, value = _fix(c, row, limit, rate, cutoff)
     # The search runs over the free variables only, from a root that holds
     # the fixed ones' objective and row loads.
-    keep = list(compress(range(n), map(not_, fixed)))
-    taken = list(map(and_, fixed, value))
-    leaf, nodes = _search([costs[j] for j in keep],
-                          [[row[j] for j in keep] for row in rows], slack,
-                          *_price(costs, rows, taken), cutoff,
+    keep = np.flatnonzero(~fixed)
+    best = fixed & value
+    leaf, nodes = _search(c[keep].tolist(), a[:, keep].tolist(), slack,
+                          *_price(c, a, best), cutoff,
                           tables if len(keep) == n else {})
-    best_x = seed_x
     if leaf is not None:
-        bits = iter(leaf)
-        best_x = tuple(int(v) if f else next(bits)
-                       for f, v in zip(fixed, value))
-    if best_x is None:
+        best[keep] = leaf
+    elif seed_x is not None:
+        best = seed_x
+    else:
         # No row is refused alone, so the rows conflict jointly.
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, nodes,
                            tuple(range(len(slack))))
-    return IlpSolution(best_x, _price(costs, (), best_x)[0], STATUS_OPTIMAL,
-                       nodes)
+    return IlpSolution(tuple(best.astype(int).tolist()),
+                       _sum_in_order(c[best], 0.0), STATUS_OPTIMAL, nodes)

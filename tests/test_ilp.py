@@ -541,9 +541,24 @@ def test_a_tight_320_object_placement_stays_within_its_search_size():
     assert solution.nodes <= 3977
 
 
-def _strict_migration_solve(monkeypatch, seed, ratio, transient):
-    """The one program a strict migration request just below the current
-    placement's ratio hands to `solve`, with its solution."""
+@pytest.mark.parametrize("seed, ratio, transient, rows, variables, nodes, "
+                         "objective", [
+                             pytest.param(
+                                 2, 0.7, True, 3, 188, 2467,
+                                 935926502.6038185,
+                                 id="2-0.7-True-3-188-3837-935926502.6038185"),
+                             pytest.param(
+                                 7, 0.65, False, 3, 204, 1785,
+                                 1909115323.9261506,
+                                 id="7-0.65-False-3-204-4805-"
+                                    "1909115323.9261506")])
+def test_a_strict_migration_stays_within_its_search_size(
+        monkeypatch, seed, ratio, transient, rows, variables, nodes,
+        objective):
+    # Strict requests just below the current placement's ratio: the
+    # migration program's search, pinned by its node count like the
+    # placements above. The case ids keep the names the cases were first
+    # listed under, with the node ceilings of the LP relief bound.
     solved = []
 
     def recording(program):
@@ -559,37 +574,9 @@ def _strict_migration_solve(monkeypatch, seed, ratio, transient):
     plan_migration(ps, dev, current, MigrationRequest(5, ratio),
                    transient_capacity=transient, plan_future=False)
     [(program, solution)] = solved
-    return program, solution
-
-
-@pytest.mark.parametrize("seed, ratio, transient, rows, variables, nodes, "
-                         "objective", [
-                             (2, 0.7, True, 3, 188, 3837, 935926502.6038185),
-                             (7, 0.65, False, 3, 204, 4805,
-                              1909115323.9261506)])
-def test_a_strict_migration_stays_within_its_search_size(
-        monkeypatch, seed, ratio, transient, rows, variables, nodes,
-        objective):
-    # Strict requests just below the current placement's ratio: the
-    # migration program's search, pinned by its node count like the
-    # placements above.
-    program, solution = _strict_migration_solve(
-        monkeypatch, seed, ratio, transient)
     assert program.arrays()[1].shape == (rows, variables)
     assert solution.status == STATUS_OPTIMAL
     assert solution.objective_value == objective
-    assert solution.nodes <= nodes
-
-
-@pytest.mark.parametrize("seed, ratio, transient, nodes", [
-    (2, 0.7, True, 2467), (7, 0.65, False, 1785)])
-def test_the_node_bound_shrinks_a_strict_migration_search(
-        monkeypatch, seed, ratio, transient, nodes):
-    # The same requests as above, held to the node counts of the
-    # Martello-Toth node bound rather than the LP relief bound alone.
-    _, solution = _strict_migration_solve(
-        monkeypatch, seed, ratio, transient)
-    assert solution.status == STATUS_OPTIMAL
     assert solution.nodes <= nodes
 
 
