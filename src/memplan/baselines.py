@@ -87,13 +87,9 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
 
     # Demote coldest DRAM residents first (ties broken by profile order)
     # until DRAM fits: the running byte counts are accumulated one object
-    # at a time, as a loop would subtract and add them (12.5 ms a compare
-    # op, 13.7 with the loop). The default sort finds the one order of
-    # distinct values in 0.05 ms on 2000, the stable sort in 0.16.
-    order = np.argsort(mpki)
-    ordered = mpki[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        order = np.argsort(mpki, kind="stable")
+    # at a time, as a loop would subtract and add them (tools/ab.py, by
+    # loop: compare ops 1.08x, which set wide-pipeline's op_p90_ms).
+    order = np.argsort(mpki, kind="stable")
     residents = order[on_dram[order]]
     moved = major.size[residents]
     left = np.subtract.accumulate(np.append(dram_bytes, moved))

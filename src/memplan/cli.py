@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # HelpFormatter reads the terminal width each time one is built, and
         # add_argument builds one per call: read it once, by argparse's own
-        # formula, when the parser is built.
+        # formula, once per parser (tools/ab.py, per call: solve-sweep 1.016x).
         kwargs.setdefault("formatter_class", functools.partial(
             argparse.HelpFormatter,
             width=shutil.get_terminal_size().columns - 2))

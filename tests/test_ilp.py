@@ -12,7 +12,7 @@ from memplan.baselines import place_mpki_threshold
 from memplan.energy import testbed1 as make_testbed1
 from memplan.ilp import (REL_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                          IlpSolution, ZeroOneProgram, _bound_table,
-                         _node_bound, _relief_cost, _tol,
+                         _node_bound, _tol,
                          constraint_violations, solve)
 from memplan.migration import (MigrationRequest, build_migration_program,
                                plan_migration, price_live)
@@ -411,35 +411,6 @@ def _numpy_relief_cost(table, depth, excess):
     return float(rate[:k + 1] @ freed[:k + 1] - (reliefs[k] - excess) * rate[k])
 
 
-def test_relief_walk_matches_the_array_formula():
-    rng = np.random.default_rng(11)
-    finite = infinite = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        c = rng.uniform(-10, 10, n)
-        c[rng.random(n) < 0.1] = 0.0
-        table = _bound_table(c, rng.uniform(-5, 5, n), c < 0)
-        for depth in {0, n, *rng.integers(0, n + 1, 3).tolist()}:
-            reliefs = np.cumsum(
-                [relief for var, relief, _ in table if var >= depth]).tolist()
-            total = reliefs[-1] if reliefs else 0.0
-            # Each cumulative relief is a boundary the walk stops on
-            # exactly; past the total nothing covers the excess.
-            for excess in (*reliefs, *rng.uniform(0, total, 3).tolist(),
-                           1.5 * total + 1.0):
-                if not excess > 0:
-                    continue
-                want = _numpy_relief_cost(table, depth, excess)
-                got = _relief_cost(table, depth, excess)
-                if want == float("inf"):
-                    infinite += 1
-                    assert got == float("inf")
-                else:
-                    finite += 1
-                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert finite > 3000 and infinite > 1000
-
-
 # Every 0-1 choice of up to 10 items, one row per choice.
 _CHOICES = np.array(list(itertools.product((0.0, 1.0), repeat=10)))
 
@@ -484,7 +455,7 @@ def test_the_node_bound_lies_between_the_lp_bound_and_the_cheapest_cover():
             if not excess > 0:
                 continue
             draws += 1
-            lp = _relief_cost(table, depth, excess)
+            lp = _numpy_relief_cost(table, depth, excess)
             bound = _node_bound(table, depth, excess)
             cover = _cheapest_cover(table, depth, excess)
             if cover == math.inf:
