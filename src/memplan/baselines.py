@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, prices
+from .energy import DeviceSpec
 from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
-                      PlacementPlan, _major_minor, _set_plan,
+                      PlacementPlan, _budget, _major_minor, _set_plan,
                       summarize_assignment)
 from .profiles import DEFAULT_MAJOR_THRESHOLD, ProfileSet, _sum_in_order
 
@@ -32,7 +32,7 @@ def _finish(profiles: ProfileSet, major: ProfileSet, dev: DeviceSpec,
             status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
     objective, energy = summarize_assignment(major, dev, on_dram)
-    all_dram_energy = _sum_in_order(prices(major, dev)[0], 0.0)
+    all_dram_energy = _budget(major, dev, 1.0, 0.0)
     ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
     return _set_plan(
         profiles, on_dram, status, ratio=ratio,

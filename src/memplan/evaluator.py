@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .energy import DeviceSpec, price_placement, prices
-from .planner import PlacementPlan, _device_codes, plan_static
+from .planner import PlacementPlan, _on_dram, plan_static
 from .profiles import ProfileSet, _sum_in_order, major_mask
 
 _REL_TOL = 1e-9
@@ -63,18 +63,10 @@ def _peak_bytes(profiles: ProfileSet, on_device: np.ndarray) -> float:
 
 def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     """The scoring core: `EvaluationReport`'s fields but the peaks and the
-    per-object table, by name; then the device codes, the major mask and the
+    per-object table, by name; then the DRAM mask, the major mask and the
     major objects' energies. The whole set is priced once and the major and
     minor objects are picked from its columns by mask, in profile order."""
-    codes = _device_codes(plan, profiles)
-    on_dram = codes == 1
-    on_nvm = codes == 2
-    if not codes.all():
-        object_id = profiles.ids()[int(np.argmin(codes))]
-        if object_id not in plan.placements:
-            raise ValueError(f"plan does not cover object {object_id!r}")
-        raise ValueError(f"object {object_id!r} has no concrete device")
-
+    on_dram = _on_dram(plan, profiles)
     major = major_mask(profiles, plan.major_threshold)
     latencies, energies = price_placement(profiles, dev, on_dram)
     all_dram = prices(profiles, dev)[0]
@@ -94,7 +86,7 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
         ratio = 1.0 if total == 0 else float("inf")
 
     static_dram = _sum_in_order(profiles.size[on_dram])
-    static_nvm = _sum_in_order(profiles.size[on_nvm])
+    static_nvm = _sum_in_order(profiles.size[~on_dram])
     dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
     capacity_ok_dram = static_dram <= dram_limit + _REL_TOL * max(1.0, dram_limit)
     capacity_ok_nvm = static_nvm <= dev.nvm_capacity \
@@ -111,7 +103,7 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
         capacity_ok_nvm=capacity_ok_nvm, budget_ok=budget_ok,
         static_dram_bytes=static_dram, static_nvm_bytes=static_nvm,
         minor_dram_energy_nj=minor_energy)
-    return scores, codes, major, major_energies
+    return scores, on_dram, major, major_energies
 
 
 def evaluate(profiles: ProfileSet, dev: DeviceSpec,
@@ -119,10 +111,10 @@ def evaluate(profiles: ProfileSet, dev: DeviceSpec,
     """Score a plan from scratch (every profiled object must be placed):
     the scoring core's fields, each device's peak and the per-object table.
     """
-    scores, codes, major, major_energies = _score(profiles, dev, plan)
+    scores, on_dram, major, major_energies = _score(profiles, dev, plan)
     return EvaluationReport(
-        **scores, peak_dram_bytes=_peak_bytes(profiles, codes == 1),
-        peak_nvm_bytes=_peak_bytes(profiles, codes == 2),
+        **scores, peak_dram_bytes=_peak_bytes(profiles, on_dram),
+        peak_nvm_bytes=_peak_bytes(profiles, ~on_dram),
         breakdown=dict(zip(compress(profiles.ids(), major.tolist()),
                            major_energies.tolist())))
 

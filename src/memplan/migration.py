@@ -29,7 +29,7 @@ from . import ilp
 from .energy import DeviceSpec, Priceable, price_placement, prices
 from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
                       CapacityError, PlacementPlan, _budget, _check_reserve,
-                      _device_codes, build_program, diagnose_infeasibility,
+                      _on_dram, build_program, diagnose_infeasibility,
                       sweep_ratios)
 from .profiles import (ObjectProfile, ProfileSet, _sum_in_order, filter_major,
                        open_text)
@@ -259,8 +259,9 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
                    plan_future: bool = True) -> MigrationPlan:
     """Decide which live major objects to migrate under the new requirement.
 
-    The current plan must assign a device to every major object live at
-    the request time, and its DRAM reservation stays reserved. Binding
+    The current plan must put every major object live or freed at the
+    request time on DRAM or NVM (an unknown device is refused, as
+    `evaluate` refuses it), and its DRAM reservation stays reserved. Binding
     rows take `build_program`'s names. ``allow_migration=False`` takes
     the stay-put vector instead of optimizing, as a reference point; the
     rows it breaks bind. ``plan_future`` always plans the objects
@@ -274,9 +275,10 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     live_mask, dead_mask = major.live_at(t), major.dealloc_time <= t
     live, dead = major.take(live_mask), major.take(dead_mask)
     future_ids = tuple(compress(major.ids(), (major.alloc_time > t).tolist()))
-    codes = _device_codes(current, major)
-    live_on_dram = _on_dram(current, live, codes[live_mask])
-    dead_on_dram = _on_dram(current, dead, codes[dead_mask])
+    on_dram = _on_dram(current, major, live_mask | dead_mask,
+                       "current plan does not place object")
+    live_on_dram = on_dram[live_mask].tolist()
+    dead_on_dram = on_dram[dead_mask]
 
     live_minor_bytes = _sum_in_order(minor.size[minor.live_at(t)])
     dram_free = (dev.dram_capacity - current.reserved_dram_bytes
@@ -346,16 +348,6 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         future_plan=future_plan,
         binding_constraints=binding,
     )
-
-
-def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
-             codes: np.ndarray) -> list[bool]:
-    # codes: the plan's device code of each object of profiles.
-    for object_id in compress(profiles.ids(), (codes == 0).tolist()):
-        if object_id not in plan.placements:  # 0 for another device too
-            raise ValueError(f"current plan does not place object "
-                             f"{object_id!r}")
-    return (codes == 1).tolist()
 
 
 def write_migration_plan(plan: MigrationPlan,

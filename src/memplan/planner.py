@@ -116,20 +116,31 @@ def _set_plan(profiles: ProfileSet, on_dram: Sequence[int] | None,
         major.ids(), status, ratio, major_threshold, *totals, **named)
 
 
-def _device_codes(plan: PlacementPlan, profiles: ProfileSet) -> np.ndarray:
-    """The device code of each object of ``profiles`` under ``plan``, in
-    profile order: 1 DRAM, 2 NVM, 0 for no device or another one."""
+def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
+             needed: np.ndarray | bool = True,
+             missing: str = "plan does not cover object") -> np.ndarray:
+    """The DRAM mask of ``profiles`` under ``plan``, in profile order.
+    Raises ValueError for the first ``needed`` object on neither DRAM nor
+    NVM: ``missing`` and its id if the plan does not place it, else that it
+    has no concrete device (another device, or "unassigned" in a dict)."""
     ids = profiles.ids()
     # A plan of this set (tools/ab.py, mapped by id: wide-pipeline 1.03x).
     if plan._origin is not None and plan._origin[0] is ids:
         codes = np.empty(len(ids), np.int8)
         codes[plan._origin[1]] = plan._rows[1]
-        return codes
-    if plan._rows is None:  # a caller's dict, read as given
-        code = {k: _CODES.get(d, 0) for k, d in plan.placements.items()}
-    else:  # mapped by id
-        code = dict(zip(plan._rows[0], plan._rows[1].tolist()))
-    return np.fromiter(map(code.get, ids, repeat(0)), np.int8, len(ids))
+    else:
+        if plan._rows is None:  # a caller's dict, read as given
+            code = {k: _CODES.get(d, 0) for k, d in plan.placements.items()}
+        else:  # mapped by id
+            code = dict(zip(plan._rows[0], plan._rows[1].tolist()))
+        codes = np.fromiter(map(code.get, ids, repeat(0)), np.int8, len(ids))
+    unplaced = (codes == 0) & needed
+    if unplaced.any():
+        object_id = ids[int(np.argmax(unplaced))]
+        if object_id not in plan.placements:
+            raise ValueError(f"{missing} {object_id!r}")
+        raise ValueError(f"object {object_id!r} has no concrete device")
+    return codes == 1
 
 
 def _check_reserve(reserved_dram_bytes: float) -> None:

@@ -9,9 +9,10 @@ from conftest import CapExceeded, time_cap
 from memplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
 import memplan.planner
+from memplan.baselines import place_all_dram, place_mpki_threshold
 from memplan.energy import GIB, DeviceSpec
 from memplan.energy import testbed1 as make_testbed1
-from memplan.evaluator import evaluate
+from memplan.evaluator import comparison_json, compare, evaluate
 from memplan.migration import MigrationRequest, plan_migration
 from memplan.planner import load_plan, write_plan
 from memplan.profiles import (GeneratorSpec, ProfileSet,
@@ -166,6 +167,21 @@ class TestEvaluateAndCompare:
         lines = out.read_text().splitlines()
         assert lines[0] == "plan,energy_nJ,ratio,latency_ns,capacity_ok"
         assert len(lines) == 1 + 2 + 3
+
+    def test_compare_json_is_the_library_comparison(self, tmp_path):
+        profiles, out = tmp_path / "w12.prof", tmp_path / "cmp.json"
+        assert run(["generate", "--count", 12, "--seed", 5, "--with-mpki",
+                    "--out", profiles]) == EXIT_OK
+        assert run(["compare", "--profiles", profiles, "--all-dram",
+                    "--mpki-thresholds", 0.05, "--major-threshold", 0,
+                    "--format", "json", "--out", out]) == EXIT_OK
+        ps, dev = load_profiles(profiles), DeviceSpec()
+        rows = compare(ps, dev, [
+            ("all-dram", place_all_dram(ps, dev, 0.0)),
+            ("mpki_0.05", place_mpki_threshold(ps, dev, 0.05, 0.0))])
+        assert out.read_text() == comparison_json(rows)
+        assert [row["plan"] for row in json.loads(out.read_text())] \
+            == ["all-dram", "mpki_0.05"]
 
     def test_compare_without_sources_is_usage_error(self, workload):
         assert run(["compare", "--profiles", workload]) == EXIT_USAGE

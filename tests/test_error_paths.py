@@ -13,6 +13,7 @@ from memplan.baselines import NoFeasibleAssignment, place_random
 from memplan.cli import EXIT_OK, EXIT_USAGE, main
 from memplan.energy import DeviceSpec, load_device_spec, write_device_spec
 from memplan.energy import testbed1 as make_testbed1
+from memplan.evaluator import evaluate
 from memplan.migration import (MigrationRequest, build_migration_program,
                                plan_migration, price_live)
 from memplan.planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
@@ -314,6 +315,26 @@ def test_a_current_plan_must_place_every_live_and_dead_major_object(
         plan_migration(ps, dev, current, request)
     assert type(err.value) is ValueError
     assert str(err.value) == f"current plan does not place object {missing!r}"
+
+
+@pytest.mark.parametrize("device", ["hbm", "DRAM"])
+def test_a_current_plan_must_put_a_live_major_object_on_a_concrete_device(
+        device):
+    # "b" is live at t=5 on a device the planner does not know: migrate
+    # refuses the plan as evaluate does, rather than reading "b" as NVM.
+    ps = ProfileSet(tuple(
+        ObjectProfile(i, 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
+        for i in "ab"))
+    dev = make_testbed1(dram_capacity=64 * MB, nvm_capacity=64 * MB)
+    current = PlacementPlan({"a": DRAM, "b": device}, ps.ids(), "optimal",
+                            1.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as err:
+        plan_migration(ps, dev, current, MigrationRequest(5.0, 0.9))
+    assert type(err.value) is ValueError
+    assert str(err.value) == "object 'b' has no concrete device"
+    with pytest.raises(ValueError, match="^object 'b' has no concrete "
+                       "device$"):
+        evaluate(ps, dev, current)
 
 
 @pytest.mark.parametrize("table, message", [

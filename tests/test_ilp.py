@@ -680,3 +680,28 @@ def test_a_solve_without_a_seed_matches_the_oracle(monkeypatch):
             assert (got.status, got.assignment, got.objective_value) \
                 == (want.status, want.assignment, want.objective_value)
     assert seedless >= 5
+
+
+def test_the_seed_refuses_a_leaf_whose_in_order_load_overflows(monkeypatch):
+    # The seed's walk lands its running load exactly on the bound, but the
+    # leaf's loads summed in index order, as the search sums them, come to
+    # 437.54321282049773 > 437.5432128204976: the seed is no leaf.
+    seeds = []
+    seed = ilp._seed
+
+    def recording(*args):
+        seeds.append(seed(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(ilp, "_seed", recording)
+    program = ZeroOneProgram(
+        [-0.9616571936637868, -0.7247899407735336, -0.5412268555474342],
+        [([276.89120404537084, 160.65200877512686, 969.9254132161326],
+          437.5432128204976)], tolerances=[0.0])
+    got = solve(program)
+    assert seeds == [None]
+    want = solve_exhaustive(program)
+    assert (got.status, got.assignment, got.objective_value) \
+        == (want.status, want.assignment, want.objective_value) \
+        == (STATUS_OPTIMAL, (1, 0, 0), -0.9616571936637868)
+    assert got.nodes <= 15
