@@ -72,11 +72,11 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     all_dram = prices(profiles, dev)[0]
     major_energies = energies[major]
     latency = _sum_in_order(latencies[major], 0.0)
-    minor_energy = float(_sum_in_order(all_dram[~major]))
+    minor_energy = _sum_in_order(all_dram[~major], 0.0)
 
     # The sum of the per-object table's values, in its order.
-    total = float(_sum_in_order(major_energies))
-    denom = float(_sum_in_order(all_dram[major]))
+    total = _sum_in_order(major_energies, 0.0)
+    denom = _sum_in_order(all_dram[major], 0.0)
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy

@@ -348,8 +348,8 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     over = [i for i, e in enumerate(excess) if e > 0]
     # Only the overloaded rows' tables price the root, each by the node
     # bound, which is infinite exactly when the fractional bound is.
-    costs, flags = (c.tolist(), neg.tolist()) if over else ((), ())
-    tables = {i: _bound_table(costs, a[i].tolist(), flags) for i in over}
+    tables = {i: _bound_table(c.tolist(), a[i].tolist(), neg.tolist())
+              for i in over}
     reliefs = [_node_bound(tables[i], 0, excess[i]) for i in over]
     # A row its free variables cannot relieve fits no leaf, nor does the
     # empty range of a row and its negation, as leaf loads negate exactly:

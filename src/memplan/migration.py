@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 import os
 
 import numpy as np
@@ -156,8 +156,8 @@ class MigrationPlan:
     The outcome is kept as columns over the live major objects, in profile
     order: ``live_ids``, ``on_dram`` (the object starts in DRAM),
     ``migrate``, and the copy's ``migration_cost_nj`` and
-    ``migration_time_ns`` (0.0 where the object stays). ``decisions``
-    builds one MigrationDecision per object from them on first read.
+    ``migration_time_ns`` (0.0 where the object stays). Their rows
+    (``_rows``) make the file's table and, on first read, ``decisions``.
     ``e_total_nj`` and ``objective_ns`` cover live major objects (migration
     candidates); energy already committed by freed objects is reported
     separately and objects allocated after t are covered by the companion
@@ -190,14 +190,16 @@ class MigrationPlan:
     def migrated_ids(self) -> tuple[str, ...]:
         return tuple(compress(self.live_ids, self.migrate))
 
+    def _rows(self) -> Iterator[tuple]:
+        for object_id, here, x, cost, copy_time in zip(
+                self.live_ids, self.on_dram, self.migrate,
+                self.migration_cost_nj, self.migration_time_ns):
+            yield (object_id, DRAM if here else NVM,
+                   DRAM if here != x else NVM, x, cost, copy_time)
+
     @cached_property
     def decisions(self) -> tuple[MigrationDecision, ...]:
-        return tuple(
-            MigrationDecision(object_id, DRAM if here else NVM,
-                              DRAM if here != x else NVM, x, cost, copy_time)
-            for object_id, here, x, cost, copy_time in zip(
-                self.live_ids, self.on_dram, self.migrate,
-                self.migration_cost_nj, self.migration_time_ns))
+        return tuple(MigrationDecision(*row) for row in self._rows())
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 
     costs = price_live(live, dev, live_on_dram, t)
     requirement = _budget(live, dev, request.new_ratio, 0.0) \
-        if request.strict else float(_sum_in_order(costs.stay_energy))
+        if request.strict else _sum_in_order(costs.stay_energy, 0.0)
 
     program = build_migration_program(
         live, dev, costs, requirement, dram_free,
@@ -366,10 +368,6 @@ def write_migration_plan(plan: MigrationPlan,
         stream.write(f"dead_ids={';'.join(plan.dead_ids)}\n")
         stream.write(f"future_ids={';'.join(plan.future_ids)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        rows = [f"{object_id},{DRAM if here else NVM},"
-                f"{DRAM if here != x else NVM},"
-                f"{int(x)},{repr(cost)},{repr(copy_time)}\n"
-                for object_id, here, x, cost, copy_time in zip(
-                    plan.live_ids, plan.on_dram, plan.migrate,
-                    plan.migration_cost_nj, plan.migration_time_ns)]
+        rows = [f"{object_id},{here},{to},{int(x)},{cost!r},{copy_time!r}\n"
+                for object_id, here, to, x, cost, copy_time in plan._rows()]
         stream.write("id,from,to,migrate,migce_nJ,migct_ns\n" + "".join(rows))

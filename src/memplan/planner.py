@@ -30,7 +30,7 @@ from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, _sum_in_order,
 DRAM = "dram"
 NVM = "nvm"
 _DEVICES = ("unassigned", DRAM, NVM)  # by device code
-_CODES = dict(zip(_DEVICES, range(3)))  # by name; any other is 0 too
+_CODES = dict(zip(_DEVICES, range(3)))  # by name; a plan file's only devices
 # A table row after its id, by 2 * device code + major flag.
 _ROW_ENDS = tuple(f",{d},{flag}\n" for d in _DEVICES for flag in "01")
 
@@ -229,15 +229,8 @@ def _budget(major: ProfileSet, dev: DeviceSpec, ratio: float,
 def diagnose_infeasibility(solution: ilp.IlpSolution,
                            names: Sequence[str] = CONSTRAINT_NAMES
                            ) -> tuple[str, ...]:
-    """Names of the rows that decide ``solution``, `ilp.solve`'s verdict.
-
-    A row unsatisfiable alone, whose excess at the root no variable can
-    relieve, is named; so are a row and its negation, the two capacity
-    rows without transient capacity, that each fit alone but whose slacks
-    sum below zero: the objects outgrow both devices together. When the
-    solver had to search to find no leaf, all the rows are named: they
-    conflict jointly. A feasible solution names none.
-    """
+    """The ``names`` of ``solution.binding``, the rows that decide
+    `ilp.solve`'s verdict; none for a feasible solution."""
     return tuple(names[i] for i in solution.binding)
 
 
@@ -369,9 +362,10 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
     kept = list(filter(None, map(str.strip, lines[i + 1:])))
     fields = ",\n".join(kept).split(",")
     ids, devices = "".join(fields[0::3]).split("\n"), fields[1::3]
+    codes = np.fromiter(map(_CODES.get, devices, repeat(-1)), np.int8,
+                        len(devices))
     if kept and (len(ids) < len(kept) or len(fields) != 3 * len(ids)
-                 or set(devices) - {DRAM, NVM, "unassigned"}
-                 or len(set(ids)) < len(ids)):
+                 or (codes < 0).any() or len(set(ids)) < len(ids)):
         seen: set[str] = set()
         for number, line in enumerate(lines[i + 1:], i + 2):
             line = line.strip()
@@ -381,15 +375,13 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
                 raise ValueError(f"line {number}: expected id,device,major, "
                                  f"got {line!r}")
             object_id, device, _ = line.split(",")
-            if device not in (DRAM, NVM, "unassigned"):
+            if device not in _CODES:
                 raise ValueError(
                     f"unknown device {device!r} for {object_id!r}")
             if object_id in seen:
                 raise ValueError(
                     f"line {number}: duplicate object id {object_id!r}")
             seen.add(object_id)
-    codes = np.fromiter(map(_CODES.__getitem__, devices), np.int8,
-                        len(devices))
     major = np.array(fields[2::3], dtype=object) == "1"
     major_ids = tuple(compress(ids, major.tolist()))
     if not codes.all():  # placed rows, then unassigned major ones

@@ -253,13 +253,14 @@ class ProfileSet:
         if workload_size is not None and not math.isfinite(workload_size):
             raise ProfileError("workload_size must be finite")
         table = np.array(table, dtype=float)
-        self._keep(ids, table, np.array(mpki, dtype=float),
-                   table[2] - table[1], workload_label, workload_size)
+        self._keep(ids, table, np.array(mpki, dtype=float), workload_label,
+                   workload_size)
 
     def _keep(self, ids: tuple[str, ...], table: np.ndarray,
-              mpki: np.ndarray, lifetime: np.ndarray, workload_label: str,
+              mpki: np.ndarray, workload_label: str,
               workload_size: float | None) -> None:
         # Takes ownership of the arrays and makes them read-only.
+        lifetime = table[2] - table[1]
         for array in (table, mpki, lifetime):
             array.flags.writeable = False
         self.__dict__.update(zip(_NUMERIC, table))
@@ -344,8 +345,7 @@ class ProfileSet:
         subset = ProfileSet.__new__(ProfileSet)
         subset._keep(tuple(compress(self._ids, mask.tolist())),
                      self._table[:, mask], self.llc_mpki[mask],
-                     self.lifetime[mask], self.workload_label,
-                     self.workload_size)
+                     self.workload_label, self.workload_size)
         return subset
 
 

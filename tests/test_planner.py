@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 from functools import reduce
 from operator import add
 
@@ -555,3 +557,38 @@ def test_a_plan_reports_the_budget_its_energy_row_was_built_with(monkeypatch):
                         for status in (ilp.STATUS_OPTIMAL,
                                        ilp.STATUS_INFEASIBLE)
                         for include_minor in (False, True)}
+
+
+def test_a_plan_survives_copy_deepcopy_and_pickle_without_its_dict():
+    ps = instance(4, count=7, with_mpki=True)
+    plan = plan_static(ps, small_device(), 0.85, major_threshold=0)
+    written = io.StringIO()
+    write_plan(plan, written)
+    copies = (copy.copy(plan), copy.deepcopy(plan),
+              pickle.loads(pickle.dumps(plan)))
+    for twin in copies:
+        out = io.StringIO()
+        write_plan(twin, out)
+        assert out.getvalue() == written.getvalue()
+    # Copying asks the plan for other names (__setstate__, __deepcopy__),
+    # which it refuses, and none of them builds the per-object dict.
+    for twin in (plan, *copies):
+        assert "placements" not in twin.__dict__
+    assert all(twin == plan for twin in copies)
+    with pytest.raises(AttributeError, match="no attribute 'placement'"):
+        plan.placement
+
+
+@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True, reason=(
+    "write_plan writes a caller's dict device as given, so the file names "
+    "a device the plan format does not define and load_plan refuses it"))
+def test_write_plan_refuses_a_device_the_plan_format_does_not_define():
+    # evaluate and migrate refuse such a plan up front ("object 'b' has no
+    # concrete device"), and load_plan the row write_plan makes of it.
+    for device in ("hbm", "DRAM"):
+        plan = planner.PlacementPlan({"a": DRAM, "b": device}, ("a", "b"),
+                                     "optimal", 1.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError,
+                           match=f"unknown device {device!r} for 'b'|"
+                                 "object 'b' has no concrete device"):
+            write_plan(plan, io.StringIO())

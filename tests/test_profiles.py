@@ -399,6 +399,13 @@ def _tied_set(seed, count=40):
         workload_label="w", workload_size=4.0)
 
 
+def test_a_set_is_unequal_to_another_type():
+    ps = generate_synthetic(GeneratorSpec(count=3), 1)
+    assert ps.__eq__(3) is NotImplemented
+    assert not ps == 3
+    assert ps != "x"
+
+
 def test_take_equals_a_set_built_from_the_same_columns():
     ps = _tied_set(5)
     rng = np.random.default_rng(6)
