@@ -306,6 +306,19 @@ def _format_float(x: float) -> str:
 
 def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
     """Serialize a plan as the placement-table text format."""
+    # By columns, joined once (tools/ab.py, by dict: wide-pipeline 1.04x).
+    if plan._rows is None:  # a caller's dict, then its unassigned majors
+        placed, major = plan.placements, set(plan.major_ids)
+        ids = [*placed, *(i for i in plan.major_ids if i not in placed)]
+        for object_id, device in placed.items():
+            if device not in _CODES:
+                raise ValueError(f"unknown device {device!r} for {object_id!r}")
+        ends = [f",{device},{int(object_id in major)}\n"
+                for object_id, device in placed.items()]
+        ends += [_ROW_ENDS[1]] * (len(ids) - len(placed))
+    else:
+        ids, codes, major = plan._rows
+        ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
     with open_text(dest, "w") as stream:
         stream.write(PLAN_FORMAT_VERSION + "\n")
         stream.write(f"status={plan.status}\n")
@@ -317,16 +330,6 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
         stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
         stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        # By columns, joined once (tools/ab.py, by dict: wide-pipeline 1.04x).
-        if plan._rows is None:  # a caller's dict, then its unassigned majors
-            placed, major = plan.placements, set(plan.major_ids)
-            ids = [*placed, *(i for i in plan.major_ids if i not in placed)]
-            ends = [f",{device},{int(object_id in major)}\n"
-                    for object_id, device in placed.items()]
-            ends += [_ROW_ENDS[1]] * (len(ids) - len(placed))
-        else:
-            ids, codes, major = plan._rows
-            ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
         stream.write("id,device,major\n"
                      + "".join(chain.from_iterable(zip(ids, ends))))
 

@@ -99,6 +99,9 @@ class ObjectProfile:
 # column order; a ProfileSet stores them as the rows of one float table.
 _NUMERIC = ("size", "alloc_time", "dealloc_time", "accessed_volume",
             "llc_misses", "dirty_blocks")
+# A record as write_profiles writes it, llc_mpki blank (an object) or given.
+_RECORDS = [np.dtype([("id", object), ("numbers", float, len(_NUMERIC)),
+                      (_OPTIONAL_COLUMN, kind)]) for kind in (object, float)]
 
 
 def _id_ok(object_id) -> bool | np.ndarray:
@@ -154,7 +157,7 @@ def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
     (a file can spell NaN), by default those not NaN. Others pass as 0."""
     if mpki_given is None:
         mpki_given = ~np.isnan(mpki)
-    return SimpleNamespace(id=np.array(ids, dtype=object),
+    return SimpleNamespace(id=np.asarray(ids, dtype=object),
                            **dict(zip(_NUMERIC, table)),
                            llc_mpki=np.where(mpki_given, mpki, 0.0))
 
@@ -252,9 +255,8 @@ class ProfileSet:
                 seen.add(object_id)
         if workload_size is not None and not math.isfinite(workload_size):
             raise ProfileError("workload_size must be finite")
-        table = np.array(table, dtype=float)
-        self._keep(ids, table, np.array(mpki, dtype=float), workload_label,
-                   workload_size)
+        self._keep(ids, np.ascontiguousarray(table, dtype=float),  # C order
+                   np.array(mpki, dtype=float), workload_label, workload_size)
 
     def _keep(self, ids: tuple[str, ...], table: np.ndarray,
               mpki: np.ndarray, workload_label: str,
@@ -430,18 +432,23 @@ def load_profiles(source: str | os.PathLike | IO[str],
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
-    # A file as write_profiles writes it (8-column header, 7 commas a record,
-    # llc_mpki in all records or none, ids that keep the id rules) skips the
-    # per-line passes (tools/ab.py: wide-pipeline 1.15x with them): counts
-    # and the id rule vouch for it; np.loadtxt refuses short or blank fields.
-    records, given = lines[2:], not text.endswith(",\n")
-    line_nos, header_fields = range(2, len(lines) + 1), len(_COLUMNS) + 1
-    loadable = (lines[1:2] == [_HEADERS[-1]]
-                and (given or text.count(",\n") == len(records))
-                and text.count(",") == len(_COLUMNS) * (len(records) + 1))
-    if loadable:
-        ids = list(map(itemgetter(0), map(str.partition, records, repeat(","))))
-        loadable = _id_ok(np.array(ids, dtype=object)).all()
+    # A file with write_profiles' header is read by one np.loadtxt of typed
+    # fields, which skips the per-line passes (tools/ab.py: wide-pipeline
+    # 1.24x with them): numpy refuses a record without 8 fields, the row count
+    # shows a blank line numpy skipped and the id rule an id the passes strip.
+    records, line_nos = lines[2:], range(2, len(lines) + 1)
+    header_fields, rows, values = len(_COLUMNS) + 1, (), None
+    typed = lines[1:2] == [_HEADERS[-1]] and any(records)  # else loadtxt warns
+    if typed:
+        given = not records[-1].endswith(",")
+        with suppress(ValueError):  # numpy reads fewer numbers than float()
+            rows = np.loadtxt(records, _RECORDS[given], delimiter=",",
+                              comments=None, ndmin=1)
+            ids, mpki = rows["id"], rows[_OPTIONAL_COLUMN]
+            values = np.vstack((rows["numbers"].T, mpki if given
+                                else np.full(len(rows), math.nan)))
+    loadable = (typed and len(rows) == len(records)
+                and (given or not any(mpki.tolist())) and _id_ok(ids).all())
     checks = _VALUE_CHECKS if loadable else _CHECKS  # vouched for the ids
     if not loadable:  # per-line passes, which skip blank and comment lines
         kept = [k for k, line in enumerate(lines[1:])
@@ -455,8 +462,8 @@ def load_profiles(source: str | os.PathLike | IO[str],
                                f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
         header_fields = commas[0] + 1
         records, commas = lines[1:], commas[1:]
-        ids = list(map(str.strip, map(itemgetter(0),
-                                      map(str.partition, records, repeat(",")))))
+        ids = np.array([*map(str.strip, map(itemgetter(0), map(
+            str.partition, records, repeat(","))))], dtype=object)
         mpki = list(map(str.strip, map(itemgetter(2),
                                        map(str.rpartition, records, repeat(",")))))
         # Only an 8-field record has llc_mpki.
@@ -464,28 +471,29 @@ def load_profiles(source: str | os.PathLike | IO[str],
         given = all(mpki)
         loadable = (set(commas) <= {len(_COLUMNS) - 1, len(_COLUMNS)}
                     and (given or not any(mpki)))
-    values = None
-    if records and loadable:
-        with suppress(ValueError):  # numpy reads fewer numbers than float()
-            values = np.loadtxt(records, delimiter=",", comments=None, ndmin=2,
-                                usecols=range(1, len(_COLUMNS) + given))
+        # numpy's numbers if it read these records and no others
+        values = values if loadable and len(rows) == len(records) else None
+    if records and loadable and not typed:
+        with suppress(ValueError):  # a NaN row stands for a blank llc_mpki
+            values = np.vstack((np.loadtxt(
+                records, delimiter=",", comments=None, ndmin=2, unpack=True,
+                usecols=range(1, len(_COLUMNS) + given)),
+                np.full(len(records), math.nan)))[:len(_NUMERIC) + 1]
     if values is None:  # _numbers reads up to the first record it cannot
-        rows = list(takewhile(list.__instancecheck__,
-                              map(_numbers, records, repeat(header_fields))))
-        given = np.array([row[-1] is not None for row in rows], bool)
-        values = np.array(rows, dtype=float).reshape(len(rows),
-                                                     len(_NUMERIC) + 1)
-    elif not given:
-        values = np.column_stack((values, np.full(len(values), math.nan)))
-    stop, table, mpki_values = len(values), values.T[:-1], values[:, -1]
+        parsed = list(takewhile(list.__instancecheck__,
+                                map(_numbers, records, repeat(header_fields))))
+        given = np.array([row[-1] is not None for row in parsed], bool)
+        values = np.array(parsed, dtype=float).reshape(len(parsed),
+                                                       len(_NUMERIC) + 1).T
+    stop, table, mpki_values = values.shape[1], values[:-1], values[-1]
     bad = _first_bad(_columns(ids[:stop], table, mpki_values, given), checks)
     if bad:
         raise ProfileError(f"line {line_nos[bad[0] + 1]}: {bad[1]}")
     if stop < len(records):
         raise ProfileError(f"line {line_nos[stop + 1]}: "
                            + _numbers(records[stop], header_fields))
-    return ProfileSet._of(tuple(ids), table, mpki_values, workload_label,
-                          workload_size)
+    return ProfileSet._of(tuple(ids.tolist()), table, mpki_values,
+                          workload_label, workload_size)
 
 
 def _numbers(record: str, header_fields: int) -> list[float | None] | str:

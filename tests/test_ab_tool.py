@@ -1,12 +1,14 @@
 """Smoke test of tools/ab.py, the in-process A/B harness: it runs a tree
-against itself on the tiny sets, and refuses a tree whose artifacts
-differ."""
+against itself on the tiny sets, exports a git revision as the parent,
+and refuses a tree whose artifacts differ."""
 
 import json
 import os
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -31,6 +33,19 @@ def test_a_tree_against_itself_runs_every_workload():
         assert all(ratio > 0 for ratio in workload["ratios"])
         assert workload["kinds"] and all(
             ratio > 0 for ratio in workload["kinds"].values())
+
+
+@pytest.mark.skipif(not os.path.exists(os.path.join(ROOT, ".git")),
+                    reason="needs a git checkout")
+def test_a_git_revision_is_the_parent_tree():
+    result = _ab("--parent", "HEAD", "--change", SRC,
+                 "--workload", "migrate-live")
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert set(summary) == {"migrate-live"}
+    result = _ab("--parent", "no-such-revision")
+    assert result.returncode == 2
+    assert "neither a directory nor a git revision" in result.stderr
 
 
 def test_a_tree_whose_plans_differ_is_refused(tmp_path):

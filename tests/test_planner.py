@@ -579,9 +579,6 @@ def test_a_plan_survives_copy_deepcopy_and_pickle_without_its_dict():
         plan.placement
 
 
-@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True, reason=(
-    "write_plan writes a caller's dict device as given, so the file names "
-    "a device the plan format does not define and load_plan refuses it"))
 def test_write_plan_refuses_a_device_the_plan_format_does_not_define():
     # evaluate and migrate refuse such a plan up front ("object 'b' has no
     # concrete device"), and load_plan the row write_plan makes of it.

@@ -964,8 +964,9 @@ def _written_then_broken(rng):
 
 
 def test_the_one_pass_reader_refuses_every_broken_written_file():
-    # Whole-text counts decide whether a file skips the per-line passes, so
-    # each fault and each layout must still give the per-record outcome.
+    # One typed np.loadtxt, its row count and the id rule decide whether a
+    # file skips the per-line passes, so each fault and each layout must
+    # still give the per-record outcome.
     rng = np.random.default_rng(19)
     kinds = set()
     for _ in range(600):
@@ -978,9 +979,11 @@ def test_the_one_pass_reader_refuses_every_broken_written_file():
     assert len(kinds) >= 12
 
 
-@pytest.mark.parametrize("fault", [None, "1_0 field", "padded id"])
+@pytest.mark.parametrize("fault", [None, "1_0 field", "padded id",
+                                   "no llc_mpki"])
 def test_a_written_file_is_parsed_by_numpy_at_most_once(monkeypatch, fault):
-    profiles = generate_synthetic(GeneratorSpec(count=20, with_mpki=True), 7)
+    profiles = generate_synthetic(GeneratorSpec(
+        count=20, with_mpki=fault != "no llc_mpki"), 7)
     buf = io.StringIO()
     write_profiles(profiles, buf)
     lines, want = buf.getvalue().splitlines(), list(profiles)
@@ -997,6 +1000,40 @@ def test_a_written_file_is_parsed_by_numpy_at_most_once(monkeypatch, fault):
     loaded = load_profiles(io.StringIO("\n".join(lines) + "\n"))
     assert list(loaded) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault", [None, "size", "duplicate id"])
+def test_an_empty_line_among_written_records_reads_as_per_record(monkeypatch,
+                                                                  fault):
+    # numpy skips the empty line without a word, so only its row count
+    # sends the file to the per-line passes, which reuse numpy's numbers.
+    profiles = generate_synthetic(GeneratorSpec(count=12), 3)
+    buf = io.StringIO()
+    write_profiles(profiles, buf)
+    lines = buf.getvalue().splitlines()
+    lines.insert(6, "")
+    message = None
+    if fault == "size":  # obj0005 on line 9
+        lines[8] = lines[8].replace(",", ",-", 1)
+        message = "line 9: object 'obj0005': size must be positive"
+    elif fault == "duplicate id":
+        lines[10] = "obj0001" + lines[10][len("obj0007"):]
+        message = "duplicate object id 'obj0001'"
+    text = "\n".join(lines) + "\n"
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr("memplan.profiles.np.loadtxt",
+                        lambda *args, **kwargs: calls.append(args)
+                        or loadtxt(*args, **kwargs))
+    want = _outcome(_reference_load, text)
+    assert _outcome(load_profiles, text) == want
+    assert len(calls) == 1
+    if message:
+        assert want == message
+    else:
+        loaded = load_profiles(io.StringIO(text))
+        assert loaded.objects == profiles.objects
+        assert loaded._table.tobytes() == profiles._table.tobytes()
 
 
 def test_a_written_file_runs_the_column_id_rule_once(monkeypatch):

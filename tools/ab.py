@@ -1,11 +1,14 @@
 """In-process A/B timing of two memplan source trees on benchmark workloads.
 
-Run from the repository root, with a copy of the parent commit's tree:
+Run from the repository root, against the parent commit:
 
-    python3 tools/ab.py --parent ../parent/src --workload wide-pipeline \
+    python3 tools/ab.py --parent HEAD~1 --workload wide-pipeline \
         --work 0.4 --rounds 5
 
-Each tree's ``memplan`` package is copied into a temporary directory as
+``--parent`` names a source directory (``../parent/src``) or a git
+revision of this repository, whose ``src/memplan`` is exported with
+``git archive`` into the temporary directory. Each tree's ``memplan``
+package is copied into that directory as
 ``memplan_p`` (the parent) and ``memplan_c`` (the change, by default this
 checkout's ``src``). The package imports itself only relatively, so both
 load side by side in one process. A workload's input files come from
@@ -35,6 +38,7 @@ import json
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -59,6 +63,21 @@ def load_trees(parent_src: str, change_src: str, tmp: str) -> dict:
                         ignore=shutil.ignore_patterns("__pycache__"))
         clis[side] = importlib.import_module(f"{package}.cli")
     return clis
+
+
+def export_revision(revision: str, tmp: str) -> str:
+    """The source directory of ``revision``'s ``src/memplan``, exported
+    into ``tmp``. Raises ValueError if git cannot export it."""
+    tree = os.path.join(tmp, "parent-tree")
+    os.makedirs(tree)
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", revision,
+         "src/memplan"], capture_output=True)
+    if archive.returncode != 0:
+        raise ValueError(archive.stderr.decode(errors="replace").strip())
+    subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout,
+                   check=True)
+    return os.path.join(tree, "src")
 
 
 def run_once(cli, argv: list[str]) -> tuple[int | str, float]:
@@ -145,7 +164,8 @@ def measure(clis: dict, workload: str, workdir: str, work: float,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True,
-                        help="source directory holding the parent's memplan")
+                        help="source directory holding the parent's memplan,"
+                        " or a git revision (e.g. HEAD~1)")
     parser.add_argument("--change", default=os.path.join(ROOT, "src"),
                         help="source directory holding the change's memplan")
     parser.add_argument("--workload", nargs="+", choices=WORKLOADS,
@@ -164,7 +184,14 @@ def main(argv: list[str] | None = None) -> int:
     summary = {}
     with tempfile.TemporaryDirectory(prefix="memplan-ab-") as tmp:
         sys.path.insert(0, tmp)
-        clis = load_trees(args.parent, args.change, tmp)
+        parent = args.parent
+        if not os.path.isdir(parent):
+            try:
+                parent = export_revision(parent, tmp)
+            except ValueError as exc:
+                parser.error(f"--parent {args.parent!r} is neither a "
+                             f"directory nor a git revision: {exc}")
+        clis = load_trees(parent, args.change, tmp)
         try:
             for workload in args.workload:
                 summary[workload] = measure(
