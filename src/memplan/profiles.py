@@ -432,14 +432,15 @@ def load_profiles(source: str | os.PathLike | IO[str],
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
-    # A file with write_profiles' header is read by one np.loadtxt of typed
-    # fields, which skips the per-line passes (tools/ab.py: wide-pipeline
-    # 1.24x with them): numpy refuses a record without 8 fields, the row count
-    # shows a blank line numpy skipped and the id rule an id the passes strip.
+    # A file's numbers come from one of two readers. write_profiles' header
+    # is tried with one np.loadtxt of typed fields, which skips the per-line
+    # passes (tools/ab.py: wide-pipeline 1.24x with them): numpy refuses a
+    # record without 8 fields, the row count shows a blank line numpy
+    # skipped and the id rule an id the passes strip. Any other file, or one
+    # numpy refuses, is read by _numbers' float(), record by record.
     records, line_nos = lines[2:], range(2, len(lines) + 1)
-    header_fields, rows, values = len(_COLUMNS) + 1, (), None
-    typed = lines[1:2] == [_HEADERS[-1]] and any(records)  # else loadtxt warns
-    if typed:
+    header_fields, values = len(_COLUMNS) + 1, None
+    if lines[1:2] == [_HEADERS[-1]] and any(records):  # else loadtxt warns
         given = not records[-1].endswith(",")
         with suppress(ValueError):  # numpy reads fewer numbers than float()
             rows = np.loadtxt(records, _RECORDS[given], delimiter=",",
@@ -447,38 +448,24 @@ def load_profiles(source: str | os.PathLike | IO[str],
             ids, mpki = rows["id"], rows[_OPTIONAL_COLUMN]
             values = np.vstack((rows["numbers"].T, mpki if given
                                 else np.full(len(rows), math.nan)))
-    loadable = (typed and len(rows) == len(records)
-                and (given or not any(mpki.tolist())) and _id_ok(ids).all())
+    # numpy's numbers stand if llc_mpki is given in every record or in none
+    usable = values is not None and (given or not any(mpki.tolist()))
+    loadable = usable and len(rows) == len(records) and _id_ok(ids).all()
     checks = _VALUE_CHECKS if loadable else _CHECKS  # vouched for the ids
     if not loadable:  # per-line passes, which skip blank and comment lines
         kept = [k for k, line in enumerate(lines[1:])
                 if line.strip()[:1] not in ("", "#")]
         lines, line_nos = [lines[k + 1] for k in kept], [k + 2 for k in kept]
-        commas = list(map(str.count, lines, repeat(",")))
         if not lines:
             raise ProfileError("line 2: missing column header")
         if ",".join(map(str.strip, lines[0].split(","))) not in _HEADERS:
             raise ProfileError(f"line {line_nos[0]}: expected column header "
                                f"{','.join(_COLUMNS)}[,{_OPTIONAL_COLUMN}]")
-        header_fields = commas[0] + 1
-        records, commas = lines[1:], commas[1:]
+        header_fields, records = lines[0].count(",") + 1, lines[1:]
         ids = np.array([*map(str.strip, map(itemgetter(0), map(
             str.partition, records, repeat(","))))], dtype=object)
-        mpki = list(map(str.strip, map(itemgetter(2),
-                                       map(str.rpartition, records, repeat(",")))))
-        # Only an 8-field record has llc_mpki.
-        mpki = [m if c == len(_COLUMNS) else "" for m, c in zip(mpki, commas)]
-        given = all(mpki)
-        loadable = (set(commas) <= {len(_COLUMNS) - 1, len(_COLUMNS)}
-                    and (given or not any(mpki)))
         # numpy's numbers if it read these records and no others
-        values = values if loadable and len(rows) == len(records) else None
-    if records and loadable and not typed:
-        with suppress(ValueError):  # a NaN row stands for a blank llc_mpki
-            values = np.vstack((np.loadtxt(
-                records, delimiter=",", comments=None, ndmin=2, unpack=True,
-                usecols=range(1, len(_COLUMNS) + given)),
-                np.full(len(records), math.nan)))[:len(_NUMERIC) + 1]
+        values = values if usable and len(rows) == len(records) else None
     if values is None:  # _numbers reads up to the first record it cannot
         parsed = list(takewhile(list.__instancecheck__,
                                 map(_numbers, records, repeat(header_fields))))
@@ -498,9 +485,9 @@ def load_profiles(source: str | os.PathLike | IO[str],
 
 def _numbers(record: str, header_fields: int) -> list[float | None] | str:
     """The six numbers of a record and its llc_mpki (None if blank) as
-    float() reads them, or why it cannot: the record has neither 7 nor 8
-    fields, or the first field float() rejects, a given llc_mpki before
-    the columns in order."""
+    float() reads them, for every file the typed np.loadtxt did not read;
+    or why it cannot: the record has neither 7 nor 8 fields, or the first
+    field float() rejects, a given llc_mpki before the columns in order."""
     fields = record.split(",")
     if len(fields) not in (len(_COLUMNS), len(_COLUMNS) + 1):
         return f"expected {header_fields} fields, got {len(fields)}"

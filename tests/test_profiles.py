@@ -1036,6 +1036,118 @@ def test_an_empty_line_among_written_records_reads_as_per_record(monkeypatch,
         assert loaded._table.tobytes() == profiles._table.tobytes()
 
 
+_SEVEN_COLUMNS = ("id,size_bytes,alloc_s,dealloc_s,accessed_bytes,llc_misses,"
+                  "dirty_blocks")
+# Hand-written pieces of a profile file: each column header, padded or not,
+# the lines the reader skips, each spelling of an id, of a number and of
+# llc_mpki (None: a 7-field record), and the faults a record can carry.
+_HAND_HEADERS = {"7": _SEVEN_COLUMNS, "8": _SEVEN_COLUMNS + ",llc_mpki",
+                 "padded": " id , size_bytes,alloc_s ,dealloc_s,"
+                           "accessed_bytes,llc_misses,\tdirty_blocks , llc_mpki"}
+_HAND_SKIPPED = ("# note", "", " \t ", "  # note,1,2")
+_HAND_IDS = ("{}", " {}", "{}\t", "\u3000{} ")
+_HAND_NUMBERS = ("{}", " {} ", "\t{}")
+_HAND_MPKI = (None, "", " ", "0.25", " 1.5 ")
+_HAND_FAULTS = ("1_0", "x", "nan", "", "-1")
+
+
+def _hand_written(rng):
+    """A profile file put together from the pieces above: one header, one
+    to five records whose llc_mpki is spelled alike or drawn per record,
+    skipped lines anywhere after the version line, LF or CRLF endings, and
+    now and then a bad number or a bad id."""
+    def pick(pieces):
+        return pieces[int(rng.integers(len(pieces)))]
+
+    header = pick(list(_HAND_HEADERS))
+    alike, mpki = rng.random() < 0.6, pick(_HAND_MPKI)
+    lines = [_HAND_HEADERS[header]]
+    for i in range(int(rng.integers(1, 6))):
+        numbers = [4096 * (i + 1), i / 2, i / 2 + 1, 100 * i, 3, i]
+        fields = [pick(_HAND_IDS).format(f"o{i}")] + [
+            pick(_HAND_NUMBERS).format(n) for n in numbers]
+        if not alike:
+            mpki = pick(_HAND_MPKI)
+        fields += [] if mpki is None else [mpki]
+        fault = rng.random()
+        if fault < 0.15:
+            fields[int(rng.integers(1, len(fields)))] = pick(_HAND_FAULTS)
+        elif fault < 0.2:  # empty, blank or a duplicate id
+            fields[0] = pick(["", "  ", lines[-1].split(",")[0]])
+        lines.append(",".join(fields))
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), pick(_HAND_SKIPPED))
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    return header, newline.join(["hmms-profile-v1"] + lines) + newline
+
+
+def test_hand_written_layouts_load_as_a_per_record_loader_loads_them():
+    rng = np.random.default_rng(42)
+    kinds = set()
+    for _ in range(400):
+        header, text = _hand_written(rng)
+        want = _outcome(_reference_load, text)
+        assert _outcome(load_profiles, text) == want, text
+        if isinstance(want, str):  # the message without its line number
+            kinds.add(want.split(": ", want.startswith("line "))[-1][:20])
+            continue
+        kinds.add(f"{header} loaded")
+        got, ref = load_profiles(io.StringIO(text)), _reference_load(text)
+        assert got._table.tobytes() == ref._table.tobytes(), text
+        assert got.llc_mpki.tobytes() == ref.llc_mpki.tobytes(), text
+    assert {"7 loaded", "8 loaded", "padded loaded", "field 'size_bytes' i",
+            "object id must be a ", "duplicate object id "} <= kinds
+    assert len(kinds) >= 10
+
+
+def _counted(monkeypatch, target, function):
+    """The list of the argument tuples of each call to ``function``, which
+    ``target`` names and which still runs."""
+    calls = []
+    monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args)
+                        or function(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("records", [
+    ["a,4096,0,1,100,3,1", "b,8192,0.5,2,0,0,0"],
+    ["a,4096,0,1,100,3,1,0.5", "b,8192,0.5,2,0,0,0,0.25"],
+    ["a,4096,0,1,100,3,1", "b,8192,0.5,2,0,0,0,0.25", "c,1,0,1,1,1,1,"],
+], ids=["7 fields", "llc_mpki given", "mixed"])
+def test_a_seven_column_header_file_is_read_without_numpy(monkeypatch,
+                                                          records):
+    text = "\n".join(["hmms-profile-v1", _SEVEN_COLUMNS, *records]) + "\n"
+    calls = _counted(monkeypatch, "memplan.profiles.np.loadtxt", np.loadtxt)
+    loaded = load_profiles(io.StringIO(text))
+    assert loaded.objects == _reference_load(text).objects
+    assert calls == []
+
+
+@pytest.mark.parametrize("with_mpki", [True, False])
+@pytest.mark.parametrize("layout", ["padded id", "empty line"])
+def test_numpy_reads_a_written_file_the_passes_strip(monkeypatch, layout,
+                                                     with_mpki):
+    # The per-line passes strip the id or skip the line, then take the
+    # typed read's numbers: float() reads no record.
+    from memplan.profiles import _numbers
+    profiles = generate_synthetic(GeneratorSpec(count=20, with_mpki=with_mpki),
+                                  5)
+    buf = io.StringIO()
+    write_profiles(profiles, buf)
+    lines = buf.getvalue().splitlines()
+    if layout == "padded id":
+        lines[8] = " " + lines[8]
+    else:
+        lines.insert(8, "")
+    loadtxt = _counted(monkeypatch, "memplan.profiles.np.loadtxt", np.loadtxt)
+    numbers = _counted(monkeypatch, "memplan.profiles._numbers", _numbers)
+    loaded = load_profiles(io.StringIO("\n".join(lines) + "\n"))
+    assert loaded.objects == profiles.objects
+    assert loaded._table.tobytes() == profiles._table.tobytes()
+    assert loaded.llc_mpki.tobytes() == profiles.llc_mpki.tobytes()
+    assert (len(loadtxt), len(numbers)) == (1, 0)
+
+
 def test_a_written_file_runs_the_column_id_rule_once(monkeypatch):
     profiles = generate_synthetic(GeneratorSpec(count=30, with_mpki=True), 8)
     buf = io.StringIO()

@@ -4,6 +4,7 @@ functions that no op of a workload runs: on the tiny sets, no op takes
 `load_profiles`' per-line passes (every workload's profile files are
 written by `write_profiles`), and the solver's node loop runs."""
 
+import ast
 import inspect
 import json
 import os
@@ -27,6 +28,18 @@ def _lines(function, first: str, last: str) -> set[int]:
             if not source[k].lstrip().startswith("#")}
 
 
+def _branch(function, test: str) -> set[int]:
+    """The line numbers of the `if` in ``function`` whose test is ``test``,
+    from the `if` line through its body's last line (an `else:` left out),
+    found in the syntax tree; comment lines are left out (they run
+    nothing)."""
+    source, start = inspect.getsourcelines(function)
+    node, = (node for node in ast.walk(ast.parse("".join(source)))
+             if isinstance(node, ast.If) and ast.unparse(node.test) == test)
+    return {start + k for k in range(node.lineno - 1, node.body[-1].end_lineno)
+            if not source[k].lstrip().startswith("#")}
+
+
 def test_no_tiny_op_writes_a_dict_plan_and_every_one_searches():
     result = subprocess.run(
         [sys.executable, TRAFFIC, "--tiny", "--work", "0.01"],
@@ -34,11 +47,8 @@ def test_no_tiny_op_writes_a_dict_plan_and_every_one_searches():
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout.splitlines()[-1])
     assert set(summary) == {"solve-sweep", "wide-pipeline", "migrate-live"}
-    # The dict branch, from its `if` to the line before its `else:`.
-    dict_branch = _lines(planner.write_plan, "if plan._rows is None:",
-                         "ends += [_ROW_ENDS[1]]")
-    per_line = _lines(profiles.load_profiles, "if not loadable:",
-                      "values = values if")
+    dict_branch = _branch(planner.write_plan, "plan._rows is None")
+    per_line = _branch(profiles.load_profiles, "not loadable")
     loop_head = _lines(ilp._search, "while stack:", "nodes += 1")
     assert len(dict_branch) > 1 and len(per_line) > 1 and len(loop_head) == 3
     for unrun in summary.values():
