@@ -14,9 +14,7 @@ artifact is still written so sweeps and scripts can branch on it).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import shutil
 import sys
 from dataclasses import replace
 
@@ -39,15 +37,6 @@ EXIT_INFEASIBLE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        # HelpFormatter reads the terminal width each time one is built, and
-        # add_argument builds one per call: read it once, by argparse's own
-        # formula, once per parser (tools/ab.py, per call: solve-sweep 1.016x).
-        kwargs.setdefault("formatter_class", functools.partial(
-            argparse.HelpFormatter,
-            width=shutil.get_terminal_size().columns - 2))
-        super().__init__(*args, **kwargs)
-
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # infeasible plans here.
     def error(self, message):
@@ -380,8 +369,8 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``memplan`` parser with every subcommand. ``main`` builds it only
-    for an argument list that names none; each subcommand's own parser gives
-    the same help, usage and errors."""
+    for an argument list that ``_read_exact`` declines, so it alone gives
+    help, usage and errors."""
     parser = _Parser(prog="memplan",
                      description="DRAM/NVM object placement planning")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -392,24 +381,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OptionTable(dict):
+    """option -> (dest, add_argument keywords), recorded from an adder."""
+
+    def add_argument(self, option: str, **kwargs) -> None:
+        self[option] = (option[2:].replace("-", "_"), kwargs)
+
+    def add_argument_group(self, *args, **kwargs) -> _OptionTable:
+        return self
+
+
+def _read_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    without argparse; None unless every token after a known subcommand is
+    one of its exact option names, every required one is given, and each
+    value is one that does not start with ``-``, that its ``type`` converts
+    and that is in its ``choices``."""
+    # (tools/ab.py, argparse always: solve-sweep 1.22x, migrate-live 1.20x).
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, add_arguments, handler = _COMMANDS[argv[0]]
+    table = _OptionTable()
+    add_arguments(table)
+    values = {}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        if option not in table:
+            return None
+        dest, spec = table[option]
+        action = spec.get("action")
+        if action == "store_true":
+            value = True
+        else:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        if action == "append":
+            values.setdefault(dest, []).append(value)
+        else:
+            values[dest] = value  # the last one given wins, as in argparse
+    for dest, spec in table.values():
+        if spec.get("required") and dest not in values:
+            return None
+        values.setdefault(dest, False if spec.get("action") == "store_true"
+                          else spec.get("default"))
+    return argparse.Namespace(command=argv[0], func=handler, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A known subcommand is parsed by the parser add_parser would build for
-    # it; anything else gets the full tree, whose errors list every choice.
-    if argv and argv[0] in _COMMANDS:
-        _, add_arguments, handler = _COMMANDS[argv[0]]
-        parser = _Parser(prog=f"memplan {argv[0]}")
-        add_arguments(parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if extra:
-            parser.exit(EXIT_USAGE, "memplan: error: unrecognized arguments: "
-                        + " ".join(extra) + "\n")
-    else:
+    args = _read_exact(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
-        handler = args.func
     try:
-        return handler(args)
+        return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"memplan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

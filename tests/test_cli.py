@@ -1,11 +1,14 @@
 import argparse
+import contextlib
 import io
 import json
+import random
 import warnings
 
 import pytest
 
 from conftest import CapExceeded, time_cap
+from test_solver_record import _workloads
 from memplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
 import memplan.planner
@@ -863,38 +866,107 @@ def test_a_subcommand_wraps_help_and_errors_as_the_full_tree_does(
         assert _exit(main, argv, capsys) == _exit(full, argv, capsys)
 
 
-def test_a_subcommand_builds_its_parser_alone(workload, tmp_path,
-                                              monkeypatch):
+def test_a_well_formed_command_line_builds_no_parser(workload, tmp_path,
+                                                     monkeypatch):
+    # argparse's HelpFormatter reads the terminal width each time one is
+    # built; a command line the exact reader takes builds none.
+    import shutil
     from memplan import cli
-    built = []
+    built, queries = [], []
 
     class Counted(cli._Parser):
         def __init__(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", Counted)
-    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
-                "--out", tmp_path / "p.plan"]) == EXIT_OK
-    assert built == ["memplan plan"]
-
-
-def test_a_subcommand_reads_the_terminal_width_once(workload, tmp_path,
-                                                    monkeypatch):
-    # argparse's HelpFormatter reads the width each time one is built, and
-    # add_argument builds one per call; the parser reads it once instead.
-    import shutil
-    queries = []
     query = shutil.get_terminal_size
 
     def counted(*args, **kwargs):
         queries.append(args)
         return query(*args, **kwargs)
 
+    monkeypatch.setattr(cli, "_Parser", Counted)
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
     assert run(["plan", "--profiles", workload, "--ratio", 1.0,
                 "--out", tmp_path / "p.plan"]) == EXIT_OK
-    assert len(queries) <= 1
+    assert (built, queries) == ([], [])
+    # An abbreviation is declined, and the full tree reads it.
+    assert run(["plan", "--prof", workload, "--ratio", 1.0,
+                "--out", tmp_path / "q.plan"]) == EXIT_OK
+    assert built == ["memplan", *(f"memplan {name}" for name in cli._COMMANDS)]
+    assert (tmp_path / "q.plan").read_bytes() == \
+        (tmp_path / "p.plan").read_bytes()
+
+
+def _same_namespace(read, want) -> bool:
+    # NaN-aware: a float option given "nan" reads as nan on both sides.
+    return read.keys() == want.keys() and all(
+        type(read[k]) is type(want[k])
+        and (read[k] == want[k] or (read[k] != read[k] and want[k] != want[k]))
+        for k in read)
+
+
+def _full_tree_values(parse, argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit:
+            return None
+
+
+def _mutants(argv: list[str], rng: random.Random):
+    """Command lines near a well-formed one, one per kind of change the
+    exact reader must decline or read as argparse does."""
+    options = [i for i, t in enumerate(argv) if t.startswith("--")]
+    valued = [i for i in options
+              if i + 1 < len(argv) and not argv[i + 1].startswith("-")]
+    if valued:
+        i = rng.choice(valued)
+        yield argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+        yield argv[:i + 1] + [rng.choice(["-1", "-x", "", "nan", "x"])] \
+            + argv[i + 2:]
+        yield argv[:i] + argv[i + 2:]  # drops a (maybe required) option
+        yield argv + argv[i:i + 2]
+    if options:
+        i = rng.choice(options)
+        yield argv[:i] + [argv[i][:rng.randrange(3, len(argv[i]))]] \
+            + argv[i + 1:]
+        yield argv + [argv[i]]
+    for token in ("--", "-h"):
+        i = rng.randrange(1, len(argv) + 1)
+        yield argv[:i] + [token] + argv[i:]
+
+
+def test_the_exact_reader_reads_as_the_full_tree_does(tmp_path):
+    from memplan import cli
+    workloads = _workloads()
+    well_formed = [[command, *args] for command, args in _VALID_ARGS.items()]
+    well_formed.append(["compare", "--plan", "a=x", "--profiles", "p",
+                        "--plan", "b=y", "--all-nvm", "--format", "json"])
+    for name, build in workloads.BUILDERS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        well_formed += [list(op.argv) for op in build(str(workdir), tiny=True)]
+    parse = build_parser().parse_args
+    # Every benchmark op goes through the reader, so the benchmark times it.
+    for argv in well_formed:
+        read = cli._read_exact(argv)
+        assert read is not None, argv
+        assert _same_namespace(vars(read), _full_tree_values(parse, argv))
+    rng = random.Random(7)
+    taken = declined = 0
+    for argv in well_formed:
+        for mutant in _mutants(argv, rng):
+            read = cli._read_exact(mutant)
+            if read is None:
+                declined += 1
+                continue
+            taken += 1
+            want = _full_tree_values(parse, mutant)
+            assert want is not None, mutant
+            assert _same_namespace(vars(read), want), mutant
+    assert taken and declined
 
 
 def test_a_preset_takes_both_capacity_overrides_in_one_device_spec(
