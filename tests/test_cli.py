@@ -866,36 +866,47 @@ def test_a_subcommand_wraps_help_and_errors_as_the_full_tree_does(
         assert _exit(main, argv, capsys) == _exit(full, argv, capsys)
 
 
-def test_a_well_formed_command_line_builds_no_parser(workload, tmp_path,
-                                                     monkeypatch):
-    # argparse's HelpFormatter reads the terminal width each time one is
-    # built; a command line the exact reader takes builds none.
-    import shutil
+def test_a_subcommand_builds_its_parser_alone(workload, tmp_path,
+                                              monkeypatch):
+    # A command line the exact reader takes builds no parser at all, so no
+    # other subcommand's parser either; one it declines (an abbreviation
+    # here) builds the full tree, which reads it to the same plan.
     from memplan import cli
-    built, queries = [], []
+    built = []
 
     class Counted(cli._Parser):
         def __init__(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                "--out", tmp_path / "p.plan"]) == EXIT_OK
+    assert built == []
+    assert run(["plan", "--prof", workload, "--ratio", 1.0,
+                "--out", tmp_path / "q.plan"]) == EXIT_OK
+    assert built == ["memplan", *(f"memplan {name}" for name in cli._COMMANDS)]
+    assert (tmp_path / "q.plan").read_bytes() == \
+        (tmp_path / "p.plan").read_bytes()
+
+
+def test_a_subcommand_reads_the_terminal_width_once(workload, tmp_path,
+                                                    monkeypatch):
+    # argparse's HelpFormatter reads the terminal width each time one is
+    # built; a command line the exact reader takes builds none, so it
+    # reads the width not even once.
+    import shutil
+    queries = []
     query = shutil.get_terminal_size
 
     def counted(*args, **kwargs):
         queries.append(args)
         return query(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", Counted)
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
     assert run(["plan", "--profiles", workload, "--ratio", 1.0,
                 "--out", tmp_path / "p.plan"]) == EXIT_OK
-    assert (built, queries) == ([], [])
-    # An abbreviation is declined, and the full tree reads it.
-    assert run(["plan", "--prof", workload, "--ratio", 1.0,
-                "--out", tmp_path / "q.plan"]) == EXIT_OK
-    assert built == ["memplan", *(f"memplan {name}" for name in cli._COMMANDS)]
-    assert (tmp_path / "q.plan").read_bytes() == \
-        (tmp_path / "p.plan").read_bytes()
+    assert queries == []
 
 
 def _same_namespace(read, want) -> bool:
