@@ -28,8 +28,8 @@ from .planner import (PlacementPlan, load_plan, plan_static, sweep_ratios,
                       write_plan)
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec,
                        derive_scaling_vector, extrapolate, generate_synthetic,
-                       load_profile_dir, load_profiles, open_text,
-                       write_profiles)
+                       load_profile_dir, load_profiles, write_profiles,
+                       write_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,8 +103,7 @@ def _parse_range(text: str, option: str) -> tuple[float, float]:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    with open_text(sys.stdout if path is None else path, "w") as stream:
-        stream.write(text)
+    write_text(sys.stdout if path is None else path, text)
 
 
 def _cmd_generate(args) -> int:

@@ -25,7 +25,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .profiles import ObjectProfile, ProfileSet, open_text
+from .profiles import ObjectProfile, ProfileSet, read_text, write_text
 
 GIB = 1 << 30
 
@@ -112,8 +112,7 @@ PRESETS = {"testbed1": testbed1, "testbed2": testbed2}
 
 def load_device_spec(source: str | os.PathLike | IO[str]) -> DeviceSpec:
     """Read a DeviceSpec from a JSON config whose keys mirror the fields."""
-    with open_text(source) as stream:
-        data = json.load(stream)
+    data = json.loads(read_text(source))
     if not isinstance(data, dict):
         raise ValueError("device spec file must contain a JSON object")
     if data.pop("format", DEVICE_FORMAT_VERSION) != DEVICE_FORMAT_VERSION:
@@ -128,9 +127,7 @@ def load_device_spec(source: str | os.PathLike | IO[str]) -> DeviceSpec:
 
 def write_device_spec(dev: DeviceSpec, dest: str | os.PathLike | IO[str]) -> None:
     payload = {"format": DEVICE_FORMAT_VERSION, **asdict(dev)}
-    with open_text(dest, "w") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # Each formula takes one ObjectProfile or a whole ProfileSet; given a set it

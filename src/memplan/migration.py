@@ -19,24 +19,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import IO, Iterator, Sequence
 import os
 
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, Priceable, price_placement, prices
+from .energy import DeviceSpec, Priceable, prices
 from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
                       CapacityError, PlacementPlan, _budget, _check_reserve,
                       _on_dram, build_program, diagnose_infeasibility,
                       sweep_ratios)
-from .profiles import (ObjectProfile, ProfileSet, _sum_in_order, filter_major,
-                       open_text)
+from .profiles import (ObjectProfile, ProfileSet, _sum_in_order, major_mask,
+                       write_text)
 
 MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
 
 _NS_PER_S = 1e9
+
+# A table row's devices and migrate flag, between its id and its copy cost,
+# by (the object starts in DRAM, it migrates).
+_MOVES = {(here, x): f",{DRAM if here else NVM},{DRAM if here != x else NVM},"
+          f"{int(x)}," for here in (False, True) for x in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ def migration_times(obj: Priceable, dev: DeviceSpec) -> tuple:
 
 def _check_live(obj: Priceable, t: float) -> None:
     outside = np.logical_not((obj.alloc_time <= t) & (t <= obj.dealloc_time))
-    if np.any(outside):
+    if outside.any():
         if isinstance(obj, ProfileSet):  # the first one, as a one-record set
             obj = obj.take(outside & (np.cumsum(outside) == 1)).objects[0]
         raise ValueError(
@@ -98,25 +103,31 @@ def _check_live(obj: Priceable, t: float) -> None:
             f"(lifetime [{obj.alloc_time}, {obj.dealloc_time}])")
 
 
+def _move(obj: Priceable, dev: DeviceSpec, t: float, here: tuple,
+          there: tuple, copy_time) -> tuple:
+    """(energy nJ, latency ns, copy energy nJ) of moving at time t off the
+    device priced ``here`` onto the one priced ``there``, each an (energy,
+    latency) pair, with a copy taking ``copy_time`` ns."""
+    elapsed = (t - obj.alloc_time) / obj.lifetime
+    remaining = (obj.dealloc_time - t) / obj.lifetime
+    copy = ((dev.dram_act_pre + dev.dram_rw + dev.nvm_act_pre + dev.nvm_rba)
+            * obj.size + dev.refresh_rate * obj.size * (copy_time / _NS_PER_S))
+    return (here[0] * elapsed + copy + there[0] * remaining,
+            here[1] * elapsed + copy_time + there[1] * remaining, copy)
+
+
 def _price_migration(obj: Priceable, dev: DeviceSpec, t: float
                      ) -> tuple[MigrationEnergy, MigrationLatency]:
     """Energy and latency of migrating at time t, both directions."""
     _check_live(obj, t)
-    elapsed = (t - obj.alloc_time) / obj.lifetime
-    remaining = (obj.dealloc_time - t) / obj.lifetime
     time_dn, time_nd = migration_times(obj, dev)
-    copy_traffic = (dev.dram_act_pre + dev.dram_rw
-                    + dev.nvm_act_pre + dev.nvm_rba) * obj.size
-    cost_dn = copy_traffic + dev.refresh_rate * obj.size * (time_dn / _NS_PER_S)
-    cost_nd = copy_traffic + dev.refresh_rate * obj.size * (time_nd / _NS_PER_S)
-
-    def moved(on_dram, on_nvm, to_nvm, to_dram):
-        return (on_dram * elapsed + to_nvm + on_nvm * remaining,
-                on_nvm * elapsed + to_dram + on_dram * remaining,
-                to_nvm, to_dram)
     de, ne, dl, nl = prices(obj, dev)
-    return (MigrationEnergy(*moved(de, ne, cost_dn, cost_nd)),
-            MigrationLatency(*moved(dl, nl, time_dn, time_nd)))
+    energy_dn, latency_dn, cost_dn = _move(obj, dev, t, (de, dl), (ne, nl),
+                                           time_dn)
+    energy_nd, latency_nd, cost_nd = _move(obj, dev, t, (ne, nl), (de, dl),
+                                           time_nd)
+    return (MigrationEnergy(energy_dn, energy_nd, cost_dn, cost_nd),
+            MigrationLatency(latency_dn, latency_nd, time_dn, time_nd))
 
 
 def migration_energies(obj: Priceable, dev: DeviceSpec,
@@ -222,21 +233,18 @@ class LiveCosts:
 
 def price_live(live: ProfileSet, dev: DeviceSpec,
                on_dram: Sequence[bool], t: float) -> LiveCosts:
-    """Price every live object once for the stay-or-migrate decision."""
+    """Price every live object once for the stay-or-migrate decision: each
+    object's move is priced in its one direction, off its own device."""
     cp = np.asarray(on_dram, dtype=bool)
-    energy, latency = _price_migration(live, dev, t)
-    stay_latency, stay_energy = price_placement(live, dev, cp)
-    return LiveCosts(
-        on_dram=cp,
-        stay_energy=stay_energy,
-        stay_latency=stay_latency,
-        move_energy=np.where(cp, energy.dram_to_nvm, energy.nvm_to_dram),
-        move_latency=np.where(cp, latency.dram_to_nvm, latency.nvm_to_dram),
-        copy_energy=np.where(cp, energy.cost_dram_to_nvm,
-                             energy.cost_nvm_to_dram),
-        copy_time=np.where(cp, latency.time_dram_to_nvm,
-                           latency.time_nvm_to_dram),
-    )
+    _check_live(live, t)
+    de, ne, dl, nl = prices(live, dev)
+    here = np.where(cp, de, ne), np.where(cp, dl, nl)
+    there = np.where(cp, ne, de), np.where(cp, nl, dl)
+    copy_time = np.where(cp, *migration_times(live, dev))
+    move_energy, move_latency, copy_energy = _move(live, dev, t, here, there,
+                                                   copy_time)
+    return LiveCosts(cp, *here, move_energy, move_latency, copy_energy,
+                     copy_time)
 
 
 def build_migration_program(live: ProfileSet, dev: DeviceSpec,
@@ -272,17 +280,19 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     """
     t = request.time
     _check_reserve(current.reserved_dram_bytes)
-    major, minor = filter_major(profiles, current.major_threshold)
-
-    live_mask, dead_mask = major.live_at(t), major.dealloc_time <= t
-    live, dead = major.take(live_mask), major.take(dead_mask)
-    future_ids = tuple(compress(major.ids(), (major.alloc_time > t).tolist()))
-    on_dram = _on_dram(current, major, live_mask | dead_mask,
+    # The live major objects are the only subset built; the rest, the freed
+    # ones' energy included, is read through masks of the whole set.
+    major = major_mask(profiles, current.major_threshold)
+    alive = profiles.live_at(t)
+    live_mask, dead_mask = major & alive, major & (profiles.dealloc_time <= t)
+    live = profiles.take(live_mask)
+    future_ids = tuple(compress(profiles.ids(),
+                                (major & (profiles.alloc_time > t)).tolist()))
+    on_dram = _on_dram(current, profiles, live_mask | dead_mask,
                        "current plan does not place object")
-    live_on_dram = on_dram[live_mask].tolist()
-    dead_on_dram = on_dram[dead_mask]
+    live_on_dram = on_dram[live_mask]
 
-    live_minor_bytes = _sum_in_order(minor.size[minor.live_at(t)])
+    live_minor_bytes = _sum_in_order(profiles.size[alive & ~major])
     dram_free = (dev.dram_capacity - current.reserved_dram_bytes
                  - live_minor_bytes)
     if dram_free < 0:
@@ -314,14 +324,14 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 
     energies = np.where(migrate, costs.move_energy, costs.stay_energy)
     latencies = np.where(migrate, costs.move_latency, costs.stay_latency)
-    post_dram = costs.on_dram != migrate
 
-    _, dead_energies = price_placement(dead, dev, dead_on_dram)
+    de, ne = prices(profiles, dev)[:2]
+    dead_energies = np.where(on_dram, de, ne)[dead_mask]
 
     future_plan = None
     if plan_future:
         future_set = profiles.take(profiles.alloc_time > t)
-        live_post_dram = _sum_in_order(live.size[post_dram])
+        live_post_dram = _sum_in_order(live.size[costs.on_dram != migrate])
         live_post_nvm = _sum_in_order(live.size) - live_post_dram
         residual = replace(
             dev, dram_capacity=max(0.0, dram_free - live_post_dram),
@@ -331,7 +341,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 
     return MigrationPlan(
         live_ids=live.ids(),
-        on_dram=tuple(live_on_dram),
+        on_dram=tuple(live_on_dram.tolist()),
         migrate=tuple(migrate.tolist()),
         migration_cost_nj=tuple(
             np.where(migrate, costs.copy_energy, 0.0).tolist()),
@@ -345,7 +355,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         requirement_nj=requirement,
         objective_ns=_sum_in_order(latencies, 0.0),
         dead_energy_nj=_sum_in_order(dead_energies),
-        dead_ids=dead.ids(),
+        dead_ids=tuple(compress(profiles.ids(), dead_mask.tolist())),
         future_ids=future_ids,
         future_plan=future_plan,
         binding_constraints=binding,
@@ -355,19 +365,22 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 def write_migration_plan(plan: MigrationPlan,
                          dest: str | os.PathLike | IO[str]) -> None:
     """Serialize the migration table plus its summary block."""
-    with open_text(dest, "w") as stream:
-        stream.write(MIGRATION_FORMAT_VERSION + "\n")
-        stream.write(f"status={plan.status}\n")
-        stream.write(f"time_s={repr(plan.time_s)}\n")
-        stream.write(f"new_ratio={repr(plan.new_ratio)}\n")
-        stream.write(f"strict={int(plan.strict)}\n")
-        stream.write(f"e_total_nj={repr(plan.e_total_nj)}\n")
-        stream.write(f"requirement_nj={repr(plan.requirement_nj)}\n")
-        stream.write(f"objective_ns={repr(plan.objective_ns)}\n")
-        stream.write(f"dead_energy_nj={repr(plan.dead_energy_nj)}\n")
-        stream.write(f"dead_ids={';'.join(plan.dead_ids)}\n")
-        stream.write(f"future_ids={';'.join(plan.future_ids)}\n")
-        stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        rows = [f"{object_id},{here},{to},{int(x)},{cost!r},{copy_time!r}\n"
-                for object_id, here, to, x, cost, copy_time in plan._rows()]
-        stream.write("id,from,to,migrate,migce_nJ,migct_ns\n" + "".join(rows))
+    # By columns, joined once, as write_plan writes its table.
+    moves = map(_MOVES.__getitem__, zip(plan.on_dram, plan.migrate))
+    write_text(dest, "".join((
+        f"{MIGRATION_FORMAT_VERSION}\n"
+        f"status={plan.status}\n"
+        f"time_s={plan.time_s!r}\n"
+        f"new_ratio={plan.new_ratio!r}\n"
+        f"strict={int(plan.strict)}\n"
+        f"e_total_nj={plan.e_total_nj!r}\n"
+        f"requirement_nj={plan.requirement_nj!r}\n"
+        f"objective_ns={plan.objective_ns!r}\n"
+        f"dead_energy_nj={plan.dead_energy_nj!r}\n"
+        f"dead_ids={';'.join(plan.dead_ids)}\n"
+        f"future_ids={';'.join(plan.future_ids)}\n"
+        f"binding={';'.join(plan.binding_constraints)}\n"
+        "id,from,to,migrate,migce_nJ,migct_ns\n",
+        *chain.from_iterable(zip(
+            plan.live_ids, moves, map(repr, plan.migration_cost_nj),
+            repeat(","), map(repr, plan.migration_time_ns), repeat("\n"))))))

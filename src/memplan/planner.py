@@ -25,7 +25,7 @@ import numpy as np
 from . import ilp
 from .energy import DeviceSpec, price_placement, prices
 from .profiles import (DEFAULT_MAJOR_THRESHOLD, ProfileSet, _sum_in_order,
-                       filter_major, major_mask, open_text)
+                       filter_major, major_mask, read_text, write_text)
 
 DRAM = "dram"
 NVM = "nvm"
@@ -63,7 +63,9 @@ class PlacementPlan:
     per row (0 unassigned, 1 DRAM, 2 NVM) and the major flags; its
     ``placements`` are built on first read. A plan of a set lists the minor
     then the major ids in profile order and keeps the set's ids and each
-    row's position (``_origin``). A plan built from a dict reads the dict.
+    row's position (``_origin``). A loaded plan keeps each id's code
+    (``_code_of``) and builds its columns and ``major_ids`` on first read
+    (``_read``). A plan built from a dict reads the dict.
     """
 
     placements: dict[str, str]
@@ -77,21 +79,34 @@ class PlacementPlan:
     reserved_dram_bytes: float = 0.0
     minor_energy_in_budget: bool = False
     binding_constraints: tuple[str, ...] = ()
-    _rows = _origin = None  # not fields
+    _origin = _code_of = _read = None  # not fields
 
     @property
     def feasible(self) -> bool:
         return self.status == ilp.STATUS_OPTIMAL
 
     @classmethod
-    def _of(cls, rows: tuple, origin: tuple | None, *fields, **named):
+    def _of(cls, rows, origin: tuple | None,
+            code_of: dict[str, int] | None, *fields, **named):
+        """A plan kept as columns: ``rows`` is (ids, codes, major flags),
+        or a function that returns them and ``major_ids`` by name."""
         plan = cls(None, *fields, **named)
         del plan.__dict__["placements"]
-        rows[1].flags.writeable = False
-        plan.__dict__.update(_rows=rows, _origin=origin)
+        if callable(rows):
+            del plan.__dict__["major_ids"]
+            plan.__dict__["_read"] = rows
+        else:
+            rows[1].flags.writeable = False
+            plan.__dict__["_rows"] = rows
+        plan.__dict__.update(_origin=origin, _code_of=code_of)
         return plan
 
     def __getattr__(self, name: str):
+        if name in ("_rows", "major_ids") and self._read is not None:
+            self.__dict__.update(self._read())
+            return self.__dict__[name]
+        if name == "_rows":  # a caller's dict
+            return None
         if name != "placements" or self._rows is None:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
@@ -113,7 +128,7 @@ def _set_plan(profiles: ProfileSet, on_dram: Sequence[int] | None,
     rows = np.concatenate((np.flatnonzero(~mask), np.flatnonzero(mask)))
     return PlacementPlan._of(
         (minor.ids() + major.ids(), codes, mask[rows]), (profiles.ids(), rows),
-        major.ids(), status, ratio, major_threshold, *totals, **named)
+        None, major.ids(), status, ratio, major_threshold, *totals, **named)
 
 
 def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
@@ -128,10 +143,11 @@ def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
     if plan._origin is not None and plan._origin[0] is ids:
         codes = np.empty(len(ids), np.int8)
         codes[plan._origin[1]] = plan._rows[1]
-    else:
-        if plan._rows is None:  # a caller's dict, read as given
+    else:  # mapped by id
+        code = plan._code_of
+        if code is None and plan._rows is None:  # a caller's dict, as given
             code = {k: _CODES.get(d, 0) for k, d in plan.placements.items()}
-        else:  # mapped by id
+        elif code is None:
             code = dict(zip(plan._rows[0], plan._rows[1].tolist()))
         codes = np.fromiter(map(code.get, ids, repeat(0)), np.int8, len(ids))
     unplaced = (codes == 0) & needed
@@ -319,19 +335,18 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
     else:
         ids, codes, major = plan._rows
         ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
-    with open_text(dest, "w") as stream:
-        stream.write(PLAN_FORMAT_VERSION + "\n")
-        stream.write(f"status={plan.status}\n")
-        stream.write(f"ratio={_format_float(plan.ratio)}\n")
-        stream.write(f"major_threshold_bytes={_format_float(plan.major_threshold)}\n")
-        stream.write(f"reserved_dram_bytes={_format_float(plan.reserved_dram_bytes)}\n")
-        stream.write(f"minor_energy_in_budget={int(plan.minor_energy_in_budget)}\n")
-        stream.write(f"objective_ns={_format_float(plan.objective_ns)}\n")
-        stream.write(f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n")
-        stream.write(f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n")
-        stream.write(f"binding={';'.join(plan.binding_constraints)}\n")
-        stream.write("id,device,major\n"
-                     + "".join(chain.from_iterable(zip(ids, ends))))
+    write_text(dest, "".join((
+        f"{PLAN_FORMAT_VERSION}\n"
+        f"status={plan.status}\n"
+        f"ratio={_format_float(plan.ratio)}\n"
+        f"major_threshold_bytes={_format_float(plan.major_threshold)}\n"
+        f"reserved_dram_bytes={_format_float(plan.reserved_dram_bytes)}\n"
+        f"minor_energy_in_budget={int(plan.minor_energy_in_budget)}\n"
+        f"objective_ns={_format_float(plan.objective_ns)}\n"
+        f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n"
+        f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n"
+        f"binding={';'.join(plan.binding_constraints)}\n"
+        "id,device,major\n", *chain.from_iterable(zip(ids, ends)))))
 
 
 def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
@@ -341,36 +356,66 @@ def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
     """
     name = getattr(source, "name", "plan") if hasattr(source, "read") \
         else os.fspath(source)
-    with open_text(source) as stream:
-        lines = stream.read().splitlines()
+    text = read_text(source)
     try:
-        return _parse_plan(lines)
+        return _parse_plan(text)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _parse_plan(lines: list[str]) -> PlacementPlan:
-    if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
-        raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
+# What an ASCII table without blank rows holds if a row may have whitespace
+# to strip or a line break other than LF.
+_UNWRITTEN = (" ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _written_table(table: str) -> bool:
+    """True if the table text is rows as write_plan writes them: each ends
+    in LF, and none is blank or holds whitespace or another line break (a
+    test of ASCII text without spaces; any other table is not taken for
+    one)."""
+    return (table.isascii() and table[-1:] == "\n" and table[0] != "\n"
+            and "\n\n" not in table
+            and not any(map(table.__contains__, _UNWRITTEN)))
+
+
+def _parse_plan(text: str) -> PlacementPlan:
+    # A file whose summary lines all hold "=" and whose table is as written
+    # is split into lines only up to the table (tools/ab.py, split whole:
+    # migrate-live 1.02x, wide-pipeline evaluate 1.02x). Any other file is
+    # split whole and its table rows stripped and blank ones dropped, which
+    # gives the same rows.
+    head, found, table = text.partition("\nid,device,major\n")
+    lines = head.splitlines()
+    if not (found and lines and lines[0].strip() == PLAN_FORMAT_VERSION
+            and all(map(str.__contains__, lines[1:], repeat("=")))
+            and _written_table(table)):
+        lines = text.splitlines()
+        if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
+            raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
+        i = 1
+        while i < len(lines) and "=" in lines[i]:
+            i += 1
+        if i >= len(lines) or lines[i].strip() != "id,device,major":
+            raise ValueError("plan file is missing the id,device,major table")
+        table = "\n".join(filter(None, map(str.strip, lines[i + 1:]))) + "\n"
+        lines = lines[:i]
     summary: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and "=" in lines[i]:
-        key, _, value = lines[i].partition("=")
+    for line in lines[1:]:
+        key, _, value = line.partition("=")
         summary[key.strip()] = value.strip()
-        i += 1
-    if i >= len(lines) or lines[i].strip() != "id,device,major":
-        raise ValueError("plan file is missing the id,device,major table")
     # Checked by columns (tools/ab.py, by line: wide-pipeline 1.06x). With
-    # rows joined by ",\n", the ids hold every break iff each row has 3 fields.
-    kept = list(filter(None, map(str.strip, lines[i + 1:])))
-    fields = ",\n".join(kept).split(",")
+    # rows joined by ",\n", the ids hold every break iff each row has 3
+    # fields. The device codes by id are kept for mapping the plan by id.
+    fields = table[:-1].replace("\n", ",\n").split(",")
     ids, devices = "".join(fields[0::3]).split("\n"), fields[1::3]
-    codes = np.fromiter(map(_CODES.get, devices, repeat(-1)), np.int8,
-                        len(devices))
-    if kept and (len(ids) < len(kept) or len(fields) != 3 * len(ids)
-                 or (codes < 0).any() or len(set(ids)) < len(ids)):
+    listed = list(map(_CODES.get, devices, repeat(-1)))
+    code_of = dict(zip(ids, listed))
+    rows = len(table) > 1
+    if rows and (len(ids) < table.count("\n") or len(fields) != 3 * len(ids)
+                 or -1 in listed or len(code_of) < len(ids)):
         seen: set[str] = set()
-        for number, line in enumerate(lines[i + 1:], i + 2):
+        for number, line in enumerate(text.splitlines()[len(lines) + 1:],
+                                      len(lines) + 2):
             line = line.strip()
             if not line:
                 continue
@@ -385,12 +430,20 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
                 raise ValueError(
                     f"line {number}: duplicate object id {object_id!r}")
             seen.add(object_id)
-    major = np.array(fields[2::3], dtype=object) == "1"
-    major_ids = tuple(compress(ids, major.tolist()))
-    if not codes.all():  # placed rows, then unassigned major ones
-        unassigned = np.flatnonzero((codes == 0) & major)
-        order = [*np.flatnonzero(codes), *unassigned]
-        ids, codes, major = [ids[k] for k in order], codes[order], major[order]
+    flags = fields[2::3]
+
+    def read() -> dict:  # the columns, built when first read
+        codes = np.array(listed, np.int8)
+        major = np.array(flags, dtype=object) == "1"
+        major_ids, order = tuple(compress(ids, major.tolist())), ids
+        if 0 in listed:  # placed rows, then unassigned major ones
+            order = [*np.flatnonzero(codes),
+                     *np.flatnonzero((codes == 0) & major)]
+            codes, major = codes[order], major[order]
+            order = [ids[k] for k in order]
+        codes.flags.writeable = False
+        return {"_rows": (tuple(order) if rows else (), codes, major),
+                "major_ids": major_ids}
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
     summary.setdefault("reserved_dram_bytes", "0")
@@ -419,8 +472,7 @@ def _parse_plan(lines: list[str]) -> PlacementPlan:
                          f"got {reserved!r}")
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
     return PlacementPlan._of(
-        (tuple(ids) if kept else (), codes, major), None,
-        major_ids=major_ids,
+        read, None, code_of if rows else {}, major_ids=None,
         status=summary["status"],
         ratio=ratio,
         major_threshold=threshold,

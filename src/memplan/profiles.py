@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat, takewhile
@@ -99,9 +99,11 @@ class ObjectProfile:
 # column order; a ProfileSet stores them as the rows of one float table.
 _NUMERIC = ("size", "alloc_time", "dealloc_time", "accessed_volume",
             "llc_misses", "dirty_blocks")
-# A record as write_profiles writes it, llc_mpki blank (an object) or given.
+# A record as write_profiles writes it: the numbers, then llc_mpki blank
+# (an object), or llc_mpki given and read as the numbers' last.
 _RECORDS = [np.dtype([("id", object), ("numbers", float, len(_NUMERIC)),
-                      (_OPTIONAL_COLUMN, kind)]) for kind in (object, float)]
+                      (_OPTIONAL_COLUMN, object)]),
+            np.dtype([("id", object), ("numbers", float, len(_NUMERIC) + 1)])]
 
 
 def _id_ok(object_id) -> bool | np.ndarray:
@@ -113,15 +115,22 @@ def _id_ok(object_id) -> bool | np.ndarray:
                 and object_id == object_id.strip() and object_id[:1] != "#")
     if isinstance(object_id, np.ndarray):
         ids = object_id.tolist()
-        with suppress(TypeError):  # a column holding a non-str id
-            text = ",".join(ids)
-            if (text.count(",") == len(ids) - 1 and all(ids)
-                    and ("#" not in text or ",#" not in "," + text)
-                    and (text.split() == [text]  # no whitespace at all
-                         or (text.splitlines() == [text]
-                             and ",".join(map(str.strip, ids)) == text))):
-                return np.ones(len(ids), bool)
+        if _ids_ok(ids):
+            return np.ones(len(ids), bool)
         return np.fromiter(map(_id_ok, ids), bool, len(ids))
+    return False
+
+
+def _ids_ok(ids: list) -> bool:
+    """True if the joined text of the ids shows every one keeps the id
+    rule; False if it shows one may not."""
+    with suppress(TypeError):  # a column holding a non-str id
+        text = ",".join(ids)
+        return (text.count(",") == len(ids) - 1 and all(ids)
+                and ("#" not in text or ",#" not in "," + text)
+                and (text.split() == [text]  # no whitespace at all
+                     or (text.splitlines() == [text]
+                         and ",".join(map(str.strip, ids)) == text)))
     return False
 
 
@@ -130,20 +139,21 @@ def _id_ok(object_id) -> bool | np.ndarray:
 # order, and the message of a record that fails it, formatted from its
 # fields and the failing one's name. r is an ObjectProfile or columns of
 # records (see _columns); the tests use comparisons only (finiteness is
-# x - x == 0), so they give a bool for one record and a mask for a column.
+# abs(x) < inf), so they give a bool for one record and a mask for a
+# column, and none warns of a NaN or an infinity.
 _CHECKS = (
     (lambda r, x: (x != '') & (x != None), ("id",),
      "object id must be a non-empty string"),
     (lambda r, x: _id_ok(x), ("id",), "object id {id!r} contains a "
      "separator character, surrounding whitespace or a leading '#'"),
-    (lambda r, x: x - x == 0, _NUMERIC,
+    (lambda r, x: abs(x) < math.inf, _NUMERIC,
      "object {id!r}: {field} must be finite"),
     (lambda r, x: x > 0, ("size",), "object {id!r}: size must be positive"),
     (lambda r, x: x >= 0, ("accessed_volume", "llc_misses", "dirty_blocks"),
      "object {id!r}: {field} must be >= 0"),
     (lambda r, x: x > r.alloc_time, ("dealloc_time",), "object {id!r}: "
      "dealloc_time {dealloc_time} must be after alloc_time {alloc_time}"),
-    (lambda r, x: x is None or (x - x == 0) & (x >= 0), ("llc_mpki",),
+    (lambda r, x: x is None or (x >= 0) & (x < math.inf), ("llc_mpki",),
      "object {id!r}: llc_mpki must be >= 0"),
 )
 _VALUE_CHECKS = _CHECKS[2:]  # the rules that do not read the id
@@ -159,16 +169,16 @@ def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
         mpki_given = ~np.isnan(mpki)
     return SimpleNamespace(id=np.asarray(ids, dtype=object),
                            **dict(zip(_NUMERIC, table)),
-                           llc_mpki=np.where(mpki_given, mpki, 0.0))
+                           llc_mpki=mpki if mpki_given is True
+                           else np.where(mpki_given, mpki, 0.0))
 
 
 def _broken(columns: SimpleNamespace, checks) -> np.ndarray:
     """The records that break any of the rules: each rule is tested on the
     column of each of its fields."""
-    with np.errstate(invalid="ignore"):
-        return ~np.logical_and.reduce([
-            check(columns, getattr(columns, name))
-            for check, names, _ in checks for name in names])
+    return ~np.logical_and.reduce([
+        check(columns, getattr(columns, name))
+        for check, names, _ in checks for name in names])
 
 
 def _first_bad(record, checks=_CHECKS) -> tuple[int, str] | None:
@@ -372,9 +382,11 @@ class ScalingVector:
             raise ScalingError(f"no scaling entry for object {object_id!r}") from None
 
 
-# Records write_profiles formats and writes at a time: enough to make the
-# per-column passes pay, few enough that one block's text stays small
-# (writing 10^5 records peaks at 4.1 MiB traced, 68.7 MiB as one block).
+# Records write_profiles formats at a time: enough to make the per-column
+# passes pay, few enough that one block's Python fields stay small. The
+# file's text is then joined and encoded whole, so that a text that cannot
+# be encoded leaves the file as it was: writing 10^5 records (an 8.9 MiB
+# file) peaks at 27.6 MiB traced, 68.7 MiB as one block.
 _WRITE_BLOCK = 4096
 
 
@@ -402,17 +414,29 @@ def _format_columns(values: np.ndarray) -> list[list[str]]:
     return columns
 
 
-@contextmanager
-def open_text(target: str | os.PathLike | IO[str], mode: str = "r"
-              ) -> Iterator[IO[str]]:
-    """Yield a stream as is, or the UTF-8 file a path names (written with
-    Unix line endings)."""
-    if hasattr(target, "read" if mode == "r" else "write"):
-        yield target
+def read_text(source: str | os.PathLike | IO[str]) -> str:
+    """The text of a stream, read as is, or of the UTF-8 file a path names,
+    read with one binary read, with CRLF and a lone CR turned into LF as a
+    text-mode read turns them."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def write_text(dest: str | os.PathLike | IO[str], text: str) -> None:
+    """Write ``text`` to a stream as is, or to the file a path names as
+    UTF-8 with one binary write. The text is encoded before the file is
+    opened, so text that cannot be encoded leaves the file as it was."""
+    if hasattr(dest, "write"):
+        dest.write(text)
         return
-    with open(target, mode, encoding="utf-8",
-              newline=None if mode == "r" else "\n") as handle:
-        yield handle
+    data = text.encode("utf-8")
+    with open(dest, "wb") as handle:
+        handle.write(data)
 
 
 def load_profiles(source: str | os.PathLike | IO[str],
@@ -426,9 +450,7 @@ def load_profiles(source: str | os.PathLike | IO[str],
     records violating object invariants; the first bad line wins.
     Duplicate ids are reported once every record has passed.
     """
-    with open_text(source) as stream:
-        text = stream.read()
-    lines = text.splitlines()
+    lines = read_text(source).splitlines()
     if not lines or lines[0].strip() != PROFILE_FORMAT_VERSION:
         raise ProfileError(
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
@@ -445,12 +467,15 @@ def load_profiles(source: str | os.PathLike | IO[str],
         with suppress(ValueError):  # numpy reads fewer numbers than float()
             rows = np.loadtxt(records, _RECORDS[given], delimiter=",",
                               comments=None, ndmin=1)
-            ids, mpki = rows["id"], rows[_OPTIONAL_COLUMN]
-            values = np.vstack((rows["numbers"].T, mpki if given
-                                else np.full(len(rows), math.nan)))
+            ids, values = rows["id"], rows["numbers"].T
+            if given:  # one C-order copy, which the set keeps
+                values = np.ascontiguousarray(values)
+            else:  # llc_mpki is NaN
+                mpki = rows[_OPTIONAL_COLUMN]
+                values = np.vstack((values, np.full(len(rows), math.nan)))
     # numpy's numbers stand if llc_mpki is given in every record or in none
     usable = values is not None and (given or not any(mpki.tolist()))
-    loadable = usable and len(rows) == len(records) and _id_ok(ids).all()
+    loadable = usable and len(rows) == len(records) and _ids_ok(ids.tolist())
     checks = _VALUE_CHECKS if loadable else _CHECKS  # vouched for the ids
     if not loadable:  # per-line passes, which skip blank and comment lines
         kept = [k for k, line in enumerate(lines[1:])
@@ -509,17 +534,16 @@ def _numbers(record: str, header_fields: int) -> list[float | None] | str:
 def write_profiles(profiles: ProfileSet, dest: str | os.PathLike | IO[str]) -> None:
     """Write a ProfileSet in the profile file format (see load_profiles).
 
-    Records are formatted a block at a time, one pass per column, and each
-    block is written with one call."""
+    Records are formatted a block at a time, one pass per column, and the
+    blocks are written with one call."""
     ids, table, mpki = profiles.ids(), profiles._table, profiles.llc_mpki
-    with open_text(dest, "w") as stream:
-        stream.write(PROFILE_FORMAT_VERSION + "\n" + _HEADERS[-1] + "\n")
-        for start in range(0, len(ids), _WRITE_BLOCK):
-            block = slice(start, start + _WRITE_BLOCK)
-            columns = _format_columns(np.vstack((table[:, block],
-                                                 mpki[block])))
-            stream.write("\n".join(map(",".join, zip(ids[block], *columns)))
-                         + "\n")
+    parts = [PROFILE_FORMAT_VERSION + "\n" + _HEADERS[-1] + "\n"]
+    for start in range(0, len(ids), _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        columns = _format_columns(np.vstack((table[:, block], mpki[block])))
+        parts.append("\n".join(map(",".join, zip(ids[block], *columns)))
+                     + "\n")
+    write_text(dest, "".join(parts))
 
 
 def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
@@ -534,8 +558,7 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
     """
     manifest_path = os.path.join(os.fspath(path), MANIFEST_NAME)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = json.loads(read_text(manifest_path))
     except FileNotFoundError:
         raise ProfileError(f"no {MANIFEST_NAME} in {os.fspath(path)!r}") from None
     except json.JSONDecodeError as exc:
@@ -592,9 +615,8 @@ def write_profile_dir(sets: Sequence[ProfileSet],
             entry["workload_size"] = profiles.workload_size
         entries.append(entry)
     manifest = {"format": MANIFEST_FORMAT_VERSION, "workloads": entries}
-    with open_text(os.path.join(path, MANIFEST_NAME), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_text(os.path.join(path, MANIFEST_NAME),
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def filter_major(profiles: ProfileSet,

@@ -61,3 +61,15 @@ def test_a_tree_whose_plans_differ_is_refused(tmp_path):
                  "--workload", "solve-sweep")
     assert result.returncode == 1
     assert "the artifacts differ" in result.stderr
+
+
+def test_a_kind_keeps_only_its_ops():
+    result = _ab("--parent", SRC, "--change", SRC, "--workload",
+                 "wide-pipeline", "--kind", "evaluate", "--kind", "scale")
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert set(summary["wide-pipeline"]["kinds"]) == {"evaluate", "scale"}
+    result = _ab("--parent", SRC, "--change", SRC, "--workload",
+                 "migrate-live", "--kind", "evaluate")
+    assert result.returncode == 2
+    assert "migrate-live has no op of kind evaluate" in result.stderr

@@ -67,3 +67,24 @@ def test_no_module_adds_a_total_with_a_blas_routine():
             or isinstance(node, ast.Attribute) and node.attr in (
                 "dot", "matmul", "inner", "vdot", "einsum")]
     assert uses == []
+
+
+def test_only_the_two_text_helpers_open_files():
+    # Artifacts are read and written through profiles.read_text and
+    # profiles.write_text, one binary read or write each, so no text-mode
+    # opener comes back.
+    package = os.path.dirname(memplan.__file__)
+    openers = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as stream:
+            tree = ast.parse(stream.read(), path)
+        scopes = [(node.name, inner) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for inner in ast.walk(node)]
+        inside = {id(inner): name for name, inner in scopes}
+        openers += [f"{os.path.basename(path)}:{inside.get(id(node))}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"]
+    assert sorted(openers) == ["profiles.py:read_text", "profiles.py:write_text"]

@@ -1149,19 +1149,18 @@ def test_numpy_reads_a_written_file_the_passes_strip(monkeypatch, layout,
 
 
 def test_a_written_file_runs_the_column_id_rule_once(monkeypatch):
+    # The typed read tests the id column by its joined text once and tests
+    # no id on its own.
     profiles = generate_synthetic(GeneratorSpec(count=30, with_mpki=True), 8)
     buf = io.StringIO()
     write_profiles(profiles, buf)
-    from memplan.profiles import _id_ok
-    columns = []
-
-    def counted(ids):
-        columns.append(isinstance(ids, np.ndarray))
-        return _id_ok(ids)
-    monkeypatch.setattr("memplan.profiles._id_ok", counted)
+    from memplan.profiles import _id_ok, _ids_ok
+    columns = _counted(monkeypatch, "memplan.profiles._ids_ok", _ids_ok)
+    single = _counted(monkeypatch, "memplan.profiles._id_ok", _id_ok)
     loaded = load_profiles(io.StringIO(buf.getvalue()), "synthetic", 1.0)
     assert loaded == profiles
-    assert columns.count(True) == 1
+    assert len(columns) == 1 and len(columns[0][0]) == 30
+    assert single == []
 
 
 def test_the_column_id_rule_agrees_with_the_per_id_rule():

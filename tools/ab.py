@@ -5,6 +5,9 @@ Run from the repository root, against the parent commit:
     python3 tools/ab.py --parent HEAD~1 --workload wide-pipeline \
         --work 0.4 --rounds 5
 
+``--kind KIND`` (repeatable) keeps only the named kinds of op, for
+example ``--workload wide-pipeline --kind evaluate``.
+
 ``--parent`` names a source directory (``../parent/src``) or a git
 revision of this repository, whose ``src/memplan`` is exported with
 ``git archive`` into the temporary directory. Each tree's ``memplan``
@@ -127,10 +130,15 @@ def run_pair(clis: dict, op, outdir: str, first: int,
 
 
 def measure(clis: dict, workload: str, workdir: str, work: float,
-            tiny: bool, rounds: int, calibrate) -> dict:
+            tiny: bool, rounds: int, calibrate,
+            kinds: list[str] | None = None) -> dict:
+    """A workload's ratios, over its ops of ``kinds`` only if given."""
     from workloads import BUILDERS
     os.makedirs(workdir)
-    ops = BUILDERS[workload](workdir, work, tiny)
+    ops = [op for op in BUILDERS[workload](workdir, work, tiny)
+           if kinds is None or op.kind in kinds]
+    if not ops:
+        raise ValueError(f"{workload} has no op of kind {', '.join(kinds)}")
     for side in SIDES:
         os.makedirs(os.path.join(workdir, side))
     # What the trees and the inputs leave alive stays out of every
@@ -175,6 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--tiny", action="store_true",
                         help="the smoke test's tiny sets")
+    parser.add_argument("--kind", action="append",
+                        help="time only this kind of op (repeatable)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or not args.work > 0:
         parser.error("--rounds must be >= 1 and --work > 0")
@@ -196,10 +206,12 @@ def main(argv: list[str] | None = None) -> int:
             for workload in args.workload:
                 summary[workload] = measure(
                     clis, workload, os.path.join(tmp, workload), args.work,
-                    args.tiny, args.rounds, calibrate)
+                    args.tiny, args.rounds, calibrate, args.kind)
         except Mismatch as exc:
             print(f"ab: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:
+            parser.error(str(exc))
     for workload, result in summary.items():
         print(f"{workload}: change/parent median {result['median']:.3f}, "
               f"range {result['min']:.3f}-{result['max']:.3f} over "
