@@ -64,8 +64,9 @@ class PlacementPlan:
     ``placements`` are built on first read. A plan of a set lists the minor
     then the major ids in profile order and keeps the set's ids and each
     row's position (``_origin``). A loaded plan keeps each id's code
-    (``_code_of``) and builds its columns and ``major_ids`` on first read
-    (``_read``). A plan built from a dict reads the dict.
+    (``_code_of``) and its table's ids, codes and major fields
+    (``_table``), made into its columns and ``major_ids`` on first read. A
+    plan built from a dict reads the dict.
     """
 
     placements: dict[str, str]
@@ -79,31 +80,32 @@ class PlacementPlan:
     reserved_dram_bytes: float = 0.0
     minor_energy_in_budget: bool = False
     binding_constraints: tuple[str, ...] = ()
-    _origin = _code_of = _read = None  # not fields
+    _origin = _code_of = _table = None  # not fields
 
     @property
     def feasible(self) -> bool:
         return self.status == ilp.STATUS_OPTIMAL
 
     @classmethod
-    def _of(cls, rows, origin: tuple | None,
-            code_of: dict[str, int] | None, *fields, **named):
-        """A plan kept as columns: ``rows`` is (ids, codes, major flags),
-        or a function that returns them and ``major_ids`` by name."""
+    def _of(cls, rows: tuple, origin: tuple | None, *fields, **named):
         plan = cls(None, *fields, **named)
         del plan.__dict__["placements"]
-        if callable(rows):
-            del plan.__dict__["major_ids"]
-            plan.__dict__["_read"] = rows
-        else:
-            rows[1].flags.writeable = False
-            plan.__dict__["_rows"] = rows
-        plan.__dict__.update(_origin=origin, _code_of=code_of)
+        rows[1].flags.writeable = False
+        plan.__dict__.update(_rows=rows, _origin=origin)
+        return plan
+
+    # Columns built on first read (tools/ab.py, built at load: migrate-live
+    # 1.03x, wide-pipeline evaluate 1.05x).
+    @classmethod
+    def _loaded(cls, table: tuple, code_of: dict[str, int], **named):
+        plan = cls(None, None, **named)
+        del plan.__dict__["placements"], plan.__dict__["major_ids"]
+        plan.__dict__.update(_table=table, _code_of=code_of)
         return plan
 
     def __getattr__(self, name: str):
-        if name in ("_rows", "major_ids") and self._read is not None:
-            self.__dict__.update(self._read())
+        if name in ("_rows", "major_ids") and self._table is not None:
+            self.__dict__.update(_columns(*self.__dict__.pop("_table")))
             return self.__dict__[name]
         if name == "_rows":  # a caller's dict
             return None
@@ -114,6 +116,21 @@ class PlacementPlan:
         placed = self.__dict__[name] = dict(compress(
             zip(ids, map(_DEVICES.__getitem__, codes)), codes))
         return placed
+
+
+def _columns(ids: list[str], listed: list[int], flags: list[str]) -> dict:
+    """A loaded plan's columns and ``major_ids`` from its table's ids,
+    device codes and major fields: placed rows, then unassigned major
+    ones."""
+    codes = np.array(listed, np.int8)
+    major = np.array(flags, dtype=object) == "1"
+    major_ids, order = tuple(compress(ids, major.tolist())), ids
+    if 0 in listed:
+        order = [*np.flatnonzero(codes), *np.flatnonzero((codes == 0) & major)]
+        codes, major = codes[order], major[order]
+        order = [ids[k] for k in order]
+    codes.flags.writeable = False
+    return {"_rows": (tuple(order), codes, major), "major_ids": major_ids}
 
 
 def _set_plan(profiles: ProfileSet, on_dram: Sequence[int] | None,
@@ -128,7 +145,7 @@ def _set_plan(profiles: ProfileSet, on_dram: Sequence[int] | None,
     rows = np.concatenate((np.flatnonzero(~mask), np.flatnonzero(mask)))
     return PlacementPlan._of(
         (minor.ids() + major.ids(), codes, mask[rows]), (profiles.ids(), rows),
-        None, major.ids(), status, ratio, major_threshold, *totals, **named)
+        major.ids(), status, ratio, major_threshold, *totals, **named)
 
 
 def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
@@ -373,22 +390,20 @@ def _written_table(table: str) -> bool:
     in LF, and none is blank or holds whitespace or another line break (a
     test of ASCII text without spaces; any other table is not taken for
     one)."""
-    return (table.isascii() and table[-1:] == "\n" and table[0] != "\n"
+    return (table.isascii() and table[-1:] == "\n" and table[:1] != "\n"
             and "\n\n" not in table
             and not any(map(table.__contains__, _UNWRITTEN)))
 
 
 def _parse_plan(text: str) -> PlacementPlan:
-    # A file whose summary lines all hold "=" and whose table is as written
-    # is split into lines only up to the table (tools/ab.py, split whole:
-    # migrate-live 1.02x, wide-pipeline evaluate 1.02x). Any other file is
-    # split whole and its table rows stripped and blank ones dropped, which
-    # gives the same rows.
+    # Split into lines only up to the table line (tools/ab.py, split whole:
+    # migrate-live 1.02x). A file where that line does not follow the
+    # header and summary lines is split whole, which finds the same lines
+    # or raises the error.
     head, found, table = text.partition("\nid,device,major\n")
-    lines = head.splitlines()
-    if not (found and lines and lines[0].strip() == PLAN_FORMAT_VERSION
-            and all(map(str.__contains__, lines[1:], repeat("=")))
-            and _written_table(table)):
+    lines = (head + "\n").splitlines()  # a break ending head leaves ""
+    if not (found and lines[0].strip() == PLAN_FORMAT_VERSION
+            and all(map(str.__contains__, lines[1:], repeat("=")))):
         lines = text.splitlines()
         if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
             raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
@@ -397,25 +412,26 @@ def _parse_plan(text: str) -> PlacementPlan:
             i += 1
         if i >= len(lines) or lines[i].strip() != "id,device,major":
             raise ValueError("plan file is missing the id,device,major table")
-        table = "\n".join(filter(None, map(str.strip, lines[i + 1:]))) + "\n"
-        lines = lines[:i]
+        table, lines = "\n".join(lines[i + 1:]) + "\n", lines[:i]
     summary: dict[str, str] = {}
     for line in lines[1:]:
         key, _, value = line.partition("=")
         summary[key.strip()] = value.strip()
+    raw = table
+    if not _written_table(table):  # rows stripped, blank ones dropped
+        table = "".join(row + "\n" for row in map(str.strip, raw.splitlines())
+                        if row)
     # Checked by columns (tools/ab.py, by line: wide-pipeline 1.06x). With
     # rows joined by ",\n", the ids hold every break iff each row has 3
     # fields. The device codes by id are kept for mapping the plan by id.
     fields = table[:-1].replace("\n", ",\n").split(",")
-    ids, devices = "".join(fields[0::3]).split("\n"), fields[1::3]
-    listed = list(map(_CODES.get, devices, repeat(-1)))
+    ids = "".join(fields[0::3]).split("\n") if table else []
+    listed = list(map(_CODES.get, fields[1::3], repeat(-1)))
     code_of = dict(zip(ids, listed))
-    rows = len(table) > 1
-    if rows and (len(ids) < table.count("\n") or len(fields) != 3 * len(ids)
-                 or -1 in listed or len(code_of) < len(ids)):
+    if table and (len(ids) < table.count("\n") or len(fields) != 3 * len(ids)
+                  or -1 in listed or len(code_of) < len(ids)):
         seen: set[str] = set()
-        for number, line in enumerate(text.splitlines()[len(lines) + 1:],
-                                      len(lines) + 2):
+        for number, line in enumerate(raw.splitlines(), len(lines) + 2):
             line = line.strip()
             if not line:
                 continue
@@ -430,20 +446,6 @@ def _parse_plan(text: str) -> PlacementPlan:
                 raise ValueError(
                     f"line {number}: duplicate object id {object_id!r}")
             seen.add(object_id)
-    flags = fields[2::3]
-
-    def read() -> dict:  # the columns, built when first read
-        codes = np.array(listed, np.int8)
-        major = np.array(flags, dtype=object) == "1"
-        major_ids, order = tuple(compress(ids, major.tolist())), ids
-        if 0 in listed:  # placed rows, then unassigned major ones
-            order = [*np.flatnonzero(codes),
-                     *np.flatnonzero((codes == 0) & major)]
-            codes, major = codes[order], major[order]
-            order = [ids[k] for k in order]
-        codes.flags.writeable = False
-        return {"_rows": (tuple(order) if rows else (), codes, major),
-                "major_ids": major_ids}
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
     summary.setdefault("reserved_dram_bytes", "0")
@@ -471,8 +473,8 @@ def _parse_plan(text: str) -> PlacementPlan:
         raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
                          f"got {reserved!r}")
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
-    return PlacementPlan._of(
-        read, None, code_of if rows else {}, major_ids=None,
+    return PlacementPlan._loaded(
+        (ids, listed, fields[2::3]), code_of,
         status=summary["status"],
         ratio=ratio,
         major_threshold=threshold,

@@ -67,6 +67,26 @@ def test_a_plan_without_its_table_is_rejected():
         load_plan(io.StringIO(_PLAN_HEAD))
 
 
+@pytest.mark.parametrize("row", ["a,dram,1", "a,hbm,1"])
+@pytest.mark.parametrize("brk", ["\n", "\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=repr)
+def test_a_blank_line_before_the_plan_table_means_no_table(brk, row):
+    # The summary ends at the blank line, which is not the table's header.
+    text = _PLAN_HEAD[:-1] + brk + "\nid,device,major\n" + row + "\n"
+    with pytest.raises(ValueError) as err:
+        load_plan(io.StringIO(text))
+    assert str(err.value) == ("plan: plan file is missing the "
+                              "id,device,major table")
+    # CRLF is one line break, so no blank line.
+    crlf = _PLAN_HEAD[:-1] + "\r\nid,device,major\n"
+    assert load_plan(io.StringIO(crlf + "a,dram,1\n")).placements \
+        == {"a": "dram"}
+    with pytest.raises(ValueError) as err:
+        load_plan(io.StringIO(crlf + "a,dram,1\nb,dram\n"))
+    assert str(err.value) == ("plan: line 13: expected id,device,major, "
+                              "got 'b,dram'")
+
+
 def test_a_plan_naming_an_unknown_device_is_rejected():
     with pytest.raises(ValueError,
                        match="^plan: unknown device 'hbm' for 'a'$"):

@@ -579,6 +579,26 @@ def test_a_plan_survives_copy_deepcopy_and_pickle_without_its_dict():
         plan.placement
 
 
+def test_a_loaded_plan_survives_copy_deepcopy_and_pickle_unread():
+    ps = instance(4, count=7, with_mpki=True)
+    written = io.StringIO()
+    write_plan(plan_static(ps, small_device(), 0.85, major_threshold=0),
+               written)
+    plan = load_plan(io.StringIO(written.getvalue()))
+    copies = (copy.copy(plan), copy.deepcopy(plan),
+              pickle.loads(pickle.dumps(plan)))
+    # None of the copies builds the columns, and each builds them on its
+    # first read and drops the table they were made of.
+    for twin in (plan, *copies):
+        assert "_rows" not in twin.__dict__
+    for twin in copies:
+        out = io.StringIO()
+        write_plan(twin, out)
+        assert out.getvalue() == written.getvalue()
+        assert "_rows" in twin.__dict__ and "_table" not in twin.__dict__
+    assert all(twin == plan for twin in copies)
+
+
 def test_write_plan_refuses_a_device_the_plan_format_does_not_define():
     # evaluate and migrate refuse such a plan up front ("object 'b' has no
     # concrete device"), and load_plan the row write_plan makes of it.

@@ -56,6 +56,10 @@ class Mismatch(Exception):
     """The two trees gave one op different exit codes or artifacts."""
 
 
+class NoOps(Exception):
+    """A workload has no op of the kinds asked for."""
+
+
 def load_trees(parent_src: str, change_src: str, tmp: str) -> dict:
     """The ``cli`` module of each tree, imported under its renamed package."""
     clis = {}
@@ -138,7 +142,7 @@ def measure(clis: dict, workload: str, workdir: str, work: float,
     ops = [op for op in BUILDERS[workload](workdir, work, tiny)
            if kinds is None or op.kind in kinds]
     if not ops:
-        raise ValueError(f"{workload} has no op of kind {', '.join(kinds)}")
+        raise NoOps(f"{workload} has no op of kind {', '.join(kinds)}")
     for side in SIDES:
         os.makedirs(os.path.join(workdir, side))
     # What the trees and the inputs leave alive stays out of every
@@ -210,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         except Mismatch as exc:
             print(f"ab: {exc}", file=sys.stderr)
             return 1
-        except ValueError as exc:
+        except NoOps as exc:
             parser.error(str(exc))
     for workload, result in summary.items():
         print(f"{workload}: change/parent median {result['median']:.3f}, "
