@@ -397,19 +397,17 @@ def _written_table(table: str) -> bool:
 
 def _parse_plan(text: str) -> PlacementPlan:
     # Split into lines only up to the table line (tools/ab.py, split whole:
-    # migrate-live 1.02x). A file where that line does not follow the
-    # header and summary lines is split whole, which finds the same lines
-    # or raises the error.
+    # migrate-live 1.02x). With a break appended, a break ending the head
+    # leaves an empty line there, as the whole split does.
     head, found, table = text.partition("\nid,device,major\n")
-    lines = (head + "\n").splitlines()  # a break ending head leaves ""
-    if not (found and lines[0].strip() == PLAN_FORMAT_VERSION
-            and all(map(str.__contains__, lines[1:], repeat("=")))):
+    lines = (head + "\n").splitlines() if found else text.splitlines()
+    if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
+        raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
+    i = 1
+    while i < len(lines) and "=" in lines[i]:
+        i += 1
+    if not found or i < len(lines):  # the summary ends before that line
         lines = text.splitlines()
-        if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
-            raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
-        i = 1
-        while i < len(lines) and "=" in lines[i]:
-            i += 1
         if i >= len(lines) or lines[i].strip() != "id,device,major":
             raise ValueError("plan file is missing the id,device,major table")
         table, lines = "\n".join(lines[i + 1:]) + "\n", lines[:i]
