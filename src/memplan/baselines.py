@@ -88,7 +88,7 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
     # Demote coldest DRAM residents first (ties broken by profile order)
     # until DRAM fits: the running byte counts are accumulated one object
     # at a time, as a loop would subtract and add them (tools/ab.py, by
-    # loop: compare ops 1.08x, which set wide-pipeline's op_p90_ms).
+    # loop: compare 1.12x, 1.09-1.15; those ops set wide-pipeline's op_p90_ms).
     order = np.argsort(mpki, kind="stable")
     residents = order[on_dram[order]]
     moved = major.size[residents]

@@ -58,15 +58,15 @@ class PlacementPlan:
     population. Baseline strategies produce plans too, with ``ratio`` and
     ``energy_budget_nj`` set to the values they achieved.
 
-    A plan the package makes keeps as columns (``_rows``) the ids in plan
-    file order (placed, then unassigned major ones), a read-only int8 code
-    per row (0 unassigned, 1 DRAM, 2 NVM) and the major flags; its
-    ``placements`` are built on first read. A plan of a set lists the minor
-    then the major ids in profile order and keeps the set's ids and each
-    row's position (``_origin``). A loaded plan keeps each id's code
-    (``_code_of``) and its table's ids, codes and major fields
-    (``_table``), made into its columns and ``major_ids`` on first read. A
-    plan built from a dict reads the dict.
+    A plan has one of two forms. A caller's dict is read as given. A plan
+    the package makes keeps as columns (``_rows``) the ids in plan file
+    order (placed, then unassigned major ones), a read-only int8 code per
+    row (0 unassigned, 1 DRAM, 2 NVM) and the major flags; its
+    ``placements`` are built on first read. ``_where`` maps it onto a set:
+    a plan of a set (its minor then major ids in profile order) keeps the
+    set's ids and each row's position, and a loaded plan its id-to-code
+    dict. A loaded plan keeps its table's ids, codes and major fields
+    (``_table``) until its columns or ``major_ids`` are first read.
     """
 
     placements: dict[str, str]
@@ -80,30 +80,24 @@ class PlacementPlan:
     reserved_dram_bytes: float = 0.0
     minor_energy_in_budget: bool = False
     binding_constraints: tuple[str, ...] = ()
-    _origin = _code_of = _table = None  # not fields
+    _where = _table = None  # not fields
 
     @property
     def feasible(self) -> bool:
         return self.status == ilp.STATUS_OPTIMAL
 
     @classmethod
-    def _of(cls, rows: tuple, origin: tuple | None, *fields, **named):
-        plan = cls(None, *fields, **named)
-        del plan.__dict__["placements"]
-        rows[1].flags.writeable = False
-        plan.__dict__.update(_rows=rows, _origin=origin)
-        return plan
-
-    # Columns built on first read (tools/ab.py, built at load: migrate-live
-    # 1.03x, wide-pipeline evaluate 1.05x).
-    @classmethod
-    def _loaded(cls, table: tuple, code_of: dict[str, int], **named):
-        plan = cls(None, None, **named)
+    def _of(cls, where, columns: dict, *fields, **named):
+        """A package plan: ``columns`` holds ``_rows`` and ``major_ids``,
+        or a loaded plan's ``_table``."""
+        plan = cls(None, None, *fields, **named)
         del plan.__dict__["placements"], plan.__dict__["major_ids"]
-        plan.__dict__.update(_table=table, _code_of=code_of)
+        plan.__dict__.update(columns, _where=where)
         return plan
 
     def __getattr__(self, name: str):
+        # A loaded plan's columns are built on first read (tools/ab.py,
+        # built at load: migrate-live 1.03x).
         if name in ("_rows", "major_ids") and self._table is not None:
             self.__dict__.update(_columns(*self.__dict__.pop("_table")))
             return self.__dict__[name]
@@ -141,11 +135,13 @@ def _set_plan(profiles: ProfileSet, on_dram: Sequence[int] | None,
     major, minor = filter_major(profiles, major_threshold)
     codes = np.ones(len(profiles), np.int8)
     codes[len(minor):] = 0 if on_dram is None else np.where(on_dram, 1, 2)
+    codes.flags.writeable = False
     mask = major_mask(profiles, major_threshold)
     rows = np.concatenate((np.flatnonzero(~mask), np.flatnonzero(mask)))
-    return PlacementPlan._of(
-        (minor.ids() + major.ids(), codes, mask[rows]), (profiles.ids(), rows),
-        major.ids(), status, ratio, major_threshold, *totals, **named)
+    columns = {"_rows": (minor.ids() + major.ids(), codes, mask[rows]),
+               "major_ids": major.ids()}
+    return PlacementPlan._of((profiles.ids(), rows), columns, status, ratio,
+                             major_threshold, *totals, **named)
 
 
 def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
@@ -155,18 +151,15 @@ def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
     Raises ValueError for the first ``needed`` object on neither DRAM nor
     NVM: ``missing`` and its id if the plan does not place it, else that it
     has no concrete device (another device, or "unassigned" in a dict)."""
-    ids = profiles.ids()
+    ids, where = profiles.ids(), plan._where
     # A plan of this set (tools/ab.py, mapped by id: wide-pipeline 1.03x).
-    if plan._origin is not None and plan._origin[0] is ids:
+    if isinstance(where, tuple) and where[0] is ids:
         codes = np.empty(len(ids), np.int8)
-        codes[plan._origin[1]] = plan._rows[1]
-    else:  # mapped by id
-        code = plan._code_of
-        if code is None and plan._rows is None:  # a caller's dict, as given
-            code = {k: _CODES.get(d, 0) for k, d in plan.placements.items()}
-        elif code is None:
-            code = dict(zip(plan._rows[0], plan._rows[1].tolist()))
-        codes = np.fromiter(map(code.get, ids, repeat(0)), np.int8, len(ids))
+        codes[where[1]] = plan._rows[1]
+    else:  # mapped by id: a loaded plan's codes, else its placements
+        if not isinstance(where, dict):
+            where = {k: _CODES.get(d, 0) for k, d in plan.placements.items()}
+        codes = np.fromiter(map(where.get, ids, repeat(0)), np.int8, len(ids))
     unplaced = (codes == 0) & needed
     if unplaced.any():
         object_id = ids[int(np.argmax(unplaced))]
@@ -380,56 +373,32 @@ def load_plan(source: str | os.PathLike | IO[str]) -> PlacementPlan:
         raise ValueError(f"{name}: {exc}") from None
 
 
-# What an ASCII table without blank rows holds if a row may have whitespace
-# to strip or a line break other than LF.
-_UNWRITTEN = (" ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _written_table(table: str) -> bool:
-    """True if the table text is rows as write_plan writes them: each ends
-    in LF, and none is blank or holds whitespace or another line break (a
-    test of ASCII text without spaces; any other table is not taken for
-    one)."""
-    return (table.isascii() and table[-1:] == "\n" and table[:1] != "\n"
-            and "\n\n" not in table
-            and not any(map(table.__contains__, _UNWRITTEN)))
-
-
 def _parse_plan(text: str) -> PlacementPlan:
-    # Split into lines only up to the table line (tools/ab.py, split whole:
-    # migrate-live 1.02x). With a break appended, a break ending the head
-    # leaves an empty line there, as the whole split does.
-    head, found, table = text.partition("\nid,device,major\n")
-    lines = (head + "\n").splitlines() if found else text.splitlines()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != PLAN_FORMAT_VERSION:
         raise ValueError(f"expected plan header {PLAN_FORMAT_VERSION!r}")
     i = 1
     while i < len(lines) and "=" in lines[i]:
         i += 1
-    if not found or i < len(lines):  # the summary ends before that line
-        lines = text.splitlines()
-        if i >= len(lines) or lines[i].strip() != "id,device,major":
-            raise ValueError("plan file is missing the id,device,major table")
-        table, lines = "\n".join(lines[i + 1:]) + "\n", lines[:i]
+    if i >= len(lines) or lines[i].strip() != "id,device,major":
+        raise ValueError("plan file is missing the id,device,major table")
+    raw, lines = lines[i + 1:], lines[:i]
     summary: dict[str, str] = {}
     for line in lines[1:]:
         key, _, value = line.partition("=")
         summary[key.strip()] = value.strip()
-    raw = table
-    if not _written_table(table):  # rows stripped, blank ones dropped
-        table = "".join(row + "\n" for row in map(str.strip, raw.splitlines())
-                        if row)
+    rows = [row for row in map(str.strip, raw) if row]  # blank ones dropped
     # Checked by columns (tools/ab.py, by line: wide-pipeline 1.06x). With
     # rows joined by ",\n", the ids hold every break iff each row has 3
     # fields. The device codes by id are kept for mapping the plan by id.
-    fields = table[:-1].replace("\n", ",\n").split(",")
-    ids = "".join(fields[0::3]).split("\n") if table else []
+    fields = ",\n".join(rows).split(",")
+    ids = "".join(fields[0::3]).split("\n") if rows else []
     listed = list(map(_CODES.get, fields[1::3], repeat(-1)))
     code_of = dict(zip(ids, listed))
-    if table and (len(ids) < table.count("\n") or len(fields) != 3 * len(ids)
-                  or -1 in listed or len(code_of) < len(ids)):
+    if rows and (len(ids) < len(rows) or len(fields) != 3 * len(ids)
+                 or -1 in listed or len(code_of) < len(ids)):
         seen: set[str] = set()
-        for number, line in enumerate(raw.splitlines(), len(lines) + 2):
+        for number, line in enumerate(raw, len(lines) + 2):
             line = line.strip()
             if not line:
                 continue
@@ -471,8 +440,8 @@ def _parse_plan(text: str) -> PlacementPlan:
         raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
                          f"got {reserved!r}")
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
-    return PlacementPlan._loaded(
-        (ids, listed, fields[2::3]), code_of,
+    return PlacementPlan._of(
+        code_of, {"_table": (ids, listed, fields[2::3])},
         status=summary["status"],
         ratio=ratio,
         major_threshold=threshold,

@@ -33,6 +33,9 @@ def test_a_tree_against_itself_runs_every_workload():
         assert all(ratio > 0 for ratio in workload["ratios"])
         assert workload["kinds"] and all(
             ratio > 0 for ratio in workload["kinds"].values())
+        assert set(workload["kind_rounds"]) == set(workload["kinds"])
+        for kind in workload["kind_rounds"].values():
+            assert kind["min"] <= kind["median"] <= kind["max"]
 
 
 @pytest.mark.skipif(not os.path.exists(os.path.join(ROOT, ".git")),

@@ -377,6 +377,13 @@ def test_the_first_bad_row_of_a_plan_table_is_named(table, message):
     ("\n  \n", {}, ()),
     ("  a,dram,1 \n\tb,unassigned,1\nc,nvm,0\nd,nvm,yes\n",
      {"a": "dram", "c": "nvm", "d": "nvm"}, ("a", "b")),
+    # Rows split by another line break, padded with what str.strip strips,
+    # or without a final LF: each is stripped, as every table is.
+    *((table, {"a": "dram", "b": "nvm"}, ("a",)) for table in (
+        *(brk.join(("a,dram,1", "b,nvm,0", ""))
+          for brk in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")),
+        "\x1fa,dram,1\x1f\nb,nvm,0\x1f\n", "\x1ea,dram,1\x1e\nb,nvm,0\x1e\n",
+        "a,dram,1\nb,nvm,0")),
 ])
 def test_a_plan_table_reads_its_rows_in_order(table, placements, major_ids):
     plan = load_plan(io.StringIO(_PLAN_HEAD + "id,device,major\n" + table))

@@ -2,7 +2,8 @@
 functions that no op of a workload runs: on the tiny sets, no op takes
 `write_plan`'s branch for a plan built from a caller's dict or
 `load_profiles`' per-line passes (every workload's profile files are
-written by `write_profiles`), and the solver's node loop runs."""
+written by `write_profiles`), no op makes a loaded plan's columns (which
+is why they are made on first read), and the solver's node loop runs."""
 
 import ast
 import inspect
@@ -49,11 +50,14 @@ def test_no_tiny_op_writes_a_dict_plan_and_every_one_searches():
     assert set(summary) == {"solve-sweep", "wide-pipeline", "migrate-live"}
     dict_branch = _branch(planner.write_plan, "plan._rows is None")
     per_line = _branch(profiles.load_profiles, "not loadable")
+    columns = _lines(planner._columns, "codes = np.array", "return {")
     loop_head = _lines(ilp._search, "while stack:", "nodes += 1")
     assert len(dict_branch) > 1 and len(per_line) > 1 and len(loop_head) == 3
+    assert len(columns) > 1
     for unrun in summary.values():
         assert dict_branch - {min(dict_branch)} <= set(unrun["planner"])
         assert per_line - {min(per_line)} <= set(unrun["profiles"])
+        assert columns <= set(unrun["planner"])
         assert not loop_head & set(unrun["ilp"])
     # Some workload runs every line of the node loop.
     loop = _lines(ilp._search, "while stack:", "return best_x, nodes")

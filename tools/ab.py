@@ -25,9 +25,10 @@ where they do not.
 
 A round prints the change/parent ratio of the summed op times (below 1 is
 faster). The last line of standard output is one JSON object: per
-workload, the ratio of every round, their median and their range, and the
+workload, the ratio of every round, their median and their range, the
 ratio over all rounds of each kind of op (which sets a workload's
-percentiles when its kinds differ in cost).
+percentiles when its kinds differ in cost) under ``kinds``, and the
+median and range of each kind's per-round ratios under ``kind_rounds``.
 """
 
 from __future__ import annotations
@@ -153,24 +154,33 @@ def measure(clis: dict, workload: str, workdir: str, work: float,
     kinds = {op.kind: op for op in ops}
     for op in kinds.values():
         run_pair(clis, op, workdir, 0, calibrate)
-    ratios = []
-    by_kind = {kind: dict.fromkeys(SIDES, 0.0) for kind in kinds}
+    ratios, spent = [], []  # per round: per kind and side, seconds
     for r in range(rounds):
-        totals = dict.fromkeys(SIDES, 0.0)
+        spent.append({kind: dict.fromkeys(SIDES, 0.0) for kind in kinds})
         for i, op in enumerate(ops):
             for side, seconds in run_pair(clis, op, workdir, (r + i) % 2,
                                           calibrate).items():
-                totals[side] += seconds
-                by_kind[op.kind][side] += seconds
+                spent[-1][op.kind][side] += seconds
+        totals = {side: sum(t[side] for t in spent[-1].values())
+                  for side in SIDES}
         ratios.append(totals["change"] / totals["parent"])
         print(f"{workload} round {r + 1}: parent {totals['parent']:.3f} s, "
               f"change {totals['change']:.3f} s, ratio {ratios[-1]:.3f}",
               flush=True)
+    by_kind = {kind: {side: sum(t[kind][side] for t in spent)
+                      for side in SIDES} for kind in kinds}
     return {"ops": len(ops), "ratios": [round(x, 4) for x in ratios],
-            "median": round(statistics.median(ratios), 4),
-            "min": round(min(ratios), 4), "max": round(max(ratios), 4),
+            **_spread(ratios),
             "kinds": {kind: round(t["change"] / t["parent"], 4)
-                      for kind, t in by_kind.items()}}
+                      for kind, t in by_kind.items()},
+            "kind_rounds": {kind: _spread([t[kind]["change"]
+                                           / t[kind]["parent"] for t in spent])
+                            for kind in kinds}}
+
+
+def _spread(ratios: list[float]) -> dict[str, float]:
+    return {"median": round(statistics.median(ratios), 4),
+            "min": round(min(ratios), 4), "max": round(max(ratios), 4)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,11 +227,14 @@ def main(argv: list[str] | None = None) -> int:
         except NoOps as exc:
             parser.error(str(exc))
     for workload, result in summary.items():
+        spread = result["kind_rounds"]
         print(f"{workload}: change/parent median {result['median']:.3f}, "
               f"range {result['min']:.3f}-{result['max']:.3f} over "
               f"{args.rounds} rounds of {result['ops']} ops; by kind of op, "
-              + ", ".join(f"{kind} {ratio:.3f}"
-                          for kind, ratio in result["kinds"].items()))
+              "all rounds (per-round median, range): " + ", ".join(
+                  f"{kind} {ratio:.3f} ({spread[kind]['median']:.3f}, "
+                  f"{spread[kind]['min']:.3f}-{spread[kind]['max']:.3f})"
+                  for kind, ratio in result["kinds"].items()))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
