@@ -136,6 +136,15 @@ def _cmd_scale(args) -> int:
     return EXIT_OK
 
 
+def _exit_status(plan, note: str = "") -> int:
+    """EXIT_OK, or EXIT_INFEASIBLE after naming the binding rows on stderr."""
+    if plan.feasible:
+        return EXIT_OK
+    print("infeasible: cannot satisfy " + ", ".join(plan.binding_constraints)
+          + note, file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
 def _cmd_plan(args) -> int:
     if args.ratio <= 0:
         raise ValueError("--ratio must be > 0")
@@ -145,11 +154,7 @@ def _cmd_plan(args) -> int:
                        reserved_dram_bytes=args.reserved_dram,
                        include_minor_in_budget=args.include_minor_energy)
     write_plan(plan, args.out)
-    if not plan.feasible:
-        print("infeasible: cannot satisfy "
-              + ", ".join(plan.binding_constraints), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _exit_status(plan)
 
 
 def _cmd_migrate(args) -> int:
@@ -164,12 +169,7 @@ def _cmd_migrate(args) -> int:
     write_migration_plan(plan, args.out)
     if args.future_out is not None:
         write_plan(plan.future_plan, args.future_out)
-    if not plan.feasible:
-        print("infeasible: cannot satisfy "
-              + ", ".join(plan.binding_constraints)
-              + "; current placement retained", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _exit_status(plan, "; current placement retained")
 
 
 def _cmd_evaluate(args) -> int:

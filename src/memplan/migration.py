@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 import os
 
 import numpy as np
@@ -38,10 +38,11 @@ MIGRATION_FORMAT_VERSION = "hmms-migration-v1"
 
 _NS_PER_S = 1e9
 
-# A table row's devices and migrate flag, between its id and its copy cost,
-# by (the object starts in DRAM, it migrates).
-_MOVES = {(here, x): f",{DRAM if here else NVM},{DRAM if here != x else NVM},"
-          f"{int(x)}," for here in (False, True) for x in (False, True)}
+# A live object's devices (from, to) by (it starts in DRAM, it migrates),
+# and a table row's text from its from device through its migrate flag.
+_FROM_TO = {(here, x): (DRAM if here else NVM, DRAM if here != x else NVM)
+            for here in (False, True) for x in (False, True)}
+_MOVES = {key: f",{a},{b},{int(key[1])}," for key, (a, b) in _FROM_TO.items()}
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,8 @@ class MigrationPlan:
     The outcome is kept as columns over the live major objects, in profile
     order: ``live_ids``, ``on_dram`` (the object starts in DRAM),
     ``migrate``, and the copy's ``migration_cost_nj`` and
-    ``migration_time_ns`` (0.0 where the object stays). Their rows
-    (``_rows``) make the file's table and, on first read, ``decisions``.
+    ``migration_time_ns`` (0.0 where the object stays). With ``_FROM_TO``
+    they make the file's table and, on first read, ``decisions``.
     ``e_total_nj`` and ``objective_ns`` cover live major objects (migration
     candidates); energy already committed by freed objects is reported
     separately and objects allocated after t are covered by the companion
@@ -201,16 +202,13 @@ class MigrationPlan:
     def migrated_ids(self) -> tuple[str, ...]:
         return tuple(compress(self.live_ids, self.migrate))
 
-    def _rows(self) -> Iterator[tuple]:
-        for object_id, here, x, cost, copy_time in zip(
-                self.live_ids, self.on_dram, self.migrate,
-                self.migration_cost_nj, self.migration_time_ns):
-            yield (object_id, DRAM if here else NVM,
-                   DRAM if here != x else NVM, x, cost, copy_time)
-
     @cached_property
     def decisions(self) -> tuple[MigrationDecision, ...]:
-        return tuple(MigrationDecision(*row) for row in self._rows())
+        return tuple(
+            MigrationDecision(object_id, *_FROM_TO[here, x], x, cost, time)
+            for object_id, here, x, cost, time in zip(
+                self.live_ids, self.on_dram, self.migrate,
+                self.migration_cost_nj, self.migration_time_ns))
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ class PlacementPlan:
 
     def __getattr__(self, name: str):
         # A loaded plan's columns are built on first read (tools/ab.py,
-        # built at load: migrate-live 1.03x).
+        # built at load: migrate-live 1.033, 1.028, 1.020 in 10-round runs).
         if name in ("_rows", "major_ids") and self._table is not None:
             self.__dict__.update(_columns(*self.__dict__.pop("_table")))
             return self.__dict__[name]
@@ -106,6 +106,7 @@ class PlacementPlan:
         if name != "placements" or self._rows is None:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
+        # Made on first read for a caller of the field: no command reads it.
         ids, codes = self._rows[0], self._rows[1].tolist()
         placed = self.__dict__[name] = dict(compress(
             zip(ids, map(_DEVICES.__getitem__, codes)), codes))
@@ -339,7 +340,7 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         for object_id, device in placed.items():
             if device not in _CODES:
                 raise ValueError(f"unknown device {device!r} for {object_id!r}")
-        ends = [f",{device},{int(object_id in major)}\n"
+        ends = [_ROW_ENDS[2 * _CODES[device] + (object_id in major)]
                 for object_id, device in placed.items()]
         ends += [_ROW_ENDS[1]] * (len(ids) - len(placed))
     else:

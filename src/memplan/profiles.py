@@ -456,12 +456,12 @@ def load_profiles(source: str | os.PathLike | IO[str],
             f"line 1: expected format header {PROFILE_FORMAT_VERSION!r}")
     # A file's numbers come from one of two readers. write_profiles' header
     # is tried with one np.loadtxt of typed fields, which skips the per-line
-    # passes (tools/ab.py: wide-pipeline 1.24x with them): numpy refuses a
-    # record without 8 fields, the row count shows a blank line numpy
-    # skipped and the id rule an id the passes strip. Any other file, or one
-    # numpy refuses, is read by _numbers' float(), record by record.
+    # passes (tools/ab.py: wide-pipeline 1.24x with them). Its numbers stand
+    # for a file it reads whole: every record (numpy skips a blank line),
+    # llc_mpki in all or none, and ids the passes would not strip. Any other
+    # file is read by _numbers' float(), record by record.
     records, line_nos = lines[2:], range(2, len(lines) + 1)
-    header_fields, values = len(_COLUMNS) + 1, None
+    values = None
     if lines[1:2] == [_HEADERS[-1]] and any(records):  # else loadtxt warns
         given = not records[-1].endswith(",")
         with suppress(ValueError):  # numpy reads fewer numbers than float()
@@ -473,9 +473,8 @@ def load_profiles(source: str | os.PathLike | IO[str],
             else:  # llc_mpki is NaN
                 mpki = rows[_OPTIONAL_COLUMN]
                 values = np.vstack((values, np.full(len(rows), math.nan)))
-    # numpy's numbers stand if llc_mpki is given in every record or in none
-    usable = values is not None and (given or not any(mpki.tolist()))
-    loadable = usable and len(rows) == len(records) and _ids_ok(ids.tolist())
+    loadable = (values is not None and (given or not any(mpki.tolist()))
+                and len(rows) == len(records) and _ids_ok(ids.tolist()))
     checks = _VALUE_CHECKS if loadable else _CHECKS  # vouched for the ids
     if not loadable:  # per-line passes, which skip blank and comment lines
         kept = [k for k, line in enumerate(lines[1:])
@@ -489,9 +488,7 @@ def load_profiles(source: str | os.PathLike | IO[str],
         header_fields, records = lines[0].count(",") + 1, lines[1:]
         ids = np.array([*map(str.strip, map(itemgetter(0), map(
             str.partition, records, repeat(","))))], dtype=object)
-        # numpy's numbers if it read these records and no others
-        values = values if usable and len(rows) == len(records) else None
-    if values is None:  # _numbers reads up to the first record it cannot
+        # _numbers reads up to the first record it cannot
         parsed = list(takewhile(list.__instancecheck__,
                                 map(_numbers, records, repeat(header_fields))))
         given = np.array([row[-1] is not None for row in parsed], bool)
@@ -510,7 +507,7 @@ def load_profiles(source: str | os.PathLike | IO[str],
 
 def _numbers(record: str, header_fields: int) -> list[float | None] | str:
     """The six numbers of a record and its llc_mpki (None if blank) as
-    float() reads them, for every file the typed np.loadtxt did not read;
+    float() reads them, for every file the typed np.loadtxt did not vouch for;
     or why it cannot: the record has neither 7 nor 8 fields, or the first
     field float() rejects, a given llc_mpki before the columns in order."""
     fields = record.split(",")
@@ -576,9 +573,11 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
     sets = []
     for i, entry in enumerate(entries):
         name, size = entry.get("file"), entry.get("workload_size")
-        if not isinstance(name, str):
-            raise ProfileError(f"{manifest_path}: workloads[{i}]: "
-                               f"file must be a string, got {name!r}")
+        label = entry.get("label", name)
+        for key, text in (("file", name), ("label", label)):
+            if not isinstance(text, str):
+                raise ProfileError(f"{manifest_path}: workloads[{i}]: "
+                                   f"{key} must be a string, got {text!r}")
         if size is not None and (isinstance(size, bool)
                                  or not isinstance(size, (int, float))):
             raise ProfileError(f"{manifest_path}: workloads[{i}]: "
@@ -593,7 +592,7 @@ def load_profile_dir(path: str | os.PathLike) -> list[ProfileSet]:
         file_path = os.path.join(os.fspath(path), name)
         try:
             sets.append(load_profiles(file_path,
-                                      workload_label=entry.get("label", name),
+                                      workload_label=label,
                                       workload_size=size))
         except ProfileError as exc:
             raise ProfileError(f"{file_path}: {exc}") from None

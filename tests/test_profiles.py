@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -364,6 +365,19 @@ def test_profile_dir_roundtrip(tmp_path):
     again = load_profile_dir(tmp_path / "family")
     assert [s.workload_size for s in again] == [1.0, 2.0, 3.0]
     assert [s.objects for s in again] == [s.objects for s in sets]
+
+
+@pytest.mark.parametrize("label", [["x", 1], None, 3])
+def test_a_manifest_label_that_is_not_a_string_is_rejected(tmp_path, label):
+    write_profile_dir([generate_synthetic(GeneratorSpec(count=4), 1)],
+                      tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["workloads"][0]["label"] = label
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ProfileError) as err:
+        load_profile_dir(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'manifest.json'}: workloads[0]: "
+                              f"label must be a string, got {label!r}")
 
 
 def test_profile_dir_missing_manifest(tmp_path):
@@ -1127,8 +1141,8 @@ def test_a_seven_column_header_file_is_read_without_numpy(monkeypatch,
 @pytest.mark.parametrize("layout", ["padded id", "empty line"])
 def test_numpy_reads_a_written_file_the_passes_strip(monkeypatch, layout,
                                                      with_mpki):
-    # The per-line passes strip the id or skip the line, then take the
-    # typed read's numbers: float() reads no record.
+    # The typed read does not vouch for the file whole, so the per-line
+    # passes strip the id or skip the line and float() reads every record.
     from memplan.profiles import _numbers
     profiles = generate_synthetic(GeneratorSpec(count=20, with_mpki=with_mpki),
                                   5)
@@ -1145,7 +1159,7 @@ def test_numpy_reads_a_written_file_the_passes_strip(monkeypatch, layout,
     assert loaded.objects == profiles.objects
     assert loaded._table.tobytes() == profiles._table.tobytes()
     assert loaded.llc_mpki.tobytes() == profiles.llc_mpki.tobytes()
-    assert (len(loadtxt), len(numbers)) == (1, 0)
+    assert (len(loadtxt), len(numbers)) == (1, len(profiles))
 
 
 def test_a_written_file_runs_the_column_id_rule_once(monkeypatch):
