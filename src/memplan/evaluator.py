@@ -87,15 +87,12 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
 
     static_dram = _sum_in_order(profiles.size[on_dram])
     static_nvm = _sum_in_order(profiles.size[~on_dram])
-    dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
-    capacity_ok_dram = static_dram <= dram_limit + _REL_TOL * max(1.0, dram_limit)
-    capacity_ok_nvm = static_nvm <= dev.nvm_capacity \
-        + _REL_TOL * max(1.0, dev.nvm_capacity)
-
     budget = plan.energy_budget_nj
-    budget_ok = True
-    if math.isfinite(budget):
-        budget_ok = total <= budget + _REL_TOL * max(1.0, abs(budget))
+    capacity_ok_dram, capacity_ok_nvm, budget_ok = (
+        value <= limit + _REL_TOL * max(1.0, abs(limit)) for value, limit in (
+            (static_dram, dev.dram_capacity - plan.reserved_dram_bytes),
+            (static_nvm, dev.nvm_capacity), (total, budget)))
+    budget_ok = budget_ok or not math.isfinite(budget)
 
     scores = dict(
         total_energy_nj=total, latency_objective_ns=latency,

@@ -123,7 +123,7 @@ class ZeroOneProgram:
                     f"{n} variables")
         a = _frozen([coeffs for coeffs, _ in pairs]).reshape(len(pairs), n)
         b = _frozen([bound for _, bound in pairs])
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("objective coefficients must be finite")
         bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(b))
         if bad.any():
@@ -131,17 +131,14 @@ class ZeroOneProgram:
                 f"constraint {bad.argmax()} has non-finite entries")
         tol = _frozen(self.tolerances) if len(self.tolerances) \
             else np.maximum(ABS_TOL, REL_TOL * np.abs(b))
-        if tol.shape != b.shape or not np.all(np.isfinite(tol) & (tol >= 0)):
+        if tol.shape != b.shape or not (np.isfinite(tol) & (tol >= 0)).all():
             raise ValueError(
                 "one finite tolerance >= 0 per constraint required")
         slack = b + tol
         tol.flags.writeable = slack.flags.writeable = False
-        object.__setattr__(self, "objective_coeffs", c)
-        object.__setattr__(self, "constraints", tuple(zip(a, b.tolist())))
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "tolerances", tol)
-        object.__setattr__(self, "_slack", slack)
+        self.__dict__.update(objective_coeffs=c,
+                             constraints=tuple(zip(a, b.tolist())),
+                             _a=a, _b=b, tolerances=tol, _slack=slack)
 
     @property
     def num_variables(self) -> int:

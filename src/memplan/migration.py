@@ -314,9 +314,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         solution = ilp.IlpSolution(
             (), math.nan, ilp.STATUS_INFEASIBLE, binding=broken) if broken \
             else ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
-    status = solution.status
-    binding = diagnose_infeasibility(solution, names) \
-        if status == ilp.STATUS_INFEASIBLE else ()
+    binding = diagnose_infeasibility(solution, names)
     # An infeasible solution has no assignment: everything stays in place.
     migrate = np.array(solution.assignment or stay_put, dtype=bool)
 
@@ -345,7 +343,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
             np.where(migrate, costs.copy_energy, 0.0).tolist()),
         migration_time_ns=tuple(
             np.where(migrate, costs.copy_time, 0.0).tolist()),
-        status=status,
+        status=solution.status,
         time_s=t,
         new_ratio=request.new_ratio,
         strict=request.strict,

@@ -416,6 +416,12 @@ def _parse_plan(text: str) -> PlacementPlan:
             seen.add(object_id)
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
+    if summary["status"] not in (ilp.STATUS_OPTIMAL, ilp.STATUS_INFEASIBLE):
+        raise ValueError(f"status is not {ilp.STATUS_OPTIMAL} or "
+                         f"{ilp.STATUS_INFEASIBLE}: {summary['status']!r}")
+    minor = summary.get("minor_energy_in_budget", "0")
+    if minor not in ("0", "1"):
+        raise ValueError(f"minor_energy_in_budget is not 0 or 1: {minor!r}")
     summary.setdefault("reserved_dram_bytes", "0")
     numbers: dict[str, float] = {}
     for key in ("ratio", "major_threshold_bytes", "reserved_dram_bytes",
@@ -450,6 +456,6 @@ def _parse_plan(text: str) -> PlacementPlan:
         planned_energy_nj=numbers["planned_energy_nj"],
         energy_budget_nj=numbers["energy_budget_nj"],
         reserved_dram_bytes=reserved,
-        minor_energy_in_budget=summary.get("minor_energy_in_budget", "0") == "1",
+        minor_energy_in_budget=minor == "1",
         binding_constraints=binding,
     )

@@ -109,7 +109,7 @@ _RECORDS = [np.dtype([("id", object), ("numbers", float, len(_NUMERIC)),
 def _id_ok(object_id) -> bool | np.ndarray:
     # A profile file splits on commas and line breaks, strips each field
     # and skips lines that start with '#'. Ids are tested one by one only if
-    # their joined text shows a bad one (tools/ab.py: wide-pipeline 1.08x).
+    # their joined text shows a bad one (generate at 2000 objects: 1.10x).
     if isinstance(object_id, str):
         return ("," not in object_id and object_id.splitlines() == [object_id]
                 and object_id == object_id.strip() and object_id[:1] != "#")
@@ -169,8 +169,7 @@ def _columns(ids: Sequence[str], table: np.ndarray, mpki: np.ndarray,
         mpki_given = ~np.isnan(mpki)
     return SimpleNamespace(id=np.asarray(ids, dtype=object),
                            **dict(zip(_NUMERIC, table)),
-                           llc_mpki=mpki if mpki_given is True
-                           else np.where(mpki_given, mpki, 0.0))
+                           llc_mpki=np.where(mpki_given, mpki, 0.0))
 
 
 def _broken(columns: SimpleNamespace, checks) -> np.ndarray:

@@ -11,7 +11,8 @@ import pytest
 from memplan import cli, evaluator, ilp
 from memplan.baselines import (place_all_dram, place_all_nvm,
                                place_mpki_threshold, place_random)
-from memplan.energy import GIB, dram_energy, nvm_energy, price_placement
+from memplan.energy import (GIB, DeviceSpec, dram_energy, nvm_energy,
+                            price_placement)
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import (_REL_TOL, COMPARISON_COLUMNS, ComparisonRow,
                                EvaluationReport, _cell, _csv_table,
@@ -469,6 +470,20 @@ def test_report_bytes_of_an_all_nvm_plan():
         "plan,energy_nJ,ratio,latency_ns,capacity_ok\n"
         "all-nvm,23155274.88,0.4940107871508019,96000.0,1\n"
         "random_1,nan,nan,nan,0\n")
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "a baseline reports ratio 1.0 where its major objects' all-DRAM energy "
+    "is zero; the plan file cannot carry evaluate's inf, since load_plan "
+    "refuses a non-finite ratio, so the fix waits for a plan-format "
+    "decision"))
+def test_a_baseline_ratio_equals_evaluates_when_all_dram_energy_is_zero():
+    dev = DeviceSpec(dram_act_pre=0, dram_rw=0, dram_ref=0)
+    ps = ProfileSet(tuple(ObjectProfile(name, 8 * MB, 0.0, 1.0, 8 * MB,
+                                        100.0, 5.0) for name in "ab"))
+    plan = place_all_nvm(ps, dev, 0)
+    assert evaluate(ps, dev, plan).energy_ratio_vs_all_dram == math.inf
+    assert plan.ratio == math.inf
 
 
 @pytest.mark.parametrize("breakdown", [

@@ -569,9 +569,13 @@ def test_build_parser_builds_every_subcommand(capsys):
      "major_threshold_bytes must be >= 0, got nan"),
     ("obj0000,nvm,1", "obj0000,nvm",
      "line 12: expected id,device,major, got 'obj0000,nvm'"),
+    ("status=optimal", "status=Optimal",
+     "status is not optimal or infeasible: 'Optimal'"),
+    ("minor_energy_in_budget=0", "minor_energy_in_budget=true",
+     "minor_energy_in_budget is not 0 or 1: 'true'"),
 ], ids=["nan-reserve", "negative-reserve", "missing-status",
         "non-numeric-ratio", "infinite-ratio", "nan-threshold",
-        "two-field-row"])
+        "two-field-row", "unknown-status", "minor-flag-not-0-or-1"])
 def test_a_bad_plan_file_names_the_file_and_the_field(
         workload, tmp_path, capsys, old, new, message):
     plan_path = tmp_path / "p.plan"
