@@ -61,6 +61,11 @@ def _peak_bytes(profiles: ProfileSet, on_device: np.ndarray) -> float:
     return max(0.0, float(levels.max(initial=0.0)))
 
 
+def _within(value: float, limit: float) -> bool:
+    """``value <= limit`` up to the scorer's relative tolerance."""
+    return value <= limit + _REL_TOL * max(1.0, abs(limit))
+
+
 def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     """The scoring core: `EvaluationReport`'s fields but the peaks and the
     per-object table, by name; then the DRAM mask, the major mask and the
@@ -88,11 +93,10 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     static_dram = _sum_in_order(profiles.size[on_dram])
     static_nvm = _sum_in_order(profiles.size[~on_dram])
     budget = plan.energy_budget_nj
-    capacity_ok_dram, capacity_ok_nvm, budget_ok = (
-        value <= limit + _REL_TOL * max(1.0, abs(limit)) for value, limit in (
-            (static_dram, dev.dram_capacity - plan.reserved_dram_bytes),
-            (static_nvm, dev.nvm_capacity), (total, budget)))
-    budget_ok = budget_ok or not math.isfinite(budget)
+    capacity_ok_dram = _within(static_dram,
+                               dev.dram_capacity - plan.reserved_dram_bytes)
+    capacity_ok_nvm = _within(static_nvm, dev.nvm_capacity)
+    budget_ok = not math.isfinite(budget) or _within(total, budget)
 
     scores = dict(
         total_energy_nj=total, latency_objective_ns=latency,

@@ -314,7 +314,8 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         solution = ilp.IlpSolution(
             (), math.nan, ilp.STATUS_INFEASIBLE, binding=broken) if broken \
             else ilp.IlpSolution(stay_put, 0.0, ilp.STATUS_OPTIMAL)
-    binding = diagnose_infeasibility(solution, names)
+    binding = diagnose_infeasibility(solution, names) \
+        if solution.status == ilp.STATUS_INFEASIBLE else ()
     # An infeasible solution has no assignment: everything stays in place.
     migrate = np.array(solution.assignment or stay_put, dtype=bool)
 

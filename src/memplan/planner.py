@@ -331,6 +331,15 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _check_flags(status: str, minor: str) -> None:
+    """Refuse a status or minor-energy flag the plan format does not define."""
+    if status not in (ilp.STATUS_OPTIMAL, ilp.STATUS_INFEASIBLE):
+        raise ValueError(f"status is not {ilp.STATUS_OPTIMAL} or "
+                         f"{ilp.STATUS_INFEASIBLE}: {status!r}")
+    if minor not in ("0", "1"):
+        raise ValueError(f"minor_energy_in_budget is not 0 or 1: {minor!r}")
+
+
 def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
     """Serialize a plan as the placement-table text format."""
     # By columns, joined once (tools/ab.py, by dict: wide-pipeline 1.04x).
@@ -346,13 +355,15 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
     else:
         ids, codes, major = plan._rows
         ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
+    minor = str(int(plan.minor_energy_in_budget))
+    _check_flags(plan.status, minor)
     write_text(dest, "".join((
         f"{PLAN_FORMAT_VERSION}\n"
         f"status={plan.status}\n"
         f"ratio={_format_float(plan.ratio)}\n"
         f"major_threshold_bytes={_format_float(plan.major_threshold)}\n"
         f"reserved_dram_bytes={_format_float(plan.reserved_dram_bytes)}\n"
-        f"minor_energy_in_budget={int(plan.minor_energy_in_budget)}\n"
+        f"minor_energy_in_budget={minor}\n"
         f"objective_ns={_format_float(plan.objective_ns)}\n"
         f"planned_energy_nj={_format_float(plan.planned_energy_nj)}\n"
         f"energy_budget_nj={_format_float(plan.energy_budget_nj)}\n"
@@ -416,12 +427,8 @@ def _parse_plan(text: str) -> PlacementPlan:
             seen.add(object_id)
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
-    if summary["status"] not in (ilp.STATUS_OPTIMAL, ilp.STATUS_INFEASIBLE):
-        raise ValueError(f"status is not {ilp.STATUS_OPTIMAL} or "
-                         f"{ilp.STATUS_INFEASIBLE}: {summary['status']!r}")
     minor = summary.get("minor_energy_in_budget", "0")
-    if minor not in ("0", "1"):
-        raise ValueError(f"minor_energy_in_budget is not 0 or 1: {minor!r}")
+    _check_flags(summary["status"], minor)
     summary.setdefault("reserved_dram_bytes", "0")
     numbers: dict[str, float] = {}
     for key in ("ratio", "major_threshold_bytes", "reserved_dram_bytes",

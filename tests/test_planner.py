@@ -599,7 +599,8 @@ def test_a_loaded_plan_survives_copy_deepcopy_and_pickle_unread():
     assert all(twin == plan for twin in copies)
 
 
-def test_write_plan_refuses_a_device_the_plan_format_does_not_define():
+def test_write_plan_refuses_a_device_the_plan_format_does_not_define(
+        tmp_path):
     # evaluate and migrate refuse such a plan up front ("object 'b' has no
     # concrete device"), and load_plan the row write_plan makes of it.
     for device in ("hbm", "DRAM"):
@@ -609,3 +610,16 @@ def test_write_plan_refuses_a_device_the_plan_format_does_not_define():
                            match=f"unknown device {device!r} for 'b'|"
                                  "object 'b' has no concrete device"):
             write_plan(plan, io.StringIO())
+    # Nor a status or minor-energy flag load_plan would refuse, and it
+    # raises load_plan's error before it opens the file.
+    path = tmp_path / "p.plan"
+    for status, minor, message in (
+            ("limit", False, "status is not optimal or infeasible: 'limit'"),
+            ("optimal", 2, "minor_energy_in_budget is not 0 or 1: '2'")):
+        plan = planner.PlacementPlan({"a": DRAM}, ("a",), status, 1.0, 0.0,
+                                     0.0, 0.0, 0.0,
+                                     minor_energy_in_budget=minor)
+        with pytest.raises(ValueError) as err:
+            write_plan(plan, path)
+        assert str(err.value) == message
+        assert not path.exists()

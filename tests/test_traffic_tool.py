@@ -3,8 +3,7 @@ functions that no op of a workload runs: on the tiny sets, no op takes
 `write_plan`'s branch for a plan built from a caller's dict or
 `load_profiles`' per-line passes (every workload's profile files are
 written by `write_profiles`), no op makes a loaded plan's columns (which
-is why they are made on first read), and the solver's node loop runs.
-With ``--kind``, only the named kinds of op run."""
+is why they are made on first read), and the solver's node loop runs."""
 
 import ast
 import inspect
@@ -64,21 +63,3 @@ def test_no_tiny_op_writes_a_dict_plan_and_every_one_searches():
     loop = _lines(ilp._search, "while stack:", "return best_x, nodes")
     assert not set.intersection(*(loop & set(unrun["ilp"])
                                   for unrun in summary.values()))
-
-
-def test_a_kind_keeps_only_its_ops():
-    result = subprocess.run(
-        [sys.executable, TRAFFIC, "--tiny", "--work", "0.01", "--workload",
-         "wide-pipeline", "--kind", "evaluate"],
-        capture_output=True, text=True, timeout=300, cwd=ROOT)
-    assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout.splitlines()[-1])
-    # An evaluate op scores a plan; it never builds or solves a program.
-    loop_head = _lines(ilp._search, "while stack:", "nodes += 1")
-    assert loop_head <= set(summary["wide-pipeline"]["ilp"])
-    result = subprocess.run(
-        [sys.executable, TRAFFIC, "--tiny", "--work", "0.01", "--workload",
-         "migrate-live", "--kind", "evaluate"],
-        capture_output=True, text=True, timeout=300, cwd=ROOT)
-    assert result.returncode == 2
-    assert "migrate-live has no op of kind evaluate" in result.stderr

@@ -5,14 +5,12 @@ Run from the repository root:
     python3 tools/traffic.py --workload wide-pipeline --work 0.2
 
 A workload's input files come from ``bench/workloads.py`` (``--tiny`` for
-the smoke test's sets). ``--kind KIND`` (repeatable) keeps only the named
-kinds of op, as in ``tools/ab.py``, so a path's lines can be checked
-against the kinds of op that run it. Each op's command line then runs
-through this checkout's ``memplan.cli.main`` under a line tracer that
-follows only function code in ``src/memplan``, so a fast path's traffic
-can be checked before it is kept or cut. Only function bodies count:
-class bodies and module lines run at import, before the tracer starts,
-and so does code they hold, such as a module-level comprehension.
+the smoke test's sets). Each op's command line then runs through this
+checkout's ``memplan.cli.main`` under a line tracer that follows only
+function code in ``src/memplan``, so a fast path's traffic can be checked
+before it is kept or cut. Only function bodies count: class bodies and
+module lines run at import, before the tracer starts, and so does code
+they hold, such as a module-level comprehension.
 
 For each workload the tool prints, per module, how many of its function
 lines no op ran and which, as ranges. The last line of standard output is
@@ -95,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="share of a benchmark run's ops (default 0.2)")
     parser.add_argument("--tiny", action="store_true",
                         help="the smoke test's tiny sets")
-    parser.add_argument("--kind", action="append",
-                        help="run only this kind of op (repeatable)")
     args = parser.parse_args(argv)
     if not args.work > 0:
         parser.error("--work must be > 0")
@@ -113,12 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         for workload in args.workload:
             workdir = os.path.join(tmp, workload)
             os.makedirs(workdir)
-            ops = [op for op in BUILDERS[workload](workdir, args.work,
-                                                   args.tiny)
-                   if args.kind is None or op.kind in args.kind]
-            if not ops:
-                parser.error(f"{workload} has no op of kind "
-                             f"{', '.join(args.kind)}")
+            ops = BUILDERS[workload](workdir, args.work, args.tiny)
             print(f"{workload}: {len(ops)} ops")
             summary[workload] = {}
             for path, unrun in traffic(cli, ops, lines).items():
