@@ -7,12 +7,11 @@ lexicographically smallest optimal assignment. The oracle, a scan of every
 assignment in that order (n <= 24), lives in the tests (``tests/oracle.py``),
 and randomized tests keep `solve` equal to it.
 
-Every solve's passes over all its variables run on arrays (the root
-relaxation's loads, the fixing and each leaf's price); the bound tables (the
-overloaded rows' at the root, every row's over the free variables), the
-seed's walk and the search run on Python floats. Every total adds in index
-order (a leaf's price from zero, the relaxation's loads and suffix sums from
-the last variable), so no reported number depends on a BLAS kernel.
+Every solve's passes over all its variables run on arrays (the root loads,
+the fixing, each leaf's price); the bound tables, the seed's walk and the
+search run on Python floats. Every total adds in index order (a leaf's price
+from zero, the relaxation's loads and suffix sums from the last variable),
+so no reported number depends on a BLAS kernel.
 
 Its search (`_search`) is depth-first on an explicit stack, so no recursion
 limit caps the number of variables. It fixes variable 0 first and tries 0
@@ -29,35 +28,28 @@ node is cut when its bound cannot beat the incumbent by more than the
 tolerance, ties included, so no cut subtree holds a replacing leaf.
 
 Before the search, `solve` prices each overloaded row at the root with the
-node bound, which is infinite exactly when the fractional (LP) bound is. A row
-whose excess the free variables cannot relieve is refused alone, and a row and
-its negation, neither refused alone, whose slacks sum below zero leave an
-empty range, which the search, pricing one row at a time, would only prove by
-walking the tree. Either ends the solve as infeasible after that one node,
-with `IlpSolution.binding` naming those rows; a search that finds no leaf
-names every row. Otherwise it rounds the root relaxation to one feasible leaf
-(the seed) and starts with a cutoff just above the seed's objective, so the
-search proves an optimum instead of walking toward it one improvement at a
-time. Any leaf no worse than the seed is still accepted, so an exact tie keeps
-its lexicographic winner. Only distinct objectives within about twice the
-tolerance of each other can end at a different, equally optimal leaf than the
-oracle's scan.
+node bound, which is infinite exactly when the fractional (LP) bound is, and
+refuses a row whose excess the free variables cannot relieve. Otherwise it
+rounds the root relaxation to one feasible leaf (the seed). Short of a seed,
+each pair of unrefused rows is tested (`_conflicts`): with row k as the cost,
+the node bound over row i floors row k's load over row i's half-space, and a
+floor above row k's slack fits no leaf, which the one-row search would only
+prove by walking the tree. A refused row or pair ends the solve as infeasible
+after one node, with `IlpSolution.binding` naming them; a search that finds
+no leaf names every row. A seed sets the cutoff just above its objective, so
+the search proves an optimum instead of walking toward it one improvement at
+a time, and any leaf no worse than the seed is still accepted, so an exact tie
+keeps its lexicographic winner. Only distinct objectives within about twice
+the tolerance of each other can end at another optimal leaf than the oracle.
 
-Then `solve` fixes variables at the root by reduced cost (Balas and Zemel,
-Oper. Res. 28(5), 1980). The multiplier λ is the LP dual of the dearest
-overloaded row (the largest node bound), read off its root table: the rate of
-the first item whose running relief total covers the row's excess, or 0 when no
-row is overloaded. With reduced costs ``r = c + λ·a`` over that row and the
-Lagrangian bound ``L = Σ min(0, r_j) - λ·slack``, a leaf that sets x_j to
-anything but its Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``.
-When that is beyond the seed's cutoff by more than a float margin, the search
-would cut every such leaf, so x_j is fixed. A solve without a seed has an
-infinite cutoff and fixes nothing. The search then runs over the free variables
-alone, from a root that holds the fixed ones' objective and row loads; suffix
-sums and every row's bound table are built once, for the free variables, and
-the leaf check still runs every row against its own slack. A fixed variable has
-the same value in every leaf that can still be accepted, so the remaining
-leaves arrive in the same lexicographic order and the tie-break is unchanged.
+Then `solve` fixes variables at the root by reduced cost (`_fix`; Balas and
+Zemel, Oper. Res. 28(5), 1980) under λ, the LP dual of the dearest overloaded
+row (the largest node bound) read off its root table, or 0 when no row is
+overloaded; without a seed the cutoff is infinite and nothing is fixed. The
+search runs over the free variables alone, from a root holding the fixed
+ones' objective and row loads, and its leaf check still runs every row. A
+fixed variable has the same value in every leaf that can still be accepted,
+so the remaining leaves arrive in the same order and the tie-break holds.
 
 Objective comparisons use a tolerance of ``max(ABS_TOL, REL_TOL * |value|)``,
 1e-9 relative with a 1e-12 absolute floor, and so does each constraint, on
@@ -69,7 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import add, itemgetter, le, sub
 from typing import Sequence
 
@@ -96,17 +88,13 @@ def _frozen(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ZeroOneProgram:
-    """Objective and upper-bound constraints over binary variables.
-
-    Coefficients may be given as sequences or arrays; they are stored once
-    as read-only float arrays, and ``constraints`` holds (row, bound) pairs
-    whose rows are views of the constraint matrix. ``tolerances`` holds
-    each row's absolute feasibility tolerance, by default
-    ``max(ABS_TOL, REL_TOL * |bound|)``. A row whose bound is a difference
-    that cancels (a budget less a large fixed part) should pass the
-    tolerance of the quantity it limits instead, since the bound's
-    magnitude says nothing about the precision that quantity is checked to.
-    """
+    """Objective and upper-bound constraints over binary variables, given as
+    sequences or arrays and stored once as read-only float arrays;
+    ``constraints`` holds (row, bound) pairs whose rows are views of the
+    constraint matrix. ``tolerances`` holds each row's absolute feasibility
+    tolerance, by default ``max(ABS_TOL, REL_TOL * |bound|)``. A row whose
+    bound cancels (a budget less a large fixed part) should pass the tolerance
+    of the quantity it limits: the bound's size does not show its precision."""
 
     objective_coeffs: np.ndarray
     constraints: tuple[tuple[np.ndarray, float], ...] = ()
@@ -178,13 +166,10 @@ def constraint_violations(program: ZeroOneProgram,
 
 def _bound_table(costs: Sequence[float], row: Sequence[float],
                  neg: Sequence[bool]) -> list[tuple[int, float, float]]:
-    """One row's movable variables sorted by cost per unit of load relief.
-
-    With every negative-cost variable taken, a row's load falls by
-    releasing a taken variable of positive load or by raising an untaken
-    one of negative load. Returns (variable, relief, cost per relief)
-    items in the order a fractional knapsack buys relief, ties by index.
-    """
+    """(variable, relief, cost per relief) of each variable that relieves
+    ``row`` from the leaf taking the ``neg`` ones (a taken one of positive
+    load released, an untaken one of negative load raised), in the order a
+    fractional knapsack buys relief, ties by index."""
     return sorted([(j, abs(w), abs(cost) / abs(w))
                    for j, (cost, w, taken) in enumerate(zip(costs, row, neg))
                    if (w > 0 if taken else w < 0)], key=itemgetter(2))
@@ -223,16 +208,12 @@ def _suffix_sums(values: list[float]) -> list[float]:
 def _seed(c: np.ndarray, a: np.ndarray, slack: list[float],
           neg: np.ndarray, table: list, load: list[float]
           ) -> tuple[np.ndarray, float] | None:
-    """(mask, objective) of a feasible leaf rounded from the root.
-
-    The root relaxation takes every negative-cost variable (the mask
-    ``neg``), with row loads ``load``. If that overloads some row, ``table``
-    is the bound table of the row with the dearest relief, and the walk along
-    it flips variables (releasing a taken one, raising an untaken one) up to
-    the first that leaves every row within its slack; then each flipped
-    variable, last first, is flipped back if every row still fits. None when
-    no prefix of the walk fits or the leaf fails the search's own check.
-    """
+    """(mask, objective) of a feasible leaf rounded from the root relaxation
+    (the mask ``neg``, row loads ``load``): a walk along ``table``, the
+    dearest overloaded row's, flips variables up to the first that leaves
+    every row within its slack, then flips back each, last first, that every
+    row still allows. None when no prefix fits or the leaf fails the search's
+    own check."""
     x = neg.copy()
     if table:
         var = [j for j, _, _ in table]
@@ -262,23 +243,20 @@ def _seed(c: np.ndarray, a: np.ndarray, slack: list[float],
 def _price(c: np.ndarray, a: np.ndarray,
            taken: np.ndarray) -> tuple[float, tuple[float, ...]]:
     """Objective and row loads of the ``taken`` variables (a mask or their
-    indices), each summed from zero in index order, left to right, on
-    every supported Python. The search adds in this order unless variables
-    are fixed; then it adds the fixed ones first."""
+    indices), each summed from zero in index order on every supported
+    Python; the search adds in this order, the fixed variables first."""
     return (_sum_in_order(c[taken], 0.0),
             tuple(_sum_in_order(row, 0.0) for row in a[:, taken]))
 
 
 def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
          cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """(fixed, value): the variables no leaf below ``cutoff`` can flip.
-
-    With multiplier ``rate`` on the row ``row.x <= limit``, the reduced
-    costs are ``r = c + rate*row`` and ``L = sum(min(0, r)) - rate*limit``
-    bounds every feasible leaf. A leaf that sets x_j to anything but its
-    Lagrangian value ``r_j < 0`` costs at least ``L + |r_j|``, so x_j is
-    fixed when that is beyond the cutoff.
-    """
+    """(fixed, value): the variables no leaf below ``cutoff`` can flip. With
+    multiplier ``rate`` on the row ``row.x <= limit``, the reduced costs are
+    ``r = c + rate*row`` and ``L = sum(min(0, r)) - rate*limit`` bounds every
+    feasible leaf. A leaf that sets x_j to anything but its Lagrangian value
+    ``r_j < 0`` costs at least ``L + |r_j|``, so x_j is fixed when that is
+    beyond the cutoff."""
     r = c + rate * row
     bound = float(np.minimum(r, 0.0).sum()) - rate * limit
     # Each of L, r_j, a leaf's objective and its row load is a float sum of
@@ -288,6 +266,27 @@ def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
     margin = REL_TOL * (float(np.abs(c).sum())
                         + rate * (float(np.abs(row).sum()) + abs(limit)))
     return np.abs(r) > cutoff - bound + margin, r < 0
+
+
+def _conflicts(a: np.ndarray, slack: np.ndarray, rows: list[int]) -> set[int]:
+    """The rows of each pair among ``rows`` that fits no leaf: row k's least
+    load (its negative entries taken) plus the node bound, row k as the cost,
+    on buying back row i's excess there exceeds row k's slack. Each slack is
+    widened by 1e-9 of its row's magnitudes, as `_fix` widens its bound, so
+    no leaf the search's own check accepts is refused."""
+    wide = (slack + REL_TOL * (np.abs(a).sum(axis=1) + np.abs(slack))).tolist()
+    # load[k][i] is row i's load at row k's least-load leaf (one array sum);
+    # a leaf that fits both rows there ends the pair's test in either order.
+    load = np.where(a[:, None] < 0, a, 0.0).sum(axis=2).tolist()
+    found = set()
+    for k in rows:
+        for i in rows:
+            if i != k and load[k][i] > wide[i] and load[i][k] > wide[k] \
+                    and load[k][k] + _node_bound(_bound_table(
+                        a[k].tolist(), a[i].tolist(), (a[k] < 0).tolist()),
+                        0, load[k][i] - wide[i]) > wide[k]:
+                found |= {i, k}
+    return found
 
 
 def _search(costs: list[float], rows: list[list[float]], slack: list[float],
@@ -348,23 +347,21 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     tables = {i: _bound_table(c.tolist(), a[i].tolist(), neg.tolist())
               for i in over}
     reliefs = [_node_bound(tables[i], 0, excess[i]) for i in over]
-    # A row its free variables cannot relieve fits no leaf, nor does the
-    # empty range of a row and its negation, as leaf loads negate exactly:
-    # the search would pop the root alone, or walk the whole tree.
-    refused = {i for i, cost in zip(over, reliefs) if cost == math.inf}
-    binding = tuple(sorted(refused.union(*(
-        (i, j) for i, j in combinations(range(len(slack)), 2)
-        if slack[i] + slack[j] < 0 and not refused & {i, j}
-        and np.array_equal(a[j], -a[i])))))
-    if binding:
-        return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1, binding)
-
     dearest = over[reliefs.index(max(reliefs))] if over else None
+    # A seed leaf proves the program feasible; short of one, a refused row
+    # or pair ends the solve at the root.
+    refused = {i for i, cost in zip(over, reliefs) if cost == math.inf}
+    seed = None if refused else _seed(c, a, slack, neg,
+                                      tables.get(dearest, []), root)
+    if seed is None:
+        binding = refused | _conflicts(a, program.slack(), [
+            i for i in range(len(slack)) if i not in refused])
+        if binding:
+            return IlpSolution((), math.nan, STATUS_INFEASIBLE, 1,
+                               tuple(sorted(binding)))
     # Every leaf up to the seed's objective stays acceptable, the seed
-    # included; the seed itself answers if rounding cuts its path. Without
-    # a seed the cutoff is infinite, and no variable is fixed.
-    seed_x, upper = _seed(c, a, slack, neg, tables.get(dearest, []),
-                          root) or (None, math.inf)
+    # included; the seed itself answers if rounding cuts its path.
+    seed_x, upper = seed or (None, math.inf)
     cutoff = upper + _tol(upper)  # a leaf must fall below this
     rate, row, limit = 0.0, np.zeros(len(c)), 0.0  # the root fits every row
     if over:
@@ -383,7 +380,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     elif seed_x is not None:
         best = seed_x
     else:
-        # No row is refused alone, so the rows conflict jointly.
+        # No row or pair of rows is refused, so the rows conflict jointly.
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, nodes,
                            tuple(range(len(slack))))
     return IlpSolution(tuple(best.astype(int).tolist()),

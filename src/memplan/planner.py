@@ -331,13 +331,16 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _check_flags(status: str, minor: str) -> None:
-    """Refuse a status or minor-energy flag the plan format does not define."""
+def _check_flags(status: str, minor: str, budget: float) -> None:
+    """Refuse a status, minor flag or budget the plan format does not allow."""
     if status not in (ilp.STATUS_OPTIMAL, ilp.STATUS_INFEASIBLE):
         raise ValueError(f"status is not {ilp.STATUS_OPTIMAL} or "
                          f"{ilp.STATUS_INFEASIBLE}: {status!r}")
     if minor not in ("0", "1"):
         raise ValueError(f"minor_energy_in_budget is not 0 or 1: {minor!r}")
+    if status == ilp.STATUS_OPTIMAL and not math.isfinite(budget):
+        raise ValueError(f"energy_budget_nj must be finite on an optimal "
+                         f"plan, got {budget!r}")
 
 
 def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
@@ -356,7 +359,7 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         ids, codes, major = plan._rows
         ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
     minor = str(int(plan.minor_energy_in_budget))
-    _check_flags(plan.status, minor)
+    _check_flags(plan.status, minor, plan.energy_budget_nj)
     write_text(dest, "".join((
         f"{PLAN_FORMAT_VERSION}\n"
         f"status={plan.status}\n"
@@ -427,8 +430,6 @@ def _parse_plan(text: str) -> PlacementPlan:
             seen.add(object_id)
     if "status" not in summary:
         raise ValueError("missing summary key 'status'")
-    minor = summary.get("minor_energy_in_budget", "0")
-    _check_flags(summary["status"], minor)
     summary.setdefault("reserved_dram_bytes", "0")
     numbers: dict[str, float] = {}
     for key in ("ratio", "major_threshold_bytes", "reserved_dram_bytes",
@@ -440,6 +441,8 @@ def _parse_plan(text: str) -> PlacementPlan:
         except ValueError:
             raise ValueError(
                 f"{key} is not a number: {summary[key]!r}") from None
+    minor = summary.get("minor_energy_in_budget", "0")
+    _check_flags(summary["status"], minor, numbers["energy_budget_nj"])
     # An infeasible plan's totals are NaN; the fields a later command
     # plans or checks against follow the planner's own rules.
     ratio, threshold, reserved = (numbers["ratio"],

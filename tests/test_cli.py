@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from conftest import CapExceeded, time_cap
+from conftest import time_cap
 from test_solver_record import _workloads
 from memplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
@@ -573,9 +573,15 @@ def test_build_parser_builds_every_subcommand(capsys):
      "status is not optimal or infeasible: 'Optimal'"),
     ("minor_energy_in_budget=0", "minor_energy_in_budget=true",
      "minor_energy_in_budget is not 0 or 1: 'true'"),
+    # The written budget moves to a key the reader ignores.
+    ("\nenergy_budget_nj=", "\nenergy_budget_nj=nan\nwas=",
+     "energy_budget_nj must be finite on an optimal plan, got nan"),
+    ("\nenergy_budget_nj=", "\nenergy_budget_nj=-inf\nwas=",
+     "energy_budget_nj must be finite on an optimal plan, got -inf"),
 ], ids=["nan-reserve", "negative-reserve", "missing-status",
         "non-numeric-ratio", "infinite-ratio", "nan-threshold",
-        "two-field-row", "unknown-status", "minor-flag-not-0-or-1"])
+        "two-field-row", "unknown-status", "minor-flag-not-0-or-1",
+        "nan-budget", "negative-infinite-budget"])
 def test_a_bad_plan_file_names_the_file_and_the_field(
         workload, tmp_path, capsys, old, new, message):
     plan_path = tmp_path / "p.plan"
@@ -998,9 +1004,6 @@ def test_a_preset_takes_both_capacity_overrides_in_one_device_spec(
             for d in checked] == [(0.5 * GIB, 2 * GIB, 1440.0)]
 
 
-@pytest.mark.xfail(raises=CapExceeded, strict=True, reason=(
-    "rows that conflict only jointly pass the solver's one-row root check, "
-    "so the search walks the tree to prove that no leaf fits"))
 def test_a_jointly_infeasible_plan_exits_at_once(tmp_path):
     # Both capacities are 0.6 of the 32-object set: at ratio 0.6 the NVM and
     # energy rows conflict, though each alone can be met.
@@ -1008,12 +1011,14 @@ def test_a_jointly_infeasible_plan_exits_at_once(tmp_path):
     assert run(["generate", "--count", 32, "--seed", 1,
                 "--out", profiles]) == EXIT_OK
     share = 0.038172504678368566
+    out = tmp_path / "p.plan"
     with time_cap(1.0, "plan"):
         rc = run(["plan", "--profiles", profiles, "--preset", "testbed1",
                   "--major-threshold", 0, "--ratio", 0.6,
                   "--dram-capacity-gib", share, "--nvm-capacity-gib", share,
-                  "--out", tmp_path / "p.plan"])
+                  "--out", out])
     assert rc == EXIT_INFEASIBLE
+    assert "binding=capacity_nvm;energy_budget\n" in out.read_text()
 
 
 def test_a_plan_whose_objects_outgrow_both_devices_exits_at_once(tmp_path):
@@ -1030,6 +1035,35 @@ def test_a_plan_whose_objects_outgrow_both_devices_exits_at_once(tmp_path):
                   "--out", out])
     assert rc == EXIT_INFEASIBLE
     assert "binding=capacity_dram;capacity_nvm\n" in out.read_text()
+
+
+@pytest.mark.parametrize("extra,binding", [
+    ((), "capacity_nvm;energy_budget"),
+    (("--transient-capacity",), "transient_nvm;energy_budget"),
+], ids=["plain", "transient"])
+def test_a_migration_file_names_the_pair_of_rows_that_fits_no_leaf(
+        tmp_path, extra, binding):
+    # Three 8 MB objects kept in DRAM at t=5 against a strict ratio of 0.8:
+    # meeting the budget takes moving objects to a 16 MB NVM that cannot
+    # hold enough of them, though each row alone can be met.
+    from memplan.planner import DRAM, PlacementPlan
+    from memplan.profiles import ObjectProfile, write_profiles
+    ps = ProfileSet(tuple(
+        ObjectProfile(f"m{i}", 8 * MB, 0.0, 10.0, 16 * MB, 5000.0, 200.0)
+        for i in range(3)))
+    profiles, current = tmp_path / "w.prof", tmp_path / "p.plan"
+    write_profiles(ps, profiles)
+    write_plan(PlacementPlan(dict.fromkeys(ps.ids(), DRAM), ps.ids(),
+                             "optimal", 1.0, 0.0, 0.0, 0.0, 0.0), current)
+    out = tmp_path / "m.mig"
+    assert run(["migrate", "--profiles", profiles, "--current", current,
+                "--time", 5, "--new-ratio", 0.8, "--preset", "testbed1",
+                "--dram-capacity-gib", 64 / 1024,
+                "--nvm-capacity-gib", 16 / 1024, "--out", out, *extra]) \
+        == EXIT_INFEASIBLE
+    text = out.read_text()
+    assert text.startswith("hmms-migration-v1\nstatus=infeasible\n")
+    assert f"\nbinding={binding}\n" in text
 
 
 def test_no_command_builds_an_object_profile(tmp_path, monkeypatch):

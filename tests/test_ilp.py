@@ -705,3 +705,81 @@ def test_the_seed_refuses_a_leaf_whose_in_order_load_overflows(monkeypatch):
         == (want.status, want.assignment, want.objective_value) \
         == (STATUS_OPTIMAL, (1, 0, 0), -0.9616571936637868)
     assert got.nodes <= 15
+
+
+def check_root_names(program, solution):
+    """The two properties of an infeasible solve's names. Soundness: the
+    status is the oracle's. Completeness: every row whose LP is empty alone
+    is named, and so is every pair of the other rows whose joint LP is
+    empty (HiGHS)."""
+    want = solve_exhaustive(program)
+    assert solution.status == want.status
+    if solution.status == STATUS_OPTIMAL:
+        assert solution.binding == ()
+        return
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    _, a, _ = program.arrays()
+    slack = program.slack()
+    alone = set(np.flatnonzero(np.minimum(a, 0.0).sum(axis=1) > slack))
+    named = set(solution.binding)
+    assert alone <= named
+    leaves = _CHOICES[:, 10 - a.shape[1]:]
+    for pair in itertools.combinations(sorted(set(range(len(a))) - alone), 2):
+        rows = list(pair)
+        # A leaf that fits both rows shows their LP is not empty.
+        if set(pair) <= named \
+                or (leaves @ a[rows].T <= slack[rows]).all(axis=1).any():
+            continue
+        lp = linprog(np.zeros(a.shape[1]), A_ub=a[rows], b_ub=slack[rows],
+                     bounds=(0, 1), method="highs")
+        assert lp.status == 0, (pair, solution.binding)
+
+
+def _two_row_programs(rng, count):
+    """Generic programs of 1-10 variables and 1-4 rows, with integer
+    coefficients in -8..8 or normal ones; in 30% row 1 is row 0 negated."""
+    for index in range(count):
+        n, m = int(rng.integers(1, 11)), int(rng.integers(1, 5))
+        if index % 2:
+            c, a = rng.normal(size=n), rng.normal(size=(m, n))
+        else:
+            c, a = (rng.integers(-8, 9, size).astype(float)
+                    for size in (n, (m, n)))
+        # Each bound lies in its row's range over the box, so most rows fit
+        # alone, and the pairs are where the programs fail.
+        b = rng.uniform(np.minimum(a, 0.0).sum(axis=1) - 1.0,
+                        np.maximum(a, 0.0).sum(axis=1) * 0.6)
+        if m > 1 and rng.random() < 0.3:
+            a[1], b[1] = -a[0], -b[0] - rng.uniform(-1.0, 2.0)
+        if index % 2 == 0:
+            b = np.floor(b)
+        yield ZeroOneProgram(c, tuple(zip(a, b.tolist())))
+
+
+def test_the_root_names_every_row_and_pair_whose_lp_is_empty():
+    rng = np.random.default_rng(51)
+    infeasible = at_root = 0
+    for program in _two_row_programs(rng, 3000):
+        solution = solve(program)
+        check_root_names(program, solution)
+        infeasible += solution.status == STATUS_INFEASIBLE
+        at_root += solution.status == STATUS_INFEASIBLE \
+            and solution.nodes == 1
+    assert infeasible >= 500 and at_root >= 0.9 * infeasible
+
+
+@pytest.mark.parametrize("ratio", [0.6, 0.61])
+def test_a_joint_conflict_between_the_nvm_and_energy_rows_ends_at_the_root(
+        ratio):
+    # Both capacities are 0.6 of the 32-object set, so each row alone can
+    # be met; below the LP floor (ratio 0.6137) no point fits the NVM and
+    # energy rows together, which the search alone took 8.8M nodes to show.
+    major, _ = filter_major(generate_synthetic(GeneratorSpec(count=32), 1),
+                            0.0)
+    share = 0.038172504678368566 * (1 << 30)
+    dev = make_testbed1(dram_capacity=share, nvm_capacity=share)
+    solution = solve(build_placement_program(major, dev, ratio,
+                                             dev.dram_capacity))
+    assert solution.status == STATUS_INFEASIBLE
+    assert solution.nodes == 1
+    assert solution.binding == (1, 2)

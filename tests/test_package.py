@@ -69,12 +69,10 @@ def test_no_module_adds_a_total_with_a_blas_routine():
     assert uses == []
 
 
-def test_only_the_two_text_helpers_open_files():
-    # Artifacts are read and written through profiles.read_text and
-    # profiles.write_text, one binary read or write each, so no text-mode
-    # opener comes back.
+def _scoped_nodes():
+    """(module:function, node) for every syntax node of every package
+    module, naming the innermost function around it (None outside one)."""
     package = os.path.dirname(memplan.__file__)
-    openers = []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
         with open(path, encoding="utf-8") as stream:
             tree = ast.parse(stream.read(), path)
@@ -82,9 +80,26 @@ def test_only_the_two_text_helpers_open_files():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   for inner in ast.walk(node)]
         inside = {id(inner): name for name, inner in scopes}
-        openers += [f"{os.path.basename(path)}:{inside.get(id(node))}"
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "open"]
+        for node in ast.walk(tree):
+            yield f"{os.path.basename(path)}:{inside.get(id(node))}", node
+
+
+def test_only_the_root_bounds_and_the_generator_add_pairwise():
+    # numpy's .sum() adds pairwise, in an order that depends on the array's
+    # length and layout. It may only feed a bound that a margin guards
+    # (ilp._fix, ilp._conflicts) or the generator's draws; every reported
+    # total adds in index order.
+    users = {where for where, node in _scoped_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "sum"}
+    assert sorted(users) == ["ilp.py:_conflicts", "ilp.py:_fix",
+                             "profiles.py:generate_synthetic"]
+
+
+def test_only_the_two_text_helpers_open_files():
+    # Artifacts are read and written through profiles.read_text and
+    # profiles.write_text, one binary read or write each, so no text-mode
+    # opener comes back.
+    openers = [where for where, node in _scoped_nodes()
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "open"]
     assert sorted(openers) == ["profiles.py:read_text", "profiles.py:write_text"]

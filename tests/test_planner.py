@@ -22,6 +22,7 @@ from memplan.profiles import (DEFAULT_MAJOR_THRESHOLD, GeneratorSpec,
                               ObjectProfile, ProfileSet, filter_major,
                               generate_synthetic)
 from oracle import solve_exhaustive
+from test_ilp import check_root_names
 
 MB = 1 << 20
 
@@ -361,7 +362,8 @@ def test_include_minor_energy_changes_budget():
 
 def test_diagnosis_names_the_rows_the_solver_finds_infeasible_alone():
     # Half the programs end with a row negated from an earlier one, so the
-    # pair can leave an empty range though each of the two fits alone.
+    # pair can leave an empty range though each of the two fits alone. The
+    # names hold the properties `check_root_names` states.
     rng = np.random.default_rng(29)
     names = ("r0", "r1", "r2", "r3", "r4", "r5")
     outcomes = set()
@@ -382,18 +384,15 @@ def test_diagnosis_names_the_rows_the_solver_finds_infeasible_alone():
                  if ilp.solve(ilp.ZeroOneProgram(program.objective_coeffs,
                                                  (row,))
                               ).status == ilp.STATUS_INFEASIBLE]
-        empty = negated is not None and not {negated, m - 1} & set(alone) \
-            and bool(program.slack()[negated] + program.slack()[m - 1] < 0)
-        rows = sorted(set(alone) | ({negated, m - 1} if empty else set()))
         solution = ilp.solve(program)
-        outcomes.add((solution.status, bool(alone), empty))
+        check_root_names(program, solution)
         named = diagnose_infeasibility(solution, names)
-        if solution.status == ilp.STATUS_OPTIMAL:
-            assert not rows and named == ()
-        else:
-            assert named == (tuple(names[i] for i in rows) or names[:m])
+        assert named == tuple(names[i] for i in solution.binding)
+        outcomes.add((solution.status, bool(alone), 0 < len(named) < m))
+    # Optimal; refused alone; decided by a pair at the root; and by the
+    # search, which names every row.
     assert {(ilp.STATUS_OPTIMAL, False, False),
-            (ilp.STATUS_INFEASIBLE, True, False),
+            (ilp.STATUS_INFEASIBLE, True, True),
             (ilp.STATUS_INFEASIBLE, False, True),
             (ilp.STATUS_INFEASIBLE, False, False)} <= outcomes
 
@@ -610,16 +609,30 @@ def test_write_plan_refuses_a_device_the_plan_format_does_not_define(
                            match=f"unknown device {device!r} for 'b'|"
                                  "object 'b' has no concrete device"):
             write_plan(plan, io.StringIO())
-    # Nor a status or minor-energy flag load_plan would refuse, and it
-    # raises load_plan's error before it opens the file.
+    # Nor a status, minor-energy flag or budget load_plan would refuse, and
+    # it raises load_plan's error before it opens the file.
     path = tmp_path / "p.plan"
-    for status, minor, message in (
-            ("limit", False, "status is not optimal or infeasible: 'limit'"),
-            ("optimal", 2, "minor_energy_in_budget is not 0 or 1: '2'")):
+    for status, minor, budget, message in (
+            ("limit", False, 0.0,
+             "status is not optimal or infeasible: 'limit'"),
+            ("optimal", 2, 0.0, "minor_energy_in_budget is not 0 or 1: '2'"),
+            ("optimal", False, math.nan,
+             "energy_budget_nj must be finite on an optimal plan, got nan"),
+            ("optimal", False, -math.inf,
+             "energy_budget_nj must be finite on an optimal plan, got -inf")):
         plan = planner.PlacementPlan({"a": DRAM}, ("a",), status, 1.0, 0.0,
-                                     0.0, 0.0, 0.0,
+                                     0.0, 0.0, budget,
                                      minor_energy_in_budget=minor)
         with pytest.raises(ValueError) as err:
             write_plan(plan, path)
         assert str(err.value) == message
         assert not path.exists()
+    # An infeasible plan's totals are NaN, the budget too when the pinned
+    # minor objects alone overflow DRAM (a sweep's row), and it round-trips.
+    plan, = planner.sweep_ratios(
+        ProfileSet((ObjectProfile("m", 4 * MB, 0.0, 1.0, 1024.0, 1.0, 0.0),)),
+        make_testbed1(dram_capacity=MB), [0.9])
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    assert math.isnan(plan.energy_budget_nj)
+    write_plan(plan, path)
+    assert math.isnan(planner.load_plan(path).energy_budget_nj)
