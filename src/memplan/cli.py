@@ -14,15 +14,15 @@ artifact is still written so sweeps and scripts can branch on it).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from .baselines import (NoFeasibleAssignment, place_all_dram, place_all_nvm,
                         place_mpki_threshold, place_random)
 from .energy import GIB, DeviceSpec, PRESETS, load_device_spec
-from .evaluator import (_csv_table, _row, comparison_csv, comparison_json,
-                        compare, evaluate, report_csv, report_json)
+from .evaluator import (_csv_table, _json_table, _row, comparison_csv,
+                        comparison_json, compare, evaluate, report_csv,
+                        report_json)
 from .migration import MigrationRequest, plan_migration, write_migration_plan
 from .planner import (PlacementPlan, load_plan, plan_static, sweep_ratios,
                       write_plan)
@@ -257,12 +257,8 @@ def _cmd_sweep(args) -> int:
                          plan.energy_budget_nj, scored.energy_nj,
                          scored.ratio, scored.capacity_ok))
 
-    if args.format == "csv":
-        text = _csv_table(_SWEEP_COLUMNS, rows)
-    else:
-        text = json.dumps([dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
-                          indent=2, sort_keys=True) + "\n"
-    _write_text(args.out, text)
+    table = _csv_table if args.format == "csv" else _json_table
+    _write_text(args.out, table(_SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .energy import DeviceSpec, price_placement, prices
-from .planner import PlacementPlan, _on_dram, plan_static
+from .planner import PlacementPlan, _format_float, _on_dram, plan_static
 from .profiles import ProfileSet, _sum_in_order, major_mask
 
 _REL_TOL = 1e-9
@@ -76,12 +76,12 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     latencies, energies = price_placement(profiles, dev, on_dram)
     all_dram = prices(profiles, dev)[0]
     major_energies = energies[major]
-    latency = _sum_in_order(latencies[major], 0.0)
-    minor_energy = _sum_in_order(all_dram[~major], 0.0)
+    latency = _sum_in_order(latencies[major])
+    minor_energy = _sum_in_order(all_dram[~major])
 
     # The sum of the per-object table's values, in its order.
-    total = _sum_in_order(major_energies, 0.0)
-    denom = _sum_in_order(all_dram[major], 0.0)
+    total = _sum_in_order(major_energies)
+    denom = _sum_in_order(all_dram[major])
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy
@@ -175,11 +175,10 @@ COMPARISON_COLUMNS = ("plan", "energy_nJ", "ratio", "latency_ns", "capacity_ok")
 
 
 def _cell(value) -> str:
-    # Flags print as 0/1, floats by repr (full precision, nan as nan) and
-    # everything else by str, so an integral 0 stays 0.
+    # Flags print as 0/1, floats by _format_float (nan as nan), others by str.
     if isinstance(value, bool):
         return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
+    return _format_float(value) if isinstance(value, float) else str(value)
 
 
 def _csv_table(columns: Sequence[str], rows: Iterable[Iterable]) -> str:
@@ -190,13 +189,17 @@ def _csv_table(columns: Sequence[str], rows: Iterable[Iterable]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_table(columns: Sequence[str], rows: Iterable[Iterable]) -> str:
+    payload = [dict(zip(columns, row)) for row in rows]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
     return _csv_table(COMPARISON_COLUMNS, map(astuple, rows))
 
 
 def comparison_json(rows: Sequence[ComparisonRow]) -> str:
-    payload = [dict(zip(COMPARISON_COLUMNS, astuple(row))) for row in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_table(COMPARISON_COLUMNS, map(astuple, rows))
 
 
 def _scalars(report: EvaluationReport) -> dict[str, object]:

@@ -245,8 +245,8 @@ def _price(c: np.ndarray, a: np.ndarray,
     """Objective and row loads of the ``taken`` variables (a mask or their
     indices), each summed from zero in index order on every supported
     Python; the search adds in this order, the fixed variables first."""
-    return (_sum_in_order(c[taken], 0.0),
-            tuple(_sum_in_order(row, 0.0) for row in a[:, taken]))
+    return (_sum_in_order(c[taken]),
+            tuple(_sum_in_order(row) for row in a[:, taken]))
 
 
 def _fix(c: np.ndarray, row: np.ndarray, limit: float, rate: float,
@@ -339,7 +339,7 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
     neg = c < 0
     # The root relaxation's loads, added from the last variable as the
     # search's suffix sums add.
-    root = [_sum_in_order(row[::-1], 0.0) for row in np.where(neg, a, 0.0)]
+    root = [_sum_in_order(row[::-1]) for row in np.where(neg, a, 0.0)]
     excess = list(map(sub, root, slack))
     over = [i for i, e in enumerate(excess) if e > 0]
     # Only the overloaded rows' tables price the root, each by the node
@@ -384,4 +384,4 @@ def solve(program: ZeroOneProgram) -> IlpSolution:
         return IlpSolution((), math.nan, STATUS_INFEASIBLE, nodes,
                            tuple(range(len(slack))))
     return IlpSolution(tuple(best.astype(int).tolist()),
-                       _sum_in_order(c[best], 0.0), STATUS_OPTIMAL, nodes)
+                       _sum_in_order(c[best]), STATUS_OPTIMAL, nodes)

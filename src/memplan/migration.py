@@ -29,8 +29,8 @@ from . import ilp
 from .energy import DeviceSpec, Priceable, prices
 from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
                       CapacityError, PlacementPlan, _budget, _check_reserve,
-                      _on_dram, build_program, diagnose_infeasibility,
-                      sweep_ratios)
+                      _format_float, _on_dram, build_program,
+                      diagnose_infeasibility, sweep_ratios)
 from .profiles import (ObjectProfile, ProfileSet, _sum_in_order, major_mask,
                        write_text)
 
@@ -299,7 +299,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
 
     costs = price_live(live, dev, live_on_dram, t)
     requirement = _budget(live, dev, request.new_ratio, 0.0) \
-        if request.strict else _sum_in_order(costs.stay_energy, 0.0)
+        if request.strict else _sum_in_order(costs.stay_energy)
 
     program = build_migration_program(
         live, dev, costs, requirement, dram_free,
@@ -348,9 +348,9 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
         time_s=t,
         new_ratio=request.new_ratio,
         strict=request.strict,
-        e_total_nj=_sum_in_order(energies, 0.0),
+        e_total_nj=_sum_in_order(energies),
         requirement_nj=requirement,
-        objective_ns=_sum_in_order(latencies, 0.0),
+        objective_ns=_sum_in_order(latencies),
         dead_energy_nj=_sum_in_order(dead_energies),
         dead_ids=tuple(compress(profiles.ids(), dead_mask.tolist())),
         future_ids=future_ids,
@@ -367,13 +367,13 @@ def write_migration_plan(plan: MigrationPlan,
     write_text(dest, "".join((
         f"{MIGRATION_FORMAT_VERSION}\n"
         f"status={plan.status}\n"
-        f"time_s={plan.time_s!r}\n"
-        f"new_ratio={plan.new_ratio!r}\n"
+        f"time_s={_format_float(plan.time_s)}\n"
+        f"new_ratio={_format_float(plan.new_ratio)}\n"
         f"strict={int(plan.strict)}\n"
-        f"e_total_nj={plan.e_total_nj!r}\n"
-        f"requirement_nj={plan.requirement_nj!r}\n"
-        f"objective_ns={plan.objective_ns!r}\n"
-        f"dead_energy_nj={plan.dead_energy_nj!r}\n"
+        f"e_total_nj={_format_float(plan.e_total_nj)}\n"
+        f"requirement_nj={_format_float(plan.requirement_nj)}\n"
+        f"objective_ns={_format_float(plan.objective_ns)}\n"
+        f"dead_energy_nj={_format_float(plan.dead_energy_nj)}\n"
         f"dead_ids={';'.join(plan.dead_ids)}\n"
         f"future_ids={';'.join(plan.future_ids)}\n"
         f"binding={';'.join(plan.binding_constraints)}\n"

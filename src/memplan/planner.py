@@ -265,7 +265,7 @@ def summarize_assignment(major: ProfileSet, dev: DeviceSpec,
                          on_dram: Sequence[int]) -> tuple[float, float]:
     """(latency objective ns, energy nJ) of a concrete major-object split."""
     latency, energy = price_placement(major, dev, on_dram)
-    return _sum_in_order(latency, 0.0), _sum_in_order(energy, 0.0)
+    return _sum_in_order(latency), _sum_in_order(energy)
 
 
 def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
@@ -331,8 +331,10 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _check_flags(status: str, minor: str, budget: float) -> None:
-    """Refuse a status, minor flag or budget the plan format does not allow."""
+def _check_summary(status: str, minor: str, ratio: float, threshold: float,
+                   reserved: float, budget: float) -> None:
+    """Refuse a summary load_plan refuses: the totals may be NaN, but each
+    field a later command plans or checks against must be one it takes."""
     if status not in (ilp.STATUS_OPTIMAL, ilp.STATUS_INFEASIBLE):
         raise ValueError(f"status is not {ilp.STATUS_OPTIMAL} or "
                          f"{ilp.STATUS_INFEASIBLE}: {status!r}")
@@ -341,6 +343,14 @@ def _check_flags(status: str, minor: str, budget: float) -> None:
     if status == ilp.STATUS_OPTIMAL and not math.isfinite(budget):
         raise ValueError(f"energy_budget_nj must be finite on an optimal "
                          f"plan, got {budget!r}")
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio!r}")
+    if not threshold >= 0:  # NaN too
+        raise ValueError(
+            f"major_threshold_bytes must be >= 0, got {threshold!r}")
+    if not (math.isfinite(reserved) and reserved >= 0):
+        raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
+                         f"got {reserved!r}")
 
 
 def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
@@ -359,7 +369,8 @@ def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:
         ids, codes, major = plan._rows
         ends = map(_ROW_ENDS.__getitem__, (2 * codes + major).tolist())
     minor = str(int(plan.minor_energy_in_budget))
-    _check_flags(plan.status, minor, plan.energy_budget_nj)
+    _check_summary(plan.status, minor, plan.ratio, plan.major_threshold,
+                   plan.reserved_dram_bytes, plan.energy_budget_nj)
     write_text(dest, "".join((
         f"{PLAN_FORMAT_VERSION}\n"
         f"status={plan.status}\n"
@@ -442,29 +453,18 @@ def _parse_plan(text: str) -> PlacementPlan:
             raise ValueError(
                 f"{key} is not a number: {summary[key]!r}") from None
     minor = summary.get("minor_energy_in_budget", "0")
-    _check_flags(summary["status"], minor, numbers["energy_budget_nj"])
-    # An infeasible plan's totals are NaN; the fields a later command
-    # plans or checks against follow the planner's own rules.
-    ratio, threshold, reserved = (numbers["ratio"],
-                                  numbers["major_threshold_bytes"],
-                                  numbers["reserved_dram_bytes"])
-    if not math.isfinite(ratio):
-        raise ValueError(f"ratio must be finite, got {ratio!r}")
-    if not threshold >= 0:  # NaN too
-        raise ValueError(
-            f"major_threshold_bytes must be >= 0, got {threshold!r}")
-    if not (math.isfinite(reserved) and reserved >= 0):
-        raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
-                         f"got {reserved!r}")
+    ratio, threshold, reserved, objective, energy, budget = numbers.values()
+    _check_summary(summary["status"], minor, ratio, threshold, reserved,
+                   budget)
     binding = tuple(p for p in summary.get("binding", "").split(";") if p)
     return PlacementPlan._of(
         code_of, {"_table": (ids, listed, fields[2::3])},
         status=summary["status"],
         ratio=ratio,
         major_threshold=threshold,
-        objective_ns=numbers["objective_ns"],
-        planned_energy_nj=numbers["planned_energy_nj"],
-        energy_budget_nj=numbers["energy_budget_nj"],
+        objective_ns=objective,
+        planned_energy_nj=energy,
+        energy_budget_nj=budget,
         reserved_dram_bytes=reserved,
         minor_energy_in_budget=minor == "1",
         binding_constraints=binding,

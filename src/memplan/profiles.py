@@ -15,9 +15,9 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, repeat, takewhile
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -41,16 +41,13 @@ PATTERNS = ("size", "accessed_volume", "llc_misses", "dirty_blocks", "lifetime")
 DEFAULT_MAJOR_THRESHOLD = 1 << 20  # bytes of accessed volume
 
 
-def _sum_in_order(values: np.ndarray, start=0):
-    """The float64 ``values`` added one at a time in index order onto
-    ``start``, as ``sum(values.tolist(), start)`` adds on Python 3.11, on
-    every supported Python (3.12's ``sum`` compensates). An empty array
-    gives ``start`` itself."""
-    if start or not len(values):
-        return reduce(add, values.tolist(), start)
+def _sum_in_order(values: np.ndarray) -> float:
+    """The float64 ``values`` added one at a time in index order from 0.0,
+    as ``sum(values.tolist(), 0.0)`` adds on Python 3.11, on every supported
+    Python (3.12's ``sum`` compensates). An empty array gives 0.0."""
     # numpy's accumulate adds in sequence. It may end at -0.0, which a loop
-    # from a zero start never does; ``start +`` turns that into 0.0.
-    return start + float(np.add.accumulate(values)[-1])
+    # from 0.0 never does; ``0.0 +`` turns that into 0.0.
+    return 0.0 + float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 class ProfileError(ValueError):

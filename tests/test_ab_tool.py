@@ -63,7 +63,11 @@ def test_a_tree_whose_plans_differ_is_refused(tmp_path):
     result = _ab("--parent", SRC, "--change", str(changed),
                  "--workload", "solve-sweep")
     assert result.returncode == 1
-    assert "the artifacts differ" in result.stderr
+    assert ": the artifacts differ: line 2: 'status=" in result.stderr
+    parent, _, change = result.stderr.partition(" (parent) against ")
+    assert parent.endswith(("'status=optimal'", "'status=infeasible'"))
+    assert change.startswith(("'status= optimal' (change)",
+                              "'status= infeasible' (change)"))
 
 
 def test_a_kind_keeps_only_its_ops():

@@ -376,7 +376,7 @@ def _split_report(objects, dev, plan):
     ratio = total / denom if denom > 0 else \
         1.0 if total == 0 else float("inf")
     static = {device: reduce(add, (o.size for o in objects
-                                   if placed[o.id] == device), 0)
+                                   if placed[o.id] == device), 0.0)
               for device in (DRAM, NVM)}
     dram_limit = dev.dram_capacity - plan.reserved_dram_bytes
     budget = plan.energy_budget_nj
@@ -442,7 +442,8 @@ def _two_objects():
 
 def test_report_bytes_of_an_all_nvm_plan():
     # Recorded from the writers before they shared one table writer; with no
-    # object on DRAM, static_dram_bytes is the int 0 and prints as 0.
+    # object on DRAM, static_dram_bytes is an empty total, which is the
+    # float 0.0 like every other total, and prints as 0.0.
     ps = _two_objects()
     dev = make_testbed1(dram_capacity=4 * MB, nvm_capacity=16 * MB)
     report = evaluate(ps, dev, place_all_nvm(ps, dev, 0))
@@ -450,7 +451,7 @@ def test_report_bytes_of_an_all_nvm_plan():
         "metric,value\ntotal_energy_nj,23155274.88\n"
         "latency_objective_ns,96000.0\n"
         "energy_ratio_vs_all_dram,0.4940107871508019\ncapacity_ok_dram,1\n"
-        "capacity_ok_nvm,1\nbudget_ok,1\nstatic_dram_bytes,0\n"
+        "capacity_ok_nvm,1\nbudget_ok,1\nstatic_dram_bytes,0.0\n"
         "static_nvm_bytes,3145728.0\npeak_dram_bytes,0.0\n"
         "peak_nvm_bytes,3145728.0\nminor_dram_energy_nj,0.0\n\n"
         "id,energy_nj\na,15436849.92\nb,7718424.96\n")
@@ -462,7 +463,7 @@ def test_report_bytes_of_an_all_nvm_plan():
         '  "minor_dram_energy_nj": 0.0,\n  "peak_dram_bytes": 0.0,\n'
         '  "peak_nvm_bytes": 3145728.0,\n  "per_object_energy_nj": {\n'
         '    "a": 15436849.92,\n    "b": 7718424.96\n  },\n'
-        '  "static_dram_bytes": 0,\n  "static_nvm_bytes": 3145728.0,\n'
+        '  "static_dram_bytes": 0.0,\n  "static_nvm_bytes": 3145728.0,\n'
         '  "total_energy_nj": 23155274.88\n}\n')
     rows = compare(ps, dev, [("all-nvm", place_all_nvm(ps, dev, 0)),
                              ("random_1", None)])
@@ -521,6 +522,20 @@ def test_the_csv_table_writes_every_cell_by_the_cell_rule():
     assert _csv_table(columns, rows) == want
     assert _csv_table(columns, iter(rows)) == want
     assert _csv_table(columns, []) == ",".join(columns) + "\n"
+
+
+def test_a_numpy_float_cell_prints_as_the_python_float():
+    # np.float64 is a float whose repr names numpy; a cell spells it as
+    # write_plan spells a float.
+    rows = [(0.1, float("nan"), "a"), (2.0, 1e300, "b")]
+    wide = [(np.float64(x), np.float64(y), name) for x, y, name in rows]
+    assert _csv_table(("x", "y", "name"), wide) \
+        == _csv_table(("x", "y", "name"), rows) \
+        == "x,y,name\n0.1,nan,a\n2.0,1e+300,b\n"
+    row = ComparisonRow("p", 1.5, 0.25, 3.0, True)
+    wide_row = ComparisonRow("p", *map(np.float64, (1.5, 0.25, 3.0)), True)
+    assert comparison_csv([wide_row]) == comparison_csv([row])
+    assert "np." not in comparison_csv([wide_row])
 
 
 def _cold_objects():

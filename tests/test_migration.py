@@ -405,6 +405,34 @@ def test_serialization_contains_table_and_summary():
         assert text.count(f"{decision.id},{decision.current_device},") == 1
 
 
+def _migration_text(request):
+    dev = make_testbed1(dram_capacity=GIB, nvm_capacity=2 * GIB)
+    ps = migration_instance(2, count=5)
+    buf = io.StringIO()
+    write_migration_plan(
+        plan_migration(ps, dev, current_plan(ps, dev), request), buf)
+    return buf.getvalue()
+
+
+def test_a_request_of_numpy_or_int_numbers_writes_python_float_bytes():
+    # A ratio from np.linspace is a numpy float, whose repr names numpy; the
+    # summary spells every number as write_plan does, an int as a float.
+    text = _migration_text(MigrationRequest(3.0, 0.8))
+    assert "\ntime_s=3.0\nnew_ratio=0.8\n" in text
+    wide = _migration_text(MigrationRequest(np.float64(3.0), np.float64(0.8)))
+    assert "np." not in wide
+    assert wide == text
+    assert _migration_text(MigrationRequest(3, 0.8)) == text
+    assert "\ntime_s=5.0\nnew_ratio=1.0\n" in _migration_text(
+        MigrationRequest(5, 1))
+
+
+def test_a_migration_before_any_free_writes_a_float_dead_energy():
+    # Nothing is freed by t = 0, so the dead energy is an empty total: 0.0.
+    text = _migration_text(MigrationRequest(0.0, 0.8))
+    assert "\ndead_energy_nj=0.0\ndead_ids=\n" in text
+
+
 def fractional_set(seed, count=2000):
     rng = np.random.default_rng(seed)
     objects = []

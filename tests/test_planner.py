@@ -609,24 +609,40 @@ def test_write_plan_refuses_a_device_the_plan_format_does_not_define(
                            match=f"unknown device {device!r} for 'b'|"
                                  "object 'b' has no concrete device"):
             write_plan(plan, io.StringIO())
-    # Nor a status, minor-energy flag or budget load_plan would refuse, and
-    # it raises load_plan's error before it opens the file.
+    # Nor a summary field load_plan would refuse, and it raises load_plan's
+    # error before it opens the file.
     path = tmp_path / "p.plan"
-    for status, minor, budget, message in (
-            ("limit", False, 0.0,
+    base = dict(status="optimal", ratio=1.0, major_threshold=0.0,
+                objective_ns=0.0, planned_energy_nj=0.0, energy_budget_nj=0.0)
+    for fields, message in (
+            ({"status": "limit"},
              "status is not optimal or infeasible: 'limit'"),
-            ("optimal", 2, 0.0, "minor_energy_in_budget is not 0 or 1: '2'"),
-            ("optimal", False, math.nan,
+            ({"minor_energy_in_budget": 2},
+             "minor_energy_in_budget is not 0 or 1: '2'"),
+            ({"energy_budget_nj": math.nan},
              "energy_budget_nj must be finite on an optimal plan, got nan"),
-            ("optimal", False, -math.inf,
-             "energy_budget_nj must be finite on an optimal plan, got -inf")):
-        plan = planner.PlacementPlan({"a": DRAM}, ("a",), status, 1.0, 0.0,
-                                     0.0, 0.0, budget,
-                                     minor_energy_in_budget=minor)
+            ({"energy_budget_nj": -math.inf},
+             "energy_budget_nj must be finite on an optimal plan, got -inf"),
+            ({"ratio": math.inf}, "ratio must be finite, got inf"),
+            ({"major_threshold": math.nan},
+             "major_threshold_bytes must be >= 0, got nan"),
+            ({"reserved_dram_bytes": -1.0},
+             "reserved_dram_bytes must be finite and >= 0, got -1.0")):
+        plan = planner.PlacementPlan({"a": DRAM}, ("a",), **base | fields)
         with pytest.raises(ValueError) as err:
             write_plan(plan, path)
         assert str(err.value) == message
         assert not path.exists()
+    # A sweep row whose reserve alone overflows DRAM is a CapacityError
+    # row that carries the infinite reserve, which load_plan refuses.
+    one = ProfileSet((ObjectProfile("m", MB, 0.0, 1.0, 1024.0, 1.0, 0.0),))
+    plan, = planner.sweep_ratios(one, make_testbed1(), [0.9],
+                                 reserved_dram_bytes=math.inf)
+    assert plan.status == ilp.STATUS_INFEASIBLE
+    with pytest.raises(ValueError, match="reserved_dram_bytes must be "
+                                         "finite and >= 0, got inf"):
+        write_plan(plan, path)
+    assert not path.exists()
     # An infeasible plan's totals are NaN, the budget too when the pinned
     # minor objects alone overflow DRAM (a sweep's row), and it round-trips.
     plan, = planner.sweep_ratios(

@@ -21,7 +21,8 @@ after ``bench/run.py``'s ``calibrate()``, which starts with a full
 collection, so both sides start from the same collector and cache state.
 Each side writes a fresh output file of its own, and the two exit codes
 and artifacts must agree byte for byte; the tool exits 1 at the first op
-where they do not.
+where they do not, naming the first line where the artifacts part (its
+1-based number and both sides' text) or the side that wrote none.
 
 A round prints the change/parent ratio of the summed op times (below 1 is
 faster). The last line of standard output is one JSON object: per
@@ -38,6 +39,7 @@ import contextlib
 import gc
 import importlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -111,6 +113,20 @@ def _artifact(path: str) -> bytes | None:
         return None
 
 
+def _first_difference(parent: bytes | None, change: bytes | None) -> str:
+    """Where two differing artifacts part: the 1-based number and both
+    sides' text of the first differing line, or which side wrote none."""
+    if parent is None or change is None:
+        return f"the {SIDES[parent is not None]} wrote no artifact"
+    sides = (parent.split(b"\n"), change.split(b"\n"))
+    for number, pair in enumerate(itertools.zip_longest(*sides), 1):
+        if pair[0] != pair[1]:
+            p, c = ("no line" if line is None else
+                    repr(line.decode(errors="backslashreplace"))
+                    for line in pair)
+            return f"line {number}: {p} (parent) against {c} (change)"
+
+
 def run_pair(clis: dict, op, outdir: str, first: int,
              calibrate) -> dict[str, float]:
     """Run one op through both trees, ``SIDES[first]`` first; the seconds
@@ -130,7 +146,8 @@ def run_pair(clis: dict, op, outdir: str, first: int,
         raise Mismatch(f"{op.op_id}: exit {code_p!r} (parent) against "
                        f"{code_c!r} (change)")
     if bytes_p != bytes_c:
-        raise Mismatch(f"{op.op_id}: the artifacts differ")
+        raise Mismatch(f"{op.op_id}: the artifacts differ: "
+                       f"{_first_difference(bytes_p, bytes_c)}")
     return {side: results[side][2] for side in SIDES}
 
 
