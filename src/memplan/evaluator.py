@@ -175,10 +175,13 @@ COMPARISON_COLUMNS = ("plan", "energy_nJ", "ratio", "latency_ns", "capacity_ok")
 
 
 def _cell(value) -> str:
-    # Flags print as 0/1, floats by _format_float (nan as nan), others by str.
+    # Flags as 0/1, floats by _format_float (nan as nan), the rest by str.
     if isinstance(value, bool):
         return str(int(value))
-    return _format_float(value) if isinstance(value, float) else str(value)
+    text = _format_float(value) if isinstance(value, float) else str(value)
+    if "," in text or "\n" in text or "\r" in text:
+        raise ValueError(f"csv cell holds a comma or a line break: {text!r}")
+    return text
 
 
 def _csv_table(columns: Sequence[str], rows: Iterable[Iterable]) -> str:

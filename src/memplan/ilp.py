@@ -276,12 +276,12 @@ def _conflicts(a: np.ndarray, slack: np.ndarray, rows: list[int]) -> set[int]:
     no leaf the search's own check accepts is refused."""
     wide = (slack + REL_TOL * (np.abs(a).sum(axis=1) + np.abs(slack))).tolist()
     # load[k][i] is row i's load at row k's least-load leaf (one array sum);
-    # a leaf that fits both rows there ends the pair's test in either order.
+    # where that leaf fits row i, row k needs no relief over row i.
     load = np.where(a[:, None] < 0, a, 0.0).sum(axis=2).tolist()
     found = set()
     for k in rows:
         for i in rows:
-            if i != k and load[k][i] > wide[i] and load[i][k] > wide[k] \
+            if i != k and load[k][i] > wide[i] \
                     and load[k][k] + _node_bound(_bound_table(
                         a[k].tolist(), a[i].tolist(), (a[k] < 0).tolist()),
                         0, load[k][i] - wide[i]) > wide[k]:

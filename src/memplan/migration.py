@@ -26,7 +26,7 @@ import os
 import numpy as np
 
 from . import ilp
-from .energy import DeviceSpec, Priceable, prices
+from .energy import DeviceSpec, Priceable, price_placement, prices
 from .planner import (CONSTRAINT_NAMES, DRAM, NVM, TRANSIENT_NAMES,
                       CapacityError, PlacementPlan, _budget, _check_reserve,
                       _format_float, _on_dram, build_program,
@@ -235,9 +235,8 @@ def price_live(live: ProfileSet, dev: DeviceSpec,
     object's move is priced in its one direction, off its own device."""
     cp = np.asarray(on_dram, dtype=bool)
     _check_live(live, t)
-    de, ne, dl, nl = prices(live, dev)
-    here = np.where(cp, de, ne), np.where(cp, dl, nl)
-    there = np.where(cp, ne, de), np.where(cp, nl, dl)
+    # (energy, latency) on the object's own device, then on the other one.
+    here, there = (price_placement(live, dev, on)[::-1] for on in (cp, ~cp))
     copy_time = np.where(cp, *migration_times(live, dev))
     move_energy, move_latency, copy_energy = _move(live, dev, t, here, there,
                                                    copy_time)
@@ -322,8 +321,7 @@ def plan_migration(profiles: ProfileSet, dev: DeviceSpec,
     energies = np.where(migrate, costs.move_energy, costs.stay_energy)
     latencies = np.where(migrate, costs.move_latency, costs.stay_latency)
 
-    de, ne = prices(profiles, dev)[:2]
-    dead_energies = np.where(on_dram, de, ne)[dead_mask]
+    dead_energies = price_placement(profiles, dev, on_dram)[1][dead_mask]
 
     future_plan = None
     if plan_future:

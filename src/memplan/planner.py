@@ -171,9 +171,10 @@ def _on_dram(plan: PlacementPlan, profiles: ProfileSet,
 
 
 def _check_reserve(reserved_dram_bytes: float) -> None:
-    """Reject a DRAM reservation the planners cannot hold back."""
-    if not reserved_dram_bytes >= 0:  # NaN too
-        raise ValueError("reserved_dram_bytes must be >= 0")
+    """Reject a DRAM reservation no plan file can hold."""
+    if not (math.isfinite(reserved_dram_bytes) and reserved_dram_bytes >= 0):
+        raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
+                         f"got {reserved_dram_bytes!r}")
 
 
 def _major_minor(profiles: ProfileSet, major_threshold: float,
@@ -287,21 +288,16 @@ def plan_static(profiles: ProfileSet, dev: DeviceSpec, ratio: float,
     program = build_placement_program(major, dev, ratio, dram_free,
                                       extra_budget_energy=extra)
     solution = ilp.solve(program)
-
-    budget = _budget(major, dev, ratio, extra)
-    if solution.status == ilp.STATUS_INFEASIBLE:
-        return _set_plan(
-            profiles, None, ilp.STATUS_INFEASIBLE, ratio, major_threshold,
-            math.nan, math.nan, budget, reserved_dram_bytes,
-            include_minor_in_budget, diagnose_infeasibility(solution))
-
-    objective, energy = summarize_assignment(major, dev, solution.assignment)
+    # Diagnosed only when infeasible, so the traced calls count diagnoses.
+    feasible = solution.status == ilp.STATUS_OPTIMAL
+    objective, energy = summarize_assignment(
+        major, dev, solution.assignment) if feasible else (math.nan, math.nan)
     return _set_plan(
-        profiles, solution.assignment, ilp.STATUS_OPTIMAL, ratio=ratio,
-        major_threshold=major_threshold, objective_ns=objective,
-        planned_energy_nj=energy + extra, energy_budget_nj=budget,
-        reserved_dram_bytes=reserved_dram_bytes,
-        minor_energy_in_budget=include_minor_in_budget)
+        profiles, solution.assignment if feasible else None, solution.status,
+        ratio, major_threshold, objective, energy + extra,
+        _budget(major, dev, ratio, extra), reserved_dram_bytes,
+        include_minor_in_budget,
+        () if feasible else diagnose_infeasibility(solution))
 
 
 def sweep_ratios(profiles: ProfileSet, dev: DeviceSpec,
@@ -348,9 +344,7 @@ def _check_summary(status: str, minor: str, ratio: float, threshold: float,
     if not threshold >= 0:  # NaN too
         raise ValueError(
             f"major_threshold_bytes must be >= 0, got {threshold!r}")
-    if not (math.isfinite(reserved) and reserved >= 0):
-        raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
-                         f"got {reserved!r}")
+    _check_reserve(reserved)
 
 
 def write_plan(plan: PlacementPlan, dest: str | os.PathLike | IO[str]) -> None:

@@ -524,6 +524,19 @@ def test_the_csv_table_writes_every_cell_by_the_cell_rule():
     assert _csv_table(columns, []) == ",".join(columns) + "\n"
 
 
+@pytest.mark.parametrize("name", ["x,y", "x\ny", "x\r\ny", "x\ry"])
+def test_a_csv_cell_never_holds_a_separator(name):
+    # A plan name with a comma made a 6-field row under the 5-column
+    # header, and one with a line break split its row in two.
+    row = ComparisonRow(name, 1.5, 0.25, 3.0, True)
+    with pytest.raises(ValueError) as err:
+        comparison_csv([row])
+    assert str(err.value) == \
+        f"csv cell holds a comma or a line break: {name!r}"
+    with pytest.raises(ValueError):
+        _csv_table(("metric", "value"), [(name, 1.0)])
+
+
 def test_a_numpy_float_cell_prints_as_the_python_float():
     # np.float64 is a float whose repr names numpy; a cell spells it as
     # write_plan spells a float.

@@ -171,6 +171,23 @@ class TestEvaluateAndCompare:
         assert lines[0] == "plan,energy_nJ,ratio,latency_ns,capacity_ok"
         assert len(lines) == 1 + 2 + 3
 
+    @pytest.mark.parametrize("name", ["x,y", "x\ny"])
+    def test_a_plan_name_with_a_separator_writes_no_csv(
+            self, workload, tmp_path, capsys, name):
+        # The json table holds such a name; a csv row cannot.
+        plan, out = tmp_path / "a.plan", tmp_path / "cmp"
+        assert run(["plan", "--profiles", workload, "--ratio", 1.0,
+                    "--out", plan]) == EXIT_OK
+        args = ["compare", "--profiles", workload, "--plan", f"{name}={plan}",
+                "--all-dram", "--out", out]
+        assert run(args) == EXIT_USAGE
+        assert _one_error_line(capsys) == ("memplan: error: csv cell "
+                                           "holds a comma or a line break: "
+                                           f"{name!r}")
+        assert not out.exists()
+        assert run([*args, "--format", "json"]) == EXIT_OK
+        assert json.loads(out.read_text())[0]["plan"] == name
+
     def test_compare_json_is_the_library_comparison(self, tmp_path):
         profiles, out = tmp_path / "w12.prof", tmp_path / "cmp.json"
         assert run(["generate", "--count", 12, "--seed", 5, "--with-mpki",
@@ -488,15 +505,22 @@ def test_an_infinite_major_threshold_pins_every_object(workload, tmp_path):
     (["compare", "--mpki-thresholds", "0.1", "--random-seeds", "1"], "nan"),
     (["plan", "--ratio", 0.8], "nan"),
     (["plan", "--ratio", 0.8], "-1"),
-], ids=["compare-negative", "compare-nan", "plan-nan", "plan-negative"])
+    (["plan", "--ratio", 0.8], "inf"),
+    (["compare", "--all-dram"], "inf"),
+    (["sweep", "--ratios", "0.8", "--capacities", "8:16"], "inf"),
+], ids=["compare-negative", "compare-nan", "plan-nan", "plan-negative",
+        "plan-inf", "compare-inf", "sweep-inf"])
 def test_a_negative_or_nan_dram_reserve_is_an_input_error(
         workload, tmp_path, capsys, command, reserve):
+    # An infinite reserve, which no plan file can hold, is refused where
+    # it enters too: a sweep writes no table of infeasible cells.
     out = tmp_path / "out"
     rc = run([*command, "--profiles", workload, f"--reserved-dram={reserve}",
               "--out", out])
     assert rc == EXIT_USAGE
-    assert _one_error_line(capsys) == \
-        "memplan: error: reserved_dram_bytes must be >= 0"
+    assert _one_error_line(capsys) == ("memplan: error: reserved_dram_bytes "
+                                       "must be finite and >= 0, got "
+                                       f"{float(reserve)!r}")
     assert not out.exists()
 
 

@@ -529,9 +529,11 @@ def test_a_current_plan_with_a_bad_reserve_is_rejected(reserve):
     dev = make_testbed1(dram_capacity=0.05 * GIB, nvm_capacity=1 * GIB)
     current = dataclasses.replace(plan_static(ps, dev, 1.0, 0),
                                   reserved_dram_bytes=reserve)
-    with pytest.raises(ValueError, match="^reserved_dram_bytes must be >= 0$"):
+    with pytest.raises(ValueError) as err:
         plan_migration(ps, dev, current,
                        MigrationRequest(time=4.0, new_ratio=0.9))
+    assert str(err.value) == \
+        f"reserved_dram_bytes must be finite and >= 0, got {reserve!r}"
 
 
 def test_live_minor_objects_and_the_reserve_must_fit_in_dram():

@@ -103,3 +103,28 @@ def test_only_the_two_text_helpers_open_files():
                if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "open"]
     assert sorted(openers) == ["profiles.py:read_text", "profiles.py:write_text"]
+
+
+def test_the_reserve_rule_has_one_home():
+    # planner._check_reserve alone refuses a reserve, for the planners,
+    # the baselines, migrate and the plan file's summary check alike.
+    homes = {where for where, node in _scoped_nodes()
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "reserved_dram_bytes must be" in node.value}
+    assert sorted(homes) == ["planner.py:_check_reserve"]
+
+
+def test_only_price_placement_picks_a_priced_column_by_device():
+    # energy.price_placement is the one rule for an object's price on the
+    # device it sits on: no other function both reads energy.prices and
+    # chooses between columns with where.
+    calls: dict[str, set] = {}
+    for where, node in _scoped_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.setdefault(where, set()).add(
+                func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None))
+    pickers = [where for where, names in calls.items()
+               if {"prices", "where"} <= names]
+    assert sorted(pickers) == ["energy.py:price_placement"]

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import time_cap
 from memplan import ilp, planner
-from memplan.baselines import place_mpki_threshold
+from memplan.baselines import place_all_dram, place_mpki_threshold
 from memplan.energy import DeviceSpec, GIB, dram_energy, nvm_energy
 from memplan.energy import testbed1 as make_testbed1
 from memplan.evaluator import evaluate
@@ -85,6 +85,19 @@ class TestPlanStatic:
         squeezed = plan_static(ps, dev, 1.0, major_threshold=0,
                                reserved_dram_bytes=4 * MB)
         assert squeezed.placements["a"] == NVM
+
+    @pytest.mark.parametrize("make", [
+        lambda ps, dev: plan_static(ps, dev, 0.9,
+                                    reserved_dram_bytes=math.inf),
+        lambda ps, dev: place_all_dram(ps, dev, reserved_dram_bytes=math.inf),
+    ], ids=["plan_static", "place_all_dram"])
+    def test_an_infinite_reserve_is_refused_where_it_enters(self, make):
+        # No plan file holds an infinite reserve, so no planner takes one;
+        # the write_plan test below holds sweep_ratios to the same rule.
+        with pytest.raises(ValueError) as err:
+            make(instance(1, count=3), small_device())
+        assert str(err.value) == \
+            "reserved_dram_bytes must be finite and >= 0, got inf"
 
     def test_invalid_ratio_rejected(self):
         ps = instance(1, count=3)
@@ -633,16 +646,13 @@ def test_write_plan_refuses_a_device_the_plan_format_does_not_define(
             write_plan(plan, path)
         assert str(err.value) == message
         assert not path.exists()
-    # A sweep row whose reserve alone overflows DRAM is a CapacityError
-    # row that carries the infinite reserve, which load_plan refuses.
+    # A sweep refuses the infinite reserve load_plan refuses, with its
+    # message, so it makes no row a plan file cannot hold.
     one = ProfileSet((ObjectProfile("m", MB, 0.0, 1.0, 1024.0, 1.0, 0.0),))
-    plan, = planner.sweep_ratios(one, make_testbed1(), [0.9],
-                                 reserved_dram_bytes=math.inf)
-    assert plan.status == ilp.STATUS_INFEASIBLE
-    with pytest.raises(ValueError, match="reserved_dram_bytes must be "
-                                         "finite and >= 0, got inf"):
-        write_plan(plan, path)
-    assert not path.exists()
+    with pytest.raises(ValueError, match="^reserved_dram_bytes must be "
+                                         "finite and >= 0, got inf$"):
+        planner.sweep_ratios(one, make_testbed1(), [0.9],
+                             reserved_dram_bytes=math.inf)
     # An infeasible plan's totals are NaN, the budget too when the pinned
     # minor objects alone overflow DRAM (a sweep's row), and it round-trips.
     plan, = planner.sweep_ratios(
