@@ -2,17 +2,16 @@
 
 All of these produce ordinary PlacementPlan values (minor objects pinned
 to DRAM as usual) whose ``ratio`` and ``energy_budget_nj`` record what the
-strategy achieved rather than a requested budget.
+strategy achieved rather than a requested budget; ``ratio`` is evaluate's.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import ilp
 from .energy import DeviceSpec
+from .evaluator import _ratio_vs_all_dram
 from .planner import (CONSTRAINT_CAPACITY_DRAM, CONSTRAINT_CAPACITY_NVM,
                       PlacementPlan, _budget, _major_minor, _set_plan,
                       summarize_assignment)
@@ -29,36 +28,36 @@ class NoFeasibleAssignment(ValueError):
 def _finish(profiles: ProfileSet, major: ProfileSet, dev: DeviceSpec,
             on_dram: np.ndarray, major_threshold: float,
             reserved_dram_bytes: float,
-            status: str = ilp.STATUS_OPTIMAL,
             binding: tuple[str, ...] = ()) -> PlacementPlan:
+    """A split's plan: its energy as budget, and evaluate's ratio."""
     objective, energy = summarize_assignment(major, dev, on_dram)
-    all_dram_energy = _budget(major, dev, 1.0, 0.0)
-    ratio = energy / all_dram_energy if all_dram_energy > 0 else 1.0
     return _set_plan(
-        profiles, on_dram, status, ratio=ratio,
-        major_threshold=major_threshold, objective_ns=objective,
-        planned_energy_nj=energy, energy_budget_nj=energy,
-        reserved_dram_bytes=reserved_dram_bytes, binding_constraints=binding)
+        profiles, on_dram,
+        ilp.STATUS_INFEASIBLE if binding else ilp.STATUS_OPTIMAL,
+        _ratio_vs_all_dram(energy, _budget(major, dev, 1.0, 0.0)),
+        major_threshold, objective, energy, energy, reserved_dram_bytes,
+        binding_constraints=binding)
+
+
+def _all_on(dram: bool, profiles: ProfileSet, dev: DeviceSpec,
+            major_threshold: float, reserved: float) -> PlacementPlan:
+    major = _major_minor(profiles, major_threshold, reserved, dev)[0]
+    return _finish(profiles, major, dev, np.full(len(major), dram),
+                   major_threshold, reserved)
 
 
 def place_all_dram(profiles: ProfileSet, dev: DeviceSpec,
                    major_threshold: float = DEFAULT_MAJOR_THRESHOLD,
                    reserved_dram_bytes: float = 0.0) -> PlacementPlan:
     """Everything in DRAM: the energy-normalization reference point."""
-    major, _, _ = _major_minor(profiles, major_threshold,
-                               reserved_dram_bytes, dev)
-    return _finish(profiles, major, dev, np.ones(len(major), bool),
-                   major_threshold, reserved_dram_bytes)
+    return _all_on(True, profiles, dev, major_threshold, reserved_dram_bytes)
 
 
 def place_all_nvm(profiles: ProfileSet, dev: DeviceSpec,
                   major_threshold: float = DEFAULT_MAJOR_THRESHOLD,
                   reserved_dram_bytes: float = 0.0) -> PlacementPlan:
     """Every major object in NVM (minor objects stay DRAM-pinned)."""
-    major, _, _ = _major_minor(profiles, major_threshold,
-                               reserved_dram_bytes, dev)
-    return _finish(profiles, major, dev, np.zeros(len(major), bool),
-                   major_threshold, reserved_dram_bytes)
+    return _all_on(False, profiles, dev, major_threshold, reserved_dram_bytes)
 
 
 def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
@@ -71,7 +70,7 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
     residents to NVM; NVM overflow by promoting its highest-mpki residents
     back while they fit. Every major object must carry an llc_mpki value.
     """
-    if math.isnan(mpki_threshold):  # no mpki is above or below it
+    if np.isnan(mpki_threshold):  # no mpki is above or below it
         raise ValueError("mpki_threshold must be a number, got nan")
     major, _, dram_free = _major_minor(profiles, major_threshold,
                                        reserved_dram_bytes, dev)
@@ -113,9 +112,8 @@ def place_mpki_threshold(profiles: ProfileSet, dev: DeviceSpec,
         binding += (CONSTRAINT_CAPACITY_DRAM,)
     if _sum_in_order(major.size[~on_dram]) > dev.nvm_capacity:
         binding += (CONSTRAINT_CAPACITY_NVM,)
-    status = ilp.STATUS_INFEASIBLE if binding else ilp.STATUS_OPTIMAL
     return _finish(profiles, major, dev, on_dram, major_threshold,
-                   reserved_dram_bytes, status=status, binding=binding)
+                   reserved_dram_bytes, binding)
 
 
 def place_random(profiles: ProfileSet, dev: DeviceSpec, seed: int,

@@ -66,6 +66,13 @@ def _within(value: float, limit: float) -> bool:
     return value <= limit + _REL_TOL * max(1.0, abs(limit))
 
 
+def _ratio_vs_all_dram(energy: float, all_dram: float) -> float:
+    """energy / all_dram; 1.0 if both are 0, inf if only all_dram is."""
+    if all_dram > 0:
+        return energy / all_dram
+    return 1.0 if energy == 0 else math.inf
+
+
 def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     """The scoring core: `EvaluationReport`'s fields but the peaks and the
     per-object table, by name; then the DRAM mask, the major mask and the
@@ -85,10 +92,6 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
     if plan.minor_energy_in_budget:
         total += minor_energy
         denom += minor_energy
-    if denom > 0:
-        ratio = total / denom
-    else:
-        ratio = 1.0 if total == 0 else float("inf")
 
     static_dram = _sum_in_order(profiles.size[on_dram])
     static_nvm = _sum_in_order(profiles.size[~on_dram])
@@ -100,10 +103,10 @@ def _score(profiles: ProfileSet, dev: DeviceSpec, plan: PlacementPlan):
 
     scores = dict(
         total_energy_nj=total, latency_objective_ns=latency,
-        energy_ratio_vs_all_dram=ratio, capacity_ok_dram=capacity_ok_dram,
-        capacity_ok_nvm=capacity_ok_nvm, budget_ok=budget_ok,
-        static_dram_bytes=static_dram, static_nvm_bytes=static_nvm,
-        minor_dram_energy_nj=minor_energy)
+        energy_ratio_vs_all_dram=_ratio_vs_all_dram(total, denom),
+        capacity_ok_dram=capacity_ok_dram, capacity_ok_nvm=capacity_ok_nvm,
+        budget_ok=budget_ok, static_dram_bytes=static_dram,
+        static_nvm_bytes=static_nvm, minor_dram_energy_nj=minor_energy)
     return scores, on_dram, major, major_energies
 
 
@@ -133,8 +136,7 @@ def _row(name: str, profiles: ProfileSet, dev: DeviceSpec,
          plan: PlacementPlan | None) -> ComparisonRow:
     """A plan's row from the scoring core alone; no plan gives nan."""
     if plan is None:
-        nan = float("nan")
-        return ComparisonRow(name, nan, nan, nan, False)
+        return ComparisonRow(name, *[math.nan] * 3, False)
     scores = _score(profiles, dev, plan)[0]
     return ComparisonRow(name, scores["total_energy_nj"],
                          scores["energy_ratio_vs_all_dram"],

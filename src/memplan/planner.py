@@ -55,8 +55,8 @@ class PlacementPlan:
 
     ``placements`` maps object id to "dram" or "nvm" (minor objects always
     "dram"); totals cover the major objects, matching the budget's
-    population. Baseline strategies produce plans too, with ``ratio`` and
-    ``energy_budget_nj`` set to the values they achieved.
+    population. A baseline's plan holds what it achieved: its energy as
+    the budget, and evaluate's ``ratio``, inf if only all-DRAM costs 0.
 
     A plan has one of two forms. A caller's dict is read as given. A plan
     the package makes keeps as columns (``_rows``) the ids in plan file
@@ -174,7 +174,7 @@ def _check_reserve(reserved_dram_bytes: float) -> None:
     """Reject a DRAM reservation no plan file can hold."""
     if not (math.isfinite(reserved_dram_bytes) and reserved_dram_bytes >= 0):
         raise ValueError(f"reserved_dram_bytes must be finite and >= 0, "
-                         f"got {reserved_dram_bytes!r}")
+                         f"got {_format_float(reserved_dram_bytes)}")
 
 
 def _major_minor(profiles: ProfileSet, major_threshold: float,
@@ -338,12 +338,12 @@ def _check_summary(status: str, minor: str, ratio: float, threshold: float,
         raise ValueError(f"minor_energy_in_budget is not 0 or 1: {minor!r}")
     if status == ilp.STATUS_OPTIMAL and not math.isfinite(budget):
         raise ValueError(f"energy_budget_nj must be finite on an optimal "
-                         f"plan, got {budget!r}")
+                         f"plan, got {_format_float(budget)}")
     if not math.isfinite(ratio):
-        raise ValueError(f"ratio must be finite, got {ratio!r}")
+        raise ValueError(f"ratio must be finite, got {_format_float(ratio)}")
     if not threshold >= 0:  # NaN too
-        raise ValueError(
-            f"major_threshold_bytes must be >= 0, got {threshold!r}")
+        raise ValueError(f"major_threshold_bytes must be >= 0, got "
+                         f"{_format_float(threshold)}")
     _check_reserve(reserved)
 
 

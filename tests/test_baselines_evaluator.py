@@ -473,18 +473,36 @@ def test_report_bytes_of_an_all_nvm_plan():
         "random_1,nan,nan,nan,0\n")
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "a baseline reports ratio 1.0 where its major objects' all-DRAM energy "
-    "is zero; the plan file cannot carry evaluate's inf, since load_plan "
-    "refuses a non-finite ratio, so the fix waits for a plan-format "
-    "decision"))
-def test_a_baseline_ratio_equals_evaluates_when_all_dram_energy_is_zero():
+def test_a_baseline_ratio_equals_evaluates_when_all_dram_energy_is_zero(
+        tmp_path):
+    # Each baseline's ratio is evaluate's: inf where the all-DRAM energy is
+    # 0 and the plan's is not, 1.0 where both are 0. write_plan refuses the
+    # inf ratio before it opens the file, as load_plan would refuse it.
     dev = DeviceSpec(dram_act_pre=0, dram_rw=0, dram_ref=0)
     ps = ProfileSet(tuple(ObjectProfile(name, 8 * MB, 0.0, 1.0, 8 * MB,
-                                        100.0, 5.0) for name in "ab"))
-    plan = place_all_nvm(ps, dev, 0)
-    assert evaluate(ps, dev, plan).energy_ratio_vs_all_dram == math.inf
-    assert plan.ratio == math.inf
+                                        100.0, 5.0, mpki)
+                          for name, mpki in (("a", 0.01), ("b", 0.02))))
+    free = replace(dev, nvm_act_pre=0, nvm_rba=0, nvm_wb=0)
+    plans = [(dev, place_all_nvm(ps, dev, 0), math.inf),
+             (dev, place_mpki_threshold(ps, dev, 0.015, 0), math.inf),
+             (dev, place_mpki_threshold(ps, dev, 1.0, 0), math.inf),
+             (dev, place_all_dram(ps, dev, 0), 1.0),
+             *((free, make(ps, free, 0), 1.0)
+               for make in (place_all_dram, place_all_nvm))]
+    for seed in range(4):
+        plan = place_random(ps, dev, seed, 0)
+        plans.append((dev, plan, 1.0 if set(plan.placements.values())
+                      == {DRAM} else math.inf))
+    for device, plan, ratio in plans:
+        assert evaluate(ps, device, plan).energy_ratio_vs_all_dram == ratio
+        assert plan.ratio == ratio
+    assert {ratio for _, _, ratio in plans} == {1.0, math.inf}
+
+    path = tmp_path / "all-nvm.plan"
+    with pytest.raises(ValueError) as err:
+        write_plan(place_all_nvm(ps, dev, 0), path)
+    assert str(err.value) == "ratio must be finite, got inf"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("breakdown", [

@@ -128,3 +128,15 @@ def test_only_price_placement_picks_a_priced_column_by_device():
     pickers = [where for where, names in calls.items()
                if {"prices", "where"} <= names]
     assert sorted(pickers) == ["energy.py:price_placement"]
+
+
+def test_the_baselines_hold_no_ratio_rule_of_their_own():
+    # A baseline plan's ratio is evaluate's (evaluator._ratio_vs_all_dram),
+    # so baselines.py divides nothing: no / or // and no numpy divide.
+    divisions = [where for where, node in _package_nodes()
+                 if where.startswith("baselines.py:")
+                 and (isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, (ast.Div, ast.FloorDiv))
+                      or isinstance(node, ast.Attribute)
+                      and node.attr in ("divide", "true_divide"))]
+    assert divisions == []

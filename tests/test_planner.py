@@ -662,3 +662,31 @@ def test_write_plan_refuses_a_device_the_plan_format_does_not_define(
     assert math.isnan(plan.energy_budget_nj)
     write_plan(plan, path)
     assert math.isnan(planner.load_plan(path).energy_budget_nj)
+
+
+def test_a_check_message_spells_a_numpy_number_as_the_plan_file_does(
+        tmp_path):
+    # The input checks spell a float through planner._format_float, so a
+    # numpy scalar reads as the float write_plan would write, not as
+    # np.float64(inf).
+    with pytest.raises(ValueError) as err:
+        plan_static(instance(1, count=3), make_testbed1(), 0.9,
+                    reserved_dram_bytes=np.float64(np.inf))
+    assert str(err.value) == \
+        "reserved_dram_bytes must be finite and >= 0, got inf"
+    path = tmp_path / "p.plan"
+    base = dict(status="optimal", ratio=1.0, major_threshold=0.0,
+                objective_ns=0.0, planned_energy_nj=0.0, energy_budget_nj=0.0)
+    for fields, message in (
+            ({"energy_budget_nj": np.float64(np.nan)},
+             "energy_budget_nj must be finite on an optimal plan, got nan"),
+            ({"ratio": np.float32(np.inf)}, "ratio must be finite, got inf"),
+            ({"major_threshold": np.float64(-2.5)},
+             "major_threshold_bytes must be >= 0, got -2.5"),
+            ({"reserved_dram_bytes": np.float64(-1.0)},
+             "reserved_dram_bytes must be finite and >= 0, got -1.0")):
+        plan = planner.PlacementPlan({"a": DRAM}, ("a",), **base | fields)
+        with pytest.raises(ValueError) as err:
+            write_plan(plan, path)
+        assert str(err.value) == message
+        assert not path.exists()
